@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import PgdParams, least_squares_init, pgd, project_simplex, resolve_learning_rate
+from .weights import PgdParams, pgd, project_simplex, resolve_learning_rate
 
 HULL_TYPES = ("convex", "convex_null", "conic")
 
@@ -223,39 +223,48 @@ def gnomonic_project(matrix: np.ndarray, tol: float = DEGENERATE_TOL) -> Gnomoni
     return GnomonicProjection(scaled=scaled, q=q, degenerate=degenerate)
 
 
-def hull_distance(
-    c: np.ndarray,
-    rep_matrix: np.ndarray,
-    params: PgdParams | None = None,
-    *,
-    pinv: np.ndarray | None = None,
-    alpha: float | None = None,
-) -> tuple[float, np.ndarray]:
-    """Euclidean distance from ``c`` to the convex hull of the columns of
-    ``rep_matrix``, with the optimal convex weights.
+def _hull_distances(
+    points: np.ndarray, rep_matrix: np.ndarray, params: PgdParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean distance from every column of ``points`` to the convex hull
+    of the columns of ``rep_matrix``, with the optimal convex weights (one
+    row per point).
 
-    Solved by projected gradient descent on the least-squares objective over
-    the simplex, starting from the projected pseudoinverse solution.  A
-    column identical to ``c`` short-circuits to distance zero.  ``pinv`` and
-    ``alpha`` may be supplied to amortize repeated calls against one matrix.
+    One batched projected gradient descent over the simplex solves all
+    points at once, each starting from its projected pseudoinverse
+    solution.  A point identical to a representative column short-circuits
+    to distance zero.
     """
-    params = params or PgdParams()
     R = np.asarray(rep_matrix, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
         raise ValueError("rep_matrix must have at least one column")
+    X = np.asarray(points, dtype=float)
+    same = np.all(X[:, :, None] == R[:, None, :], axis=0)  # (n_points, n_reps)
+    hit = same.any(axis=1)
+    W = np.zeros((X.shape[1], R.shape[1]))
+    W[hit, np.argmax(same[hit], axis=1)] = 1.0
+    if not hit.all():
+        rest = X[:, ~hit]
+        gram = R.T @ R
+        rtx = rest.T @ R
+        start = project_simplex((np.linalg.pinv(R) @ rest).T)
+        W[~hit] = pgd(start, lambda w: w @ gram - rtx, project_simplex, params,
+                      alpha=resolve_learning_rate(params, R))
+    dist = np.linalg.norm(R @ W.T - X, axis=0)
+    dist[hit] = 0.0
+    return dist, W
+
+
+def hull_distance(
+    c: np.ndarray, rep_matrix: np.ndarray, params: PgdParams | None = None
+) -> tuple[float, np.ndarray]:
+    """Euclidean distance from ``c`` to the convex hull of the columns of
+    ``rep_matrix``, with the optimal convex weights (projected gradient
+    descent from the projected pseudoinverse solution; a column identical to
+    ``c`` short-circuits to distance zero)."""
     c = np.asarray(c, dtype=float)
-    for j in range(R.shape[1]):
-        if np.array_equal(R[:, j], c):
-            w = np.zeros(R.shape[1])
-            w[j] = 1.0
-            return 0.0, w
-    if alpha is None:
-        alpha = resolve_learning_rate(params, R)
-    init = pinv @ c if pinv is not None else least_squares_init(R, c)
-    gram = R.T @ R
-    rtc = R.T @ c
-    w = pgd(project_simplex(init), lambda x: gram @ x - rtc, project_simplex, params, alpha=alpha)
-    return float(np.linalg.norm(R @ w - c)), w
+    dist, W = _hull_distances(c[:, None], rep_matrix, params or PgdParams())
+    return float(dist[0]), W[0]
 
 
 def _greedy_select(
@@ -264,15 +273,13 @@ def _greedy_select(
     initial: list[int],
     candidates: np.ndarray,
     params: PgdParams,
-    use_cache: bool,
 ) -> tuple[list[int], list[float]]:
     """Core greedy loop: repeatedly add the candidate column farthest from
     the convex hull of the current selection.
 
-    The distance cache is reused for a candidate unless the newest
-    representative is closer to it than its cached hull distance (the hull
-    only grows, so cached distances are upper bounds, but a nearby new
-    point is evidence the true distance dropped).
+    Every step computes the exact hull distance of every remaining
+    candidate in one batched fit and takes the true argmax (lowest index on
+    ties).
     """
     reps = list(initial)
     steps: list[float] = []
@@ -281,36 +288,16 @@ def _greedy_select(
         dist_to_mean = _column_distances(matrix, mean)
         masked = np.where(candidates, dist_to_mean, -np.inf)
         reps.append(int(np.argmax(masked)))
-    cache: dict[int, float] = {}
     while len(reps) < n_rp:
-        R = matrix[:, reps]
-        pinv = np.linalg.pinv(R)
-        alpha = resolve_learning_rate(params, R)
-        r_new = reps[-1]
-        new_col = matrix[:, r_new]
-        in_reps = set(reps)
-        best_dist = -np.inf
-        best_idx = -1
-        for d in range(matrix.shape[1]):
-            if d in in_reps or not candidates[d]:
-                continue
-            cached = cache.get(d)
-            if (
-                use_cache
-                and cached is not None
-                and float(np.linalg.norm(matrix[:, d] - new_col)) >= cached
-            ):
-                cur = cached
-            else:
-                cur, _ = hull_distance(matrix[:, d], R, params, pinv=pinv, alpha=alpha)
-                cache[d] = cur
-            if cur > best_dist:
-                best_dist = cur
-                best_idx = d
-        if best_idx < 0:
+        remaining = candidates.copy()
+        remaining[reps] = False
+        cols = np.flatnonzero(remaining)
+        if cols.size == 0:
             raise ValueError("not enough selectable columns to reach the requested count")
-        reps.append(best_idx)
-        steps.append(best_dist)
+        dist, _ = _hull_distances(matrix[:, cols], matrix[:, reps], params)
+        best = int(np.argmax(dist))
+        reps.append(int(cols[best]))
+        steps.append(float(dist[best]))
     return reps, steps
 
 
@@ -320,7 +307,6 @@ def greedy_hull(
     hull_type: str = "convex",
     initial_reps: tuple[int, ...] = (),
     params: PgdParams | None = None,
-    use_cache: bool = True,
 ) -> RepSelection:
     """Greedy hull clustering in one of three variants.
 
@@ -344,14 +330,14 @@ def greedy_hull(
 
     if hull_type == "convex":
         candidates = np.ones(n_periods, dtype=bool)
-        reps, steps = _greedy_select(C, n_rp, initial, candidates, params, use_cache)
+        reps, steps = _greedy_select(C, n_rp, initial, candidates, params)
         chosen = reps
     elif hull_type == "convex_null":
         augmented = np.hstack([C, np.zeros((C.shape[0], 1))])
         null_idx = n_periods
         candidates = np.ones(n_periods + 1, dtype=bool)
         reps, steps = _greedy_select(
-            augmented, n_rp + 1, [null_idx] + initial, candidates, params, use_cache
+            augmented, n_rp + 1, [null_idx] + initial, candidates, params
         )
         chosen = [r for r in reps if r != null_idx]
     else:  # conic
@@ -362,7 +348,7 @@ def greedy_hull(
             raise ValueError(
                 f"only {int(candidates.sum())} non-degenerate columns available for {n_rp} representatives"
             )
-        reps, steps = _greedy_select(proj.scaled, n_rp, initial, candidates, params, use_cache)
+        reps, steps = _greedy_select(proj.scaled, n_rp, initial, candidates, params)
         chosen = reps
 
     return RepSelection(

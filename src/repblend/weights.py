@@ -1,5 +1,6 @@
-"""Blending-weight fitting: exact projections onto the four weight spaces and
-projected gradient descent for the per-period least-squares problem.
+"""Blending-weight fitting: exact row-wise projections onto the four weight
+spaces and one batched projected gradient descent that solves the
+least-squares problem of every period at once.
 
 A weight row expresses one base period as a combination of representative
 periods.  Four row spaces are supported, nested from most to least
@@ -62,11 +63,19 @@ class WeightMatrix:
 
     ``projection_errors[d]`` is the Euclidean residual between base-period
     column d and its weighted reconstruction from the representatives.
+    ``iterations[d]`` is the number of PGD steps row d took (0 for rows
+    taken from a hard assignment); a row that reports ``params.max_iter``
+    stopped at the cap rather than at the stall rule.
     """
 
     values: np.ndarray  # (n_periods, n_rp)
     weight_type: str
     projection_errors: np.ndarray  # (n_periods,)
+    iterations: np.ndarray | None = None  # (n_periods,) PGD steps per row
+
+    def __post_init__(self):
+        if self.iterations is None:
+            self.iterations = np.zeros(self.values.shape[0], dtype=int)
 
     @property
     def n_periods(self) -> int:
@@ -84,48 +93,23 @@ class WeightMatrix:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection of ``v`` onto the probability simplex
-    {x >= 0, sum(x) = 1}.
+    """Exact Euclidean projection onto the probability simplex
+    {x >= 0, sum(x) = 1}, applied to every row along the last axis.
 
-    Scan-based O(n) method: maintains a candidate active set and the running
-    pivot, then filters until the pivot is consistent, so no sort is needed.
+    Sort-based method (Held, Wolfe & Crowder 1974; Duchi et al. 2008): with
+    u the row sorted in decreasing order, the threshold is
+    theta = max_j (u_1 + ... + u_j - 1) / j and the projection is
+    max(v - theta, 0).
     """
     v = np.asarray(v, dtype=float)
-    y = v.ravel()
-    n = y.size
+    n = v.shape[-1] if v.ndim else 0
     if n == 0:
         raise ValueError("cannot project an empty vector")
     if n == 1:
-        return np.ones(1)
-
-    # Invariant throughout: pivot == (sum(active) - 1) / len(active).
-    active = [y[0]]
-    waiting: list[float] = []
-    pivot = y[0] - 1.0
-    for k in range(1, n):
-        yk = y[k]
-        if yk > pivot:
-            pivot += (yk - pivot) / (len(active) + 1)
-            if pivot > yk - 1.0:
-                active.append(yk)
-            else:
-                waiting.extend(active)
-                active = [yk]
-                pivot = yk - 1.0
-    for yk in waiting:
-        if yk > pivot:
-            active.append(yk)
-            pivot += (yk - pivot) / len(active)
-    changed = True
-    while changed:
-        changed = False
-        for yk in list(active):
-            if yk <= pivot:
-                # len(active) >= 2 here: a singleton has pivot = yk - 1 < yk
-                active.remove(yk)
-                pivot += (pivot - yk) / len(active)
-                changed = True
-    return np.maximum(y - pivot, 0.0)
+        return np.ones_like(v)
+    partial = np.sort(v, axis=-1)[..., ::-1].cumsum(axis=-1) - 1.0
+    theta = (partial / np.arange(1, n + 1)).max(axis=-1, keepdims=True)
+    return np.maximum(v - theta, 0.0)
 
 
 def project_nonneg(v: np.ndarray) -> np.ndarray:
@@ -134,25 +118,24 @@ def project_nonneg(v: np.ndarray) -> np.ndarray:
 
 
 def project_subunit(v: np.ndarray) -> np.ndarray:
-    """Exact projection onto {x >= 0, sum(x) <= 1}.
+    """Exact projection onto {x >= 0, sum(x) <= 1}, row by row.
 
     If clipping negatives already lands inside the set, that is the
     projection; otherwise the sum constraint is active and the answer
     coincides with the simplex projection.
     """
-    clipped = project_nonneg(v)
-    if clipped.sum() <= 1.0:
-        return clipped
-    return project_simplex(v)
+    v = np.asarray(v, dtype=float)
+    out = project_nonneg(v)
+    over = out.sum(axis=-1) > 1.0
+    out[over] = project_simplex(v[over])
+    return out
 
 
 def project_dirac(v: np.ndarray) -> np.ndarray:
-    """Projection onto the unit basis vectors: 1 at the largest coordinate
-    (lowest index on ties), 0 elsewhere."""
+    """Projection onto the unit basis vectors, row by row: 1 at the largest
+    coordinate (lowest index on ties), 0 elsewhere."""
     v = np.asarray(v, dtype=float)
-    w = np.zeros_like(v)
-    w[int(np.argmax(v))] = 1.0
-    return w
+    return (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(float)
 
 
 _PROJECTORS = {
@@ -181,23 +164,11 @@ def least_squares_init(rep_matrix: np.ndarray, target: np.ndarray) -> np.ndarray
     return sol
 
 
-def lipschitz_constant(rep_matrix: np.ndarray, iterations: int = 50) -> float:
-    """Largest eigenvalue of R^T R estimated by power iteration.
-
-    Deterministic all-ones start; the Rayleigh quotient after ``iterations``
-    steps is returned.  Zero for an all-zero matrix.
-    """
+def lipschitz_constant(rep_matrix: np.ndarray) -> float:
+    """Largest eigenvalue of R^T R, the Lipschitz constant of the gradient
+    of the least-squares objective.  Zero for an all-zero matrix."""
     R = np.asarray(rep_matrix, dtype=float)
-    gram = R.T @ R
-    n = gram.shape[0]
-    b = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(iterations):
-        nxt = gram @ b
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return 0.0
-        b = nxt / norm
-    return float(b @ (gram @ b))
+    return float(np.linalg.eigvalsh(R.T @ R).max())
 
 
 def resolve_learning_rate(params: PgdParams, rep_matrix: np.ndarray) -> float:
@@ -211,40 +182,61 @@ def resolve_learning_rate(params: PgdParams, rep_matrix: np.ndarray) -> float:
     return 1.0 / lip
 
 
-def pgd(x0, objective_grad, projector, params: PgdParams, alpha: float | None = None) -> np.ndarray:
-    """Projected gradient descent.
+def pgd(
+    x0,
+    objective_grad,
+    projector,
+    params: PgdParams,
+    alpha: float | None = None,
+    return_iterations: bool = False,
+):
+    """Projected gradient descent on one point or on every row of a batch.
 
-    Projects the start point, then repeats gradient step + projection for at
-    most ``params.max_iter`` iterations, stopping early once the iterate
-    moves by no more than ``tolerance / max_iter`` in the infinity norm.
+    ``x0`` is a 1-d point or a 2-d array with one point per row; the
+    gradient and the projector act on the whole array (row-wise along the
+    last axis).  Projects the start, then repeats gradient step +
+    projection for at most ``params.max_iter`` iterations.  A row stops once
+    its iterate moves by no more than ``tolerance / max_iter`` in the
+    infinity norm; stopped rows are frozen while the others go on, so each
+    row follows the iterates it would follow on its own.
 
     ``alpha`` overrides the step size; otherwise ``params.learning_rate``
-    must be numeric (callers resolve "auto" against their matrix).
+    must be numeric (callers resolve "auto" against their matrix).  With
+    ``return_iterations`` the result is ``(x, iterations)``, the number of
+    steps taken per row.
     """
     if alpha is None:
         if params.learning_rate == "auto":
             raise ValueError("learning_rate 'auto' must be resolved by the caller")
         alpha = float(params.learning_rate)
-    x = projector(np.asarray(x0, dtype=float))
+    x = projector(np.array(x0, dtype=float))
+    iterations = np.zeros(x.shape[:-1], dtype=int)
+    active = np.ones(x.shape[:-1], dtype=bool)
     stall = params.tolerance / params.max_iter
     for iteration in range(params.max_iter):
-        g = objective_grad(x)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient at iteration {iteration}: {g}"
-            )
-        x_prev = x
-        x = projector(x - alpha * g)
-        if np.max(np.abs(x_prev - x)) <= stall:
+        if not active.any():
             break
-    return x
+        g = objective_grad(x)
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient at iteration {iteration}")
+        if active.all():  # whole-array step; keeps a 1-d point 1-d for the projector
+            stepped = projector(x - alpha * g)
+            moved = np.abs(stepped - x).max(axis=-1)
+            x = stepped
+        else:
+            stepped = projector(x[active] - alpha * g[active])
+            moved = np.abs(stepped - x[active]).max(axis=-1)
+            x[active] = stepped
+        iterations[active] += 1
+        active[active] = moved > stall
+    return (x, iterations) if return_iterations else x
 
 
-def _nearest_rep_index(rep_matrix: np.ndarray, target: np.ndarray) -> int:
-    """Index of the representative column closest to ``target`` (lowest
-    index on ties)."""
-    diffs = rep_matrix - target[:, None]
-    return int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
+def _nearest_rep_indices(rep_matrix: np.ndarray, data_matrix: np.ndarray) -> np.ndarray:
+    """Per data column, the index of the closest representative column
+    (lowest index on ties)."""
+    diffs = rep_matrix[:, None, :] - data_matrix[:, :, None]
+    return np.argmin(np.einsum("fdj,fdj->dj", diffs, diffs), axis=1)
 
 
 def fit_weights(
@@ -256,14 +248,16 @@ def fit_weights(
 ) -> WeightMatrix:
     """Fit one weight row per base-period column of ``data_matrix``.
 
-    Each row solves min ||R w - c_d||^2 over the declared weight space by
-    projected gradient descent.  The start point is the better (smaller
-    residual) of the projected pseudoinverse solution and a hard-assignment
-    row; the latter comes from ``dirac_assignment`` when a clustering
-    provided one, else from the nearest representative.
+    Each row solves min ||R w - c_d||^2 over the declared weight space; one
+    batched projected gradient descent runs over all rows at once.  The
+    start of each row is the better (smaller residual) of the projected
+    pseudoinverse solution and a hard-assignment row; the latter comes from
+    ``dirac_assignment`` when a clustering provided one, else from the
+    nearest representative.
 
-    For ``weight_type="dirac"`` with an assignment available, the assignment
-    rows are returned as-is; no descent is run.
+    For ``weight_type="dirac"`` no descent is run: the rows are the
+    assignment when one is given, else the nearest representative, which is
+    the exact optimum over hard assignments.
     """
     weight_type = canonical_weight_type(weight_type)
     params = params or PgdParams()
@@ -278,38 +272,25 @@ def fit_weights(
     n_rp = R.shape[1]
     n_periods = C.shape[1]
     if dirac_assignment is not None:
-        dirac_assignment = np.asarray(dirac_assignment, dtype=int)
-        if dirac_assignment.shape != (n_periods,):
+        hard = np.asarray(dirac_assignment, dtype=int)
+        if hard.shape != (n_periods,):
             raise ValueError("dirac_assignment must have one entry per period")
+    else:
+        hard = _nearest_rep_indices(R, C)
+    init_hard = np.zeros((n_periods, n_rp))
+    init_hard[np.arange(n_periods), hard] = 1.0
+    hard_errors = np.linalg.norm(R[:, hard] - C, axis=0)
 
-    W = np.zeros((n_periods, n_rp))
-    errors = np.zeros(n_periods)
-
-    if weight_type == "dirac" and dirac_assignment is not None:
-        for d in range(n_periods):
-            W[d, dirac_assignment[d]] = 1.0
-            errors[d] = np.linalg.norm(R[:, dirac_assignment[d]] - C[:, d])
-        return WeightMatrix(W, weight_type, errors)
+    if weight_type == "dirac":
+        return WeightMatrix(init_hard, weight_type, hard_errors)
 
     projector = _PROJECTORS[weight_type]
     alpha = resolve_learning_rate(params, R)
-    pinv = np.linalg.pinv(R)
     gram = R.T @ R
-    for d in range(n_periods):
-        c = C[:, d]
-        rtc = R.T @ c
-        init_ls = projector(pinv @ c)
-        if dirac_assignment is not None:
-            j = int(dirac_assignment[d])
-        else:
-            j = _nearest_rep_index(R, c)
-        init_hard = np.zeros(n_rp)
-        init_hard[j] = 1.0
-        if np.linalg.norm(R @ init_ls - c) <= np.linalg.norm(R[:, j] - c):
-            start = init_ls
-        else:
-            start = init_hard
-        w = pgd(start, lambda x: gram @ x - rtc, projector, params, alpha=alpha)
-        W[d] = w
-        errors[d] = np.linalg.norm(R @ w - c)
-    return WeightMatrix(W, weight_type, errors)
+    rtc = C.T @ R
+    init_ls = projector((np.linalg.pinv(R) @ C).T)
+    use_ls = np.linalg.norm(R @ init_ls.T - C, axis=0) <= hard_errors
+    start = np.where(use_ls[:, None], init_ls, init_hard)
+    W, iterations = pgd(start, lambda w: w @ gram - rtc, projector, params,
+                        alpha=alpha, return_iterations=True)
+    return WeightMatrix(W, weight_type, np.linalg.norm(R @ W.T - C, axis=0), iterations)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import nnls
 
 
 def proj_dirac_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -81,6 +82,61 @@ PROJECTION_ORACLES = {
     "subunit_conic": proj_subunit_bruteforce,
     "conic": proj_conic_bruteforce,
 }
+
+
+def nnls_fit(rep_matrix: np.ndarray, target: np.ndarray, weight_type: str) -> np.ndarray:
+    """Optimal weights of min ||R w - c|| over a blended weight space, from
+    the Lawson-Hanson active-set solver ``scipy.optimize.nnls``.
+
+    Conic weights are a plain NNLS problem.  Convex weights solve NNLS on
+    the system augmented with a heavily weighted row of ones, which enforces
+    sum(w) = 1 up to a residual far below test tolerances; the row is then
+    renormalized.  Sub-unit weights are the conic optimum when it sums to at
+    most one (the sum constraint is inactive), else the convex optimum (the
+    objective is convex, so the constraint is then active).
+    """
+    R = np.asarray(rep_matrix, dtype=float)
+    c = np.asarray(target, dtype=float)
+    w, _ = nnls(R, c)
+    if weight_type == "conic" or (weight_type == "subunit_conic" and w.sum() <= 1.0):
+        return w
+    rho = 1e4 * max(1.0, float(np.abs(R).max()))
+    augmented = np.vstack([R, np.full((1, R.shape[1]), rho)])
+    w, _ = nnls(augmented, np.append(c, rho))
+    return w / w.sum()
+
+
+def nearest_column_bruteforce(rep_matrix: np.ndarray, target: np.ndarray) -> int:
+    """Index of the representative column closest to ``target``, scanning
+    in order so the lowest index wins ties."""
+    best, best_dist = -1, np.inf
+    for j in range(rep_matrix.shape[1]):
+        dist = float(np.linalg.norm(rep_matrix[:, j] - target))
+        if dist < best_dist:
+            best, best_dist = j, dist
+    return best
+
+
+def greedy_hull_reference(matrix: np.ndarray, k: int) -> tuple[list[int], list[float]]:
+    """Plain convex greedy hull on exact distances: start from the column
+    farthest from the column mean, then repeatedly add the column farthest
+    from the convex hull of the chosen ones (lowest index on ties)."""
+    mean = matrix.mean(axis=1)
+    reps = [int(np.argmax(np.linalg.norm(matrix - mean[:, None], axis=0)))]
+    steps = []
+    while len(reps) < k:
+        R = matrix[:, reps]
+        best, best_dist = -1, -np.inf
+        for d in range(matrix.shape[1]):
+            if d in reps:
+                continue
+            c = matrix[:, d]
+            dist = float(np.linalg.norm(R @ nnls_fit(R, c, "convex") - c))
+            if dist > best_dist:
+                best, best_dist = d, dist
+        reps.append(best)
+        steps.append(best_dist)
+    return reps, steps
 
 
 def least_squares_objective(rep_matrix: np.ndarray, w: np.ndarray, target: np.ndarray) -> float:

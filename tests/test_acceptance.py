@@ -123,7 +123,7 @@ def test_criterion_04_error_ordering():
 def test_criterion_05_hull_monotonicity_and_coverage():
     for seed in (51, 52):
         C = np.random.default_rng(seed).uniform(0, 1, (24, 60))
-        selection = greedy_hull(C, 20, "convex", use_cache=False)
+        selection = greedy_hull(C, 20, "convex")
         steps = selection.step_max_distances
         assert all(b <= a + 1e-9 for a, b in zip(steps, steps[1:])), steps
     C = np.random.default_rng(53).uniform(0, 1, (24, 60))

@@ -4,6 +4,7 @@ fitting."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repblend.weights import (
     PgdParams,
@@ -17,13 +18,25 @@ from repblend.weights import (
     resolve_learning_rate,
 )
 
-from oracles import PROJECTION_ORACLES, least_squares_objective, finite_difference_gradient
+from oracles import (
+    PROJECTION_ORACLES,
+    finite_difference_gradient,
+    least_squares_objective,
+    nearest_column_bruteforce,
+    nnls_fit,
+)
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
 
 finite_vectors = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=8
 ).map(lambda xs: np.array(xs, dtype=float))
+
+finite_batches = arrays(
+    float,
+    st.tuples(st.integers(1, 6), st.integers(1, 8)),
+    elements=st.floats(min_value=-10, max_value=10, allow_nan=False),
+)
 
 
 class TestProjectSimplex:
@@ -96,6 +109,13 @@ class TestProjectWeights:
         once = project_weights(v, weight_type)
         twice = project_weights(once, weight_type)
         np.testing.assert_allclose(once, twice, atol=1e-12)
+
+    @pytest.mark.parametrize("weight_type", WEIGHT_TYPES)
+    @given(batch=finite_batches)
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_row_by_row(self, weight_type, batch):
+        rows = np.array([project_weights(v, weight_type) for v in batch])
+        np.testing.assert_array_equal(project_weights(batch, weight_type), rows)
 
     @given(v=finite_vectors)
     @settings(max_examples=100, deadline=None)
@@ -219,6 +239,33 @@ class TestFitWeights:
         wm = fit_weights(R, C, "dirac")
         np.testing.assert_array_equal(wm.values, [[1.0, 0.0], [0.0, 1.0]])
 
+    def test_dirac_without_assignment_matches_nearest_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            R = rng.uniform(0, 1, (7, 4))
+            R[:, 3] = R[:, 1]  # a duplicate column: ties go to the lower index
+            C = np.hstack([rng.uniform(0, 1, (7, 10)), R[:, [3]]])
+            wm = fit_weights(R, C, "dirac")
+            expected = np.zeros((11, 4))
+            for d in range(11):
+                expected[d, nearest_column_bruteforce(R, C[:, d])] = 1.0
+            np.testing.assert_array_equal(wm.values, expected)
+            np.testing.assert_array_equal(wm.iterations, np.zeros(11))
+            np.testing.assert_allclose(wm.projection_errors,
+                                       np.linalg.norm(R @ expected.T - C, axis=0))
+
+    def test_iterations_report_the_cap(self):
+        rng = np.random.default_rng(4)
+        R = rng.uniform(0, 1, (10, 4))
+        C = np.hstack([rng.uniform(0, 1, (10, 1)), R[:, [2]]])
+        wm = fit_weights(R, C, "convex", PgdParams(max_iter=3))
+        # the random column is still moving after 3 steps; the exact column
+        # starts at its optimum and stalls before the cap
+        assert wm.iterations[0] == 3
+        assert 1 <= wm.iterations[1] < 3
+        assignment = np.array([0, 2])
+        assert fit_weights(R, C, "dirac", dirac_assignment=assignment).iterations.tolist() == [0, 0]
+
     def test_rep_totals_are_column_sums(self):
         rng = np.random.default_rng(8)
         R = rng.uniform(0, 1, (6, 3))
@@ -276,6 +323,19 @@ class TestFitWeights:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="feature count"):
             fit_weights(np.zeros((3, 2)), np.zeros((4, 2)), "convex")
+
+
+class TestAgainstNnls:
+    """Cross-check the descent-based fitting against the exact active-set
+    optimum from scipy's NNLS on the QP solver's instances."""
+
+    @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
+    def test_fitting_reaches_nnls_optimum(self, weight_type):
+        params = PgdParams(max_iter=5000, tolerance=1e-10)
+        for R, c in TestAgainstQpSolver._instances():
+            fitted = fit_weights(R, c[:, None], weight_type, params).projection_errors[0]
+            optimum = float(np.linalg.norm(R @ nnls_fit(R, c, weight_type) - c))
+            assert fitted == pytest.approx(optimum, abs=1e-5)
 
 
 class TestAgainstQpSolver:

@@ -8,7 +8,11 @@ Three families of methods:
 - ``greedy_hull``: grows a set of extreme data columns so that the chosen
   hull (convex, convex-with-null, or conic) covers the remaining columns as
   well as possible.  Conic coverage is reduced to the convex case by scaling
-  every column onto the hyperplane <x, q> = 1 (gnomonic projection).
+  every column onto the hyperplane <x, q> = 1 (gnomonic projection), and
+  convex-with-null coverage by adding a zero column.  Each greedy step
+  takes the exact distance of every remaining column to the convex hull of
+  the selection, one active-set NNLS per column (Lawson & Hanson 1974), and
+  adds the true farthest column.
 
 All methods are deterministic functions of the matrix, the parameters and
 the seed; argmax/argmin ties always resolve to the lowest index.
@@ -19,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .weights import PgdParams, pgd, project_simplex, resolve_learning_rate
+from scipy.optimize import nnls
 
 HULL_TYPES = ("convex", "convex_null", "conic")
 
@@ -223,17 +226,17 @@ def gnomonic_project(matrix: np.ndarray, tol: float = DEGENERATE_TOL) -> Gnomoni
     return GnomonicProjection(scaled=scaled, q=q, degenerate=degenerate)
 
 
-def _hull_distances(
-    points: np.ndarray, rep_matrix: np.ndarray, params: PgdParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean distance from every column of ``points`` to the convex hull
-    of the columns of ``rep_matrix``, with the optimal convex weights (one
-    row per point).
+def _hull_distances(points: np.ndarray, rep_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Euclidean distance from every column of ``points`` to the convex
+    hull of the columns of ``rep_matrix``, with the optimal convex weights
+    (one row per point).
 
-    One batched projected gradient descent over the simplex solves all
-    points at once, each starting from its projected pseudoinverse
-    solution.  A point identical to a representative column short-circuits
-    to distance zero.
+    For a point x, with A = R - x 1^T, one active-set NNLS (Lawson-Hanson)
+    solves min_{u >= 0} ||A u||^2 + lam^2 (1^T u - 1)^2.  Its minimizer is
+    u = t w with w the nearest-point simplex weights and
+    t = lam^2 / (lam^2 + d^2) > 0 for any lam > 0, so w = u / 1^T u exactly;
+    lam = max(1, max|A|) keeps both blocks on the same scale.  A point
+    identical to a representative column short-circuits to distance zero.
     """
     R = np.asarray(rep_matrix, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
@@ -243,27 +246,27 @@ def _hull_distances(
     hit = same.any(axis=1)
     W = np.zeros((X.shape[1], R.shape[1]))
     W[hit, np.argmax(same[hit], axis=1)] = 1.0
-    if not hit.all():
-        rest = X[:, ~hit]
-        gram = R.T @ R
-        rtx = rest.T @ R
-        start = project_simplex((np.linalg.pinv(R) @ rest).T)
-        W[~hit] = pgd(start, lambda w: w @ gram - rtx, project_simplex, params,
-                      alpha=resolve_learning_rate(params, R))
+    augmented = np.empty((R.shape[0] + 1, R.shape[1]))
+    target = np.zeros(R.shape[0] + 1)
+    for d in np.flatnonzero(~hit):
+        A = R - X[:, d, None]
+        lam = max(1.0, float(np.abs(A).max()))
+        augmented[:-1] = A
+        augmented[-1] = lam
+        target[-1] = lam
+        u, _ = nnls(augmented, target)
+        W[d] = u / u.sum()
     dist = np.linalg.norm(R @ W.T - X, axis=0)
     dist[hit] = 0.0
     return dist, W
 
 
-def hull_distance(
-    c: np.ndarray, rep_matrix: np.ndarray, params: PgdParams | None = None
-) -> tuple[float, np.ndarray]:
-    """Euclidean distance from ``c`` to the convex hull of the columns of
-    ``rep_matrix``, with the optimal convex weights (projected gradient
-    descent from the projected pseudoinverse solution; a column identical to
-    ``c`` short-circuits to distance zero)."""
+def hull_distance(c: np.ndarray, rep_matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact Euclidean distance from ``c`` to the convex hull of the columns
+    of ``rep_matrix``, with the optimal convex weights (one active-set NNLS;
+    a column identical to ``c`` short-circuits to distance zero)."""
     c = np.asarray(c, dtype=float)
-    dist, W = _hull_distances(c[:, None], rep_matrix, params or PgdParams())
+    dist, W = _hull_distances(c[:, None], rep_matrix)
     return float(dist[0]), W[0]
 
 
@@ -272,14 +275,12 @@ def _greedy_select(
     n_rp: int,
     initial: list[int],
     candidates: np.ndarray,
-    params: PgdParams,
 ) -> tuple[list[int], list[float]]:
     """Core greedy loop: repeatedly add the candidate column farthest from
     the convex hull of the current selection.
 
     Every step computes the exact hull distance of every remaining
-    candidate in one batched fit and takes the true argmax (lowest index on
-    ties).
+    candidate and takes the true argmax (lowest index on ties).
     """
     reps = list(initial)
     steps: list[float] = []
@@ -294,7 +295,7 @@ def _greedy_select(
         cols = np.flatnonzero(remaining)
         if cols.size == 0:
             raise ValueError("not enough selectable columns to reach the requested count")
-        dist, _ = _hull_distances(matrix[:, cols], matrix[:, reps], params)
+        dist, _ = _hull_distances(matrix[:, cols], matrix[:, reps])
         best = int(np.argmax(dist))
         reps.append(int(cols[best]))
         steps.append(float(dist[best]))
@@ -306,7 +307,6 @@ def greedy_hull(
     n_rp: int,
     hull_type: str = "convex",
     initial_reps: tuple[int, ...] = (),
-    params: PgdParams | None = None,
 ) -> RepSelection:
     """Greedy hull clustering in one of three variants.
 
@@ -325,20 +325,17 @@ def greedy_hull(
     C = np.asarray(matrix, dtype=float)
     n_periods = C.shape[1]
     _check_k(n_rp, n_periods)
-    params = params or PgdParams()
     initial = [int(i) for i in initial_reps]
 
     if hull_type == "convex":
         candidates = np.ones(n_periods, dtype=bool)
-        reps, steps = _greedy_select(C, n_rp, initial, candidates, params)
+        reps, steps = _greedy_select(C, n_rp, initial, candidates)
         chosen = reps
     elif hull_type == "convex_null":
         augmented = np.hstack([C, np.zeros((C.shape[0], 1))])
         null_idx = n_periods
         candidates = np.ones(n_periods + 1, dtype=bool)
-        reps, steps = _greedy_select(
-            augmented, n_rp + 1, [null_idx] + initial, candidates, params
-        )
+        reps, steps = _greedy_select(augmented, n_rp + 1, [null_idx] + initial, candidates)
         chosen = [r for r in reps if r != null_idx]
     else:  # conic
         proj = gnomonic_project(C)
@@ -348,7 +345,7 @@ def greedy_hull(
             raise ValueError(
                 f"only {int(candidates.sum())} non-degenerate columns available for {n_rp} representatives"
             )
-        reps, steps = _greedy_select(proj.scaled, n_rp, initial, candidates, params)
+        reps, steps = _greedy_select(proj.scaled, n_rp, initial, candidates)
         chosen = reps
 
     return RepSelection(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -68,6 +69,15 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
+    """One seed's pass through the pipeline: stage times in seconds, the
+    reduced, fixed and full objectives, regret and projection errors.
+
+    ``t_read`` is the once-per-config load, validation and clustering
+    matrix time, so every record of one ``run_experiment`` call carries the
+    same value.  ``error`` holds the failure message of a seed that did not
+    finish, with the fields it did not reach left unset.
+    """
+
     case: str
     mode: str
     method: str
@@ -110,7 +120,7 @@ def compute_regret(cost_fixed: float, cost_full: float) -> float:
 
 
 def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
-                   seed: int, pgd_params: PgdParams | None = None):
+                   seed: int):
     """Dispatch to the configured clustering; returns (selection, assignment)
     where assignment is None for hull methods (which define no partition)."""
     if method == "kmeans":
@@ -119,7 +129,7 @@ def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
         return kmedoids(values, n_rp, seed)
     if method == "hull":
         hull_type = HULL_FOR_WEIGHT[canonical_weight_type(weight_type)]
-        return greedy_hull(values, n_rp, hull_type, params=pgd_params), None
+        return greedy_hull(values, n_rp, hull_type), None
     raise ValueError(f"method must be one of {METHODS}")
 
 
@@ -136,54 +146,88 @@ def dataset_fingerprint(data_path: Path, mode: str, handle: SolverHandle) -> str
     return digest.hexdigest()[:20]
 
 
-def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
-                      handle: SolverHandle, cache_dir: Path | None) -> Solution:
-    """Solve the full model, reusing a cached solution for the same dataset
-    content if one exists."""
-    cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
-    key = dataset_fingerprint(data_path, mode, handle)
-    cache_file = cache_dir / f"full_{key}.json"
-    if cache_file.exists():
+def _read_cached_solution(cache_file: Path) -> Solution | None:
+    """The solution stored in ``cache_file``, or None when the file is
+    missing or cannot be read back (bad JSON, missing keys)."""
+    try:
         payload = json.loads(cache_file.read_text(encoding="utf-8"))
         return Solution(status=payload["status"], objective=payload["objective"],
                         values=payload["values"], solve_time=payload["solve_time"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
+                      handle: SolverHandle, cache_dir: Path | None) -> Solution:
+    """Solve the full model, reusing a cached solution for the same dataset
+    content if one exists.
+
+    A cache file that cannot be read back counts as a miss and is
+    overwritten.  Writes go through a temporary file in the cache directory
+    and ``os.replace``, so a reader never sees a half-written file.
+    """
+    cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
+    key = dataset_fingerprint(data_path, mode, handle)
+    cache_file = cache_dir / f"full_{key}.json"
+    cached = _read_cached_solution(cache_file)
+    if cached is not None:
+        return cached
     solution = solve(full_model, handle)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file.write_text(json.dumps({
+    payload = json.dumps({
         "status": solution.status,
         "objective": solution.objective,
         "values": solution.values,
         "solve_time": solution.solve_time,
-    }), encoding="utf-8")
+    })
+    tmp = cache_dir / f"{cache_file.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(payload, encoding="utf-8")
+        os.replace(tmp, cache_file)
+    finally:
+        tmp.unlink(missing_ok=True)
     return solution
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the pipeline once per seed; failures are recorded per seed
-    without aborting the sweep."""
-    records: list[ExperimentRecord] = []
+    without aborting the sweep.
+
+    The dataset is loaded, validated and stacked into its clustering matrix
+    once per config, since none of it depends on the seed; every record
+    carries that one ``t_read``, and a failure there gives every seed a
+    record with the same error.
+    """
     case = Path(config.data_path).name
+
+    def new_record(seed: int, mode: str, **values) -> ExperimentRecord:
+        return ExperimentRecord(case=case, mode=mode, method=config.method,
+                                weight_type=config.weight_type, n_rp=config.n_rp, seed=seed,
+                                **values)
+
+    try:
+        start = time.perf_counter()
+        system = load_system(config.data_path)
+        violations = validate_profiles(system)
+        if violations:
+            raise DataError(
+                f"{len(violations)} profile violations; first: {violations[0]}")
+        cmatrix = build_clustering_matrix(system)
+        t_read = time.perf_counter() - start
+    except Exception as exc:  # noqa: BLE001 - failures become record rows
+        error = f"{type(exc).__name__}: {exc}"
+        return [new_record(seed, config.mode or "", error=error) for seed in config.seeds]
+    mode = config.mode or system.mode
+
+    records: list[ExperimentRecord] = []
     full_model: LpModel | None = None
     full_solution: Solution | None = None
     for seed in config.seeds:
-        record = ExperimentRecord(case=case, mode=config.mode or "", method=config.method,
-                                  weight_type=config.weight_type, n_rp=config.n_rp, seed=seed)
+        record = new_record(seed, mode, t_read=t_read)
         try:
             start = time.perf_counter()
-            system = load_system(config.data_path)
-            violations = validate_profiles(system)
-            if violations:
-                raise DataError(
-                    f"{len(violations)} profile violations; first: {violations[0]}")
-            cmatrix = build_clustering_matrix(system)
-            record.t_read = time.perf_counter() - start
-            mode = config.mode or system.mode
-            record.mode = mode
-
-            start = time.perf_counter()
             selection, assignment = cluster_matrix(
-                cmatrix.values, config.method, config.weight_type, config.n_rp,
-                seed, config.pgd)
+                cmatrix.values, config.method, config.weight_type, config.n_rp, seed)
             record.t_cluster = time.perf_counter() - start
 
             start = time.perf_counter()

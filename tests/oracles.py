@@ -117,12 +117,14 @@ def nearest_column_bruteforce(rep_matrix: np.ndarray, target: np.ndarray) -> int
     return best
 
 
-def greedy_hull_reference(matrix: np.ndarray, k: int) -> tuple[list[int], list[float]]:
-    """Plain convex greedy hull on exact distances: start from the column
-    farthest from the column mean, then repeatedly add the column farthest
-    from the convex hull of the chosen ones (lowest index on ties)."""
+def greedy_hull_reference(matrix: np.ndarray, k: int,
+                          initial: tuple[int, ...] = ()) -> tuple[list[int], list[float]]:
+    """Plain convex greedy hull on exact distances: start from ``initial``,
+    or else from the column farthest from the column mean, then repeatedly
+    add the column farthest from the convex hull of the chosen ones (lowest
+    index on ties) until ``k`` columns are chosen."""
     mean = matrix.mean(axis=1)
-    reps = [int(np.argmax(np.linalg.norm(matrix - mean[:, None], axis=0)))]
+    reps = list(initial) or [int(np.argmax(np.linalg.norm(matrix - mean[:, None], axis=0)))]
     steps = []
     while len(reps) < k:
         R = matrix[:, reps]

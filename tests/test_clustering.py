@@ -10,9 +10,7 @@ from repblend.clustering import (
     kmeans,
     kmedoids,
 )
-from repblend.weights import PgdParams
-
-from oracles import best_medoid_set_bruteforce, greedy_hull_reference
+from oracles import best_medoid_set_bruteforce, greedy_hull_reference, nnls_fit
 
 
 def random_matrix(rows, cols, seed):
@@ -138,6 +136,42 @@ class TestHullDistance:
         with pytest.raises(ValueError):
             hull_distance(np.array([1.0]), np.zeros((1, 0)))
 
+    @staticmethod
+    def face_point_and_normal(seed):
+        """Generic 8x5 representatives, a point on a face of their hull
+        (one weight zero) and a unit normal to their affine span."""
+        rng = np.random.default_rng(seed)
+        R = rng.uniform(0, 1, (8, 5))
+        w = rng.dirichlet(np.ones(5))
+        w[rng.integers(5)] = 0.0
+        w /= w.sum()
+        basis, _ = np.linalg.qr(R[:, 1:] - R[:, :1], mode="complete")
+        normal = basis[:, 4:] @ rng.normal(size=4)
+        return R, w, normal / np.linalg.norm(normal)
+
+    @staticmethod
+    def simplex_kkt_residual(R, w, c):
+        """Largest violation of the optimality conditions of
+        min ||R w - c||^2 over the simplex: feasibility, and a gradient that
+        is minimal and equal on the support."""
+        grad = R.T @ (R @ w - c)
+        gap = grad - grad.min()
+        return max(abs(w.sum() - 1.0), -w.min(), float(np.max(gap[w > 0], initial=0.0)))
+
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    def test_weights_match_nnls_and_kkt(self, offset):
+        # offset 0: the point lies in the hull (distance 0, no column equal
+        # to it); offset 100: far outside (distance >> the unit data
+        # scale), straight above the same face point, which stays nearest
+        for seed in range(10):
+            R, w_true, normal = self.face_point_and_normal(seed)
+            c = R @ w_true + offset * normal
+            dist, w = hull_distance(c, R)
+            assert dist == pytest.approx(offset, abs=1e-9)
+            assert self.simplex_kkt_residual(R, w, c) <= 1e-9
+            np.testing.assert_allclose(w, nnls_fit(R, c, "convex"), rtol=0, atol=1e-5)
+            np.testing.assert_allclose(w, w_true, rtol=0, atol=1e-9)
+
 
 class TestGreedyHull:
     def test_first_rep_farthest_from_mean(self):
@@ -169,6 +203,29 @@ class TestGreedyHull:
             C = random_matrix(20, 50, seed=seed)
             selection = greedy_hull(C, 10, "convex")
             expected, expected_steps = greedy_hull_reference(C, 10)
+            assert selection.source_indices.tolist() == expected
+            np.testing.assert_allclose(selection.step_max_distances, expected_steps,
+                                       rtol=0, atol=1e-6)
+
+    def test_convex_null_matches_exact_reference_greedy(self):
+        # the reference greedy on the zero-augmented matrix, started from
+        # the zero column
+        for seed in range(5):
+            C = random_matrix(12, 40, seed=seed)
+            selection = greedy_hull(C, 8, "convex_null")
+            augmented = np.hstack([C, np.zeros((12, 1))])
+            expected, expected_steps = greedy_hull_reference(augmented, 9, initial=(40,))
+            assert selection.source_indices.tolist() == expected[1:]
+            np.testing.assert_allclose(selection.step_max_distances, expected_steps,
+                                       rtol=0, atol=1e-6)
+
+    def test_conic_matches_exact_reference_greedy(self):
+        # the reference greedy on the gnomonically scaled matrix (uniform
+        # data has no degenerate columns)
+        for seed in range(5):
+            C = random_matrix(12, 40, seed=seed)
+            selection = greedy_hull(C, 8, "conic")
+            expected, expected_steps = greedy_hull_reference(gnomonic_project(C).scaled, 8)
             assert selection.source_indices.tolist() == expected
             np.testing.assert_allclose(selection.step_max_distances, expected_steps,
                                        rtol=0, atol=1e-6)
@@ -207,8 +264,7 @@ class TestGreedyHull:
 
     def test_deterministic(self):
         C = random_matrix(8, 30, seed=10)
-        params = PgdParams(max_iter=500)
-        a = greedy_hull(C, 6, "conic", params=params)
-        b = greedy_hull(C, 6, "conic", params=params)
+        a = greedy_hull(C, 6, "conic")
+        b = greedy_hull(C, 6, "conic")
         assert a.source_indices.tolist() == b.source_indices.tolist()
         assert a.step_max_distances == b.step_max_distances

@@ -1,6 +1,7 @@
 """Unit tests for the experiment pipeline, regret accounting, result CSVs
 and the command-line interface."""
 
+import json
 import shutil
 from dataclasses import fields, replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import repblend.harness as harness
 from repblend.cli import main
 from repblend.harness import (
     ExperimentConfig,
@@ -109,12 +111,28 @@ class TestRunExperiment:
         assert all("config.json not found" in r.error for r in records)
         assert all(r.regret_pct is None for r in records)
 
+    def test_loads_once_per_config(self, synthetic_gep_path, tmp_path, monkeypatch):
+        # k-means depends on the seed, so the per-seed records differ; each
+        # must equal the record of a single-seed run
+        calls = []
+        load = harness.load_system
+        monkeypatch.setattr(harness, "load_system", lambda path: calls.append(path) or load(path))
+        config = ExperimentConfig(synthetic_gep_path, "kmeans", "convex", 3,
+                                  seeds=(1, 2, 3), cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert len(calls) == 1
+        assert len({r.t_read for r in records}) == 1 and records[0].t_read > 0
+        singles = [run_experiment(replace(config, seeds=(seed,)))[0] for seed in (1, 2, 3)]
+        assert [record_key(r) for r in records] == [record_key(r) for r in singles]
+
     def test_validation_failure_recorded(self, mini_gep_copy):
         demand = (mini_gep_copy / "demand.csv").read_text().replace("1.0", "1.7")
         (mini_gep_copy / "demand.csv").write_text(demand)
-        config = ExperimentConfig(mini_gep_copy, "kmeans", "convex", 1, seeds=(1,))
-        record = run_experiment(config)[0]
-        assert "DataError" in record.error and "outside" in record.error
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "convex", 1, seeds=(1, 2, 3))
+        records = run_experiment(config)
+        assert [r.seed for r in records] == [1, 2, 3]
+        assert len({r.error for r in records}) == 1
+        assert "DataError" in records[0].error and "outside" in records[0].error
 
     def test_full_solve_cached_on_disk(self, mini_gep_copy, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -123,10 +141,26 @@ class TestRunExperiment:
         run_experiment(config)
         cached = list(cache_dir.glob("full_*.json"))
         assert len(cached) == 1
+        assert list(cache_dir.iterdir()) == cached  # no temporary file left
         stamp = cached[0].stat().st_mtime_ns
         records = run_experiment(config)
         assert cached[0].stat().st_mtime_ns == stamp  # reused, not rewritten
         assert records[0].objective_full == pytest.approx(23.0)
+
+    def test_unreadable_cache_file_is_a_miss(self, mini_gep_copy, tmp_path):
+        cache_dir = tmp_path / "cache"
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,
+                                  seeds=(1,), cache_dir=cache_dir)
+        run_experiment(config)
+        [cached] = cache_dir.glob("full_*.json")
+        text = cached.read_text()
+        for broken in (text[: len(text) // 2], "{}"):  # truncated, missing keys
+            cached.write_text(broken)
+            record = run_experiment(config)[0]
+            assert record.error == ""
+            assert record.objective_full == pytest.approx(23.0)
+            # re-solved and overwritten
+            assert json.loads(cached.read_text())["objective"] == pytest.approx(23.0)
 
     def test_fingerprint_tracks_content(self, mini_gep_copy):
         handle = SolverHandle()

@@ -23,6 +23,7 @@ from .data import (
     build_clustering_matrix,
     extract_rep_profiles,
     load_system,
+    require_valid,
     validate_profiles,
 )
 from .harness import (

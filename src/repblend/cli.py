@@ -13,7 +13,14 @@ from pathlib import Path
 import click
 
 from .clustering import RepSelection
-from .data import DataError, build_clustering_matrix, extract_rep_profiles, load_system, validate_profiles
+from .data import (
+    DataError,
+    build_clustering_matrix,
+    extract_rep_profiles,
+    load_system,
+    require_valid,
+    validate_profiles,
+)
 from .harness import (
     ExperimentConfig,
     cluster_matrix,
@@ -24,8 +31,8 @@ from .harness import (
     write_weights_csv,
 )
 from .model import build_full_model, build_model
-from .solve import SolverError, SolverHandle, solve, write_lp_file
-from .weights import PgdParams, canonical_weight_type, fit_weights
+from .solve import SolverError, SolverHandle, write_lp_file
+from .weights import canonical_weight_type, fit_weights
 
 
 def _handle_errors(func):
@@ -42,22 +49,27 @@ def _handle_errors(func):
     return wrapper
 
 
-def _common(func):
+_data = click.option("--data", "data_path", required=True,
+                     type=click.Path(path_type=Path), help="dataset directory")
+_mode = click.option("--mode", type=click.Choice(["gep", "p2x"]), default=None,
+                     help="override the dataset's declared mode")
+_out = click.option("--out", "out_dir", type=click.Path(path_type=Path),
+                    default=Path("out"), show_default=True)
+_seed = click.option("--seed", type=int, default=1, show_default=True,
+                     help="clustering seed")
+
+
+def _reduction(func):
+    """The flags of every command that clusters: --data --method --weights --n-rp."""
     decorators = [
-        click.option("--data", "data_path", required=True,
-                     type=click.Path(path_type=Path), help="dataset directory"),
-        click.option("--mode", type=click.Choice(["gep", "p2x"]), default=None,
-                     help="override the dataset's declared mode"),
+        _data,
         click.option("--method", type=click.Choice(["kmeans", "kmedoids", "hull"]),
                      default="hull", show_default=True),
         click.option("--weights", "weight_type",
                      type=click.Choice(["dirac", "convex", "subunit", "conic"]),
-                     default="conic", show_default=True),
+                     default="conic", show_default=True,
+                     callback=lambda ctx, param, value: canonical_weight_type(value)),
         click.option("--n-rp", type=int, default=5, show_default=True),
-        click.option("--seeds", default="1,2,3,4,5", show_default=True,
-                     help="comma-separated clustering seeds"),
-        click.option("--out", "out_dir", type=click.Path(path_type=Path),
-                     default=Path("out"), show_default=True),
     ]
     for dec in reversed(decorators):
         func = dec(func)
@@ -74,15 +86,16 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _pipeline_front(data_path: Path, method: str, weight_type: str, n_rp: int, seed: int):
-    system = load_system(data_path)
-    violations = validate_profiles(system)
-    if violations:
-        raise DataError(f"{len(violations)} profile violations; first: {violations[0]}")
+def _select_and_fit(data_path: Path, method: str, weight_type: str, n_rp: int, seed: int):
+    """Load and validate the dataset, stack its clustering matrix, select
+    representatives and fit the blending weights: (system, cmatrix,
+    selection, hard, weights)."""
+    system = require_valid(load_system(data_path))
     cmatrix = build_clustering_matrix(system)
-    selection, assignment = cluster_matrix(
-        cmatrix.values, method, weight_type, n_rp, seed)
-    return system, cmatrix, selection, assignment
+    selection, hard = cluster_matrix(cmatrix.values, method, weight_type, n_rp, seed)
+    weights = fit_weights(selection.rep_matrix, cmatrix.values, weight_type,
+                          dirac_assignment=hard)
+    return system, cmatrix, selection, hard, weights
 
 
 @click.group()
@@ -91,9 +104,9 @@ def main():
 
 
 @main.command()
-@_common
+@_data
 @_handle_errors
-def validate(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
+def validate(data_path):
     """Load the dataset and report profile violations."""
     system = load_system(data_path)
     violations = validate_profiles(system)
@@ -106,7 +119,7 @@ def validate(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
                f"{system.horizon.num_periods} periods x {system.horizon.hours_per_period} hours")
 
 
-def _write_selection(selection: RepSelection, assignment, cmatrix, out_dir: Path):
+def _write_selection(selection: RepSelection, hard, cmatrix, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "reps.csv", "w", encoding="utf-8") as handle:
         handle.write("rep,source_period\n")
@@ -118,64 +131,55 @@ def _write_selection(selection: RepSelection, assignment, cmatrix, out_dir: Path
         for row, label in enumerate(cmatrix.row_labels):
             values = ",".join(repr(float(v)) for v in selection.rep_matrix[row])
             handle.write(f"{label},{values}\n")
-    if assignment is not None:
+    if hard is not None:
         with open(out_dir / "assignment.csv", "w", encoding="utf-8") as handle:
             handle.write("period,rep\n")
-            for d, r in enumerate(assignment.assignment):
+            for d, r in enumerate(hard):
                 handle.write(f"{d + 1},{r + 1}\n")
 
 
 @main.command()
-@_common
+@_reduction
+@_seed
+@_out
 @_handle_errors
-def cluster(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
+def cluster(data_path, method, weight_type, n_rp, seed, out_dir):
     """Select representative periods and write them to the output directory."""
-    seed = _parse_seeds(seeds)[0]
-    _, cmatrix, selection, assignment = _pipeline_front(
-        data_path, method, canonical_weight_type(weight_type), n_rp, seed)
-    _write_selection(selection, assignment, cmatrix, out_dir)
+    cmatrix = build_clustering_matrix(require_valid(load_system(data_path)))
+    selection, hard = cluster_matrix(cmatrix.values, method, weight_type, n_rp, seed)
+    _write_selection(selection, hard, cmatrix, out_dir)
     click.echo(f"selected {selection.n_rp} representatives with {method}")
 
 
 @main.command(name="fit-weights")
-@_common
+@_reduction
+@_seed
+@_out
 @_handle_errors
-def fit_weights_cmd(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
+def fit_weights_cmd(data_path, method, weight_type, n_rp, seed, out_dir):
     """Cluster, then fit blending weights; writes weights.csv (period, rep, value)."""
-    seed = _parse_seeds(seeds)[0]
-    weight_type = canonical_weight_type(weight_type)
-    _, cmatrix, selection, assignment = _pipeline_front(
+    _, cmatrix, selection, hard, weights = _select_and_fit(
         data_path, method, weight_type, n_rp, seed)
-    weights = fit_weights(
-        selection.rep_matrix, cmatrix.values, weight_type, PgdParams(),
-        dirac_assignment=assignment.assignment if assignment is not None else None)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_selection(selection, assignment, cmatrix, out_dir)
+    _write_selection(selection, hard, cmatrix, out_dir)
     write_weights_csv(weights, out_dir / "weights.csv")
     click.echo(f"fitted {weight_type} weights; mean projection error "
                f"{weights.projection_errors.mean():.6g}")
 
 
 @main.command(name="build-lp")
-@_common
+@_reduction
+@_seed
+@_mode
 @click.option("--full", "build_full", is_flag=True, help="build the unreduced model")
+@_out
 @_handle_errors
-def build_lp(data_path, mode, method, weight_type, n_rp, seeds, out_dir, build_full):
+def build_lp(data_path, method, weight_type, n_rp, seed, mode, build_full, out_dir):
     """Build the (reduced) linear program and write it in LP format."""
-    seed = _parse_seeds(seeds)[0]
-    weight_type = canonical_weight_type(weight_type)
     if build_full:
-        system = load_system(data_path)
-        violations = validate_profiles(system)
-        if violations:
-            raise DataError(f"{len(violations)} profile violations; first: {violations[0]}")
-        model = build_full_model(system, mode=mode)
+        model = build_full_model(require_valid(load_system(data_path)), mode=mode)
     else:
-        system, cmatrix, selection, assignment = _pipeline_front(
+        system, cmatrix, selection, _, weights = _select_and_fit(
             data_path, method, weight_type, n_rp, seed)
-        weights = fit_weights(
-            selection.rep_matrix, cmatrix.values, weight_type, PgdParams(),
-            dirac_assignment=assignment.assignment if assignment is not None else None)
         rep_data = extract_rep_profiles(system, selection, cmatrix)
         model = build_model(system, rep_data, weights, mode=mode)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,17 +189,15 @@ def build_lp(data_path, mode, method, weight_type, n_rp, seeds, out_dir, build_f
 
 
 @main.command(name="solve-full")
-@_common
+@_data
+@_mode
+@_out
 @_handle_errors
-def solve_full(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
+def solve_full(data_path, mode, out_dir):
     """Solve the full-resolution benchmark model (cached by dataset content)."""
-    system = load_system(data_path)
-    violations = validate_profiles(system)
-    if violations:
-        raise DataError(f"{len(violations)} profile violations; first: {violations[0]}")
-    handle = SolverHandle()
+    system = require_valid(load_system(data_path))
     model = build_full_model(system, mode=mode)
-    solution = solve_full_cached(model, data_path, mode or system.mode, handle, None)
+    solution = solve_full_cached(model, data_path, mode or system.mode, SolverHandle(), None)
     click.echo(f"status: {solution.status}")
     if solution.status != "optimal":
         sys.exit(3)
@@ -208,34 +210,36 @@ def solve_full(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
 
 
 @main.command()
-@_common
+@_reduction
+@_mode
+@click.option("--seeds", default="1,2,3,4,5", show_default=True,
+              help="comma-separated clustering seeds")
+@_out
 @_handle_errors
-def experiment(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
+def experiment(data_path, method, weight_type, n_rp, mode, seeds, out_dir):
     """Run the full pipeline over all seeds and emit results/pareto CSVs."""
     config = ExperimentConfig(
         data_path=data_path, method=method, weight_type=weight_type,
         n_rp=n_rp, seeds=_parse_seeds(seeds), mode=mode)
     records = run_experiment(config)
     emit_plot_data(records, out_dir)
-    ok = [r for r in records if not r.error]
     for record in records:
         if record.error:
             click.echo(f"seed {record.seed}: {record.error}", err=True)
         else:
             click.echo(f"seed {record.seed}: regret {record.regret_pct:.4f}% "
                        f"(total {record.total_time:.2f}s)")
-    if not ok:
-        first = records[0].error
-        sys.exit(2 if first.startswith("DataError") else 3)
+    if all(r.error for r in records):
+        sys.exit(2 if records[0].error.startswith("DataError") else 3)
     click.echo(f"wrote {out_dir / 'results.csv'}")
 
 
 @main.command(name="emit-plots")
-@_common
+@_out
 @_handle_errors
-def emit_plots(data_path, mode, method, weight_type, n_rp, seeds, out_dir):
+def emit_plots(out_dir):
     """Recompute plot CSVs (including the Pareto front) from results.csv."""
-    results = Path(out_dir) / "results.csv"
+    results = out_dir / "results.csv"
     if not results.exists():
         raise DataError("results.csv not found", str(results))
     records = load_records(results)

@@ -555,6 +555,15 @@ def validate_profiles(system: EnergySystem) -> list[Violation]:
     return violations
 
 
+def require_valid(system: EnergySystem) -> EnergySystem:
+    """Return ``system`` when ``validate_profiles`` finds nothing; otherwise
+    raise DataError with the violation count and the first violation."""
+    violations = validate_profiles(system)
+    if violations:
+        raise DataError(f"{len(violations)} profile violations; first: {violations[0]}")
+    return system
+
+
 def renewable_producers(system: EnergySystem) -> list[Asset]:
     """Producers whose availability profile drops below 1 somewhere; only
     these contribute availability rows to the clustering matrix."""
@@ -570,13 +579,10 @@ def build_clustering_matrix(system: EnergySystem) -> ClusteringMatrix:
     """Stack demand, renewable availability and inflow profiles into the
     feature-by-period matrix used by all clustering methods.
 
-    Requires a system that passed validation.  Row order is deterministic:
-    demand series sorted by (node, carrier), availability and inflow series
-    sorted by asset name, hours innermost.
+    Requires a system that passed validation (``require_valid``).  Row order
+    is deterministic: demand series sorted by (node, carrier), availability
+    and inflow series sorted by asset name, hours innermost.
     """
-    violations = validate_profiles(system)
-    if violations:
-        raise ValueError(f"system has {len(violations)} profile violations; validate first")
     H = system.horizon.hours_per_period
     D = system.horizon.num_periods
 

@@ -24,11 +24,11 @@ from .data import (
     build_clustering_matrix,
     extract_rep_profiles,
     load_system,
-    validate_profiles,
+    require_valid,
 )
 from .model import LpModel, Solution, build_full_model, build_model, fix_decisions
 from .solve import SolverHandle, solve
-from .weights import PgdParams, WeightMatrix, canonical_weight_type, fit_weights
+from .weights import WeightMatrix, canonical_weight_type, fit_weights
 
 METHODS = ("kmeans", "kmedoids", "hull")
 
@@ -52,8 +52,6 @@ class ExperimentConfig:
     n_rp: int
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     mode: str | None = None  # None: use the dataset's declared mode
-    pgd: PgdParams = PgdParams()
-    solver: SolverHandle = SolverHandle()
     cache_dir: Path | None = None  # None: <data_path>/.full_cache
 
     def __post_init__(self):
@@ -121,12 +119,13 @@ def compute_regret(cost_fixed: float, cost_full: float) -> float:
 
 def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
                    seed: int):
-    """Dispatch to the configured clustering; returns (selection, assignment)
-    where assignment is None for hull methods (which define no partition)."""
-    if method == "kmeans":
-        return kmeans(values, n_rp, seed)
-    if method == "kmedoids":
-        return kmedoids(values, n_rp, seed)
+    """Dispatch to the configured clustering; returns (selection, hard) where
+    hard is the per-period representative index array, or None for hull
+    methods (which define no partition)."""
+    if method in ("kmeans", "kmedoids"):
+        cluster = kmeans if method == "kmeans" else kmedoids
+        selection, assignment = cluster(values, n_rp, seed)
+        return selection, assignment.assignment
     if method == "hull":
         hull_type = HULL_FOR_WEIGHT[canonical_weight_type(weight_type)]
         return greedy_hull(values, n_rp, hull_type), None
@@ -195,8 +194,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 
     The dataset is loaded, validated and stacked into its clustering matrix
     once per config, since none of it depends on the seed; every record
-    carries that one ``t_read``, and a failure there gives every seed a
-    record with the same error.
+    carries that one ``t_read``, and a failure there (including more
+    representatives than periods) gives every seed a record with the same
+    error.
     """
     case = Path(config.data_path).name
 
@@ -207,17 +207,17 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 
     try:
         start = time.perf_counter()
-        system = load_system(config.data_path)
-        violations = validate_profiles(system)
-        if violations:
-            raise DataError(
-                f"{len(violations)} profile violations; first: {violations[0]}")
+        system = require_valid(load_system(config.data_path))
         cmatrix = build_clustering_matrix(system)
+        if config.n_rp > cmatrix.num_periods:
+            raise DataError(f"number of representatives {config.n_rp} "
+                            f"outside 1..{cmatrix.num_periods}")
         t_read = time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - failures become record rows
         error = f"{type(exc).__name__}: {exc}"
         return [new_record(seed, config.mode or "", error=error) for seed in config.seeds]
     mode = config.mode or system.mode
+    handle = SolverHandle()
 
     records: list[ExperimentRecord] = []
     full_model: LpModel | None = None
@@ -226,14 +226,13 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
         record = new_record(seed, mode, t_read=t_read)
         try:
             start = time.perf_counter()
-            selection, assignment = cluster_matrix(
+            selection, hard = cluster_matrix(
                 cmatrix.values, config.method, config.weight_type, config.n_rp, seed)
             record.t_cluster = time.perf_counter() - start
 
             start = time.perf_counter()
-            weights = fit_weights(
-                selection.rep_matrix, cmatrix.values, config.weight_type, config.pgd,
-                dirac_assignment=assignment.assignment if assignment is not None else None)
+            weights = fit_weights(selection.rep_matrix, cmatrix.values, config.weight_type,
+                                  dirac_assignment=hard)
             record.t_fit = time.perf_counter() - start
             record.proj_err_mean = float(weights.projection_errors.mean())
             record.proj_err_max = float(weights.projection_errors.max())
@@ -244,7 +243,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             record.t_build = time.perf_counter() - start
 
             start = time.perf_counter()
-            reduced_solution = solve(reduced, config.solver)
+            reduced_solution = solve(reduced, handle)
             record.t_solve = time.perf_counter() - start
             if reduced_solution.status != "optimal":
                 raise RuntimeError(f"reduced solve: {reduced_solution.status}")
@@ -253,13 +252,13 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             if full_model is None:
                 full_model = build_full_model(system, mode=mode)
                 full_solution = solve_full_cached(
-                    full_model, config.data_path, mode, config.solver, config.cache_dir)
+                    full_model, config.data_path, mode, handle, config.cache_dir)
             if full_solution.status != "optimal":
                 raise RuntimeError(f"full solve: {full_solution.status}")
             record.objective_full = full_solution.objective
 
             fixed = fix_decisions(full_model, reduced_solution, mode)
-            fixed_solution = solve(fixed, config.solver)
+            fixed_solution = solve(fixed, handle)
             if fixed_solution.status != "optimal":
                 raise RuntimeError(f"fixed solve: {fixed_solution.status}")
             record.objective_fixed = fixed_solution.objective

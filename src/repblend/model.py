@@ -31,7 +31,6 @@ class Variable:
     name: str
     lb: float = 0.0
     ub: float = math.inf
-    integer: bool = False
 
 
 @dataclass
@@ -67,11 +66,10 @@ class LpModel:
         self.metadata: dict = metadata or {}
         self._index: dict[str, int] = {}
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf,
-                integer: bool = False) -> int:
+    def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
         if name in self._index:
             raise ValueError(f"duplicate variable {name!r}")
-        self.variables.append(Variable(name, float(lb), float(ub), integer))
+        self.variables.append(Variable(name, float(lb), float(ub)))
         self._index[name] = len(self.variables) - 1
         return self._index[name]
 
@@ -106,7 +104,7 @@ class LpModel:
 
     def copy(self) -> "LpModel":
         clone = LpModel(self.name, dict(self.metadata))
-        clone.variables = [Variable(v.name, v.lb, v.ub, v.integer) for v in self.variables]
+        clone.variables = [Variable(v.name, v.lb, v.ub) for v in self.variables]
         clone.constraints = [Constraint(c.name, list(c.terms), c.sense, c.rhs)
                              for c in self.constraints]
         clone.objective = dict(self.objective)
@@ -124,7 +122,6 @@ def build_model(
     rep_data: RepProfiles,
     weight_matrix: WeightMatrix,
     mode: str | None = None,
-    integer_investment: bool = False,
 ) -> LpModel:
     """Assemble the cost-minimization LP on the given representatives.
 
@@ -167,8 +164,7 @@ def build_model(
 
     cinv = m.add_var("cinv")
     cop = m.add_var("cop")
-    inv = {a.name: m.add_var(f"inv_{a.name}", integer=integer_investment)
-           for a in investables}
+    inv = {a.name: m.add_var(f"inv_{a.name}") for a in investables}
     cap = {a.name: m.add_var(f"cap_{a.name}") for a in system.assets}
 
     pout = {}
@@ -382,15 +378,13 @@ def build_model(
     return m
 
 
-def build_full_model(system: EnergySystem, mode: str | None = None,
-                     integer_investment: bool = False) -> LpModel:
+def build_full_model(system: EnergySystem, mode: str | None = None) -> LpModel:
     """The unreduced model: every base period is its own representative."""
     from .data import rep_profiles_from_periods
 
     D = system.horizon.num_periods
     rep = rep_profiles_from_periods(system, np.arange(D))
-    return build_model(system, rep, identity_weights(D), mode=mode,
-                       integer_investment=integer_investment)
+    return build_model(system, rep, identity_weights(D), mode=mode)
 
 
 def fix_decisions(full_model: LpModel, reduced_solution: Solution,

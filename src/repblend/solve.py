@@ -90,9 +90,6 @@ def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
     a_ub, b_ub = assemble(ub_rows, ub_cols, ub_vals, ub_rhs)
     bounds = [(v.lb if math.isfinite(v.lb) else None,
                v.ub if math.isfinite(v.ub) else None) for v in model.variables]
-    integrality = None
-    if any(v.integer for v in model.variables):
-        integrality = np.array([1 if v.integer else 0 for v in model.variables])
 
     options = {
         "presolve": True,
@@ -103,8 +100,7 @@ def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
         options["time_limit"] = handle.time_limit
 
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                     bounds=bounds, method="highs", integrality=integrality,
-                     options=options)
+                     bounds=bounds, method="highs", options=options)
     elapsed = time.perf_counter() - start
 
     if result.status == 0:
@@ -171,9 +167,5 @@ def write_lp_file(model: LpModel, path: Path | str):
             out.append(f" -inf <= {var.name} <= {_fmt(ub)}")
         else:
             out.append(f" {_fmt(lb)} <= {var.name} <= {_fmt(ub)}")
-    integers = [v.name for v in model.variables if v.integer]
-    if integers:
-        out.append("General")
-        out.extend(f" {name}" for name in integers)
     out.append("End")
     path.write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -14,6 +14,7 @@ from repblend.data import (
     load_system,
     rep_profiles_from_matrix,
     rep_profiles_from_periods,
+    require_valid,
     validate_profiles,
 )
 
@@ -204,6 +205,16 @@ class TestValidateProfiles:
         assert len(violations) == 6
         assert all(v.kind == "missing" and v.series == "demand" for v in violations)
 
+    def test_rejects_invalid_profiles(self):
+        clean = make_system()
+        assert require_valid(clean) is clean
+        system = make_system()
+        system.demand[("n1", "el")][0, 0] = 1.5
+        system.demand[("n1", "el")][1, 1] = -0.5
+        with pytest.raises(DataError, match=r"^2 profile violations; first: "
+                                            r"demand n1/el period 1 hour 1: value 1.5"):
+            require_valid(system)
+
 
 class TestClusteringMatrix:
     def test_row_count_example(self):
@@ -235,12 +246,6 @@ class TestClusteringMatrix:
         b = build_clustering_matrix(system)
         assert a.values.tobytes() == b.values.tobytes()
         assert a.row_keys == b.row_keys
-
-    def test_rejects_invalid_profiles(self):
-        system = make_system()
-        system.demand[("n1", "el")][0, 0] = 1.5
-        with pytest.raises(ValueError, match="violations"):
-            build_clustering_matrix(system)
 
     @given(
         n_nodes=st.integers(1, 3), n_carriers=st.integers(1, 2),

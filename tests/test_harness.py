@@ -11,9 +11,11 @@ from click.testing import CliRunner
 
 import repblend.harness as harness
 from repblend.cli import main
+from repblend.data import build_clustering_matrix, load_system
 from repblend.harness import (
     ExperimentConfig,
     ExperimentRecord,
+    cluster_matrix,
     compute_regret,
     dataset_fingerprint,
     emit_plot_data,
@@ -317,8 +319,11 @@ class TestCli:
         assert (out / "results.csv").exists() and (out / "pareto.csv").exists()
         records = load_records(out / "results.csv")
         assert len(records) == 2
-        result = self.run("emit-plots", "--data", mini_gep_copy, "--out", out)
-        assert result.exit_code == 0
+        pareto = (out / "pareto.csv").read_bytes()
+        (out / "pareto.csv").unlink()
+        result = self.run("emit-plots", "--out", out)
+        assert result.exit_code == 0, result.output
+        assert (out / "pareto.csv").read_bytes() == pareto
 
     def test_experiment_data_error_exit_code(self, tmp_path):
         (tmp_path / "broken").mkdir()
@@ -330,7 +335,55 @@ class TestCli:
         result = self.run("experiment", "--data", mini_gep_copy, "--seeds", "a,b")
         assert result.exit_code != 0
 
-    def test_oversized_rp_count_is_a_data_error(self, mini_gep_copy):
-        result = self.run("cluster", "--data", mini_gep_copy, "--n-rp", 99)
+    def test_oversized_rp_count_is_a_data_error(self, mini_gep_copy, tmp_path):
+        result = self.run("cluster", "--data", mini_gep_copy, "--n-rp", 99,
+                          "--out", tmp_path / "c")
         assert result.exit_code == 2
         assert "outside 1..1" in result.output
+        result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 99,
+                          "--seeds", "1,2", "--out", tmp_path / "e")
+        assert result.exit_code == 2, result.output
+        assert result.output.count("DataError: number of representatives 99 outside 1..1") == 2
+
+    @pytest.mark.parametrize("args", [["solve-full"], ["build-lp", "--full"]])
+    def test_full_model_commands_reject_invalid_profiles(self, mini_gep_copy, tmp_path, args):
+        demand = (mini_gep_copy / "demand.csv").read_text().replace("0.5", "1.5")
+        (mini_gep_copy / "demand.csv").write_text(demand)
+        result = self.run(*args, "--data", mini_gep_copy, "--out", tmp_path / "o")
+        assert result.exit_code == 2
+        assert "profile violations; first: demand" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_cluster_seed_matches_library(self, synthetic_gep_path, tmp_path):
+        values = build_clustering_matrix(load_system(synthetic_gep_path)).values
+        written = {}
+        for seed in (1, 2):
+            out = tmp_path / f"seed{seed}"
+            result = self.run("cluster", "--data", synthetic_gep_path, "--method", "kmeans",
+                              "--n-rp", 3, "--seed", seed, "--out", out)
+            assert result.exit_code == 0, result.output
+            written[seed] = {name: (out / name).read_text()
+                             for name in ("reps.csv", "rep_matrix.csv", "assignment.csv")}
+        assert written[1] != written[2]
+        selection, hard = cluster_matrix(values, "kmeans", "conic", 3, seed=2)
+        assert written[2]["reps.csv"] == "rep,source_period\n1,\n2,\n3,\n"
+        rep_rows = [line.split(",")[1:] for line in written[2]["rep_matrix.csv"].splitlines()[1:]]
+        np.testing.assert_array_equal(np.array(rep_rows, dtype=float), selection.rep_matrix)
+        assign_rows = [line.split(",") for line in written[2]["assignment.csv"].splitlines()[1:]]
+        np.testing.assert_array_equal(np.array(assign_rows, dtype=int)[:, 1] - 1, hard)
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        reduction = {"--data", "--method", "--weights", "--n-rp"}
+        expected = {
+            "validate": {"--data"},
+            "cluster": reduction | {"--seed", "--out"},
+            "fit-weights": reduction | {"--seed", "--out"},
+            "build-lp": reduction | {"--seed", "--out", "--mode", "--full"},
+            "solve-full": {"--data", "--mode", "--out"},
+            "experiment": reduction | {"--mode", "--seeds", "--out"},
+            "emit-plots": {"--out"},
+        }
+        flags = {name: {opt for param in command.params for opt in param.opts}
+                 for name, command in main.commands.items()}
+        assert flags == expected
+        assert sum(len(f) for f in flags.values()) == 32

@@ -40,7 +40,7 @@ def parse_lp_file(text: str) -> LpModel:
         line = raw.strip()
         if not line or line.startswith("\\"):
             continue
-        if line in ("Minimize", "Subject To", "Bounds", "General", "End"):
+        if line in ("Minimize", "Subject To", "Bounds", "End"):
             section = line
             continue
         if section == "Minimize":
@@ -77,8 +77,6 @@ def parse_lp_file(text: str) -> LpModel:
                 name, value = [p.strip() for p in line.split("=")]
                 idx = ensure_var(name)
                 model.variables[idx].lb = model.variables[idx].ub = float(value)
-        elif section == "General":
-            model.variables[ensure_var(line)].integer = True
     return model
 
 
@@ -123,14 +121,6 @@ class TestSolve:
         m.add_var("x")
         with pytest.raises(SolverUnavailableError):
             solve(m, SolverHandle(backend="gurobi"))
-
-    def test_integer_variable(self):
-        m = LpModel()
-        x = m.add_var("x", integer=True)
-        m.add_constr("row", [(x, 1.0)], ">=", 1.5)
-        m.objective = {x: 1.0}
-        solution = solve(m)
-        assert solution.values["x"] == pytest.approx(2.0)
 
     def test_deterministic(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
@@ -186,7 +176,6 @@ class TestWriteLpFile:
         m.add_var("d", lb=1.0)
         m.add_var("e", lb=-math.inf, ub=4.0)
         m.add_var("f", lb=2.5, ub=2.5)              # fixed
-        m.add_var("g", integer=True)
         write_lp_file(m, tmp_path / "m.lp")
         text = (tmp_path / "m.lp").read_text()
         assert " -2 <= b <= 3" in text
@@ -194,11 +183,9 @@ class TestWriteLpFile:
         assert " d >= 1" in text
         assert " -inf <= e <= 4" in text
         assert " f = 2.5" in text
-        assert "General\n g\n" in text
         assert "\n a" not in text.split("Bounds")[1]
         parsed = parse_lp_file(text)
         for name in "abcdef":
             original = m.variables[m.var_index(name)]
             back = parsed.variables[parsed.var_index(name)]
             assert (original.lb, original.ub) == (back.lb, back.ub)
-        assert parsed.variables[parsed.var_index("g")].integer

@@ -3,7 +3,8 @@ model, re-solve the full model with the reduced decisions fixed, and report
 the relative regret with per-stage timings.
 
 The full-resolution benchmark solve is independent of method, weights and
-seed, so it is cached on disk keyed by a content hash of the dataset.
+seed, so it is cached on disk keyed by a content hash of the full model
+itself; a change to the data or to the formulation gives a new key.
 """
 
 from __future__ import annotations
@@ -132,15 +133,16 @@ def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
     raise ValueError(f"method must be one of {METHODS}")
 
 
-def dataset_fingerprint(data_path: Path, mode: str, handle: SolverHandle) -> str:
-    """Content hash of all dataset files plus everything the full solve
-    depends on."""
+def model_key(model: LpModel, handle: SolverHandle) -> str:
+    """Content hash of everything a solve of ``model`` depends on: the
+    variable names, cost, rows (triplets, senses, right-hand sides) and
+    bounds, plus the solver tolerance."""
     digest = hashlib.sha256()
-    for path in sorted(Path(data_path).iterdir()):
-        if path.suffix in (".json", ".csv") and path.is_file():
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-    digest.update(mode.encode())
+    digest.update(f"{model.num_vars} {model.num_constraints} {model.val.size}\n".encode())
+    digest.update("\n".join(model.var_names).encode())
+    for array in (model.cost, model.lb, model.ub, model.row, model.col, model.val,
+                  model.sense, model.rhs):
+        digest.update(np.ascontiguousarray(array))
     digest.update(repr(handle.tolerance).encode())
     return digest.hexdigest()[:20]
 
@@ -158,15 +160,17 @@ def _read_cached_solution(cache_file: Path) -> Solution | None:
 
 def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
                       handle: SolverHandle, cache_dir: Path | None) -> Solution:
-    """Solve the full model, reusing a cached solution for the same dataset
-    content if one exists.
+    """Solve the full model, reusing a cached solution for the same model
+    (``model_key``) if one exists.  ``data_path`` locates the default cache
+    directory, ``<data_path>/.full_cache``; ``mode`` is already part of the
+    model.
 
     A cache file that cannot be read back counts as a miss and is
     overwritten.  Writes go through a temporary file in the cache directory
     and ``os.replace``, so a reader never sees a half-written file.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
-    key = dataset_fingerprint(data_path, mode, handle)
+    key = model_key(full_model, handle)
     cache_file = cache_dir / f"full_{key}.json"
     cached = _read_cached_solution(cache_file)
     if cached is not None:

@@ -7,38 +7,35 @@ ramping live on all base periods and couple to the representatives through
 the blending-weight matrix.  Building with every period as its own
 representative and identity hard-assignment weights yields the full model.
 
+The model is held as arrays, not as one object per column or row.  Columns
+carry ``lb``, ``ub`` and ``cost`` arrays.  Rows are one set of COO triplets
+(``row``, ``col``, ``val``) in emission order, rows ascending and each
+row's terms in the order given, with ``sense`` and ``rhs`` arrays.  Named
+blocks (kind, asset, labelled axes, index array) describe which columns
+and rows belong together; ``build_model`` emits each variable kind and each
+constraint family as one vectorized block per asset.  Names are made from
+the blocks only on demand: for LP export, ``Solution.values`` and
+``var_index``/``has_var``.
+
 Variable names follow the scheme kind_asset_r{rep}_h{hour} (e.g.
 pout_g1_r2_h5); representative, hour and period indices are 1-based.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .data import EnergySystem, MODES, RepProfiles
 from .weights import WeightMatrix
 
-SENSES = ("==", "<=", ">=")
+SENSES = ("==", "<=", ">=")  # ``LpModel.sense`` holds indices into this tuple
 
 SOLUTION_STATUSES = ("optimal", "infeasible", "unbounded", "error")
-
-
-@dataclass
-class Variable:
-    name: str
-    lb: float = 0.0
-    ub: float = math.inf
-
-
-@dataclass
-class Constraint:
-    name: str
-    terms: list[tuple[int, float]]  # (variable index, coefficient)
-    sense: str
-    rhs: float
 
 
 @dataclass
@@ -55,66 +52,239 @@ class Solution:
             raise ValueError(f"status must be one of {SOLUTION_STATUSES}")
 
 
+@dataclass(frozen=True, eq=False)
+class Block:
+    """Names of a group of columns or rows.
+
+    Entry ``i`` of ``index`` (the global column or row index, any shape) is
+    named ``kind_asset`` (``kind`` alone when ``asset`` is None) followed by
+    ``_{letter}{label}`` for each letter of ``axes``; labels count from
+    ``first`` (1 per axis when empty).  A tuple ``kind`` alternates along
+    one more trailing axis of ``index``, for paired rows such as
+    rampup/rampdn.
+    """
+
+    kind: str | tuple[str, ...]
+    asset: str | None
+    axes: str
+    index: np.ndarray
+    first: tuple[int, ...] = ()
+
+    def names(self) -> list[str]:
+        kinds = (self.kind,) if isinstance(self.kind, str) else self.kind
+        prefixes = kinds if self.asset is None else [f"{k}_{self.asset}" for k in kinds]
+        first = self.first or (1,) * len(self.axes)
+        grids = [[f"_{letter}{start + i}" for i in range(count)]
+                 for letter, start, count in zip(self.axes, first, self.index.shape)]
+        return [p + "".join(labels) for labels in product(*grids) for p in prefixes]
+
+
+def _joined(arrays: tuple, parts: list[tuple]) -> tuple:
+    """Each array with the matching array of every part appended."""
+    return tuple(np.concatenate([a] + [p[i] for p in parts]) for i, a in enumerate(arrays))
+
+
+def _names(blocks: list[Block], count: int) -> list[str]:
+    names = np.empty(count, dtype=object)
+    for block in blocks:
+        names[block.index.ravel()] = block.names()
+    return names.tolist()
+
+
 class LpModel:
-    """A linear program with deterministic variable and constraint order."""
+    """A linear program held as arrays, with deterministic column and row
+    order (see the module docstring).
+
+    ``add_vars``/``add_rows`` append unnamed blocks that
+    ``name_vars``/``name_rows`` then name; ``add_var``/``add_constr`` add
+    one named entry.  Appends are buffered and joined into the arrays when
+    these are next read.
+    """
 
     def __init__(self, name: str = "model", metadata: dict | None = None):
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self.objective: dict[int, float] = {}
         self.metadata: dict = metadata or {}
-        self._index: dict[str, int] = {}
+        self.var_blocks: list[Block] = []
+        self.row_blocks: list[Block] = []
+        self._num_vars = 0
+        self._num_rows = 0
+        self._columns = (np.zeros(0), np.zeros(0), np.zeros(0))  # lb, ub, cost
+        self._rows = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0),
+                      np.zeros(0, np.int8), np.zeros(0))  # row, col, val, sense, rhs
+        self._new_columns: list[tuple] = []
+        self._new_rows: list[tuple] = []
+        self._names: list[str] | None = None
+        self._index: dict[str, int] | None = None
+
+    # -- columns ---------------------------------------------------------
+
+    def add_vars(self, shape: tuple[int, ...], lb=0.0, ub=math.inf) -> np.ndarray:
+        """Append unnamed columns; ``lb`` and ``ub`` broadcast to ``shape``.
+        Returns their indices, shaped ``shape``."""
+        count = math.prod(shape)
+        index = np.arange(self._num_vars, self._num_vars + count).reshape(shape)
+        self._new_columns.append(
+            tuple(np.broadcast_to(np.asarray(bound, dtype=float), shape).ravel()
+                  for bound in (lb, ub)) + (np.zeros(count),))
+        self._num_vars += count
+        return index
+
+    def name_vars(self, kind, asset: str | None, axes: str, index, first=()):
+        """Name the columns at ``index`` (see ``Block``)."""
+        block = Block(kind, asset, axes, np.asarray(index), tuple(first))
+        self.var_blocks.append(block)
+        self._names = None
+        if self._index is not None:
+            self._index.update(zip(block.names(), block.index.ravel().tolist()))
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
-        if name in self._index:
+        if self.has_var(name):
             raise ValueError(f"duplicate variable {name!r}")
-        self.variables.append(Variable(name, float(lb), float(ub)))
-        self._index[name] = len(self.variables) - 1
-        return self._index[name]
+        index = self.add_vars((), lb, ub)
+        self.name_vars(name, None, "", index)
+        return int(index)
 
-    def add_constr(self, name: str, terms, sense: str, rhs: float):
-        """Add a row; duplicate variable entries are merged (summed) keeping
-        first-occurrence order."""
-        if sense not in SENSES:
-            raise ValueError(f"sense must be one of {SENSES}")
-        merged: dict[int, float] = {}
-        for idx, coef in terms:
-            if not 0 <= idx < len(self.variables):
-                raise ValueError(f"constraint {name!r} references unknown variable index {idx}")
-            merged[idx] = merged.get(idx, 0.0) + float(coef)
-        self.constraints.append(Constraint(name, list(merged.items()), sense, float(rhs)))
+    def _column_arrays(self) -> tuple[np.ndarray, ...]:
+        if self._new_columns:
+            self._columns, self._new_columns = _joined(self._columns, self._new_columns), []
+        return self._columns
+
+    lb = property(lambda self: self._column_arrays()[0], doc="Lower bounds.")
+    ub = property(lambda self: self._column_arrays()[1], doc="Upper bounds.")
+    cost = property(lambda self: self._column_arrays()[2], doc="Objective coefficients.")
+
+    @property
+    def var_names(self) -> list[str]:
+        """Column names in index order, made from the blocks on first use."""
+        if self._names is None:
+            self._names = _names(self.var_blocks, self._num_vars)
+        return self._names
 
     def var_index(self, name: str) -> int:
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.var_names)}
         return self._index[name]
 
     def has_var(self, name: str) -> bool:
-        return name in self._index
+        try:
+            self.var_index(name)
+        except KeyError:
+            return False
+        return True
+
+    # -- rows --------------------------------------------------------------
+
+    def add_rows(self, cols, vals, sense: str, rhs=0.0, keep=None,
+                 label: str = "rows") -> np.ndarray:
+        """Append one row per entry of ``cols.shape[:-1]``, whose last axis
+        lists each row's terms in order; ``vals`` and ``keep`` (a mask that
+        drops terms) broadcast to ``cols``, ``rhs`` to the row shape.
+        Repeated columns within a row are summed into their first
+        occurrence.  Returns the row indices, shaped like the rows."""
+        if sense not in SENSES:
+            raise ValueError(f"sense must be one of {SENSES}")
+        cols = np.asarray(cols, dtype=np.int64)
+        shape, width = cols.shape[:-1], cols.shape[-1]
+        count = math.prod(shape)
+        cols = cols.reshape(count, width)
+        # 0.0 + v: a merged sum starts from +0.0, so no coefficient is -0.0
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), shape + (width,)).reshape(
+            count, width) + 0.0
+        index = np.arange(self._num_rows, self._num_rows + count)
+        row = np.broadcast_to(index[:, None], cols.shape)
+        if keep is None:
+            flat = (row.ravel(), cols.ravel(), vals.ravel())
+        else:
+            keep = np.broadcast_to(keep, shape + (width,)).reshape(count, width)
+            flat = (row[keep], cols[keep], vals[keep])
+            cols = np.where(keep, cols, -1 - np.arange(width))  # distinct, never a column
+        bad = flat[1][(flat[1] < 0) | (flat[1] >= self._num_vars)]
+        if bad.size:
+            raise ValueError(f"constraint {label!r} references unknown variable index {bad[0]}")
+        if width > 1:
+            ordered = np.sort(cols, axis=1)
+            if np.any(ordered[:, 1:] == ordered[:, :-1]):
+                flat = self._merge_repeats(*flat)
+        self._new_rows.append((
+            *flat, np.full(count, SENSES.index(sense), dtype=np.int8),
+            np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()))
+        self._num_rows += count
+        return index.reshape(shape)
+
+    def _merge_repeats(self, row, col, val):
+        # ufunc.at adds in entry order, so each sum is ((0 + v1) + v2) ...
+        # exactly as summing term by term
+        _, first, group = np.unique(row * self._num_vars + col, return_index=True,
+                                    return_inverse=True)
+        total = np.zeros(first.size)
+        np.add.at(total, group, val)
+        order = np.argsort(first)
+        return row[first[order]], col[first[order]], total[order]
+
+    def name_rows(self, kind, asset: str | None, axes: str, index, first=()):
+        """Name the rows at ``index`` (see ``Block``)."""
+        self.row_blocks.append(Block(kind, asset, axes, np.asarray(index), tuple(first)))
+
+    def add_constr(self, name: str, terms, sense: str, rhs: float):
+        """Add one row; duplicate variable entries are merged (summed)
+        keeping first-occurrence order."""
+        terms = list(terms)
+        index = self.add_rows(np.array([idx for idx, _ in terms], dtype=np.int64),
+                              [coef for _, coef in terms], sense, rhs, label=name)
+        self.name_rows(name, None, "", index)
+
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        if self._new_rows:
+            self._rows, self._new_rows = _joined(self._rows, self._new_rows), []
+        return self._rows
+
+    row = property(lambda self: self._row_arrays()[0], doc="Row index of each term.")
+    col = property(lambda self: self._row_arrays()[1], doc="Column index of each term.")
+    val = property(lambda self: self._row_arrays()[2], doc="Coefficient of each term.")
+    sense = property(lambda self: self._row_arrays()[3], doc="Index into SENSES per row.")
+    rhs = property(lambda self: self._row_arrays()[4], doc="Right-hand side per row.")
+
+    def row_names(self) -> list[str]:
+        """Row names in index order, made from the blocks."""
+        return _names(self.row_blocks, self._num_rows)
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return self._num_vars
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self._num_rows
 
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
-    def copy(self) -> "LpModel":
-        clone = LpModel(self.name, dict(self.metadata))
-        clone.variables = [Variable(v.name, v.lb, v.ub) for v in self.variables]
-        clone.constraints = [Constraint(c.name, list(c.terms), c.sense, c.rhs)
-                             for c in self.constraints]
-        clone.objective = dict(self.objective)
-        clone._index = dict(self._index)
+    def _with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "LpModel":
+        """A model that shares this one's rows, blocks and names and owns
+        the given bounds and a copy of the cost."""
+        clone = copy.copy(self)
+        clone.metadata = dict(self.metadata)
+        clone.var_blocks = list(self.var_blocks)
+        clone.row_blocks = list(self.row_blocks)
+        clone._rows = self._row_arrays()
+        clone._columns = (lb, ub, self.cost.copy())
+        clone._new_columns, clone._new_rows = [], []
+        clone._names = self.var_names
+        clone._index = None
         return clone
 
 
 def identity_weights(num_periods: int) -> WeightMatrix:
     """Hard-assignment weights mapping every period to itself."""
     return WeightMatrix(np.eye(num_periods), "dirac", np.zeros(num_periods))
+
+
+def _terms(shape: tuple[int, ...], pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Stack (column index, coefficient) pairs, each broadcast to ``shape``,
+    along a new last axis: the term axis of ``LpModel.add_rows``."""
+    if not pairs:
+        return np.zeros(shape + (0,), dtype=np.int64), np.zeros(shape + (0,))
+    cols = np.stack([np.broadcast_to(col, shape) for col, _ in pairs], axis=-1)
+    vals = np.stack([np.broadcast_to(np.asarray(val, dtype=float), shape)
+                     for _, val in pairs], axis=-1)
+    return cols, vals
 
 
 def build_model(
@@ -156,225 +326,195 @@ def build_model(
         },
     )
 
+    def variables(kind, asset, axes, shape, lb=0.0, ub=math.inf):
+        index = m.add_vars(shape, lb, ub)
+        m.name_vars(kind, asset, axes, index)
+        return index
+
+    def rows(kind, asset, axes, cols, vals, sense, rhs=0.0, keep=None, first=()):
+        m.name_rows(kind, asset, axes, m.add_rows(cols, vals, sense, rhs, keep), first)
+
     producers = system.producers
     storages = system.storages
     seasonals = system.seasonal_storages
     conversions = system.conversions
     investables = [a for a in producers if a.investable] if mode == "gep" else []
+    RH = (R, H)
 
-    cinv = m.add_var("cinv")
-    cop = m.add_var("cop")
-    inv = {a.name: m.add_var(f"inv_{a.name}") for a in investables}
-    cap = {a.name: m.add_var(f"cap_{a.name}") for a in system.assets}
-
-    pout = {}
-    for a in system.assets:
-        for r in range(R):
-            for h in range(H):
-                pout[(a.name, r, h)] = m.add_var(f"pout_{a.name}_r{r + 1}_h{h + 1}")
-    pin = {}
-    for a in storages + conversions:
-        for r in range(R):
-            for h in range(H):
-                pin[(a.name, r, h)] = m.add_var(f"pin_{a.name}_r{r + 1}_h{h + 1}")
-    flow = {}
-    for line in system.lines:
-        for r in range(R):
-            for h in range(H):
-                flow[(line.name, r, h)] = m.add_var(
-                    f"flow_{line.name}_r{r + 1}_h{h + 1}",
-                    lb=-line.import_limit, ub=line.export_limit)
-    sintra = {}
-    sintra0 = {}
+    cinv = variables("cinv", None, "", ())
+    cop = variables("cop", None, "", ())
+    inv = {a.name: variables("inv", a.name, "", ()) for a in investables}
+    cap = {a.name: variables("cap", a.name, "", ()) for a in system.assets}
+    pout = {a.name: variables("pout", a.name, "rh", RH) for a in system.assets}
+    pin = {a.name: variables("pin", a.name, "rh", RH) for a in storages + conversions}
+    flow = {line.name: variables("flow", line.name, "rh", RH,
+                                 lb=-line.import_limit, ub=line.export_limit)
+            for line in system.lines}
+    # per storage and representative: the H intra levels, then the start level
+    sintra, sintra0 = {}, {}
     for s in storages:
-        for r in range(R):
-            for h in range(H):
-                sintra[(s.name, r, h)] = m.add_var(
-                    f"sintra_{s.name}_r{r + 1}_h{h + 1}", ub=s.storage_cap)
-            sintra0[(s.name, r)] = m.add_var(f"sintra0_{s.name}_r{r + 1}")
-    sinter = {}
-    sinter0 = {}
+        index = m.add_vars((R, H + 1), ub=np.append(np.full(H, float(s.storage_cap)), math.inf))
+        sintra[s.name], sintra0[s.name] = index[:, :H], index[:, H]
+        m.name_vars("sintra", s.name, "rh", sintra[s.name])
+        m.name_vars("sintra0", s.name, "r", sintra0[s.name])
+    sinter, sinter0 = {}, {}
     for s in seasonals:
-        for d in range(D):
-            sinter[(s.name, d)] = m.add_var(
-                f"sinter_{s.name}_d{d + 1}",
-                lb=system.storage_min[s.name][d] * s.storage_cap,
-                ub=system.storage_max[s.name][d] * s.storage_cap)
-        sinter0[s.name] = m.add_var(f"sinter0_{s.name}")
-    spill = {}
-    borrow = {}
+        sinter[s.name] = variables(
+            "sinter", s.name, "d", (D,),
+            lb=np.asarray(system.storage_min[s.name], dtype=float) * s.storage_cap,
+            ub=np.asarray(system.storage_max[s.name], dtype=float) * s.storage_cap)
+        sinter0[s.name] = variables("sinter0", s.name, "", ())
+    # spill and borrow alternate hour by hour
+    spill, borrow = {}, {}
+    for s in seasonals:
+        if s.has_inflows:
+            index = m.add_vars((R, H, 2))
+            spill[s.name], borrow[s.name] = index[..., 0], index[..., 1]
+            m.name_vars("spill", s.name, "rh", spill[s.name])
+            m.name_vars("borrow", s.name, "rh", borrow[s.name])
+
+    # total investment cost
+    rows("def_cinv", None, "", *_terms((), [(cinv, 1.0)] + [
+        (inv[a.name], -a.inv_cost * a.unit_capacity) for a in investables]), "==")
+
+    # total operational cost, annualized and weighted by representative
+    # totals; terms run representative by representative
+    scale = hz.operational_weight * rep_totals
+    cols, vals = [], []
+    for g in producers:
+        if g.var_cost != 0.0:
+            cols.append(pout[g.name])
+            vals.append(np.broadcast_to((-scale * g.var_cost)[:, None], RH))
     for s in seasonals:
         if not s.has_inflows:
             continue
-        for r in range(R):
-            for h in range(H):
-                spill[(s.name, r, h)] = m.add_var(f"spill_{s.name}_r{r + 1}_h{h + 1}")
-                borrow[(s.name, r, h)] = m.add_var(f"borrow_{s.name}_r{r + 1}_h{h + 1}")
-
-    # total investment cost
-    terms = [(cinv, 1.0)]
-    terms += [(inv[a.name], -a.inv_cost * a.unit_capacity) for a in investables]
-    m.add_constr("def_cinv", terms, "==", 0.0)
-
-    # total operational cost, annualized and weighted by representative totals
-    w_op = hz.operational_weight
-    terms = [(cop, 1.0)]
-    for r in range(R):
-        scale = w_op * rep_totals[r]
-        if scale == 0.0:
-            continue
-        for g in producers:
-            if g.var_cost == 0.0:
-                continue
-            for h in range(H):
-                terms.append((pout[(g.name, r, h)], -scale * g.var_cost))
-        for s in seasonals:
-            if not s.has_inflows:
-                continue
-            for h in range(H):
-                if s.spill_cost:
-                    terms.append((spill[(s.name, r, h)], -scale * s.spill_cost / tau))
-                if s.borrow_cost:
-                    terms.append((borrow[(s.name, r, h)], -scale * s.borrow_cost / tau))
-    m.add_constr("def_cop", terms, "==", 0.0)
+        pairs = []
+        if s.spill_cost:
+            pairs.append((spill[s.name], -scale * s.spill_cost / tau))
+        if s.borrow_cost:
+            pairs.append((borrow[s.name], -scale * s.borrow_cost / tau))
+        if pairs:
+            cols.append(np.stack([c for c, _ in pairs], axis=-1).reshape(R, -1))
+            vals.append(np.stack([np.broadcast_to(v[:, None], RH) for _, v in pairs],
+                                 axis=-1).reshape(R, -1))
+    active = scale != 0.0
+    op_cols = np.concatenate(cols, axis=1)[active].ravel() if cols else np.zeros(0, np.int64)
+    op_vals = np.concatenate(vals, axis=1)[active].ravel() if vals else np.zeros(0)
+    rows("def_cop", None, "", np.append(cop, op_cols), np.append(1.0, op_vals), "==")
 
     # node balance per node, carrier, representative, hour
     for node in system.nodes:
         for carrier in system.carriers:
-            injectors = [a for a in system.assets if a.node == node and a.carrier_out == carrier]
-            withdrawers = [a for a in storages + conversions
-                           if a.node == node and a.carrier_in == carrier]
-            lines_out = [l for l in system.lines if l.from_node == node and l.carrier == carrier]
-            lines_in = [l for l in system.lines if l.to_node == node and l.carrier == carrier]
+            pairs = [(pout[a.name], 1.0) for a in system.assets
+                     if a.node == node and a.carrier_out == carrier]
+            pairs += [(pin[a.name], -1.0) for a in storages + conversions
+                      if a.node == node and a.carrier_in == carrier]
+            pairs += [(flow[l.name], -1.0) for l in system.lines
+                      if l.from_node == node and l.carrier == carrier]
+            pairs += [(flow[l.name], 1.0) for l in system.lines
+                      if l.to_node == node and l.carrier == carrier]
             peak = system.peak_demand.get((node, carrier), 0.0)
             profile = rep_data.demand.get((node, carrier))
-            for r in range(R):
-                for h in range(H):
-                    terms = [(pout[(a.name, r, h)], 1.0) for a in injectors]
-                    terms += [(pin[(a.name, r, h)], -1.0) for a in withdrawers]
-                    terms += [(flow[(l.name, r, h)], -1.0) for l in lines_out]
-                    terms += [(flow[(l.name, r, h)], 1.0) for l in lines_in]
-                    rhs = peak * profile[r, h] if profile is not None else 0.0
-                    m.add_constr(f"balance_{node}_{carrier}_r{r + 1}_h{h + 1}",
-                                 terms, "==", rhs)
+            rhs = peak * profile if profile is not None else 0.0
+            rows("balance", f"{node}_{carrier}", "rh", *_terms(RH, pairs), "==", rhs)
 
     # intra-period storage balance (state of charge recursion within a rep)
     for s in storages:
-        inflow_profile = rep_data.inflow.get(s.name)
-        for r in range(R):
-            for h in range(H):
-                prev = sintra0[(s.name, r)] if h == 0 else sintra[(s.name, r, h - 1)]
-                terms = [
-                    (sintra[(s.name, r, h)], 1.0),
-                    (prev, -1.0),
-                    (pin[(s.name, r, h)], -s.eff_in * tau),
-                    (pout[(s.name, r, h)], tau / s.eff_out),
-                ]
-                rhs = 0.0
-                if s.is_seasonal:
-                    if s.has_inflows:
-                        terms.append((spill[(s.name, r, h)], 1.0))
-                        terms.append((borrow[(s.name, r, h)], -1.0))
-                    if inflow_profile is not None:
-                        rhs = inflow_profile[r, h] * s.inflow_max
-                m.add_constr(f"intra_{s.name}_r{r + 1}_h{h + 1}", terms, "==", rhs)
+        prev = np.concatenate([sintra0[s.name][:, None], sintra[s.name][:, :-1]], axis=1)
+        pairs = [(sintra[s.name], 1.0), (prev, -1.0), (pin[s.name], -s.eff_in * tau),
+                 (pout[s.name], tau / s.eff_out)]
+        rhs = 0.0
+        if s.is_seasonal:
+            if s.has_inflows:
+                pairs += [(spill[s.name], 1.0), (borrow[s.name], -1.0)]
+            inflow_profile = rep_data.inflow.get(s.name)
+            if inflow_profile is not None:
+                rhs = inflow_profile * s.inflow_max
+        rows("intra", s.name, "rh", *_terms(RH, pairs), "==", rhs)
 
-    # inter-period storage balance: chronological recovery through the weights
+    # inter-period storage balance: chronological recovery through the
+    # weights; per period the level, the previous level, then for each
+    # representative with a nonzero weight its end and start intra levels
+    nonzero = W != 0.0
     for s in seasonals:
-        for d in range(D):
-            prev = sinter0[s.name] if d == 0 else sinter[(s.name, d - 1)]
-            terms = [(sinter[(s.name, d)], 1.0), (prev, -1.0)]
-            for r in range(R):
-                if W[d, r] == 0.0:
-                    continue
-                terms.append((sintra[(s.name, r, H - 1)], -W[d, r]))
-                terms.append((sintra0[(s.name, r)], W[d, r]))
-            m.add_constr(f"inter_{s.name}_d{d + 1}", terms, "==", 0.0)
+        prev = np.append(sinter0[s.name], sinter[s.name][:-1])
+        ends = np.stack([np.broadcast_to(sintra[s.name][:, H - 1], (D, R)),
+                         np.broadcast_to(sintra0[s.name], (D, R))], axis=-1).reshape(D, 2 * R)
+        cols = np.concatenate([sinter[s.name][:, None], prev[:, None], ends], axis=1)
+        vals = np.concatenate([np.ones((D, 1)), -np.ones((D, 1)),
+                               np.stack([-W, W], axis=-1).reshape(D, 2 * R)], axis=1)
+        keep = np.concatenate([np.ones((D, 2), bool), np.repeat(nonzero, 2, axis=1)], axis=1)
+        rows("inter", s.name, "d", cols, vals, "==", keep=keep)
 
     # cyclic constraints: initial and final levels pinned to the preset value,
     # plus the tether that fixes the intra-level offset
     for s in seasonals:
-        m.add_constr(f"cyc0_{s.name}", [(sinter0[s.name], 1.0)], "==", s.initial_storage)
-        m.add_constr(f"cycend_{s.name}", [(sinter[(s.name, D - 1)], 1.0)], "==",
-                     s.initial_storage)
-        terms = [(sintra[(s.name, r, H - 1)], W[D - 1, r])
-                 for r in range(R) if W[D - 1, r] != 0.0]
-        m.add_constr(f"tether_{s.name}", terms, "==", s.initial_storage)
+        rows("cyc0", s.name, "", [sinter0[s.name]], 1.0, "==", s.initial_storage)
+        rows("cycend", s.name, "", [sinter[s.name][D - 1]], 1.0, "==", s.initial_storage)
+        rows("tether", s.name, "", sintra[s.name][:, H - 1], W[D - 1], "==",
+             s.initial_storage, keep=nonzero[D - 1])
 
     # short-term storage cycles within each representative
     for s in storages:
-        if s.is_seasonal:
-            continue
-        for r in range(R):
-            m.add_constr(f"intracyc_{s.name}_r{r + 1}",
-                         [(sintra[(s.name, r, H - 1)], 1.0), (sintra0[(s.name, r)], -1.0)],
-                         "==", 0.0)
+        if not s.is_seasonal:
+            rows("intracyc", s.name, "r", *_terms(
+                (R,), [(sintra[s.name][:, H - 1], 1.0), (sintra0[s.name], -1.0)]), "==")
 
     # conversion balance
     for c in conversions:
-        for r in range(R):
-            for h in range(H):
-                m.add_constr(f"conv_{c.name}_r{r + 1}_h{h + 1}",
-                             [(pin[(c.name, r, h)], c.eff_in),
-                              (pout[(c.name, r, h)], -1.0 / c.eff_out)],
-                             "==", 0.0)
+        rows("conv", c.name, "rh", *_terms(
+            RH, [(pin[c.name], c.eff_in), (pout[c.name], -1.0 / c.eff_out)]), "==")
 
     # accumulated capacity from existing plus invested units
     for a in system.assets:
-        terms = [(cap[a.name], 1.0)]
+        pairs = [(cap[a.name], 1.0)]
         if a.name in inv:
-            terms.append((inv[a.name], -a.unit_capacity))
-        m.add_constr(f"units_{a.name}", terms, "==",
-                     a.unit_capacity * a.existing_units)
+            pairs.append((inv[a.name], -a.unit_capacity))
+        rows("units", a.name, "", *_terms((), pairs), "==",
+             a.unit_capacity * a.existing_units)
 
     # availability-capped production and capacity-capped consumption
     for a in system.assets:
         avail = rep_data.availability.get(a.name)
-        for r in range(R):
-            for h in range(H):
-                factor = avail[r, h] if avail is not None else 1.0
-                m.add_constr(f"maxout_{a.name}_r{r + 1}_h{h + 1}",
-                             [(pout[(a.name, r, h)], 1.0), (cap[a.name], -factor)],
-                             "<=", 0.0)
+        factor = avail if avail is not None else 1.0
+        rows("maxout", a.name, "rh", *_terms(RH, [(pout[a.name], 1.0), (cap[a.name], -factor)]),
+             "<=")
     for s in storages:
-        for r in range(R):
-            for h in range(H):
-                m.add_constr(f"maxin_{s.name}_r{r + 1}_h{h + 1}",
-                             [(pin[(s.name, r, h)], 1.0), (cap[s.name], -1.0)],
-                             "<=", 0.0)
+        rows("maxin", s.name, "rh", *_terms(RH, [(pin[s.name], 1.0), (cap[s.name], -1.0)]), "<=")
 
-    # ramping within a representative (paired inequalities for |.|)
+    # ramping within a representative (paired inequalities for |.|, the up
+    # and down rows of each hour next to each other)
     for g in producers:
-        if g.ramp is None:
+        if g.ramp is None or H == 1:
             continue
         limit = g.ramp * tau
-        for r in range(R):
-            for h in range(1, H):
-                up = [(pout[(g.name, r, h)], 1.0), (pout[(g.name, r, h - 1)], -1.0),
-                      (cap[g.name], -limit)]
-                dn = [(pout[(g.name, r, h)], -1.0), (pout[(g.name, r, h - 1)], 1.0),
-                      (cap[g.name], -limit)]
-                m.add_constr(f"rampup_{g.name}_r{r + 1}_h{h + 1}", up, "<=", 0.0)
-                m.add_constr(f"rampdn_{g.name}_r{r + 1}_h{h + 1}", dn, "<=", 0.0)
+        now, before = pout[g.name][:, 1:], pout[g.name][:, :-1]
+        shape = (R, H - 1)
+        up = _terms(shape, [(now, 1.0), (before, -1.0), (cap[g.name], -limit)])
+        dn = _terms(shape, [(now, -1.0), (before, 1.0), (cap[g.name], -limit)])
+        rows(("rampup", "rampdn"), g.name, "rh", np.stack([up[0], dn[0]], axis=2),
+             np.stack([up[1], dn[1]], axis=2), "<=", first=(1, 2))
 
-    # ramping across consecutive base periods through the blended weights
+    # ramping across consecutive base periods through the blended weights;
+    # per representative the first hour of period d, then the last hour of
+    # period d - 1 (the same variable when H = 1, merged by add_rows)
     for g in producers:
-        if g.ramp is None:
+        if g.ramp is None or D == 1:
             continue
         limit = g.ramp * tau
-        for d in range(1, D):
-            expr = []
-            for r in range(R):
-                if W[d, r] != 0.0:
-                    expr.append((pout[(g.name, r, 0)], W[d, r]))
-                if W[d - 1, r] != 0.0:
-                    expr.append((pout[(g.name, r, H - 1)], -W[d - 1, r]))
-            up = expr + [(cap[g.name], -limit)]
-            dn = [(idx, -coef) for idx, coef in expr] + [(cap[g.name], -limit)]
-            m.add_constr(f"irampup_{g.name}_d{d + 1}", up, "<=", 0.0)
-            m.add_constr(f"irampdn_{g.name}_d{d + 1}", dn, "<=", 0.0)
+        cols = np.stack([np.broadcast_to(pout[g.name][:, 0], (D - 1, R)),
+                         np.broadcast_to(pout[g.name][:, H - 1], (D - 1, R))],
+                        axis=-1).reshape(D - 1, 2 * R)
+        cols = np.append(cols, np.full((D - 1, 1), cap[g.name]), axis=1)
+        expr = np.stack([W[1:], -W[:-1]], axis=-1).reshape(D - 1, 2 * R)
+        tail = np.full((D - 1, 1), -limit)
+        keep = np.append(np.stack([nonzero[1:], nonzero[:-1]], axis=-1).reshape(D - 1, 2 * R),
+                         np.ones((D - 1, 1), bool), axis=1)
+        rows(("irampup", "irampdn"), g.name, "d", np.stack([cols, cols], axis=1),
+             np.stack([np.append(expr, tail, axis=1), np.append(-expr, tail, axis=1)], axis=1),
+             "<=", keep=keep[:, None, :], first=(2,))
 
-    m.objective = {cinv: 1.0, cop: 1.0}
+    m.cost[[cinv, cop]] = 1.0
     return m
 
 
@@ -391,29 +531,35 @@ def fix_decisions(full_model: LpModel, reduced_solution: Solution,
                   mode: str) -> LpModel:
     """Pin the reduced model's first-stage decisions into the full model.
 
-    gep: every investment variable is fixed to its reduced value.
-    p2x: every inter-period storage level is fixed to its reduced value
-    (the reduced model keeps these on all base periods, where they equal the
-    blended reconstruction from the representative intra-period levels).
+    gep: every investment variable (the ``inv`` blocks) is fixed to its
+    reduced value.
+    p2x: every inter-period storage level (the ``sinter`` blocks) is fixed
+    to its reduced value (the reduced model keeps these on all base periods,
+    where they equal the blended reconstruction from the representative
+    intra-period levels).
 
     Values are clamped into the variable's original bounds to absorb solver
-    round-off before fixing.
+    round-off before fixing.  The fixed model shares the full model's rows
+    and names and owns its bounds, so the full model is left unchanged.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if reduced_solution.status != "optimal":
         raise ValueError(f"reduced solution is {reduced_solution.status}, not optimal")
-    prefix = "inv_" if mode == "gep" else "sinter_"
-    fixed = full_model.copy()
-    pinned = 0
-    for var in fixed.variables:
-        if not var.name.startswith(prefix):
-            continue
-        if var.name not in reduced_solution.values:
-            raise ValueError(f"variable {var.name!r} missing from the reduced solution")
-        value = min(max(reduced_solution.values[var.name], var.lb), var.ub)
-        var.lb = value
-        var.ub = value
-        pinned += 1
-    fixed.metadata = dict(fixed.metadata, fixed_variables=pinned, fixed_mode=mode)
+    kind = "inv" if mode == "gep" else "sinter"
+    blocks = [b for b in full_model.var_blocks if b.kind == kind]
+    index = np.concatenate([b.index.ravel() for b in blocks] + [np.zeros(0, np.int64)])
+    values = []
+    for name in (n for b in blocks for n in b.names()):
+        if name not in reduced_solution.values:
+            raise ValueError(f"variable {name!r} missing from the reduced solution")
+        values.append(reduced_solution.values[name])
+    lb, ub = full_model.lb.copy(), full_model.ub.copy()
+    value = np.array(values, dtype=float)
+    value = np.where(lb[index] > value, lb[index], value)  # max(value, lb)
+    value = np.where(ub[index] < value, ub[index], value)  # min(value, ub)
+    lb[index] = value
+    ub[index] = value
+    fixed = full_model._with_bounds(lb, ub)
+    fixed.metadata.update(fixed_variables=int(index.size), fixed_mode=mode)
     return fixed

@@ -12,7 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .model import LpModel, Solution
+from .model import SENSES, LpModel, Solution
+
+EQ, LE, GE = range(len(SENSES))  # codes of "==", "<=", ">=" in LpModel.sense
 
 
 class SolverError(Exception):
@@ -50,46 +52,39 @@ def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
 
     Statuses 'infeasible' and 'unbounded' are regular outcomes; backend
     problems (unknown backend, time limit, numerical breakdown) raise a
-    SolverError subclass.
+    SolverError subclass.  A model without variables is optimal with
+    objective 0 unless one of its (constant) rows is violated by more than
+    the tolerance, which makes it infeasible.
     """
     handle = handle or SolverHandle()
     if handle.backend != "scipy-highs":
         raise SolverUnavailableError(f"unknown backend {handle.backend!r}")
+    sense, rhs = model.sense, model.rhs
     if model.num_vars == 0:
+        # every row reads 0 (sense) rhs
+        violated = np.where(sense == EQ, np.abs(rhs), np.where(sense == LE, -rhs, rhs))
+        if np.any(violated > handle.tolerance):
+            return Solution(status="infeasible")
         return Solution(status="optimal", objective=0.0, values={})
 
     start = time.perf_counter()
     n = model.num_vars
-    c = np.zeros(n)
-    for idx, coef in model.objective.items():
-        c[idx] = coef
+    row, col, val = model.row, model.col, model.val
+    # >= rows become <= rows with flipped signs; each group keeps row order
+    sign = np.where(sense == GE, -1.0, 1.0)
 
-    eq_rows, eq_cols, eq_vals, eq_rhs = [], [], [], []
-    ub_rows, ub_cols, ub_vals, ub_rhs = [], [], [], []
-    for constr in model.constraints:
-        if constr.sense == "==":
-            rows, cols, vals, rhs, sign = eq_rows, eq_cols, eq_vals, eq_rhs, 1.0
-        elif constr.sense == "<=":
-            rows, cols, vals, rhs, sign = ub_rows, ub_cols, ub_vals, ub_rhs, 1.0
-        else:  # >= becomes <= with flipped signs
-            rows, cols, vals, rhs, sign = ub_rows, ub_cols, ub_vals, ub_rhs, -1.0
-        row = len(rhs)
-        for idx, coef in constr.terms:
-            rows.append(row)
-            cols.append(idx)
-            vals.append(sign * coef)
-        rhs.append(sign * constr.rhs)
-
-    def assemble(rows, cols, vals, rhs):
-        if not rhs:
+    def assemble(mask):
+        if not mask.any():
             return None, None
-        matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n))
-        return matrix, np.array(rhs)
+        position = np.cumsum(mask) - 1
+        entries = mask[row]
+        rows = row[entries]
+        matrix = sp.csr_matrix((val[entries] * sign[rows], (position[rows], col[entries])),
+                               shape=(int(position[-1]) + 1, n))
+        return matrix, rhs[mask] * sign[mask]
 
-    a_eq, b_eq = assemble(eq_rows, eq_cols, eq_vals, eq_rhs)
-    a_ub, b_ub = assemble(ub_rows, ub_cols, ub_vals, ub_rhs)
-    bounds = [(v.lb if math.isfinite(v.lb) else None,
-               v.ub if math.isfinite(v.ub) else None) for v in model.variables]
+    a_eq, b_eq = assemble(sense == EQ)
+    a_ub, b_ub = assemble(sense != EQ)
 
     options = {
         "presolve": True,
@@ -99,12 +94,13 @@ def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
     if handle.time_limit is not None:
         options["time_limit"] = handle.time_limit
 
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                     bounds=bounds, method="highs", options=options)
+    result = linprog(model.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                     bounds=np.column_stack([model.lb, model.ub]), method="highs",
+                     options=options)
     elapsed = time.perf_counter() - start
 
     if result.status == 0:
-        values = {v.name: float(x) for v, x in zip(model.variables, result.x)}
+        values = dict(zip(model.var_names, result.x.tolist()))
         return Solution(status="optimal", objective=float(result.fun),
                         values=values, solve_time=elapsed)
     if result.status == 2:
@@ -127,45 +123,51 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _terms_text(model: LpModel, terms) -> str:
-    if not terms:
-        # degenerate all-zero row; keep it explicit so readers see the rhs
-        return f"0 {model.variables[0].name}"
-    parts = []
-    for idx, coef in terms:
-        sign = "+" if coef >= 0 else "-"
-        parts.append(f"{sign} {_fmt(abs(coef))} {model.variables[idx].name}")
-    return " ".join(parts)
-
-
 def write_lp_file(model: LpModel, path: Path | str):
     """Write the model in CPLEX LP text format, byte-identical across runs
     for identical models."""
     path = Path(path)
     if model.num_vars == 0:
         raise ValueError("cannot write a model with no variables")
+    names = model.var_names
+
+    def terms_text(cols: np.ndarray, vals: np.ndarray) -> list[str]:
+        # one "+ coef name" string per term, each distinct magnitude
+        # formatted once
+        magnitudes, which = np.unique(np.abs(vals), return_inverse=True)
+        text = [_fmt(x) for x in magnitudes.tolist()]
+        signs = np.where(vals >= 0, "+", "-").tolist()
+        return [f"{sign} {text[i]} {names[j]}"
+                for sign, i, j in zip(signs, which.tolist(), cols.tolist())]
+
+    def row_text(terms: list[str]) -> str:
+        # a degenerate all-zero row stays explicit so readers see the rhs
+        return " ".join(terms) if terms else f"0 {names[0]}"
+
     out = [f"\\ {model.name}", "Minimize"]
-    obj_terms = sorted(model.objective.items())
-    out.append(f" obj: {_terms_text(model, obj_terms)}")
+    objective = np.flatnonzero(model.cost)
+    out.append(f" obj: {row_text(terms_text(objective, model.cost[objective]))}")
     out.append("Subject To")
-    sense_text = {"==": "=", "<=": "<=", ">=": ">="}
-    for constr in model.constraints:
-        out.append(f" {constr.name}: {_terms_text(model, constr.terms)} "
-                   f"{sense_text[constr.sense]} {_fmt(constr.rhs)}")
+    terms = terms_text(model.col, model.val)
+    starts = np.searchsorted(model.row, np.arange(model.num_constraints + 1)).tolist()
+    sense_text = ("=", "<=", ">=")  # in SENSES order
+    for i, (name, sense, rhs) in enumerate(zip(model.row_names(), model.sense.tolist(),
+                                                model.rhs.tolist())):
+        out.append(f" {name}: {row_text(terms[starts[i]:starts[i + 1]])} "
+                   f"{sense_text[sense]} {_fmt(rhs)}")
     out.append("Bounds")
-    for var in model.variables:
-        lb, ub = var.lb, var.ub
-        if lb == 0.0 and ub == math.inf:
-            continue
-        if lb == ub:
-            out.append(f" {var.name} = {_fmt(lb)}")
-        elif lb == -math.inf and ub == math.inf:
-            out.append(f" {var.name} free")
-        elif ub == math.inf:
-            out.append(f" {var.name} >= {_fmt(lb)}")
-        elif lb == -math.inf:
-            out.append(f" -inf <= {var.name} <= {_fmt(ub)}")
+    lb, ub = model.lb, model.ub
+    for i in np.flatnonzero((lb != 0.0) | (ub != math.inf)).tolist():
+        name, lo, hi = names[i], float(lb[i]), float(ub[i])
+        if lo == hi:
+            out.append(f" {name} = {_fmt(lo)}")
+        elif lo == -math.inf and hi == math.inf:
+            out.append(f" {name} free")
+        elif hi == math.inf:
+            out.append(f" {name} >= {_fmt(lo)}")
+        elif lo == -math.inf:
+            out.append(f" -inf <= {name} <= {_fmt(hi)}")
         else:
-            out.append(f" {_fmt(lb)} <= {var.name} <= {_fmt(ub)}")
+            out.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
     out.append("End")
     path.write_text("\n".join(out) + "\n", encoding="utf-8")

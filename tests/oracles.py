@@ -89,10 +89,13 @@ def nnls_fit(rep_matrix: np.ndarray, target: np.ndarray, weight_type: str) -> np
     the Lawson-Hanson active-set solver ``scipy.optimize.nnls``.
 
     Conic weights are a plain NNLS problem.  Convex weights solve NNLS on
-    the system augmented with a heavily weighted row of ones, which enforces
-    sum(w) = 1 up to a residual far below test tolerances; the row is then
-    renormalized.  Sub-unit weights are the conic optimum when it sums to at
-    most one (the sum constraint is inactive), else the convex optimum (the
+    the shifted system [R - c 1^T; lam 1^T] u ~ [0; lam] and take
+    w = u / 1^T u: the minimizer is u = t w with w the simplex optimum and
+    t = lam^2 / (lam^2 + d^2) > 0 at distance d, so the sum is exact however
+    far c lies from the hull; lam = max(1, max|R - c 1^T|) keeps both blocks
+    on one scale.  The simplex optimality conditions are asserted on the
+    result.  Sub-unit weights are the conic optimum when it sums to at most
+    one (the sum constraint is inactive), else the convex optimum (the
     objective is convex, so the constraint is then active).
     """
     R = np.asarray(rep_matrix, dtype=float)
@@ -100,10 +103,18 @@ def nnls_fit(rep_matrix: np.ndarray, target: np.ndarray, weight_type: str) -> np
     w, _ = nnls(R, c)
     if weight_type == "conic" or (weight_type == "subunit_conic" and w.sum() <= 1.0):
         return w
-    rho = 1e4 * max(1.0, float(np.abs(R).max()))
-    augmented = np.vstack([R, np.full((1, R.shape[1]), rho)])
-    w, _ = nnls(augmented, np.append(c, rho))
-    return w / w.sum()
+    shifted = R - c[:, None]
+    lam = max(1.0, float(np.abs(shifted).max()))
+    u, _ = nnls(np.vstack([shifted, np.full((1, R.shape[1]), lam)]),
+                np.append(np.zeros(len(c)), lam))
+    w = u / u.sum()
+    # KKT on the simplex: feasible, and the gradient is minimal and equal on
+    # the support
+    grad = R.T @ (R @ w - c)
+    gap = float(np.max((grad - grad.min())[w > 0], initial=0.0))
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12, w
+    assert gap <= 1e-9 * max(1.0, float(np.abs(grad).max())), gap
+    return w
 
 
 def nearest_column_bruteforce(rep_matrix: np.ndarray, target: np.ndarray) -> int:

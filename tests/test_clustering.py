@@ -172,6 +172,13 @@ class TestHullDistance:
             np.testing.assert_allclose(w, nnls_fit(R, c, "convex"), rtol=0, atol=1e-5)
             np.testing.assert_allclose(w, w_true, rtol=0, atol=1e-9)
 
+    def test_nnls_oracle_far_from_hull(self):
+        # the oracle's convex weights stay exact at distance 1e4 from the hull
+        for seed in range(10):
+            R, w_true, normal = self.face_point_and_normal(seed)
+            np.testing.assert_allclose(nnls_fit(R, R @ w_true + 1e4 * normal, "convex"),
+                                       w_true, rtol=0, atol=1e-7)
+
 
 class TestGreedyHull:
     def test_first_rep_farthest_from_mean(self):

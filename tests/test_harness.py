@@ -12,14 +12,15 @@ from click.testing import CliRunner
 import repblend.harness as harness
 from repblend.cli import main
 from repblend.data import build_clustering_matrix, load_system
+from repblend.model import build_full_model
 from repblend.harness import (
     ExperimentConfig,
     ExperimentRecord,
     cluster_matrix,
     compute_regret,
-    dataset_fingerprint,
     emit_plot_data,
     load_records,
+    model_key,
     pareto_front,
     run_experiment,
     write_results_csv,
@@ -164,14 +165,18 @@ class TestRunExperiment:
             # re-solved and overwritten
             assert json.loads(cached.read_text())["objective"] == pytest.approx(23.0)
 
-    def test_fingerprint_tracks_content(self, mini_gep_copy):
+    def test_model_key_tracks_content(self, mini_gep_copy):
         handle = SolverHandle()
-        before = dataset_fingerprint(mini_gep_copy, "gep", handle)
-        assert before == dataset_fingerprint(mini_gep_copy, "gep", handle)
-        assert before != dataset_fingerprint(mini_gep_copy, "p2x", handle)
+        system = load_system(mini_gep_copy)
+        before = model_key(build_full_model(system, "gep"), handle)
+        assert before == model_key(build_full_model(system, "gep"), handle)
+        assert before != model_key(build_full_model(system, "p2x"), handle)
         (mini_gep_copy / "demand.csv").write_text(
             "node,carrier,period,hour,value\nn1,el,1,1,0.9\nn1,el,1,2,0.5\n")
-        assert before != dataset_fingerprint(mini_gep_copy, "gep", handle)
+        assert before != model_key(build_full_model(load_system(mini_gep_copy), "gep"), handle)
+        edited = build_full_model(system, "gep")
+        edited.val[-1] *= 2.0
+        assert before != model_key(edited, handle)
 
     def test_p2x_pipeline(self, synthetic_p2x_path, tmp_path):
         config = ExperimentConfig(synthetic_p2x_path, "hull", "convex", 3,

@@ -6,6 +6,7 @@ import pytest
 from repblend.clustering import greedy_hull, kmedoids
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import (
+    SENSES,
     LpModel,
     Solution,
     build_full_model,
@@ -15,6 +16,22 @@ from repblend.model import (
 )
 from repblend.solve import solve
 from repblend.weights import WeightMatrix, fit_weights
+
+
+def model_rows(model):
+    """Every row in order as (name, terms, sense, rhs), terms being the
+    (variable index, coefficient) pairs in their stored order."""
+    starts = np.searchsorted(model.row, np.arange(model.num_constraints + 1)).tolist()
+    cols, vals = model.col.tolist(), model.val.tolist()
+    return [(name, list(zip(cols[a:b], vals[a:b])), SENSES[sense], rhs)
+            for name, a, b, sense, rhs in zip(model.row_names(), starts[:-1], starts[1:],
+                                              model.sense.tolist(), model.rhs.tolist())]
+
+
+def row_coefficients(model):
+    """Row name -> {variable name: coefficient}."""
+    names = model.var_names
+    return {name: {names[i]: v for i, v in terms} for name, terms, _, _ in model_rows(model)}
 
 
 class TestLpModel:
@@ -28,29 +45,20 @@ class TestLpModel:
         m = LpModel()
         x = m.add_var("x")
         m.add_constr("row", [(x, 1.0), (x, 2.0)], "<=", 4.0)
-        assert m.constraints[0].terms == [(x, 3.0)]
+        assert model_rows(m)[0][1] == [(x, 3.0)]
 
     def test_unknown_index_rejected(self):
         m = LpModel()
         with pytest.raises(ValueError, match="unknown variable"):
             m.add_constr("row", [(3, 1.0)], "==", 0.0)
 
-    def test_copy_is_independent(self):
-        m = LpModel()
-        x = m.add_var("x", ub=5.0)
-        m.add_constr("row", [(x, 1.0)], "<=", 4.0)
-        clone = m.copy()
-        clone.variables[0].ub = 9.0
-        clone.constraints[0].terms[0] = (x, 7.0)
-        assert m.variables[0].ub == 5.0
-        assert m.constraints[0].terms == [(x, 1.0)]
 
 
 class TestBuildModel:
     def test_mini_gep_balance_count(self, mini_gep_path):
         system = load_system(mini_gep_path)
         model = build_full_model(system)
-        balance = [c for c in model.constraints if c.name.startswith("balance_")]
+        balance = [n for n in model.row_names() if n.startswith("balance_")]
         assert len(balance) == 2  # |N| * |X| * |R| * |H| = 1*1*1*2
 
     def test_identity_reduction_is_the_full_model(self, synthetic_gep_path):
@@ -61,8 +69,8 @@ class TestBuildModel:
         full = build_full_model(system)
         rep = rep_profiles_from_periods(system, np.arange(D))
         reduced = build_model(system, rep, identity_weights(D))
-        assert [v.name for v in full.variables] == [v.name for v in reduced.variables]
-        assert len(full.constraints) == len(reduced.constraints)
+        assert full.var_names == reduced.var_names
+        assert full.num_constraints == reduced.num_constraints
         obj_full = solve(full).objective
         obj_reduced = solve(reduced).objective
         assert obj_reduced == pytest.approx(obj_full, rel=1e-9)
@@ -84,7 +92,7 @@ class TestBuildModel:
     def test_p2x_has_no_investment_variables(self, synthetic_p2x_path):
         system = load_system(synthetic_p2x_path)
         model = build_full_model(system)
-        assert not any(v.name.startswith("inv_") for v in model.variables)
+        assert not any(n.startswith("inv_") for n in model.var_names)
         assert model.metadata["mode"] == "p2x"
 
     def test_p2x_conversion_carries_the_hydrogen_load(self, synthetic_p2x_path):
@@ -107,16 +115,15 @@ class TestBuildModel:
     def test_gep_mode_emits_investment_variables(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
         model = build_full_model(system)
-        inv_names = [v.name for v in model.variables if v.name.startswith("inv_")]
+        inv_names = [n for n in model.var_names if n.startswith("inv_")]
         assert inv_names == ["inv_gas_n1", "inv_solar_n2", "inv_wind_n1"]
 
     def test_deterministic_emission(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
         a = build_full_model(system)
         b = build_full_model(system)
-        assert [v.name for v in a.variables] == [v.name for v in b.variables]
-        assert [(c.name, c.terms, c.sense, c.rhs) for c in a.constraints] == \
-               [(c.name, c.terms, c.sense, c.rhs) for c in b.constraints]
+        assert a.var_names == b.var_names
+        assert model_rows(a) == model_rows(b)
 
     def test_dimension_mismatch_rejected(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
@@ -140,22 +147,22 @@ class TestBuildModel:
 
         rep = rep_profiles_from_periods(system, [0])
         model = build_model(system, rep, weights)
-        cop_row = next(c for c in model.constraints if c.name == "def_cop")
-        coefs = {model.variables[idx].name: coef for idx, coef in cop_row.terms}
+        coefs = row_coefficients(model)["def_cop"]
         assert coefs["pout_g1_r1_h1"] == pytest.approx(-0.25)
 
     def test_seasonal_storage_rows(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
         model = build_full_model(system)
         D = system.horizon.num_periods
-        inter = [c for c in model.constraints if c.name.startswith("inter_reservoir_n3")]
+        row_names = model.row_names()
+        inter = [n for n in row_names if n.startswith("inter_reservoir_n3")]
         assert len(inter) == D
         for name in ("cyc0_reservoir_n3", "cycend_reservoir_n3", "tether_reservoir_n3"):
-            assert any(c.name == name for c in model.constraints)
+            assert any(n == name for n in row_names)
         assert model.has_var("spill_reservoir_n3_r1_h1")
         assert model.has_var("borrow_reservoir_n3_r1_h1")
         # battery cycles within the period instead
-        assert any(c.name == "intracyc_battery_n2_r1" for c in model.constraints)
+        assert any(n == "intracyc_battery_n2_r1" for n in row_names)
         assert not model.has_var("sinter_battery_n2_d1")
 
     def test_interperiod_ramp_merges_single_hour(self):
@@ -166,10 +173,11 @@ class TestBuildModel:
         root = make_synthetic_gep(Path(tempfile.mkdtemp()) / "one-hour", hours=1)
         system = load_system(root)
         model = build_full_model(system)
-        rows = [c for c in model.constraints if c.name.startswith("irampup_gas_n1")]
+        rows = [terms for name, terms, _, _ in model_rows(model)
+                if name.startswith("irampup_gas_n1")]
         assert rows
-        for row in rows:
-            indices = [idx for idx, _ in row.terms]
+        for terms in rows:
+            indices = [idx for idx, _ in terms]
             assert len(indices) == len(set(indices))
 
 
@@ -192,13 +200,12 @@ class TestTimestepScaling:
         model = build_model(system, rep_profiles_from_periods(system, np.arange(2)),
                             identity_weights(2))
         w_op = hours_per_year / 4
-        rows = {c.name: {model.variables[i].name: v for i, v in c.terms}
-                for c in model.constraints}
+        rows = row_coefficients(model)
         intra = rows["intra_r_r1_h1"]
         assert intra["pin_r_r1_h1"] == pytest.approx(-0.8 * tau)
         assert intra["pout_r_r1_h1"] == pytest.approx(tau / 0.9)
         assert intra["spill_r_r1_h1"] == 1.0 and intra["borrow_r_r1_h1"] == -1.0
-        inflow_rhs = next(c.rhs for c in model.constraints if c.name == "intra_r_r1_h1")
+        inflow_rhs = next(rhs for name, _, _, rhs in model_rows(model) if name == "intra_r_r1_h1")
         assert inflow_rhs == pytest.approx(0.25 * 2.0)
         cop = rows["def_cop"]
         assert cop["pout_g_r1_h1"] == pytest.approx(-w_op * 1.0 * 7.0)
@@ -314,8 +321,34 @@ class TestFixDecisions:
         solution = solve(full)
         fixed = fix_decisions(full, solution, "p2x")
         assert fixed.metadata["fixed_variables"] == \
-            len([v for v in full.variables if v.name.startswith("sinter_")])
+            len([n for n in full.var_names if n.startswith("sinter_")])
         assert solve(fixed).objective == pytest.approx(solution.objective, rel=1e-8)
+
+    def test_fixing_leaves_the_full_model_untouched(self, synthetic_p2x_path):
+        system = load_system(synthetic_p2x_path)
+        full = build_full_model(system)
+        lb, ub = full.lb.copy(), full.ub.copy()
+        solution = solve(full)
+        pinned = [i for i, n in enumerate(full.var_names) if n.startswith("sinter_")]
+        first = fix_decisions(full, solution, "p2x")
+        at_zero = Solution(status="optimal", objective=0.0,
+                           values={full.var_names[i]: 0.0 for i in pinned})
+        second = fix_decisions(full, at_zero, "p2x")
+        np.testing.assert_array_equal(full.lb, lb)
+        np.testing.assert_array_equal(full.ub, ub)
+        levels = np.clip([solution.values[full.var_names[i]] for i in pinned],
+                         lb[pinned], ub[pinned])
+        np.testing.assert_array_equal(first.lb[pinned], levels)
+        np.testing.assert_array_equal(first.ub[pinned], levels)
+        np.testing.assert_array_equal(second.lb[pinned], np.clip(0.0, lb[pinned], ub[pinned]))
+        # the two fixes are independent of each other and of the full model
+        first.lb[:] = -1.0
+        first.ub[:] = -1.0
+        np.testing.assert_array_equal(second.ub[pinned], second.lb[pinned])
+        np.testing.assert_array_equal(full.lb, lb)
+        np.testing.assert_array_equal(full.ub, ub)
+        # rows are shared, not copied
+        assert first.val is full.val and second.row is full.row
 
     def test_zero_investment_is_infeasible_when_demand_exceeds_existing(self, mini_gep_path):
         system = load_system(mini_gep_path)

@@ -1,20 +1,23 @@
 """Unit tests for the solver adapter and the LP file writer, including a
 round-trip through an independent parser of the emitted format."""
 
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
 
-from repblend.data import load_system
-from repblend.model import LpModel, build_full_model
+from repblend.clustering import greedy_hull
+from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
+from repblend.model import LpModel, build_full_model, build_model, fix_decisions
 from repblend.solve import (
     SolverHandle,
     SolverUnavailableError,
     solve,
     write_lp_file,
 )
+from repblend.weights import fit_weights
 
 
 def parse_lp_file(text: str) -> LpModel:
@@ -50,7 +53,7 @@ def parse_lp_file(text: str) -> LpModel:
             if not expr.startswith(("+", "-")):
                 expr = "+ " + expr
             for idx, coef in parse_terms(expr):
-                model.objective[idx] = model.objective.get(idx, 0.0) + coef
+                model.cost[idx] += coef
         elif section == "Subject To":
             name, rest = line.split(":", 1)
             match = re.match(r"(.*?)(<=|>=|=)\s*(\S+)\s*$", rest.strip())
@@ -62,21 +65,21 @@ def parse_lp_file(text: str) -> LpModel:
         elif section == "Bounds":
             if line.endswith(" free"):
                 idx = ensure_var(line[:-5].strip())
-                model.variables[idx].lb = -math.inf
+                model.lb[idx] = -math.inf
             elif "<=" in line:
                 parts = [p.strip() for p in line.split("<=")]
                 lo, name, hi = parts
                 idx = ensure_var(name)
-                model.variables[idx].lb = -math.inf if lo == "-inf" else float(lo)
-                model.variables[idx].ub = float(hi)
+                model.lb[idx] = -math.inf if lo == "-inf" else float(lo)
+                model.ub[idx] = float(hi)
             elif ">=" in line:
                 name, lo = [p.strip() for p in line.split(">=")]
                 idx = ensure_var(name)
-                model.variables[idx].lb = float(lo)
+                model.lb[idx] = float(lo)
             elif "=" in line:
                 name, value = [p.strip() for p in line.split("=")]
                 idx = ensure_var(name)
-                model.variables[idx].lb = model.variables[idx].ub = float(value)
+                model.lb[idx] = model.ub[idx] = float(value)
     return model
 
 
@@ -97,7 +100,7 @@ class TestSolve:
     def test_unbounded(self):
         m = LpModel()
         x = m.add_var("x", lb=-math.inf)
-        m.objective = {x: 1.0}
+        m.cost[x] = 1.0
         assert solve(m).status == "unbounded"
 
     def test_empty_model(self):
@@ -106,6 +109,14 @@ class TestSolve:
         assert solution.status == "optimal"
         assert solution.objective == 0.0
         assert solution.values == {}
+
+    def test_constant_rows_without_variables(self):
+        for sense, rhs, status in (("==", 5.0, "infeasible"), ("==", 0.0, "optimal"),
+                                   ("<=", -1.0, "infeasible"), ("<=", 1.0, "optimal"),
+                                   (">=", 1.0, "infeasible"), (">=", -1.0, "optimal")):
+            m = LpModel()
+            m.add_constr("r", [], sense, rhs)
+            assert solve(m).status == status, (sense, rhs)
 
     def test_no_objective_with_constraints(self):
         m = LpModel()
@@ -132,6 +143,39 @@ class TestSolve:
 
 
 class TestWriteLpFile:
+    # sha256 of write_lp_file output for models whose bytes must not change
+    # under refactoring.  The reduced hull+conic model depends on the fitted
+    # weights and the self-fixed p2x model on the full solution values, so
+    # those two also pin the numerics of the fit (numpy) and of HiGHS.
+    PINNED = {
+        "mini-gep full": "44e2f9e2e27f4fa85e10ed21194805a720e836bfd823144f5a523d9f9a1fdd8f",
+        "gep full": "30e5e288bc08610acd19df8c3217911ef2b9d9319d79a26e7d0b63766f6c6c61",
+        "gep hull+conic k=3": "9d85971973fc70e8396f2572a8ab5e8e3c8cdc46f57ae18895b18c459e1905be",
+        "p2x full": "e8bd55d9d6cc29df3b147e6d695acf464cbabf93044aeaaa1f56d80c29528012",
+        "p2x self-fixed": "db0a9e4debb1bccefa33de05f0bde1c603b27524f0faea5b9a7bf1e02698d3a2",
+    }
+
+    def test_pinned_lp_bytes(self, mini_gep_path, synthetic_gep_path, synthetic_p2x_path,
+                             tmp_path):
+        gep = load_system(synthetic_gep_path)
+        cm = build_clustering_matrix(gep)
+        selection = greedy_hull(cm.values, 3, "conic")
+        weights = fit_weights(selection.rep_matrix, cm.values, "conic")
+        p2x_full = build_full_model(load_system(synthetic_p2x_path))
+        models = {
+            "mini-gep full": build_full_model(load_system(mini_gep_path)),
+            "gep full": build_full_model(gep),
+            "gep hull+conic k=3": build_model(
+                gep, extract_rep_profiles(gep, selection, cm), weights),
+            "p2x full": p2x_full,
+            "p2x self-fixed": fix_decisions(p2x_full, solve(p2x_full), "p2x"),
+        }
+        digests = {}
+        for label, model in models.items():
+            write_lp_file(model, tmp_path / "m.lp")
+            digests[label] = hashlib.sha256((tmp_path / "m.lp").read_bytes()).hexdigest()
+        assert digests == self.PINNED
+
     def test_byte_identical_runs(self, mini_gep_path, tmp_path):
         system = load_system(mini_gep_path)
         model = build_full_model(system)
@@ -144,7 +188,7 @@ class TestWriteLpFile:
         model = build_full_model(system)
         write_lp_file(model, tmp_path / "m.lp")
         text = (tmp_path / "m.lp").read_text()
-        inv_vars = {v.name for v in model.variables if v.name.startswith("inv_")}
+        inv_vars = {n for n in model.var_names if n.startswith("inv_")}
         assert inv_vars == {"inv_g1"}
         assert "inv_g1" in text
         assert "pout_g1_r1_h2" in text
@@ -186,6 +230,5 @@ class TestWriteLpFile:
         assert "\n a" not in text.split("Bounds")[1]
         parsed = parse_lp_file(text)
         for name in "abcdef":
-            original = m.variables[m.var_index(name)]
-            back = parsed.variables[parsed.var_index(name)]
-            assert (original.lb, original.ub) == (back.lb, back.ub)
+            original, back = m.var_index(name), parsed.var_index(name)
+            assert (m.lb[original], m.ub[original]) == (parsed.lb[back], parsed.ub[back])

@@ -47,8 +47,6 @@ from .solve import (
     SolverError,
     SolverHandle,
     SolverNumericalError,
-    SolverUnavailableError,
-    SolveTimeLimitError,
     solve,
     write_lp_file,
 )
@@ -57,8 +55,6 @@ from .weights import (
     WeightMatrix,
     canonical_weight_type,
     fit_weights,
-    least_squares_init,
-    lipschitz_constant,
     pgd,
     project_simplex,
     project_weights,

@@ -11,8 +11,9 @@ Three families of methods:
   every column onto the hyperplane <x, q> = 1 (gnomonic projection), and
   convex-with-null coverage by adding a zero column.  Each greedy step
   takes the exact distance of every remaining column to the convex hull of
-  the selection, one active-set NNLS per column (Lawson & Hanson 1974), and
-  adds the true farthest column.
+  the selection, from the active-set NNLS kernel that also fits the convex
+  weights (``weights.nnls_weights``, Lawson & Hanson 1974), and adds the
+  true farthest column.
 
 All methods are deterministic functions of the matrix, the parameters and
 the seed; argmax/argmin ties always resolve to the lowest index.
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
+
+from .weights import nnls_weights
 
 HULL_TYPES = ("convex", "convex_null", "conic")
 
@@ -229,36 +231,11 @@ def gnomonic_project(matrix: np.ndarray, tol: float = DEGENERATE_TOL) -> Gnomoni
 def _hull_distances(points: np.ndarray, rep_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact Euclidean distance from every column of ``points`` to the convex
     hull of the columns of ``rep_matrix``, with the optimal convex weights
-    (one row per point).
-
-    For a point x, with A = R - x 1^T, one active-set NNLS (Lawson-Hanson)
-    solves min_{u >= 0} ||A u||^2 + lam^2 (1^T u - 1)^2.  Its minimizer is
-    u = t w with w the nearest-point simplex weights and
-    t = lam^2 / (lam^2 + d^2) > 0 for any lam > 0, so w = u / 1^T u exactly;
-    lam = max(1, max|A|) keeps both blocks on the same scale.  A point
-    identical to a representative column short-circuits to distance zero.
-    """
+    (one row per point) from ``weights.nnls_weights``."""
     R = np.asarray(rep_matrix, dtype=float)
-    if R.ndim != 2 or R.shape[1] == 0:
-        raise ValueError("rep_matrix must have at least one column")
     X = np.asarray(points, dtype=float)
-    same = np.all(X[:, :, None] == R[:, None, :], axis=0)  # (n_points, n_reps)
-    hit = same.any(axis=1)
-    W = np.zeros((X.shape[1], R.shape[1]))
-    W[hit, np.argmax(same[hit], axis=1)] = 1.0
-    augmented = np.empty((R.shape[0] + 1, R.shape[1]))
-    target = np.zeros(R.shape[0] + 1)
-    for d in np.flatnonzero(~hit):
-        A = R - X[:, d, None]
-        lam = max(1.0, float(np.abs(A).max()))
-        augmented[:-1] = A
-        augmented[-1] = lam
-        target[-1] = lam
-        u, _ = nnls(augmented, target)
-        W[d] = u / u.sum()
-    dist = np.linalg.norm(R @ W.T - X, axis=0)
-    dist[hit] = 0.0
-    return dist, W
+    W = nnls_weights(R, X, "convex")
+    return np.linalg.norm(R @ W.T - X, axis=0), W
 
 
 def hull_distance(c: np.ndarray, rep_matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -302,12 +279,7 @@ def _greedy_select(
     return reps, steps
 
 
-def greedy_hull(
-    matrix: np.ndarray,
-    n_rp: int,
-    hull_type: str = "convex",
-    initial_reps: tuple[int, ...] = (),
-) -> RepSelection:
+def greedy_hull(matrix: np.ndarray, n_rp: int, hull_type: str = "convex") -> RepSelection:
     """Greedy hull clustering in one of three variants.
 
     - ``convex``: run the greedy loop on the matrix directly;
@@ -317,25 +289,24 @@ def greedy_hull(
     - ``conic``: select on the gnomonically scaled matrix and return the
       unscaled columns; degenerate columns are excluded from selection.
 
-    Without ``initial_reps``, selection starts from the column farthest from
-    the column mean.
+    Selection starts from the column farthest from the column mean (after
+    the forced zero column for ``convex_null``).
     """
     if hull_type not in HULL_TYPES:
         raise ValueError(f"unknown hull type {hull_type!r}; expected one of {HULL_TYPES}")
     C = np.asarray(matrix, dtype=float)
     n_periods = C.shape[1]
     _check_k(n_rp, n_periods)
-    initial = [int(i) for i in initial_reps]
 
     if hull_type == "convex":
         candidates = np.ones(n_periods, dtype=bool)
-        reps, steps = _greedy_select(C, n_rp, initial, candidates)
+        reps, steps = _greedy_select(C, n_rp, [], candidates)
         chosen = reps
     elif hull_type == "convex_null":
         augmented = np.hstack([C, np.zeros((C.shape[0], 1))])
         null_idx = n_periods
         candidates = np.ones(n_periods + 1, dtype=bool)
-        reps, steps = _greedy_select(augmented, n_rp + 1, [null_idx] + initial, candidates)
+        reps, steps = _greedy_select(augmented, n_rp + 1, [null_idx], candidates)
         chosen = [r for r in reps if r != null_idx]
     else:  # conic
         proj = gnomonic_project(C)
@@ -345,7 +316,7 @@ def greedy_hull(
             raise ValueError(
                 f"only {int(candidates.sum())} non-degenerate columns available for {n_rp} representatives"
             )
-        reps, steps = _greedy_select(proj.scaled, n_rp, initial, candidates)
+        reps, steps = _greedy_select(proj.scaled, n_rp, [], candidates)
         chosen = reps
 
     return RepSelection(

@@ -404,7 +404,9 @@ def _fill_hourly(path: Path, key_columns: tuple[str, ...], target: dict, D: int,
         if row["value"].strip() == "":
             raise DataError("empty value", fname, ln)
         value = _parse_float(row["value"], math.nan, fname, ln, "value")
-        series = target.setdefault(key, np.full((D, H), np.nan))
+        series = target.get(key)
+        if series is None:
+            series = target[key] = np.full((D, H), np.nan)
         if not math.isnan(series[period - 1, hour - 1]):
             raise DataError(f"duplicate cell (period {period}, hour {hour})", fname, ln)
         series[period - 1, hour - 1] = value

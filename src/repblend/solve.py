@@ -1,5 +1,6 @@
-"""LP solving through an in-process backend, plus deterministic LP-file
-export as the portability escape hatch for external solvers."""
+"""LP solving with HiGHS through ``scipy.optimize.linprog``, plus
+deterministic LP-file export as the portability escape hatch for external
+solvers."""
 
 from __future__ import annotations
 
@@ -21,25 +22,15 @@ class SolverError(Exception):
     """Base class for solver failures (distinct from model infeasibility)."""
 
 
-class SolverUnavailableError(SolverError):
-    pass
-
-
-class SolveTimeLimitError(SolverError):
-    pass
-
-
 class SolverNumericalError(SolverError):
     pass
 
 
 @dataclass(frozen=True)
 class SolverHandle:
-    """Backend selection and settings; one handle serves one solve at a time."""
+    """Solver settings: the primal and dual feasibility tolerance."""
 
-    backend: str = "scipy-highs"
     tolerance: float = 1e-8
-    time_limit: float | None = None
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -50,15 +41,13 @@ def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
     """Solve the model, returning objective and all variable values when
     optimal.
 
-    Statuses 'infeasible' and 'unbounded' are regular outcomes; backend
-    problems (unknown backend, time limit, numerical breakdown) raise a
-    SolverError subclass.  A model without variables is optimal with
+    Statuses 'infeasible' and 'unbounded' are regular outcomes; a solver
+    breakdown (iteration limit, numerical failure) raises
+    SolverNumericalError.  A model without variables is optimal with
     objective 0 unless one of its (constant) rows is violated by more than
     the tolerance, which makes it infeasible.
     """
     handle = handle or SolverHandle()
-    if handle.backend != "scipy-highs":
-        raise SolverUnavailableError(f"unknown backend {handle.backend!r}")
     sense, rhs = model.sense, model.rhs
     if model.num_vars == 0:
         # every row reads 0 (sense) rhs
@@ -91,8 +80,6 @@ def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
         "primal_feasibility_tolerance": handle.tolerance,
         "dual_feasibility_tolerance": handle.tolerance,
     }
-    if handle.time_limit is not None:
-        options["time_limit"] = handle.time_limit
 
     result = linprog(model.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                      bounds=np.column_stack([model.lb, model.ub]), method="highs",
@@ -108,9 +95,6 @@ def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
     if result.status == 3:
         return Solution(status="unbounded", solve_time=elapsed)
     if result.status == 1:
-        if handle.time_limit is not None:
-            raise SolveTimeLimitError(
-                f"time limit of {handle.time_limit}s reached: {result.message}")
         raise SolverNumericalError(f"iteration limit reached: {result.message}")
     raise SolverNumericalError(f"solver failed: {result.message}")
 

@@ -1,6 +1,7 @@
-"""Blending-weight fitting: exact row-wise projections onto the four weight
-spaces and one batched projected gradient descent that solves the
-least-squares problem of every period at once.
+"""Blending-weight fitting: exact least-squares weights over the four
+weight spaces, one active-set NNLS kernel shared with the greedy hull, plus
+the row-wise projections and projected gradient descent of the paper's
+reference algorithm.
 
 A weight row expresses one base period as a combination of representative
 periods.  Four row spaces are supported, nested from most to least
@@ -13,6 +14,11 @@ restrictive:
 
 Sub-unit rows are the largest class that keeps every upper-bound inequality
 satisfied by the representatives valid for the reconstructed base periods.
+
+``fit_weights`` solves each blended row exactly with ``nnls_weights``;
+``clustering.greedy_hull`` measures hull distances with the same kernel.
+``pgd`` and the projections stay as the reference algorithm and are not on
+the fitting path.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
 
@@ -36,46 +43,32 @@ def canonical_weight_type(tag: str) -> str:
 
 @dataclass(frozen=True)
 class PgdParams:
-    """Projected-gradient-descent settings.
-
-    ``learning_rate`` may be a positive float or ``"auto"``, in which case the
-    caller resolves it to ``1 / L`` where ``L`` is the largest eigenvalue of
-    the Gram matrix of the representative columns (guarantees monotone
-    descent of the least-squares objective).
-    """
+    """Projected-gradient-descent settings: the iteration cap and the stall
+    tolerance (the step size is an argument of ``pgd``)."""
 
     max_iter: int = 2000
     tolerance: float = 1e-8
-    learning_rate: float | str = "auto"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.learning_rate != "auto" and not float(self.learning_rate) > 0:
-            raise ValueError("learning_rate must be > 0 or 'auto'")
 
 
 @dataclass
 class WeightMatrix:
     """Fitted blending weights, one row per base period.
 
+    Blended rows (convex, sub-unit, conic) are the exact least-squares
+    optimum of their space; dirac rows are a hard assignment.
     ``projection_errors[d]`` is the Euclidean residual between base-period
     column d and its weighted reconstruction from the representatives.
-    ``iterations[d]`` is the number of PGD steps row d took (0 for rows
-    taken from a hard assignment); a row that reports ``params.max_iter``
-    stopped at the cap rather than at the stall rule.
     """
 
     values: np.ndarray  # (n_periods, n_rp)
     weight_type: str
     projection_errors: np.ndarray  # (n_periods,)
-    iterations: np.ndarray | None = None  # (n_periods,) PGD steps per row
-
-    def __post_init__(self):
-        if self.iterations is None:
-            self.iterations = np.zeros(self.values.shape[0], dtype=int)
 
     @property
     def n_periods(self) -> int:
@@ -151,85 +144,72 @@ def project_weights(v: np.ndarray, weight_type: str) -> np.ndarray:
     return _PROJECTORS[canonical_weight_type(weight_type)](v)
 
 
-def least_squares_init(rep_matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Unconstrained least-squares weights (minimum-norm on rank deficiency).
+def pgd(x0, objective_grad, projector, params: PgdParams, alpha: float) -> np.ndarray:
+    """Projected gradient descent from ``x0`` with step size ``alpha``.
 
-    Equals the pseudoinverse solution of ``rep_matrix @ w = target``; used as
-    the starting guess before projecting and descending.
+    Projects the start, then repeats gradient step + projection for at most
+    ``params.max_iter`` iterations, stopping once the iterate moves by no
+    more than ``tolerance / max_iter`` in the infinity norm.  This is the
+    paper's reference algorithm; ``fit_weights`` solves the same problems
+    exactly with ``nnls_weights``.
     """
-    R = np.asarray(rep_matrix, dtype=float)
-    if R.ndim != 2 or R.shape[1] == 0:
-        raise ValueError("rep_matrix must be a nonempty 2-d array")
-    sol, *_ = np.linalg.lstsq(R, np.asarray(target, dtype=float), rcond=None)
-    return sol
-
-
-def lipschitz_constant(rep_matrix: np.ndarray) -> float:
-    """Largest eigenvalue of R^T R, the Lipschitz constant of the gradient
-    of the least-squares objective.  Zero for an all-zero matrix."""
-    R = np.asarray(rep_matrix, dtype=float)
-    return float(np.linalg.eigvalsh(R.T @ R).max())
-
-
-def resolve_learning_rate(params: PgdParams, rep_matrix: np.ndarray) -> float:
-    """Turn PgdParams.learning_rate into a concrete step size for the
-    least-squares objective built on ``rep_matrix``."""
-    if params.learning_rate != "auto":
-        return float(params.learning_rate)
-    lip = lipschitz_constant(rep_matrix)
-    if lip <= 0.0:
-        return 1.0
-    return 1.0 / lip
-
-
-def pgd(
-    x0,
-    objective_grad,
-    projector,
-    params: PgdParams,
-    alpha: float | None = None,
-    return_iterations: bool = False,
-):
-    """Projected gradient descent on one point or on every row of a batch.
-
-    ``x0`` is a 1-d point or a 2-d array with one point per row; the
-    gradient and the projector act on the whole array (row-wise along the
-    last axis).  Projects the start, then repeats gradient step +
-    projection for at most ``params.max_iter`` iterations.  A row stops once
-    its iterate moves by no more than ``tolerance / max_iter`` in the
-    infinity norm; stopped rows are frozen while the others go on, so each
-    row follows the iterates it would follow on its own.
-
-    ``alpha`` overrides the step size; otherwise ``params.learning_rate``
-    must be numeric (callers resolve "auto" against their matrix).  With
-    ``return_iterations`` the result is ``(x, iterations)``, the number of
-    steps taken per row.
-    """
-    if alpha is None:
-        if params.learning_rate == "auto":
-            raise ValueError("learning_rate 'auto' must be resolved by the caller")
-        alpha = float(params.learning_rate)
     x = projector(np.array(x0, dtype=float))
-    iterations = np.zeros(x.shape[:-1], dtype=int)
-    active = np.ones(x.shape[:-1], dtype=bool)
     stall = params.tolerance / params.max_iter
     for iteration in range(params.max_iter):
-        if not active.any():
-            break
         g = objective_grad(x)
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient at iteration {iteration}")
-        if active.all():  # whole-array step; keeps a 1-d point 1-d for the projector
-            stepped = projector(x - alpha * g)
-            moved = np.abs(stepped - x).max(axis=-1)
-            x = stepped
-        else:
-            stepped = projector(x[active] - alpha * g[active])
-            moved = np.abs(stepped - x[active]).max(axis=-1)
-            x[active] = stepped
-        iterations[active] += 1
-        active[active] = moved > stall
-    return (x, iterations) if return_iterations else x
+        stepped = projector(x - alpha * g)
+        moved = float(np.abs(stepped - x).max())
+        x = stepped
+        if moved <= stall:
+            break
+    return x
+
+
+def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -> np.ndarray:
+    """Exact minimizer of ||R w - x||^2 over the blended weight space
+    ``weight_type`` ("convex", "subunit_conic" or "conic") for every column
+    x of ``points``, one row per point, by active-set NNLS (Lawson & Hanson
+    1974, ``scipy.optimize.nnls``).
+
+    - ``conic``: NNLS on (R, x) directly.
+    - ``convex``: with A = R - x 1^T, NNLS solves
+      min_{u >= 0} ||A u||^2 + lam^2 (1^T u - 1)^2.  Its minimizer is
+      u = t w with w the nearest-point simplex weights and
+      t = lam^2 / (lam^2 + d^2) > 0 at distance d, so w = u / 1^T u
+      exactly; lam = max(1, max|A|) keeps both blocks on the same scale.
+    - ``subunit_conic``: the conic optimum when it sums to at most one (the
+      sum constraint is inactive), else the convex optimum (the objective is
+      convex, so the constraint is then active).
+
+    A point identical to a representative column gets that column's unit
+    row, which is optimal in every space.
+    """
+    R = np.asarray(rep_matrix, dtype=float)
+    if R.ndim != 2 or R.shape[1] == 0:
+        raise ValueError("rep_matrix must have at least one column")
+    X = np.asarray(points, dtype=float)
+    same = np.all(X[:, :, None] == R[:, None, :], axis=0)  # (n_points, n_reps)
+    hit = same.any(axis=1)
+    W = np.zeros((X.shape[1], R.shape[1]))
+    W[hit, np.argmax(same[hit], axis=1)] = 1.0
+    augmented = np.empty((R.shape[0] + 1, R.shape[1]))
+    target = np.zeros(R.shape[0] + 1)
+    for d in np.flatnonzero(~hit):
+        if weight_type != "convex":
+            w, _ = nnls(R, X[:, d])
+            if weight_type == "conic" or w.sum() <= 1.0:
+                W[d] = w
+                continue
+        A = R - X[:, d, None]
+        lam = max(1.0, float(np.abs(A).max()))
+        augmented[:-1] = A
+        augmented[-1] = lam
+        target[-1] = lam
+        u, _ = nnls(augmented, target)
+        W[d] = u / u.sum()
+    return W
 
 
 def _nearest_rep_indices(rep_matrix: np.ndarray, data_matrix: np.ndarray) -> np.ndarray:
@@ -243,24 +223,17 @@ def fit_weights(
     rep_matrix: np.ndarray,
     data_matrix: np.ndarray,
     weight_type: str,
-    params: PgdParams | None = None,
     dirac_assignment: np.ndarray | None = None,
 ) -> WeightMatrix:
     """Fit one weight row per base-period column of ``data_matrix``.
 
-    Each row solves min ||R w - c_d||^2 over the declared weight space; one
-    batched projected gradient descent runs over all rows at once.  The
-    start of each row is the better (smaller residual) of the projected
-    pseudoinverse solution and a hard-assignment row; the latter comes from
-    ``dirac_assignment`` when a clustering provided one, else from the
-    nearest representative.
-
-    For ``weight_type="dirac"`` no descent is run: the rows are the
-    assignment when one is given, else the nearest representative, which is
-    the exact optimum over hard assignments.
+    Each blended row is the exact minimizer of ||R w - c_d||^2 over the
+    declared weight space, from ``nnls_weights``.  For
+    ``weight_type="dirac"`` the rows are ``dirac_assignment`` when one is
+    given, else the nearest representative, which is the exact optimum over
+    hard assignments; blended fits ignore the assignment.
     """
     weight_type = canonical_weight_type(weight_type)
-    params = params or PgdParams()
     R = np.asarray(rep_matrix, dtype=float)
     C = np.asarray(data_matrix, dtype=float)
     if C.ndim == 1:
@@ -269,28 +242,16 @@ def fit_weights(
         raise ValueError(
             f"representative and data matrices disagree on feature count: {R.shape[0]} vs {C.shape[0]}"
         )
-    n_rp = R.shape[1]
     n_periods = C.shape[1]
-    if dirac_assignment is not None:
-        hard = np.asarray(dirac_assignment, dtype=int)
-        if hard.shape != (n_periods,):
-            raise ValueError("dirac_assignment must have one entry per period")
-    else:
-        hard = _nearest_rep_indices(R, C)
-    init_hard = np.zeros((n_periods, n_rp))
-    init_hard[np.arange(n_periods), hard] = 1.0
-    hard_errors = np.linalg.norm(R[:, hard] - C, axis=0)
-
     if weight_type == "dirac":
-        return WeightMatrix(init_hard, weight_type, hard_errors)
-
-    projector = _PROJECTORS[weight_type]
-    alpha = resolve_learning_rate(params, R)
-    gram = R.T @ R
-    rtc = C.T @ R
-    init_ls = projector((np.linalg.pinv(R) @ C).T)
-    use_ls = np.linalg.norm(R @ init_ls.T - C, axis=0) <= hard_errors
-    start = np.where(use_ls[:, None], init_ls, init_hard)
-    W, iterations = pgd(start, lambda w: w @ gram - rtc, projector, params,
-                        alpha=alpha, return_iterations=True)
-    return WeightMatrix(W, weight_type, np.linalg.norm(R @ W.T - C, axis=0), iterations)
+        if dirac_assignment is not None:
+            hard = np.asarray(dirac_assignment, dtype=int)
+            if hard.shape != (n_periods,):
+                raise ValueError("dirac_assignment must have one entry per period")
+        else:
+            hard = _nearest_rep_indices(R, C)
+        W = np.zeros((n_periods, R.shape[1]))
+        W[np.arange(n_periods), hard] = 1.0
+        return WeightMatrix(W, weight_type, np.linalg.norm(R[:, hard] - C, axis=0))
+    W = nnls_weights(R, C, weight_type)
+    return WeightMatrix(W, weight_type, np.linalg.norm(R @ W.T - C, axis=0))

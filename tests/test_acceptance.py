@@ -107,11 +107,10 @@ def test_criterion_03_descent_property():
 
 def test_criterion_04_error_ordering():
     rng = np.random.default_rng(1004)
-    params = PgdParams()
     for _ in range(100):
         R = rng.uniform(0, 1, (8, 3))
         C = rng.uniform(0, 1, (8, 3))
-        errs = {wt: fit_weights(R, C, wt, params).projection_errors
+        errs = {wt: fit_weights(R, C, wt).projection_errors
                 for wt in WEIGHT_TYPES}
         assert np.all(errs["dirac"] >= errs["convex"] - 1e-9)
         assert np.all(errs["convex"] >= errs["subunit_conic"] - 1e-9)

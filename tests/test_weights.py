@@ -1,4 +1,4 @@
-"""Unit tests for projections, projected gradient descent and weight
+"""Unit tests for projections, projected gradient descent and exact weight
 fitting."""
 
 import numpy as np
@@ -10,12 +10,9 @@ from repblend.weights import (
     PgdParams,
     canonical_weight_type,
     fit_weights,
-    least_squares_init,
-    lipschitz_constant,
     pgd,
     project_simplex,
     project_weights,
-    resolve_learning_rate,
 )
 
 from oracles import (
@@ -130,34 +127,33 @@ class TestProjectWeights:
 
 class TestPgd:
     def test_zero_gradient_returns_projected_start(self):
-        params = PgdParams(max_iter=50, tolerance=1e-8, learning_rate=0.1)
-        out = pgd(np.array([2.0, 0.0]), lambda x: np.zeros_like(x), project_simplex, params)
+        params = PgdParams(max_iter=50, tolerance=1e-8)
+        out = pgd(np.array([2.0, 0.0]), lambda x: np.zeros_like(x), project_simplex, params,
+                  alpha=0.1)
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_quadratic_over_simplex(self):
         # minimize 0.5||x - (0.4, 0.2)||^2 over the simplex
         target = np.array([0.4, 0.2])
-        params = PgdParams(max_iter=2000, tolerance=1e-10, learning_rate=0.5)
-        out = pgd(np.array([1.0, 0.0]), lambda x: x - target, project_simplex, params)
+        params = PgdParams(max_iter=2000, tolerance=1e-10)
+        out = pgd(np.array([1.0, 0.0]), lambda x: x - target, project_simplex, params,
+                  alpha=0.5)
         np.testing.assert_allclose(out, [0.6, 0.4], atol=1e-6)
 
-    def test_auto_rate_requires_resolution(self):
-        params = PgdParams()
-        with pytest.raises(ValueError, match="auto"):
-            pgd(np.array([1.0]), lambda x: x, project_simplex, params)
-
     def test_nonfinite_gradient_aborts(self):
-        params = PgdParams(max_iter=10, tolerance=1e-8, learning_rate=0.1)
+        params = PgdParams(max_iter=10, tolerance=1e-8)
         with pytest.raises(FloatingPointError):
             pgd(np.array([1.0, 0.0]), lambda x: np.array([np.nan, 0.0]),
-                project_simplex, params)
+                project_simplex, params, alpha=0.1)
 
     def test_descent_with_auto_rate(self):
         rng = np.random.default_rng(5)
         R = rng.uniform(0, 1, (10, 4))
         c = rng.uniform(0, 1, 10)
         params = PgdParams(max_iter=500, tolerance=1e-9)
-        alpha = resolve_learning_rate(params, R)
+        # step 1/L, L the largest eigenvalue of R^T R (the gradient's
+        # Lipschitz constant), guarantees monotone descent
+        alpha = 1.0 / float(np.linalg.eigvalsh(R.T @ R).max())
         trace = []
 
         def recording_projector(x):
@@ -165,44 +161,11 @@ class TestPgd:
             trace.append(w.copy())
             return w
 
-        pgd(least_squares_init(R, c), lambda w: R.T @ (R @ w - c),
+        pgd(np.linalg.lstsq(R, c, rcond=None)[0], lambda w: R.T @ (R @ w - c),
             recording_projector, params, alpha=alpha)
         objectives = [least_squares_objective(R, w, c) for w in trace]
         assert objectives[-1] <= objectives[0] + 1e-12
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
-
-
-class TestLeastSquaresInit:
-    def test_identity(self):
-        R = np.eye(2)
-        np.testing.assert_allclose(least_squares_init(R, np.array([1.0, 0.0])), [1.0, 0.0])
-
-    def test_single_column_scaling(self):
-        r = np.array([[1.0], [2.0]])
-        np.testing.assert_allclose(least_squares_init(r, 2 * r[:, 0]), [2.0], atol=1e-12)
-
-    def test_residual_orthogonal_to_range(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            R = rng.normal(size=(12, 5))
-            c = rng.normal(size=12)
-            v = least_squares_init(R, c)
-            residual = R @ v - c
-            np.testing.assert_allclose(R.T @ residual, np.zeros(5), atol=1e-8)
-
-
-class TestLipschitz:
-    def test_matches_eigenvalue(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            R = rng.uniform(0, 1, (15, 6))
-            exact = float(np.linalg.eigvalsh(R.T @ R).max())
-            est = lipschitz_constant(R)
-            assert est == pytest.approx(exact, rel=1e-6)
-
-    def test_zero_matrix(self):
-        assert lipschitz_constant(np.zeros((4, 3))) == 0.0
-        assert resolve_learning_rate(PgdParams(), np.zeros((4, 3))) == 1.0
 
 
 class TestFitWeights:
@@ -250,21 +213,8 @@ class TestFitWeights:
             for d in range(11):
                 expected[d, nearest_column_bruteforce(R, C[:, d])] = 1.0
             np.testing.assert_array_equal(wm.values, expected)
-            np.testing.assert_array_equal(wm.iterations, np.zeros(11))
             np.testing.assert_allclose(wm.projection_errors,
                                        np.linalg.norm(R @ expected.T - C, axis=0))
-
-    def test_iterations_report_the_cap(self):
-        rng = np.random.default_rng(4)
-        R = rng.uniform(0, 1, (10, 4))
-        C = np.hstack([rng.uniform(0, 1, (10, 1)), R[:, [2]]])
-        wm = fit_weights(R, C, "convex", PgdParams(max_iter=3))
-        # the random column is still moving after 3 steps; the exact column
-        # starts at its optimum and stalls before the cap
-        assert wm.iterations[0] == 3
-        assert 1 <= wm.iterations[1] < 3
-        assignment = np.array([0, 2])
-        assert fit_weights(R, C, "dirac", dirac_assignment=assignment).iterations.tolist() == [0, 0]
 
     def test_rep_totals_are_column_sums(self):
         rng = np.random.default_rng(8)
@@ -314,9 +264,8 @@ class TestFitWeights:
         rng = np.random.default_rng(12)
         R = rng.uniform(0, 1, (6, 3))
         C = rng.uniform(0, 2, (6, 5))
-        params = PgdParams(max_iter=4000, tolerance=1e-10)
-        direct = fit_weights(R, C, "subunit_conic", params)
-        augmented = fit_weights(np.hstack([R, np.zeros((6, 1))]), C, "convex", params)
+        direct = fit_weights(R, C, "subunit_conic")
+        augmented = fit_weights(np.hstack([R, np.zeros((6, 1))]), C, "convex")
         np.testing.assert_allclose(direct.projection_errors,
                                    augmented.projection_errors, atol=1e-5)
 
@@ -326,21 +275,20 @@ class TestFitWeights:
 
 
 class TestAgainstNnls:
-    """Cross-check the descent-based fitting against the exact active-set
-    optimum from scipy's NNLS on the QP solver's instances."""
+    """Cross-check the fitting against the optimum of the NNLS oracle on the
+    QP solver's instances."""
 
     @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
     def test_fitting_reaches_nnls_optimum(self, weight_type):
-        params = PgdParams(max_iter=5000, tolerance=1e-10)
         for R, c in TestAgainstQpSolver._instances():
-            fitted = fit_weights(R, c[:, None], weight_type, params).projection_errors[0]
+            fitted = fit_weights(R, c[:, None], weight_type).projection_errors[0]
             optimum = float(np.linalg.norm(R @ nnls_fit(R, c, weight_type) - c))
-            assert fitted == pytest.approx(optimum, abs=1e-5)
+            assert fitted == pytest.approx(optimum, abs=1e-9)
 
 
 class TestAgainstQpSolver:
-    """Cross-check the descent-based fitting against an interior-point QP
-    solver on the same constrained problems (skipped when cvxpy is absent)."""
+    """Cross-check the fitting against an interior-point QP solver on the
+    same constrained problems (skipped when cvxpy is absent)."""
 
     @staticmethod
     def _instances():
@@ -356,9 +304,8 @@ class TestAgainstQpSolver:
     @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
     def test_fitting_reaches_qp_optimum(self, weight_type):
         cp = pytest.importorskip("cvxpy")
-        params = PgdParams(max_iter=5000, tolerance=1e-10)
         for R, c in self._instances():
-            fitted = fit_weights(R, c[:, None], weight_type, params).projection_errors[0]
+            fitted = fit_weights(R, c[:, None], weight_type).projection_errors[0]
             w = cp.Variable(R.shape[1])
             constraints = [w >= 0]
             if weight_type == "convex":
@@ -369,3 +316,49 @@ class TestAgainstQpSolver:
             problem.solve()
             qp_error = float(np.sqrt(max(problem.value, 0.0)))
             assert fitted == pytest.approx(qp_error, abs=1e-5)
+
+
+def _far_instances():
+    """Generic 8x5 representatives and a point at distance 1e4 from their
+    convex hull: a point on a face of the hull (one weight zero) plus 1e4
+    times a unit normal to the hull's affine span."""
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        R = rng.uniform(0, 1, (8, 5))
+        basis, _ = np.linalg.qr(R[:, 1:] - R[:, :1], mode="complete")
+        normal = basis[:, 4:] @ rng.normal(size=4)
+        w = rng.dirichlet(np.ones(5))
+        w[rng.integers(5)] = 0.0
+        yield R, R @ (w / w.sum()) + 1e4 * normal / np.linalg.norm(normal)
+
+
+@pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
+def test_fit_satisfies_kkt(weight_type):
+    """The Karush-Kuhn-Tucker conditions of min 0.5 ||R w - c||^2 over the
+    weight space hold at every fitted row: feasibility, a nonnegative
+    gradient on the zero set and a zero gradient on the support (after
+    adding the sum constraint's multiplier where it is active), and
+    complementarity."""
+    instances = list(TestAgainstQpSolver._instances()) + list(_far_instances())
+    for R, c in instances:
+        w = fit_weights(R, c[:, None], weight_type).values[0]
+        grad = R.T @ (R @ w - c)
+        tol = 1e-9 * max(1.0, float(np.abs(grad).max()))
+        assert w.min() >= 0.0
+        total = w.sum()
+        if weight_type == "convex":
+            assert abs(total - 1.0) <= 1e-12
+        if weight_type == "subunit_conic":
+            assert total <= 1.0 + 1e-12
+        active = weight_type == "convex" or (weight_type == "subunit_conic"
+                                            and total >= 1.0 - 1e-12)
+        # the multiplier of sum(w) = 1 (or <= 1) that zeroes the gradient's
+        # w-weighted mean; it must be nonnegative for the sub-unit inequality
+        mu = -float(w @ grad) if active else 0.0
+        if weight_type == "subunit_conic":
+            assert mu >= -tol
+        reduced = grad + mu
+        support = w > 0
+        assert np.all(reduced[~support] >= -tol), (weight_type, reduced)
+        assert np.all(np.abs(reduced[support]) <= tol), (weight_type, reduced)
+        assert np.all(np.abs(w * reduced) <= tol)

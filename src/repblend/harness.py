@@ -4,7 +4,9 @@ the relative regret with per-stage timings.
 
 The full-resolution benchmark solve is independent of method, weights and
 seed, so it is cached on disk keyed by a content hash of the full model
-itself; a change to the data or to the formulation gives a new key.
+itself; a change to the data or to the formulation gives a new key.  The
+cache keeps the optimal basis too, and every fixed solve starts from it:
+a fixed model differs from the full model only in its bounds.
 """
 
 from __future__ import annotations
@@ -73,8 +75,11 @@ class ExperimentRecord:
 
     ``t_read`` is the once-per-config load, validation and clustering
     matrix time, so every record of one ``run_experiment`` call carries the
-    same value.  ``error`` holds the failure message of a seed that did not
-    finish, with the fields it did not reach left unset.
+    same value.  ``t_fixed_solve`` times the evaluation solve of the full
+    model with the reduced decisions fixed; it is not part of
+    ``total_time``, which covers the reduction and its solve.  ``error``
+    holds the failure message of a seed that did not finish, with the
+    fields it did not reach left unset.
     """
 
     case: str
@@ -88,6 +93,7 @@ class ExperimentRecord:
     t_fit: float = 0.0
     t_build: float = 0.0
     t_solve: float = 0.0
+    t_fixed_solve: float = 0.0
     objective_reduced: float | None = None
     objective_fixed: float | None = None
     objective_full: float | None = None
@@ -147,13 +153,34 @@ def model_key(model: LpModel, handle: SolverHandle) -> str:
     return digest.hexdigest()[:20]
 
 
-def _read_cached_solution(cache_file: Path) -> Solution | None:
+def _basis_text(codes: np.ndarray) -> str:
+    """Basis status codes (0-4) as one digit per entry."""
+    return (codes + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+
+
+def _basis_codes(text: str, size: int) -> np.ndarray:
+    """Inverse of ``_basis_text``; raises ValueError unless ``text`` holds
+    exactly ``size`` status digits."""
+    codes = np.frombuffer(text.encode("ascii"), np.uint8) - np.uint8(ord("0"))
+    if codes.size != size or np.any(codes > 4):
+        raise ValueError("basis does not fit the model")
+    return codes.astype(np.int8)
+
+
+def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
     """The solution stored in ``cache_file``, or None when the file is
-    missing or cannot be read back (bad JSON, missing keys)."""
+    missing or cannot be read back (bad JSON, missing keys, an optimal
+    solution without a basis that fits ``model``)."""
     try:
         payload = json.loads(cache_file.read_text(encoding="utf-8"))
+        basis = None
+        if payload["status"] == "optimal":
+            columns, rows = payload["basis"]
+            basis = (_basis_codes(columns, model.num_vars),
+                     _basis_codes(rows, model.num_constraints))
         return Solution(status=payload["status"], objective=payload["objective"],
-                        values=payload["values"], solve_time=payload["solve_time"])
+                        values=payload["values"], solve_time=payload["solve_time"],
+                        iterations=payload["iterations"], basis=basis)
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
@@ -165,14 +192,16 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     directory, ``<data_path>/.full_cache``; ``mode`` is already part of the
     model.
 
-    A cache file that cannot be read back counts as a miss and is
+    The file keeps the optimal basis as two digit strings, one for the
+    columns and one for the rows.  A cache file that cannot be read back,
+    or whose basis does not fit the model, counts as a miss and is
     overwritten.  Writes go through a temporary file in the cache directory
     and ``os.replace``, so a reader never sees a half-written file.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
     key = model_key(full_model, handle)
     cache_file = cache_dir / f"full_{key}.json"
-    cached = _read_cached_solution(cache_file)
+    cached = _read_cached_solution(cache_file, full_model)
     if cached is not None:
         return cached
     solution = solve(full_model, handle)
@@ -182,6 +211,8 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
         "objective": solution.objective,
         "values": solution.values,
         "solve_time": solution.solve_time,
+        "iterations": solution.iterations,
+        "basis": None if solution.basis is None else [_basis_text(b) for b in solution.basis],
     })
     tmp = cache_dir / f"{cache_file.name}.{os.getpid()}.tmp"
     try:
@@ -262,7 +293,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             record.objective_full = full_solution.objective
 
             fixed = fix_decisions(full_model, reduced_solution, mode)
-            fixed_solution = solve(fixed, handle)
+            start = time.perf_counter()
+            fixed_solution = solve(fixed, handle, basis=full_solution.basis)
+            record.t_fixed_solve = time.perf_counter() - start
             if fixed_solution.status != "optimal":
                 raise RuntimeError(f"fixed solve: {fixed_solution.status}")
             record.objective_fixed = fixed_solution.objective
@@ -276,8 +309,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 
 RESULT_COLUMNS = [f.name for f in fields(ExperimentRecord)] + ["total_time"]
 
+_STAGE_FIELDS = ("t_read", "t_cluster", "t_fit", "t_build", "t_solve", "t_fixed_solve")
 _FLOAT_FIELDS = {
-    "t_read", "t_cluster", "t_fit", "t_build", "t_solve",
+    *_STAGE_FIELDS,
     "objective_reduced", "objective_fixed", "objective_full",
     "regret_pct", "proj_err_mean", "proj_err_max", "total_time",
 }
@@ -305,20 +339,21 @@ def write_results_csv(records: list[ExperimentRecord], path: Path | str):
 
 def load_records(path: Path | str) -> list[ExperimentRecord]:
     """Inverse of write_results_csv (the derived total_time column is
-    recomputed, not stored)."""
+    recomputed, not stored).  A stage column missing from an older file
+    reads as 0.0."""
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             kwargs = {}
             for name in RESULT_COLUMNS[:-1]:
-                text = row[name]
+                text = row.get(name, "") if name in _STAGE_FIELDS else row[name]
                 if name in _FLOAT_FIELDS:
                     kwargs[name] = float(text) if text else None
                 elif name in _INT_FIELDS:
                     kwargs[name] = int(text)
                 else:
                     kwargs[name] = text
-            for stage in ("t_read", "t_cluster", "t_fit", "t_build", "t_solve"):
+            for stage in _STAGE_FIELDS:
                 kwargs[stage] = kwargs[stage] if kwargs[stage] is not None else 0.0
             records.append(ExperimentRecord(**kwargs))
     return records

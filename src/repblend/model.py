@@ -40,12 +40,19 @@ SOLUTION_STATUSES = ("optimal", "infeasible", "unbounded", "error")
 
 @dataclass
 class Solution:
-    """Outcome of one solve: objective and variable values when optimal."""
+    """Outcome of one solve: objective and variable values when optimal.
+
+    ``iterations`` counts the solver's simplex iterations.  ``basis`` is
+    the optimal basis, as HiGHS basis status codes: one int8 array over the
+    columns and one over the rows, in model order.
+    """
 
     status: str
     objective: float | None = None
     values: dict[str, float] = field(default_factory=dict)
     solve_time: float = 0.0
+    iterations: int = 0
+    basis: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.status not in SOLUTION_STATUSES:

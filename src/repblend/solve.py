@@ -1,21 +1,45 @@
-"""LP solving with HiGHS through ``scipy.optimize.linprog``, plus
-deterministic LP-file export as the portability escape hatch for external
-solvers."""
+"""LP solving with HiGHS through scipy's bundled HiGHS bindings
+(``scipy.optimize._highspy._core``), plus deterministic LP-file export as
+the portability escape hatch for external solvers.
+
+``solve`` hands HiGHS the LP that ``scipy.optimize.linprog(method="highs")``
+would build, with the same options: the ``<=`` rows first and then the
+``==`` rows, each group in model order, ``>=`` rows negated into ``<=``
+rows, the matrix in CSC form.  A cold solve therefore gives the same
+objective and values as ``linprog``.  Driving HiGHS directly adds what
+``linprog`` cannot give: an optimal solution carries its basis, and a solve
+can start from a basis.  A model that differs from a solved one only in its
+bounds, such as a full model with first-stage decisions fixed, starts from
+that model's optimal basis instead of from scratch.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.optimize._highspy._core as highspy
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .model import SENSES, LpModel, Solution
 
 EQ, LE, GE = range(len(SENSES))  # codes of "==", "<=", ">=" in LpModel.sense
+
+# HiGHS basis statuses by code: lower, basic, upper, zero, nonbasic
+_BASIS_STATUS = [highspy.HighsBasisStatus(code) for code in range(5)]
+BASIC = int(highspy.HighsBasisStatus.kBasic)
+_status_code = operator.attrgetter("value")
+_DUAL_SIMPLEX = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+
+_REGULAR_STATUS = {
+    highspy.HighsModelStatus.kOptimal: "optimal",
+    highspy.HighsModelStatus.kInfeasible: "infeasible",
+    highspy.HighsModelStatus.kUnbounded: "unbounded",
+}
 
 
 class SolverError(Exception):
@@ -37,66 +61,112 @@ class SolverHandle:
             raise ValueError("tolerance must be > 0")
 
 
-def solve(model: LpModel, handle: SolverHandle | None = None) -> Solution:
-    """Solve the model, returning objective and all variable values when
-    optimal.
+def _row_order(sense: np.ndarray) -> np.ndarray:
+    """Model row index of each HiGHS row: the inequality rows, then the
+    equality rows, each group in model order."""
+    equality = sense == EQ
+    return np.concatenate([np.flatnonzero(~equality), np.flatnonzero(equality)])
+
+
+def _highs_lp(model: LpModel, order: np.ndarray) -> highspy.HighsLp:
+    n, m = model.num_vars, model.num_constraints
+    sense = model.sense
+    # >= rows become <= rows with flipped signs
+    sign = np.where(sense == GE, -1.0, 1.0)
+    position = np.empty(m, np.int64)
+    position[order] = np.arange(m)
+    row, col = model.row, model.col
+    matrix = sp.csc_array((model.val * sign[row], (position[row], col)), shape=(m, n))
+    upper = (model.rhs * sign)[order]
+    lower = np.where(sense[order] == EQ, upper, -math.inf)
+
+    lp = highspy.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_ = model.cost
+    lp.col_lower_ = model.lb
+    lp.col_upper_ = model.ub
+    lp.row_lower_ = lower
+    lp.row_upper_ = upper
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    return lp
+
+
+def solve(model: LpModel, handle: SolverHandle | None = None,
+          basis: tuple[np.ndarray, np.ndarray] | None = None) -> Solution:
+    """Solve the model, returning objective, all variable values, the
+    simplex iteration count and the optimal basis when optimal.
+
+    ``basis`` is a start: the ``Solution.basis`` of a model with the same
+    columns and rows (any bounds), as two arrays of HiGHS basis status
+    codes, one per column and one per row in model order.  A ``>=`` row's
+    status refers to the negated row HiGHS is given.
 
     Statuses 'infeasible' and 'unbounded' are regular outcomes; a solver
-    breakdown (iteration limit, numerical failure) raises
-    SolverNumericalError.  A model without variables is optimal with
-    objective 0 unless one of its (constant) rows is violated by more than
-    the tolerance, which makes it infeasible.
+    breakdown (iteration limit, numerical failure, a rejected start basis)
+    raises SolverNumericalError; a model HiGHS rejects is infeasible.  A
+    model without variables is optimal with objective 0 unless one of its
+    (constant) rows is violated by more than the tolerance, which makes it
+    infeasible.
     """
     handle = handle or SolverHandle()
+    n, m = model.num_vars, model.num_constraints
+    if basis is not None and (len(basis[0]), len(basis[1])) != (n, m):
+        raise ValueError(f"basis has {len(basis[0])} columns and {len(basis[1])} rows; "
+                         f"the model has {n} and {m}")
     sense, rhs = model.sense, model.rhs
-    if model.num_vars == 0:
+    if n == 0:
         # every row reads 0 (sense) rhs
         violated = np.where(sense == EQ, np.abs(rhs), np.where(sense == LE, -rhs, rhs))
         if np.any(violated > handle.tolerance):
             return Solution(status="infeasible")
-        return Solution(status="optimal", objective=0.0, values={})
+        return Solution(status="optimal", objective=0.0, values={},
+                        basis=(np.zeros(0, np.int8), np.full(m, BASIC, np.int8)))
 
     start = time.perf_counter()
-    n = model.num_vars
-    row, col, val = model.row, model.col, model.val
-    # >= rows become <= rows with flipped signs; each group keeps row order
-    sign = np.where(sense == GE, -1.0, 1.0)
+    order = _row_order(sense)
+    highs = highspy._Highs()
+    for option, value in (("output_flag", False), ("presolve", "on"),
+                          ("primal_feasibility_tolerance", handle.tolerance),
+                          ("dual_feasibility_tolerance", handle.tolerance),
+                          ("simplex_strategy", _DUAL_SIMPLEX)):
+        highs.setOptionValue(option, value)
+    if highs.passModel(_highs_lp(model, order)) == highspy.HighsStatus.kError:
+        # a model HiGHS rejects (say, a lower bound of +inf) has no solution
+        return Solution(status="infeasible", solve_time=time.perf_counter() - start)
+    if basis is not None:
+        start_basis = highspy.HighsBasis()
+        start_basis.col_status = [_BASIS_STATUS[code] for code in basis[0].tolist()]
+        start_basis.row_status = [_BASIS_STATUS[code] for code in basis[1][order].tolist()]
+        if highs.setBasis(start_basis) == highspy.HighsStatus.kError:
+            raise SolverNumericalError("HiGHS rejected the start basis")
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = _REGULAR_STATUS.get(model_status)
+    if status is None:
+        raise SolverNumericalError(f"solver failed: {highs.modelStatusToString(model_status)}")
+    info = highs.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    if status != "optimal":
+        return Solution(status=status, iterations=iterations,
+                        solve_time=time.perf_counter() - start)
 
-    def assemble(mask):
-        if not mask.any():
-            return None, None
-        position = np.cumsum(mask) - 1
-        entries = mask[row]
-        rows = row[entries]
-        matrix = sp.csr_matrix((val[entries] * sign[rows], (position[rows], col[entries])),
-                               shape=(int(position[-1]) + 1, n))
-        return matrix, rhs[mask] * sign[mask]
-
-    a_eq, b_eq = assemble(sense == EQ)
-    a_ub, b_ub = assemble(sense != EQ)
-
-    options = {
-        "presolve": True,
-        "primal_feasibility_tolerance": handle.tolerance,
-        "dual_feasibility_tolerance": handle.tolerance,
-    }
-
-    result = linprog(model.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                     bounds=np.column_stack([model.lb, model.ub]), method="highs",
-                     options=options)
-    elapsed = time.perf_counter() - start
-
-    if result.status == 0:
-        values = dict(zip(model.var_names, result.x.tolist()))
-        return Solution(status="optimal", objective=float(result.fun),
-                        values=values, solve_time=elapsed)
-    if result.status == 2:
-        return Solution(status="infeasible", solve_time=elapsed)
-    if result.status == 3:
-        return Solution(status="unbounded", solve_time=elapsed)
-    if result.status == 1:
-        raise SolverNumericalError(f"iteration limit reached: {result.message}")
-    raise SolverNumericalError(f"solver failed: {result.message}")
+    objective = float(info.objective_function_value)
+    x = np.array(highs.getSolution().col_value)
+    found = highs.getBasis()
+    col_status = np.fromiter(map(_status_code, found.col_status), np.int8, n)
+    row_status = np.empty(m, np.int8)
+    row_status[order] = np.fromiter(map(_status_code, found.row_status), np.int8, m)
+    # free HiGHS's copy of the model before the values dict is built, so the
+    # process does not hold both at its peak
+    highs.clear()
+    values = dict(zip(model.var_names, x.tolist()))
+    return Solution(status="optimal", objective=objective, values=values,
+                    solve_time=time.perf_counter() - start,
+                    iterations=iterations, basis=(col_status, row_status))
 
 
 def _fmt(value: float) -> str:

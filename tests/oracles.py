@@ -10,7 +10,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
+import scipy.sparse as sp
+from scipy.optimize import linprog, nnls
+
+from repblend.model import SENSES
 
 
 def proj_dirac_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -182,3 +185,35 @@ def best_medoid_set_bruteforce(matrix: np.ndarray, k: int):
         if cost < best_cost - 1e-15:
             best, best_cost = subset, cost
     return set(best), best_cost
+
+
+def linprog_solution(model, tolerance: float = 1e-8):
+    """(objective, values) of ``model`` from ``scipy.optimize.linprog``, called
+    with the arguments the package used before it drove HiGHS directly: the
+    ``==`` rows as ``A_eq``, the ``<=`` and negated ``>=`` rows as ``A_ub``
+    (each group in model order, as CSR), presolve on and both feasibility
+    tolerances set.  The solve must be optimal."""
+    eq, ge = SENSES.index("=="), SENSES.index(">=")
+    sense, rhs = model.sense, model.rhs
+    row, col, val = model.row, model.col, model.val
+    sign = np.where(sense == ge, -1.0, 1.0)
+
+    def assemble(mask):
+        if not mask.any():
+            return None, None
+        position = np.cumsum(mask) - 1
+        entries = mask[row]
+        rows = row[entries]
+        matrix = sp.csr_matrix((val[entries] * sign[rows], (position[rows], col[entries])),
+                               shape=(int(position[-1]) + 1, model.num_vars))
+        return matrix, rhs[mask] * sign[mask]
+
+    a_eq, b_eq = assemble(sense == eq)
+    a_ub, b_ub = assemble(sense != eq)
+    result = linprog(model.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                     bounds=np.column_stack([model.lb, model.ub]), method="highs",
+                     options={"presolve": True,
+                              "primal_feasibility_tolerance": tolerance,
+                              "dual_feasibility_tolerance": tolerance})
+    assert result.status == 0, result.message
+    return float(result.fun), dict(zip(model.var_names, result.x.tolist()))

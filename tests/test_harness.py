@@ -23,6 +23,7 @@ from repblend.harness import (
     model_key,
     pareto_front,
     run_experiment,
+    solve_full_cached,
     write_results_csv,
 )
 from repblend.solve import SolverHandle
@@ -157,13 +158,39 @@ class TestRunExperiment:
         run_experiment(config)
         [cached] = cache_dir.glob("full_*.json")
         text = cached.read_text()
-        for broken in (text[: len(text) // 2], "{}"):  # truncated, missing keys
+        payload = json.loads(text)
+        no_basis = json.dumps({k: v for k, v in payload.items() if k != "basis"})
+        columns, rows = payload["basis"]
+        short_basis = json.dumps({**payload, "basis": [columns, rows[:-1]]})
+        # truncated file, missing keys, no basis, a basis short of one row
+        for broken in (text[: len(text) // 2], "{}", no_basis, short_basis):
             cached.write_text(broken)
             record = run_experiment(config)[0]
             assert record.error == ""
             assert record.objective_full == pytest.approx(23.0)
             # re-solved and overwritten
-            assert json.loads(cached.read_text())["objective"] == pytest.approx(23.0)
+            rewritten = json.loads(cached.read_text())
+            assert rewritten["objective"] == pytest.approx(23.0)
+            assert rewritten["basis"] == payload["basis"]
+
+    def test_cache_round_trip_keeps_the_basis(self, synthetic_p2x_path, tmp_path):
+        system = load_system(synthetic_p2x_path)
+        model = build_full_model(system)
+        args = (model, synthetic_p2x_path, system.mode, SolverHandle(), tmp_path / "cache")
+        solved = solve_full_cached(*args)
+        cached = solve_full_cached(*args)
+        assert cached.values == solved.values and cached.iterations == solved.iterations
+        for read, written in zip(cached.basis, solved.basis):
+            assert read.dtype == np.int8
+            np.testing.assert_array_equal(read, written)
+
+    def test_fixed_solve_timed_outside_total(self, mini_gep_copy, tmp_path):
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,
+                                  seeds=(1,), cache_dir=tmp_path / "cache")
+        record = run_experiment(config)[0]
+        assert record.t_fixed_solve > 0
+        assert record.total_time == (record.t_read + record.t_cluster + record.t_fit
+                                     + record.t_build + record.t_solve)
 
     def test_model_key_tracks_content(self, mini_gep_copy):
         handle = SolverHandle()
@@ -232,6 +259,16 @@ class TestResultsCsv:
         path = tmp_path / "results.csv"
         write_results_csv(records, path)
         assert load_records(path) == records
+
+    def test_file_without_fixed_solve_time_reads_as_zero(self, tmp_path):
+        record = self.make_record(t_fixed_solve=0.06)
+        path = tmp_path / "results.csv"
+        write_results_csv([record], path)
+        header, row = [line.split(",") for line in path.read_text().splitlines()]
+        drop = header.index("t_fixed_solve")
+        path.write_text("\n".join(",".join(cells[:drop] + cells[drop + 1:])
+                                  for cells in (header, row)) + "\n")
+        assert load_records(path) == [replace(record, t_fixed_solve=0.0)]
 
     def test_one_record_one_row(self, tmp_path):
         emit_plot_data([self.make_record()], tmp_path)

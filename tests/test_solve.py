@@ -8,10 +8,12 @@ import re
 import numpy as np
 import pytest
 
+from oracles import linprog_solution
 from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
+from repblend.harness import cluster_matrix
 from repblend.model import LpModel, build_full_model, build_model, fix_decisions
-from repblend.solve import solve, write_lp_file
+from repblend.solve import BASIC, solve, write_lp_file
 from repblend.weights import fit_weights
 
 
@@ -129,6 +131,72 @@ class TestSolve:
         b = solve(model)
         assert a.objective == b.objective
         assert a.values == b.values
+
+
+# dataset fixture and (method, weight type, k) of the reduced models the
+# solver tests use
+REDUCTIONS = {
+    "mini-gep": ("mini_gep_path", ("kmeans", "dirac", 1)),
+    "gep": ("synthetic_gep_path", ("hull", "conic", 3)),
+    "p2x": ("synthetic_p2x_path", ("kmeans", "conic", 3)),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_models(request):
+    """Per dataset of REDUCTIONS: (mode, full model, full solution, reduced
+    model), built once per module."""
+    built = {}
+
+    def get(case):
+        if case not in built:
+            fixture, (method, weight_type, k) = REDUCTIONS[case]
+            system = load_system(request.getfixturevalue(fixture))
+            cm = build_clustering_matrix(system)
+            selection, hard = cluster_matrix(cm.values, method, weight_type, k, seed=1)
+            weights = fit_weights(selection.rep_matrix, cm.values, weight_type,
+                                  dirac_assignment=hard)
+            full = build_full_model(system)
+            reduced = build_model(system, extract_rep_profiles(system, selection, cm), weights)
+            built[case] = (system.mode, full, solve(full), reduced)
+        return built[case]
+    return get
+
+
+class TestAgainstLinprog:
+    """A cold solve returns exactly what ``scipy.optimize.linprog`` returns
+    for the same LP."""
+
+    @pytest.mark.parametrize("which", ["full", "reduced", "self-fixed"])
+    @pytest.mark.parametrize("case", sorted(REDUCTIONS))
+    def test_cold_solve_is_repr_equal(self, pipeline_models, case, which):
+        mode, full, full_solution, reduced = pipeline_models(case)
+        model = {"full": full, "reduced": reduced,
+                 "self-fixed": fix_decisions(full, full_solution, mode)}[which]
+        solution = full_solution if which == "full" else solve(model)
+        objective, values = linprog_solution(model)
+        assert solution.status == "optimal"
+        assert repr(solution.objective) == repr(objective)
+        assert repr(solution.values) == repr(values)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("case", ["gep", "p2x"])
+    def test_fixed_solve_from_full_basis(self, pipeline_models, case):
+        mode, full, full_solution, reduced = pipeline_models(case)
+        columns, rows = full_solution.basis
+        assert (columns.dtype, rows.dtype) == (np.int8, np.int8)
+        assert (columns.size, rows.size) == (full.num_vars, full.num_constraints)
+        assert int((columns == BASIC).sum() + (rows == BASIC).sum()) == full.num_constraints
+        with pytest.raises(ValueError, match="basis"):
+            solve(full, basis=(columns, rows[:-1]))
+
+        fixed = fix_decisions(full, solve(reduced), mode)
+        cold = solve(fixed)
+        warm = solve(fixed, basis=full_solution.basis)
+        assert warm.status == cold.status == "optimal"
+        assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+        assert warm.iterations < cold.iterations
 
 
 class TestWriteLpFile:

@@ -49,13 +49,15 @@ class Horizon:
     def __post_init__(self):
         if self.num_periods < 1 or self.hours_per_period < 1:
             raise ValueError("num_periods and hours_per_period must be >= 1")
-        if self.timestep_hours <= 0:
+        if not self.timestep_hours > 0:
             raise ValueError("timestep_hours must be > 0")
         if self.hours_per_year is None:
             object.__setattr__(
                 self, "hours_per_year",
                 self.num_periods * self.hours_per_period * self.timestep_hours,
             )
+        if math.isnan(self.hours_per_year):
+            raise ValueError("hours_per_year must be a number")
 
     @property
     def num_timesteps(self) -> int:
@@ -185,7 +187,6 @@ class ClusteringMatrix:
 
     values: np.ndarray  # (n_features, num_periods), entries in [0, 1]
     row_keys: list[tuple]  # ("demand", node, carrier, hour) | ("availability"|"inflow", asset, hour)
-    period_ids: np.ndarray  # 1-based
 
     @property
     def row_labels(self) -> list[str]:
@@ -222,9 +223,12 @@ def _parse_float(text: str, default: float, file: str, line: int, column: str) -
     if text.strip() == "":
         return default
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise DataError(f"column {column!r}: not a number: {text!r}", file, line) from None
+        value = math.nan
+    if math.isnan(value):
+        raise DataError(f"column {column!r}: not a number: {text!r}", file, line)
+    return value
 
 
 def _parse_int(text: str, file: str, line: int, column: str) -> int:
@@ -235,12 +239,13 @@ def _parse_int(text: str, file: str, line: int, column: str) -> int:
 
 
 def _read_csv(path: Path, required: tuple[str, ...]):
-    """Yield (line_number, row_dict) for every data row; checks the header."""
+    """Yield (line_number, row_dict) for every data row; checks the header.
+    Cells missing from a short row read as blank."""
     fname = path.name
     if not path.exists():
         raise DataError("file not found", fname)
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.DictReader(handle, restval="")
         if reader.fieldnames is None:
             raise DataError("missing header row", fname, 1)
         missing = [c for c in required if c not in reader.fieldnames]
@@ -312,10 +317,13 @@ def load_system(root: Path | str) -> EnergySystem:
             if carrier not in carriers:
                 raise DataError(f"peak_demand references unknown carrier {carrier!r}", "config.json")
             try:
-                peaks[(node, carrier)] = float(value)
+                peak = float(value)
             except (ValueError, TypeError):
+                peak = math.nan
+            if math.isnan(peak):
                 raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be a number",
-                                "config.json") from None
+                                "config.json")
+            peaks[(node, carrier)] = peak
 
     assets = _load_assets(root / "assets.csv", nodes, carriers)
     asset_by_name = {a.name: a for a in assets}
@@ -601,8 +609,7 @@ def build_clustering_matrix(system: EnergySystem) -> ClusteringMatrix:
         row_keys.extend(("inflow", name, h + 1) for h in range(H))
 
     values = np.vstack(blocks) if blocks else np.zeros((0, D))
-    return ClusteringMatrix(values=values, row_keys=row_keys,
-                            period_ids=np.arange(1, D + 1))
+    return ClusteringMatrix(values=values, row_keys=row_keys)
 
 
 def rep_profiles_from_periods(system: EnergySystem, period_indices) -> RepProfiles:

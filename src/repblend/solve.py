@@ -2,15 +2,14 @@
 (``scipy.optimize._highspy._core``), plus deterministic LP-file export as
 the portability escape hatch for external solvers.
 
-``solve`` hands HiGHS the LP that ``scipy.optimize.linprog(method="highs")``
-would build, with the same options: the ``<=`` rows first and then the
-``==`` rows, each group in model order, ``>=`` rows negated into ``<=``
-rows, the matrix in CSC form.  A cold solve therefore gives the same
-objective and values as ``linprog``.  Driving HiGHS directly adds what
-``linprog`` cannot give: an optimal solution carries its basis, and a solve
-can start from a basis.  A model that differs from a solved one only in its
-bounds, such as a full model with first-stage decisions fixed, starts from
-that model's optimal basis instead of from scratch.
+``solve`` hands HiGHS the ``LpModel`` as it is: the rows in model order,
+each with a ranged bound (``==`` is ``[rhs, rhs]``, ``<=`` is
+``[-inf, rhs]``, ``>=`` is ``[rhs, +inf]``), and the matrix row-wise,
+straight from the model's triplets.  An optimal solution carries its basis
+in model order, and a solve can start from a basis: a model that differs
+from a solved one only in its bounds, such as a full model with
+first-stage decisions fixed, starts from that model's optimal basis
+instead of from scratch.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.optimize._highspy._core as highspy
-import scipy.sparse as sp
 
 from .model import SENSES, LpModel, Solution
 
@@ -61,37 +59,22 @@ class SolverHandle:
             raise ValueError("tolerance must be > 0")
 
 
-def _row_order(sense: np.ndarray) -> np.ndarray:
-    """Model row index of each HiGHS row: the inequality rows, then the
-    equality rows, each group in model order."""
-    equality = sense == EQ
-    return np.concatenate([np.flatnonzero(~equality), np.flatnonzero(equality)])
-
-
-def _highs_lp(model: LpModel, order: np.ndarray) -> highspy.HighsLp:
+def _highs_lp(model: LpModel) -> highspy.HighsLp:
     n, m = model.num_vars, model.num_constraints
-    sense = model.sense
-    # >= rows become <= rows with flipped signs
-    sign = np.where(sense == GE, -1.0, 1.0)
-    position = np.empty(m, np.int64)
-    position[order] = np.arange(m)
-    row, col = model.row, model.col
-    matrix = sp.csc_array((model.val * sign[row], (position[row], col)), shape=(m, n))
-    upper = (model.rhs * sign)[order]
-    lower = np.where(sense[order] == EQ, upper, -math.inf)
-
+    sense, rhs = model.sense, model.rhs
     lp = highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
     lp.col_cost_ = model.cost
     lp.col_lower_ = model.lb
     lp.col_upper_ = model.ub
-    lp.row_lower_ = lower
-    lp.row_upper_ = upper
-    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
+    lp.row_lower_ = np.where(sense == LE, -math.inf, rhs)
+    lp.row_upper_ = np.where(sense == GE, math.inf, rhs)
+    # the terms are in ascending row order (see LpModel)
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.searchsorted(model.row, np.arange(m + 1))
+    lp.a_matrix_.index_ = model.col
+    lp.a_matrix_.value_ = model.val
     return lp
 
 
@@ -102,12 +85,12 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
 
     ``basis`` is a start: the ``Solution.basis`` of a model with the same
     columns and rows (any bounds), as two arrays of HiGHS basis status
-    codes, one per column and one per row in model order.  A ``>=`` row's
-    status refers to the negated row HiGHS is given.
+    codes, one per column and one per row in model order.
 
-    Statuses 'infeasible' and 'unbounded' are regular outcomes; a solver
-    breakdown (iteration limit, numerical failure, a rejected start basis)
-    raises SolverNumericalError; a model HiGHS rejects is infeasible.  A
+    Statuses 'infeasible' and 'unbounded' are regular outcomes.  A model
+    HiGHS rejects (a lower bound of +inf, an infinite coefficient, a NaN
+    right-hand side) and a solver breakdown (iteration limit, numerical
+    failure, a rejected start basis) raise SolverNumericalError.  A
     model without variables is optimal with objective 0 unless one of its
     (constant) rows is violated by more than the tolerance, which makes it
     infeasible.
@@ -127,20 +110,18 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
                         basis=(np.zeros(0, np.int8), np.full(m, BASIC, np.int8)))
 
     start = time.perf_counter()
-    order = _row_order(sense)
     highs = highspy._Highs()
     for option, value in (("output_flag", False), ("presolve", "on"),
                           ("primal_feasibility_tolerance", handle.tolerance),
                           ("dual_feasibility_tolerance", handle.tolerance),
                           ("simplex_strategy", _DUAL_SIMPLEX)):
         highs.setOptionValue(option, value)
-    if highs.passModel(_highs_lp(model, order)) == highspy.HighsStatus.kError:
-        # a model HiGHS rejects (say, a lower bound of +inf) has no solution
-        return Solution(status="infeasible", solve_time=time.perf_counter() - start)
+    if highs.passModel(_highs_lp(model)) == highspy.HighsStatus.kError:
+        raise SolverNumericalError("HiGHS rejected the model")
     if basis is not None:
         start_basis = highspy.HighsBasis()
         start_basis.col_status = [_BASIS_STATUS[code] for code in basis[0].tolist()]
-        start_basis.row_status = [_BASIS_STATUS[code] for code in basis[1][order].tolist()]
+        start_basis.row_status = [_BASIS_STATUS[code] for code in basis[1].tolist()]
         if highs.setBasis(start_basis) == highspy.HighsStatus.kError:
             raise SolverNumericalError("HiGHS rejected the start basis")
     highs.run()
@@ -158,8 +139,7 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
     x = np.array(highs.getSolution().col_value)
     found = highs.getBasis()
     col_status = np.fromiter(map(_status_code, found.col_status), np.int8, n)
-    row_status = np.empty(m, np.int8)
-    row_status[order] = np.fromiter(map(_status_code, found.row_status), np.int8, m)
+    row_status = np.fromiter(map(_status_code, found.row_status), np.int8, m)
     # free HiGHS's copy of the model before the values dict is built, so the
     # process does not hold both at its peak
     highs.clear()

@@ -30,7 +30,7 @@ from scipy.optimize import nnls
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
 
-_WEIGHT_ALIASES = {"subunit": "subunit_conic", "sub_unit": "subunit_conic"}
+_WEIGHT_ALIASES = {"subunit": "subunit_conic"}
 
 
 def canonical_weight_type(tag: str) -> str:

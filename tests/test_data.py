@@ -1,5 +1,8 @@
 """Unit tests for system loading, validation and the clustering matrix."""
 
+import math
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +157,74 @@ class TestLoadSystem:
         system = load_system(tmp_path)
         np.testing.assert_allclose(system.storage_min["r"], [0.0, 0.2, 0.0])
         np.testing.assert_allclose(system.storage_max["r"], [1.0, 0.8, 1.0])
+
+    @pytest.fixture
+    def dataset_with(self, tmp_path, synthetic_gep_path):
+        """A copy of a dataset that has ``file``: the synthetic gep dataset,
+        or for storage_bounds.csv a one-node dataset with a seasonal store."""
+        def make(file):
+            root = tmp_path / "data"
+            if file == "storage_bounds.csv":
+                write_dataset(
+                    root, _tiny_config(num_periods=3),
+                    [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
+                          storage_cap=10)],
+                    [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {},
+                    storage_bounds=[("r", 2, 0.2, 0.8)])
+            else:
+                shutil.copytree(synthetic_gep_path, root)
+            return root
+        return make
+
+    @pytest.mark.parametrize("file,column", [
+        ("assets.csv", "inv_cost"),
+        ("assets.csv", "var_cost"),
+        ("assets.csv", "unit_capacity"),
+        ("lines.csv", "import_limit"),
+        ("storage_bounds.csv", "min_frac"),
+        ("demand.csv", "value"),
+    ])
+    def test_nan_cell_rejected(self, dataset_with, file, column):
+        root = dataset_with(file)
+        _edit_first_row(root / file, lambda header, cells: [
+            "nan" if name == column else cell for name, cell in zip(header, cells)])
+        with pytest.raises(DataError, match=rf"^{file}:2: column '{column}': not a number: 'nan'$"):
+            load_system(root)
+
+    @pytest.mark.parametrize("horizon,peak,match", [
+        ({}, math.nan, r"peak_demand\['n1'\]\['el'\] must be a number"),
+        ({"timestep_hours": math.nan}, 1.0, "bad horizon: timestep_hours must be > 0"),
+        ({"hours_per_year": math.nan}, 1.0, "bad horizon: hours_per_year must be a number"),
+    ], ids=["peak_demand", "timestep_hours", "hours_per_year"])
+    def test_nan_config_value_rejected(self, tmp_path, horizon, peak, match):
+        config = _tiny_config()
+        config["horizon"].update(horizon)
+        config["peak_demand"]["n1"]["el"] = peak
+        write_dataset(tmp_path, config, [], [], {("n1", "el"): np.full((1, 1), 0.5)}, {}, {})
+        assert "NaN" in (tmp_path / "config.json").read_text()
+        with pytest.raises(DataError, match=f"^config.json: {match}$"):
+            load_system(tmp_path)
+
+    @pytest.mark.parametrize("file,kept,message", [
+        ("demand.csv", 2, "column 'period': not an integer: ''"),
+        ("availability.csv", 1, "column 'period': not an integer: ''"),
+        ("inflows.csv", 1, "column 'period': not an integer: ''"),
+        ("lines.csv", 1, "unknown node ''"),
+        ("storage_bounds.csv", 1, "column 'period': not an integer: ''"),
+    ], ids=["demand", "availability", "inflows", "lines", "storage_bounds"])
+    def test_short_row_reads_as_blank_cells(self, dataset_with, file, kept, message):
+        # the first data row keeps only its key cells
+        root = dataset_with(file)
+        _edit_first_row(root / file, lambda header, cells: cells[:kept])
+        with pytest.raises(DataError, match=f"^{file}:2: {message}$"):
+            load_system(root)
+
+
+def _edit_first_row(path, edit):
+    """Replace the first data row of a CSV file by ``edit(header, cells)``."""
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(edit(lines[0].split(","), lines[1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _tiny_config(num_periods=1, hours=1):

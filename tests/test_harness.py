@@ -315,6 +315,22 @@ class TestCli:
         result = self.run("validate", "--data", tmp_path / "nope")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("file,old,new", [
+        pytest.param("demand.csv", "n1,el,1,1,1.0", "n1,el", id="short-row"),
+        pytest.param("assets.csv", "true,1,0,10,", "true,1,0,nan,", id="nan-inv-cost"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "solve-full"])
+    def test_bad_cell_exits_2_with_location(self, mini_gep_copy, tmp_path, command,
+                                            file, old, new):
+        path = mini_gep_copy / file
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        args = ("--out", tmp_path / "sol") if command == "solve-full" else ()
+        result = self.run(command, "--data", mini_gep_copy, *args)
+        assert result.exit_code == 2
+        assert f"data error: {file}:2: " in result.output
+
     def test_cluster_and_weights_outputs(self, synthetic_gep_path, tmp_path):
         out = tmp_path / "out"
         result = self.run("fit-weights", "--data", synthetic_gep_path, "--method",

@@ -12,8 +12,8 @@ from oracles import linprog_solution
 from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import cluster_matrix
-from repblend.model import LpModel, build_full_model, build_model, fix_decisions
-from repblend.solve import BASIC, solve, write_lp_file
+from repblend.model import SENSES, LpModel, build_full_model, build_model, fix_decisions
+from repblend.solve import BASIC, SolverHandle, SolverNumericalError, solve, write_lp_file
 from repblend.weights import fit_weights
 
 
@@ -100,6 +100,17 @@ class TestSolve:
         m.cost[x] = 1.0
         assert solve(m).status == "unbounded"
 
+    @pytest.mark.parametrize("cause", ["lower bound +inf", "infinite coefficient",
+                                       "NaN right-hand side"])
+    def test_rejected_model_raises(self, cause):
+        m = LpModel()
+        x = m.add_var("x", lb=math.inf if cause == "lower bound +inf" else 0.0)
+        m.cost[x] = 1.0
+        m.add_constr("row", [(x, math.inf if cause == "infinite coefficient" else 1.0)], ">=",
+                     math.nan if cause == "NaN right-hand side" else 1.0)
+        with pytest.raises(SolverNumericalError, match="rejected the model"):
+            solve(m)
+
     def test_empty_model(self):
         m = LpModel()
         solution = solve(m)
@@ -164,20 +175,33 @@ def pipeline_models(request):
 
 
 class TestAgainstLinprog:
-    """A cold solve returns exactly what ``scipy.optimize.linprog`` returns
-    for the same LP."""
+    """A cold solve is an optimum of the model it was given: it agrees with
+    ``scipy.optimize.linprog`` on the objective, and its values satisfy
+    every bound and row."""
 
     @pytest.mark.parametrize("which", ["full", "reduced", "self-fixed"])
     @pytest.mark.parametrize("case", sorted(REDUCTIONS))
     def test_cold_solve_is_repr_equal(self, pipeline_models, case, which):
+        # the values are certified, not compared: at a degenerate optimum
+        # HiGHS and linprog may return different optimal points
         mode, full, full_solution, reduced = pipeline_models(case)
         model = {"full": full, "reduced": reduced,
                  "self-fixed": fix_decisions(full, full_solution, mode)}[which]
         solution = full_solution if which == "full" else solve(model)
-        objective, values = linprog_solution(model)
+        objective, _ = linprog_solution(model)  # asserts linprog's optimality
         assert solution.status == "optimal"
-        assert repr(solution.objective) == repr(objective)
-        assert repr(solution.values) == repr(values)
+        assert solution.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
+
+        x = np.fromiter(solution.values.values(), float, model.num_vars)
+        assert list(solution.values) == model.var_names
+        assert model.cost @ x == pytest.approx(solution.objective, rel=1e-12, abs=0.0)
+        assert np.all((model.lb <= x) & (x <= model.ub))
+        activity = np.bincount(model.row, weights=model.val * x[model.col],
+                               minlength=model.num_constraints)
+        rhs, sense = model.rhs, model.sense
+        excess = np.where(sense == SENSES.index("=="), np.abs(activity - rhs),
+                          np.where(sense == SENSES.index("<="), activity - rhs, rhs - activity))
+        assert np.all(excess <= SolverHandle().tolerance * np.maximum(1.0, np.abs(rhs)))
 
 
 class TestWarmStart:
@@ -197,6 +221,16 @@ class TestWarmStart:
         assert warm.status == cold.status == "optimal"
         assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
         assert warm.iterations < cold.iterations
+
+
+    @pytest.mark.parametrize("case", ["gep", "p2x"])
+    def test_full_solve_from_its_own_basis(self, pipeline_models, case):
+        # basis codes go in and come out in the same (model) order
+        _, full, full_solution, _ = pipeline_models(case)
+        again = solve(full, basis=full_solution.basis)
+        assert again.status == "optimal"
+        assert again.iterations == 0
+        assert again.objective == full_solution.objective
 
 
 class TestWriteLpFile:

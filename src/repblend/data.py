@@ -51,6 +51,8 @@ class Horizon:
             raise ValueError("num_periods and hours_per_period must be >= 1")
         if not self.timestep_hours > 0:
             raise ValueError("timestep_hours must be > 0")
+        if math.isinf(self.timestep_hours):
+            raise ValueError("timestep_hours must be finite")
         if self.hours_per_year is None:
             object.__setattr__(
                 self, "hours_per_year",
@@ -58,6 +60,8 @@ class Horizon:
             )
         if math.isnan(self.hours_per_year):
             raise ValueError("hours_per_year must be a number")
+        if math.isinf(self.hours_per_year):
+            raise ValueError("hours_per_year must be finite")
 
     @property
     def num_timesteps(self) -> int:
@@ -219,7 +223,11 @@ class RepProfiles:
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False, "": False}
 
 
-def _parse_float(text: str, default: float, file: str, line: int, column: str) -> float:
+def _parse_float(text: str, default: float, file: str, line: int, column: str,
+                 finite: bool = False) -> float:
+    """The cell's number, or ``default`` when blank; NaN is an error, and so
+    is +-inf when ``finite`` (an infinite flow limit means "unlimited", an
+    infinite cost or capacity means nothing)."""
     if text.strip() == "":
         return default
     try:
@@ -228,6 +236,8 @@ def _parse_float(text: str, default: float, file: str, line: int, column: str) -
         value = math.nan
     if math.isnan(value):
         raise DataError(f"column {column!r}: not a number: {text!r}", file, line)
+    if finite and math.isinf(value):
+        raise DataError(f"column {column!r}: not finite: {text!r}", file, line)
     return value
 
 
@@ -322,6 +332,9 @@ def load_system(root: Path | str) -> EnergySystem:
                 peak = math.nan
             if math.isnan(peak):
                 raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be a number",
+                                "config.json")
+            if math.isinf(peak):
+                raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be finite",
                                 "config.json")
             peaks[(node, carrier)] = peak
 
@@ -464,7 +477,7 @@ def _load_assets(path: Path, nodes: list[str], carriers: list[str]) -> list[Asse
         if investable_text not in _BOOL_WORDS:
             raise DataError(f"column 'investable': not a boolean: {investable_text!r}", fname, ln)
 
-        num = lambda c, dflt=0.0: _parse_float(get(c), dflt, fname, ln, c)
+        num = lambda c, dflt=0.0: _parse_float(get(c), dflt, fname, ln, c, finite=True)
         asset = Asset(
             name=name, node=node, kind=kind,
             carrier_in=carrier_in, carrier_out=carrier_out,

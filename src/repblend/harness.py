@@ -77,7 +77,10 @@ class ExperimentRecord:
     matrix time, so every record of one ``run_experiment`` call carries the
     same value.  ``t_fixed_solve`` times the evaluation solve of the full
     model with the reduced decisions fixed; it is not part of
-    ``total_time``, which covers the reduction and its solve.  ``error``
+    ``total_time``, which covers the reduction and its solve.
+    ``iterations_reduced`` and ``iterations_fixed`` are the simplex
+    iterations of the reduced solve and of the fixed solve, which starts
+    from the full model's basis.  ``error``
     holds the failure message of a seed that did not finish, with the
     fields it did not reach left unset.
     """
@@ -100,6 +103,8 @@ class ExperimentRecord:
     regret_pct: float | None = None
     proj_err_mean: float | None = None
     proj_err_max: float | None = None
+    iterations_reduced: int = 0
+    iterations_fixed: int = 0
     error: str = ""
 
     @property
@@ -204,7 +209,7 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     cached = _read_cached_solution(cache_file, full_model)
     if cached is not None:
         return cached
-    solution = solve(full_model, handle)
+    solution = solve(full_model, handle, keep_basis=True)
     cache_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps({
         "status": solution.status,
@@ -283,6 +288,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             if reduced_solution.status != "optimal":
                 raise RuntimeError(f"reduced solve: {reduced_solution.status}")
             record.objective_reduced = reduced_solution.objective
+            record.iterations_reduced = reduced_solution.iterations
 
             if full_model is None:
                 full_model = build_full_model(system, mode=mode)
@@ -296,6 +302,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             start = time.perf_counter()
             fixed_solution = solve(fixed, handle, basis=full_solution.basis)
             record.t_fixed_solve = time.perf_counter() - start
+            record.iterations_fixed = fixed_solution.iterations
             if fixed_solution.status != "optimal":
                 raise RuntimeError(f"fixed solve: {fixed_solution.status}")
             record.objective_fixed = fixed_solution.objective
@@ -316,6 +323,7 @@ _FLOAT_FIELDS = {
     "regret_pct", "proj_err_mean", "proj_err_max", "total_time",
 }
 _INT_FIELDS = {"n_rp", "seed"}
+_COUNT_FIELDS = ("iterations_reduced", "iterations_fixed")
 
 
 def _cell(value) -> str:
@@ -340,17 +348,20 @@ def write_results_csv(records: list[ExperimentRecord], path: Path | str):
 def load_records(path: Path | str) -> list[ExperimentRecord]:
     """Inverse of write_results_csv (the derived total_time column is
     recomputed, not stored).  A stage column missing from an older file
-    reads as 0.0."""
+    reads as 0.0, an iteration column as 0."""
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             kwargs = {}
             for name in RESULT_COLUMNS[:-1]:
-                text = row.get(name, "") if name in _STAGE_FIELDS else row[name]
+                optional = name in _STAGE_FIELDS or name in _COUNT_FIELDS
+                text = row.get(name, "") if optional else row[name]
                 if name in _FLOAT_FIELDS:
                     kwargs[name] = float(text) if text else None
                 elif name in _INT_FIELDS:
                     kwargs[name] = int(text)
+                elif name in _COUNT_FIELDS:
+                    kwargs[name] = int(text) if text else 0
                 else:
                     kwargs[name] = text
             for stage in _STAGE_FIELDS:

@@ -43,8 +43,9 @@ class Solution:
     """Outcome of one solve: objective and variable values when optimal.
 
     ``iterations`` counts the solver's simplex iterations.  ``basis`` is
-    the optimal basis, as HiGHS basis status codes: one int8 array over the
-    columns and one over the rows, in model order.
+    the optimal basis when the solve was asked to keep it, as HiGHS basis
+    status codes: one int8 array over the columns and one over the rows, in
+    model order.
     """
 
     status: str

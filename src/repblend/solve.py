@@ -2,14 +2,19 @@
 (``scipy.optimize._highspy._core``), plus deterministic LP-file export as
 the portability escape hatch for external solvers.
 
-``solve`` hands HiGHS the ``LpModel`` as it is: the rows in model order,
-each with a ranged bound (``==`` is ``[rhs, rhs]``, ``<=`` is
-``[-inf, rhs]``, ``>=`` is ``[rhs, +inf]``), and the matrix row-wise,
-straight from the model's triplets.  An optimal solution carries its basis
-in model order, and a solve can start from a basis: a model that differs
-from a solved one only in its bounds, such as a full model with
-first-stage decisions fixed, starts from that model's optimal basis
-instead of from scratch.
+``solve`` hands HiGHS the ``LpModel`` as it is, as arrays in one
+``passModel`` call: the rows in model order, each with a ranged bound
+(``==`` is ``[rhs, rhs]``, ``<=`` is ``[-inf, rhs]``, ``>=`` is
+``[rhs, +inf]``), and the matrix row-wise, straight from the model's
+triplets.  A solve can start from a basis: a model that differs from a
+solved one only in its bounds, such as a full model with first-stage
+decisions fixed, starts from that model's optimal basis instead of from
+scratch.  Such a start is a few pivots from optimal, so it prices with
+Devex, whose weights start at 1; HiGHS's default dual steepest edge would
+first compute exact weights for the whole basis, which costs more than the
+pivots.  Cold solves keep the default pricing.  Reading the optimal basis
+back costs about as much as a short warm solve, so ``solve`` returns it
+only when asked (``keep_basis``), which the full-solve cache does.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ _BASIS_STATUS = [highspy.HighsBasisStatus(code) for code in range(5)]
 BASIC = int(highspy.HighsBasisStatus.kBasic)
 _status_code = operator.attrgetter("value")
 _DUAL_SIMPLEX = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_DEVEX = 1  # simplex_dual_edge_weight_strategy: -1 choose (default), 0 Dantzig, 1 Devex
+_ROWWISE = int(highspy.MatrixFormat.kRowwise)
+_MINIMIZE = int(highspy.ObjSense.kMinimize)
 
 _REGULAR_STATUS = {
     highspy.HighsModelStatus.kOptimal: "optimal",
@@ -59,33 +67,18 @@ class SolverHandle:
             raise ValueError("tolerance must be > 0")
 
 
-def _highs_lp(model: LpModel) -> highspy.HighsLp:
-    n, m = model.num_vars, model.num_constraints
-    sense, rhs = model.sense, model.rhs
-    lp = highspy.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.col_cost_ = model.cost
-    lp.col_lower_ = model.lb
-    lp.col_upper_ = model.ub
-    lp.row_lower_ = np.where(sense == LE, -math.inf, rhs)
-    lp.row_upper_ = np.where(sense == GE, math.inf, rhs)
-    # the terms are in ascending row order (see LpModel)
-    lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = np.searchsorted(model.row, np.arange(m + 1))
-    lp.a_matrix_.index_ = model.col
-    lp.a_matrix_.value_ = model.val
-    return lp
-
-
 def solve(model: LpModel, handle: SolverHandle | None = None,
-          basis: tuple[np.ndarray, np.ndarray] | None = None) -> Solution:
-    """Solve the model, returning objective, all variable values, the
-    simplex iteration count and the optimal basis when optimal.
+          basis: tuple[np.ndarray, np.ndarray] | None = None, *,
+          keep_basis: bool = False) -> Solution:
+    """Solve the model, returning objective, all variable values and the
+    simplex iteration count when optimal, plus the optimal basis when
+    ``keep_basis`` is set (otherwise ``Solution.basis`` is None: reading it
+    back costs as much as a short warm solve).
 
     ``basis`` is a start: the ``Solution.basis`` of a model with the same
     columns and rows (any bounds), as two arrays of HiGHS basis status
-    codes, one per column and one per row in model order.
+    codes, one per column and one per row in model order.  A started solve
+    prices with Devex; a cold one keeps HiGHS's default pricing.
 
     Statuses 'infeasible' and 'unbounded' are regular outcomes.  A model
     HiGHS rejects (a lower bound of +inf, an infinite coefficient, a NaN
@@ -107,7 +100,8 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
         if np.any(violated > handle.tolerance):
             return Solution(status="infeasible")
         return Solution(status="optimal", objective=0.0, values={},
-                        basis=(np.zeros(0, np.int8), np.full(m, BASIC, np.int8)))
+                        basis=((np.zeros(0, np.int8), np.full(m, BASIC, np.int8))
+                               if keep_basis else None))
 
     start = time.perf_counter()
     highs = highspy._Highs()
@@ -116,9 +110,20 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
                           ("dual_feasibility_tolerance", handle.tolerance),
                           ("simplex_strategy", _DUAL_SIMPLEX)):
         highs.setOptionValue(option, value)
-    if highs.passModel(_highs_lp(model)) == highspy.HighsStatus.kError:
+    # the terms are in ascending row order (see LpModel)
+    if highs.passModel(
+            n, m, model.val.size, _ROWWISE, _MINIMIZE, 0.0,
+            model.cost, model.lb, model.ub,
+            np.where(sense == LE, -math.inf, rhs), np.where(sense == GE, math.inf, rhs),
+            np.searchsorted(model.row, np.arange(m + 1)).astype(np.int32),
+            model.col.astype(np.int32), model.val,
+            np.zeros(n, np.int32),  # all continuous; an empty array is an error
+    ) == highspy.HighsStatus.kError:
         raise SolverNumericalError("HiGHS rejected the model")
     if basis is not None:
+        # dual steepest edge would start with one BTRAN per row to weigh a
+        # basis that is a few pivots from optimal
+        highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX)
         start_basis = highspy.HighsBasis()
         start_basis.col_status = [_BASIS_STATUS[code] for code in basis[0].tolist()]
         start_basis.row_status = [_BASIS_STATUS[code] for code in basis[1].tolist()]
@@ -137,16 +142,18 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
 
     objective = float(info.objective_function_value)
     x = np.array(highs.getSolution().col_value)
-    found = highs.getBasis()
-    col_status = np.fromiter(map(_status_code, found.col_status), np.int8, n)
-    row_status = np.fromiter(map(_status_code, found.row_status), np.int8, m)
+    optimal_basis = None
+    if keep_basis:
+        found = highs.getBasis()
+        optimal_basis = (np.fromiter(map(_status_code, found.col_status), np.int8, n),
+                         np.fromiter(map(_status_code, found.row_status), np.int8, m))
     # free HiGHS's copy of the model before the values dict is built, so the
     # process does not hold both at its peak
     highs.clear()
     values = dict(zip(model.var_names, x.tolist()))
     return Solution(status="optimal", objective=objective, values=values,
                     solve_time=time.perf_counter() - start,
-                    iterations=iterations, basis=(col_status, row_status))
+                    iterations=iterations, basis=optimal_basis)
 
 
 def _fmt(value: float) -> str:

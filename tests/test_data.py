@@ -21,6 +21,9 @@ from repblend.data import (
     validate_profiles,
 )
 
+from repblend.model import build_full_model
+from repblend.solve import solve
+
 from conftest import make_synthetic_gep, make_system, producer, write_dataset
 
 
@@ -190,6 +193,50 @@ class TestLoadSystem:
             "nan" if name == column else cell for name, cell in zip(header, cells)])
         with pytest.raises(DataError, match=rf"^{file}:2: column '{column}': not a number: 'nan'$"):
             load_system(root)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf"])
+    @pytest.mark.parametrize("column", [
+        "unit_capacity", "existing_units", "inv_cost", "var_cost", "eff_in", "eff_out", "ramp",
+        "storage_cap", "inflow_max", "spill_cost", "borrow_cost", "initial_storage",
+    ])
+    def test_infinite_asset_cell_rejected(self, dataset_with, column, text):
+        root = dataset_with("assets.csv")
+        _edit_first_row(root / "assets.csv", lambda header, cells: [
+            text if name == column else cell for name, cell in zip(header, cells)])
+        with pytest.raises(DataError,
+                           match=rf"^assets.csv:2: column '{column}': not finite: '{text}'$"):
+            load_system(root)
+
+    def test_infinite_line_limit_is_unlimited(self, dataset_with):
+        root = dataset_with("lines.csv")
+        _edit_first_row(root / "lines.csv", lambda header, cells: [
+            "inf" if name == "import_limit" else cell for name, cell in zip(header, cells)])
+        system = load_system(root)
+        line = system.lines[0]
+        assert (line.import_limit, line.export_limit) == (math.inf, 40.0)
+        model = build_full_model(system)
+        flows = [i for i, name in enumerate(model.var_names)
+                 if name.startswith(f"flow_{line.name}_")]
+        assert flows and np.all(model.lb[flows] == -math.inf)
+        assert np.all(model.ub[flows] == 40.0)
+        assert solve(model).status == "optimal"
+
+    @pytest.mark.parametrize("horizon,peak,match", [
+        ({}, math.inf, r"peak_demand\['n1'\]\['el'\] must be finite"),
+        ({}, -math.inf, r"peak_demand\['n1'\]\['el'\] must be finite"),
+        ({"timestep_hours": math.inf}, 1.0, "bad horizon: timestep_hours must be finite"),
+        ({"hours_per_year": math.inf}, 1.0, "bad horizon: hours_per_year must be finite"),
+        ({"hours_per_year": -math.inf}, 1.0, "bad horizon: hours_per_year must be finite"),
+    ], ids=["peak_demand", "peak_demand_negative", "timestep_hours", "hours_per_year",
+            "hours_per_year_negative"])
+    def test_infinite_config_value_rejected(self, tmp_path, horizon, peak, match):
+        config = _tiny_config()
+        config["horizon"].update(horizon)
+        config["peak_demand"]["n1"]["el"] = peak
+        write_dataset(tmp_path, config, [], [], {("n1", "el"): np.full((1, 1), 0.5)}, {}, {})
+        assert "Infinity" in (tmp_path / "config.json").read_text()
+        with pytest.raises(DataError, match=f"^config.json: {match}$"):
+            load_system(tmp_path)
 
     @pytest.mark.parametrize("horizon,peak,match", [
         ({}, math.nan, r"peak_demand\['n1'\]\['el'\] must be a number"),

@@ -11,8 +11,8 @@ from click.testing import CliRunner
 
 import repblend.harness as harness
 from repblend.cli import main
-from repblend.data import build_clustering_matrix, load_system
-from repblend.model import build_full_model
+from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
+from repblend.model import build_full_model, build_model, fix_decisions
 from repblend.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -26,7 +26,8 @@ from repblend.harness import (
     solve_full_cached,
     write_results_csv,
 )
-from repblend.solve import SolverHandle
+from repblend.solve import SolverHandle, solve
+from repblend.weights import fit_weights
 
 NON_TIMING_FIELDS = [f.name for f in fields(ExperimentRecord)
                      if not f.name.startswith("t_")]
@@ -192,6 +193,33 @@ class TestRunExperiment:
         assert record.total_time == (record.t_read + record.t_cluster + record.t_fit
                                      + record.t_build + record.t_solve)
 
+    @pytest.mark.parametrize("fixture,method,weight_type", [
+        ("synthetic_gep_path", "kmeans", "dirac"),
+        ("synthetic_p2x_path", "hull", "conic"),
+    ], ids=["gep", "p2x"])
+    def test_fixed_objective_matches_cold_solve(self, request, tmp_path, fixture, method,
+                                                weight_type):
+        # the warm-started fixed solve reaches the optimum a cold solve of
+        # the same fixed model finds
+        path = request.getfixturevalue(fixture)
+        config = ExperimentConfig(path, method, weight_type, 3, seeds=(1,),
+                                  cache_dir=tmp_path / "cache")
+        record = run_experiment(config)[0]
+        assert record.error == ""
+        system = load_system(path)
+        cm = build_clustering_matrix(system)
+        selection, hard = cluster_matrix(cm.values, method, weight_type, 3, seed=1)
+        weights = fit_weights(selection.rep_matrix, cm.values, weight_type,
+                              dirac_assignment=hard)
+        reduced = solve(build_model(system, extract_rep_profiles(system, selection, cm),
+                                    weights))
+        assert (reduced.objective, reduced.iterations) == (record.objective_reduced,
+                                                           record.iterations_reduced)
+        cold = solve(fix_decisions(build_full_model(system), reduced, system.mode))
+        assert cold.status == "optimal"
+        assert record.objective_fixed == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+        assert record.iterations_fixed < cold.iterations
+
     def test_model_key_tracks_content(self, mini_gep_copy):
         handle = SolverHandle()
         system = load_system(mini_gep_copy)
@@ -247,7 +275,7 @@ class TestResultsCsv:
             n_rp=4, seed=1, t_read=0.01, t_cluster=0.02, t_fit=0.03,
             t_build=0.04, t_solve=0.05, objective_reduced=1.0,
             objective_fixed=107.4, objective_full=100.0, regret_pct=7.4,
-            proj_err_mean=0.1, proj_err_max=0.2)
+            proj_err_mean=0.1, proj_err_max=0.2, iterations_reduced=31, iterations_fixed=7)
         return replace(base, **overrides)
 
     def test_roundtrip(self, tmp_path):
@@ -269,6 +297,17 @@ class TestResultsCsv:
         path.write_text("\n".join(",".join(cells[:drop] + cells[drop + 1:])
                                   for cells in (header, row)) + "\n")
         assert load_records(path) == [replace(record, t_fixed_solve=0.0)]
+
+    def test_file_without_iteration_counts_reads_as_zero(self, tmp_path):
+        record = self.make_record()
+        path = tmp_path / "results.csv"
+        write_results_csv([record], path)
+        header, row = [line.split(",") for line in path.read_text().splitlines()]
+        keep = [i for i, name in enumerate(header) if not name.startswith("iterations_")]
+        assert len(keep) == len(header) - 2
+        path.write_text("\n".join(",".join(cells[i] for i in keep)
+                                  for cells in (header, row)) + "\n")
+        assert load_records(path) == [replace(record, iterations_reduced=0, iterations_fixed=0)]
 
     def test_one_record_one_row(self, tmp_path):
         emit_plot_data([self.make_record()], tmp_path)
@@ -318,6 +357,7 @@ class TestCli:
     @pytest.mark.parametrize("file,old,new", [
         pytest.param("demand.csv", "n1,el,1,1,1.0", "n1,el", id="short-row"),
         pytest.param("assets.csv", "true,1,0,10,", "true,1,0,nan,", id="nan-inv-cost"),
+        pytest.param("assets.csv", "true,1,0,10,", "true,1,0,inf,", id="inf-inv-cost"),
     ])
     @pytest.mark.parametrize("command", ["validate", "solve-full"])
     def test_bad_cell_exits_2_with_location(self, mini_gep_copy, tmp_path, command,

@@ -117,6 +117,8 @@ class TestSolve:
         assert solution.status == "optimal"
         assert solution.objective == 0.0
         assert solution.values == {}
+        assert solution.basis is None
+        assert [b.size for b in solve(m, keep_basis=True).basis] == [0, 0]
 
     def test_constant_rows_without_variables(self):
         for sense, rhs, status in (("==", 5.0, "infeasible"), ("==", 0.0, "optimal"),
@@ -155,8 +157,8 @@ REDUCTIONS = {
 
 @pytest.fixture(scope="module")
 def pipeline_models(request):
-    """Per dataset of REDUCTIONS: (mode, full model, full solution, reduced
-    model), built once per module."""
+    """Per dataset of REDUCTIONS: (mode, full model, full solution with its
+    basis, reduced model), built once per module."""
     built = {}
 
     def get(case):
@@ -169,7 +171,7 @@ def pipeline_models(request):
                                   dirac_assignment=hard)
             full = build_full_model(system)
             reduced = build_model(system, extract_rep_profiles(system, selection, cm), weights)
-            built[case] = (system.mode, full, solve(full), reduced)
+            built[case] = (system.mode, full, solve(full, keep_basis=True), reduced)
         return built[case]
     return get
 
@@ -205,6 +207,21 @@ class TestAgainstLinprog:
 
 
 class TestWarmStart:
+    @pytest.mark.parametrize("case", ["gep", "p2x"])
+    def test_basis_read_back_only_when_kept(self, pipeline_models, case):
+        _, full, full_solution, reduced = pipeline_models(case)
+        plain = solve(full)
+        assert plain.basis is None
+        assert (plain.objective, plain.values) == (full_solution.objective,
+                                                   full_solution.values)
+        kept = solve(full, keep_basis=True)
+        for again, first in zip(kept.basis, full_solution.basis):
+            np.testing.assert_array_equal(again, first)
+        assert (kept.objective, kept.values) == (full_solution.objective,
+                                                 full_solution.values)
+        assert solve(reduced).basis is None
+        assert solve(full, basis=full_solution.basis).basis is None
+
     @pytest.mark.parametrize("case", ["gep", "p2x"])
     def test_fixed_solve_from_full_basis(self, pipeline_models, case):
         mode, full, full_solution, reduced = pipeline_models(case)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -248,21 +249,39 @@ def _parse_int(text: str, file: str, line: int, column: str) -> int:
         raise DataError(f"column {column!r}: not an integer: {text!r}", file, line) from None
 
 
-def _read_csv(path: Path, required: tuple[str, ...]):
-    """Yield (line_number, row_dict) for every data row; checks the header.
-    Cells missing from a short row read as blank."""
+@contextmanager
+def _open_csv(path: Path, required: tuple[str, ...]):
+    """A ``csv.reader`` positioned after the header, and the header, which
+    must name every ``required`` column."""
     fname = path.name
     if not path.exists():
         raise DataError("file not found", fname)
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, restval="")
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise DataError("missing header row", fname, 1)
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"missing columns: {', '.join(missing)}", fname, 1)
-        for row in reader:
-            yield reader.line_num, row
+        yield reader, header
+
+
+def _read_csv(path: Path, required: tuple[str, ...]):
+    """Yield (line_number, row_dict) for every data row; checks the header.
+    Blank lines are skipped, cells missing from a short row read as blank,
+    and a non-blank cell past the header is an error.  The line number is
+    the physical line on which the row ends."""
+    with _open_csv(path, required) as (reader, header):
+        width = len(header)
+        for cells in reader:
+            if not cells:
+                continue
+            if any(cell.strip() for cell in cells[width:]):
+                raise DataError(f"row has {len(cells)} cells, header has {width}",
+                                path.name, reader.line_num)
+            cells += [""] * (width - len(cells))
+            yield reader.line_num, dict(zip(header, cells))
 
 
 def _load_config(root: Path) -> dict:
@@ -343,45 +362,48 @@ def load_system(root: Path | str) -> EnergySystem:
     lines = _load_lines(root / "lines.csv", nodes, carriers)
 
     D, H = horizon.num_periods, horizon.hours_per_period
-    demand = {key: np.full((D, H), np.nan) for key in peaks}
-    _fill_hourly(root / "demand.csv", ("node", "carrier"), demand, D, H,
-                 check=lambda key, f, ln: (key in peaks) or _fail(
-                     f"demand for ({key[0]}, {key[1]}) has no peak_demand entry", f, ln))
+    given = _fill_hourly(
+        root / "demand.csv", ("node", "carrier"), D, H,
+        lambda key: None if key in peaks
+        else f"demand for ({key[0]}, {key[1]}) has no peak_demand entry")
+    demand = {key: given[key] if key in given else np.full((D, H), np.nan) for key in peaks}
 
-    availability: dict[str, np.ndarray] = {}
-    _fill_hourly(root / "availability.csv", ("asset",), availability, D, H,
-                 check=lambda key, f, ln: (key in asset_by_name) or _fail(
-                     f"unknown asset {key!r}", f, ln))
+    availability = _fill_hourly(
+        root / "availability.csv", ("asset",), D, H,
+        lambda key: None if key in asset_by_name else f"unknown asset {key!r}")
 
-    inflow: dict[str, np.ndarray] = {}
-
-    def _check_inflow(key, f, ln):
+    def inflow_error(key):
         if key not in asset_by_name:
-            _fail(f"unknown asset {key!r}", f, ln)
+            return f"unknown asset {key!r}"
         if not asset_by_name[key].is_seasonal:
-            _fail(f"inflows given for non-seasonal asset {key!r}", f, ln)
-        return True
+            return f"inflows given for non-seasonal asset {key!r}"
+        return None
 
-    _fill_hourly(root / "inflows.csv", ("asset",), inflow, D, H, check=_check_inflow)
+    inflow = _fill_hourly(root / "inflows.csv", ("asset",), D, H, inflow_error)
 
     storage_min = {a.name: np.zeros(D) for a in assets if a.is_seasonal}
     storage_max = {a.name: np.ones(D) for a in assets if a.is_seasonal}
     bounds_path = root / "storage_bounds.csv"
     if bounds_path.exists():
+        fname = bounds_path.name
+        seen: set[tuple[str, int]] = set()
         for ln, row in _read_csv(bounds_path, ("asset", "period", "min_frac", "max_frac")):
             name = row["asset"].strip()
             if name not in asset_by_name:
-                raise DataError(f"unknown asset {name!r}", bounds_path.name, ln)
+                raise DataError(f"unknown asset {name!r}", fname, ln)
             if not asset_by_name[name].is_seasonal:
                 raise DataError(f"storage bounds given for non-seasonal asset {name!r}",
-                                bounds_path.name, ln)
-            period = _parse_int(row["period"], bounds_path.name, ln, "period")
+                                fname, ln)
+            period = _parse_int(row["period"], fname, ln, "period")
             if not 1 <= period <= D:
-                raise DataError(f"period {period} outside 1..{D}", bounds_path.name, ln)
-            storage_min[name][period - 1] = _parse_float(
-                row["min_frac"], 0.0, bounds_path.name, ln, "min_frac")
-            storage_max[name][period - 1] = _parse_float(
-                row["max_frac"], 1.0, bounds_path.name, ln, "max_frac")
+                raise DataError(f"period {period} outside 1..{D}", fname, ln)
+            low = _parse_float(row["min_frac"], 0.0, fname, ln, "min_frac")
+            high = _parse_float(row["max_frac"], 1.0, fname, ln, "max_frac")
+            if (name, period) in seen:
+                raise DataError(f"duplicate cell (period {period})", fname, ln)
+            seen.add((name, period))
+            storage_min[name][period - 1] = low
+            storage_max[name][period - 1] = high
 
     return EnergySystem(
         horizon=horizon,
@@ -400,22 +422,81 @@ def load_system(root: Path | str) -> EnergySystem:
     )
 
 
-def _fail(message: str, file: str, line: int):
-    raise DataError(message, file, line)
+def _fill_hourly(path: Path, key_columns: tuple[str, ...], D: int, H: int, key_error) -> dict:
+    """Read an hourly profile CSV into (D, H) arrays keyed by the key
+    columns (a string for one column, else a tuple), in order of first
+    appearance.  Cells the file does not set are NaN, so that completeness
+    can be validated afterwards.
 
-
-def _fill_hourly(path: Path, key_columns: tuple[str, ...], target: dict, D: int, H: int, check):
-    """Read an hourly profile CSV into ``target`` keyed by the key columns.
-
-    Series arrays are created lazily (NaN-filled) so that completeness can be
-    validated afterwards; setting the same cell twice is an error.
+    ``key_error(key)`` returns the message for a key the file may not use,
+    or None.  The file is read as columns: period and hour are parsed with
+    ``int`` once per distinct text, values with ``float``, each distinct key
+    is checked once, period and hour ranges are checked on whole arrays, and
+    all values are scattered with one assignment, after which a NaN value or
+    a cell set twice shows as fewer set cells than rows.  Any fault, or a
+    row whose width differs from the header's, sends the file through
+    ``_fill_hourly_rows``, which raises the first fault in file order at its
+    line.
     """
+    columns = key_columns + ("period", "hour", "value")
+    with _open_csv(path, columns) as (reader, header):
+        # blank lines read as []; a tuple of strings drops out of the garbage
+        # collector's tracking, a list per row would be walked by every
+        # collection while the file is read
+        rows = list(map(tuple, filter(None, reader)))
+    if not rows:
+        return {}
+    if set(map(len, rows)) != {len(header)}:
+        return _fill_hourly_rows(path, key_columns, D, H, key_error)
+    index = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+    cells = list(zip(*rows))
+    raw_keys = list(zip(*(cells[index[c]] for c in key_columns)))
+    key_of = {raw: _hourly_key(raw) for raw in dict.fromkeys(raw_keys)}
+    series = list(dict.fromkeys(key_of.values()))
+    n = len(rows)
+    try:
+        period = np.fromiter(_parse_each(cells[index["period"]], int), np.int64, n)
+        hour = np.fromiter(_parse_each(cells[index["hour"]], int), np.int64, n)
+        value = np.fromiter(map(float, cells[index["value"]]), np.float64, n)
+    except (ValueError, OverflowError):
+        return _fill_hourly_rows(path, key_columns, D, H, key_error)
+    if (any(map(key_error, series))
+            or period.min() < 1 or period.max() > D or hour.min() < 1 or hour.max() > H):
+        return _fill_hourly_rows(path, key_columns, D, H, key_error)
+    block = np.full((len(series), D, H), np.nan)
+    ids = {key: i for i, key in enumerate(series)}
+    row_series = {raw: ids[key] for raw, key in key_of.items()}
+    block[np.fromiter(map(row_series.__getitem__, raw_keys), np.intp, n),
+          period - 1, hour - 1] = value
+    if np.count_nonzero(~np.isnan(block)) < n:  # a NaN value, or a cell set twice
+        return _fill_hourly_rows(path, key_columns, D, H, key_error)
+    return dict(zip(series, block))
+
+
+def _hourly_key(cells):
+    """The series key of a row's key cells: stripped, and a string for one
+    key column."""
+    key = tuple(cell.strip() for cell in cells)
+    return key[0] if len(key) == 1 else key
+
+
+def _parse_each(column, parse):
+    """``map(parse, column)``, calling ``parse`` once per distinct text."""
+    parsed = {text: parse(text) for text in set(column)}
+    return map(parsed.__getitem__, column)
+
+
+def _fill_hourly_rows(path: Path, key_columns: tuple[str, ...], D: int, H: int,
+                      key_error) -> dict:
+    """``_fill_hourly`` one row at a time: checks each row in file order and
+    raises DataError at the line of the first fault."""
     fname = path.name
+    target: dict = {}
     for ln, row in _read_csv(path, key_columns + ("period", "hour", "value")):
-        key = tuple(row[c].strip() for c in key_columns)
-        if len(key) == 1:
-            key = key[0]
-        check(key, fname, ln)
+        key = _hourly_key(row[c] for c in key_columns)
+        message = key_error(key)
+        if message is not None:
+            raise DataError(message, fname, ln)
         period = _parse_int(row["period"], fname, ln, "period")
         hour = _parse_int(row["hour"], fname, ln, "hour")
         if not 1 <= period <= D:
@@ -431,6 +512,7 @@ def _fill_hourly(path: Path, key_columns: tuple[str, ...], target: dict, D: int,
         if not math.isnan(series[period - 1, hour - 1]):
             raise DataError(f"duplicate cell (period {period}, hour {hour})", fname, ln)
         series[period - 1, hour - 1] = value
+    return target
 
 
 _ASSET_COLUMNS = (
@@ -548,33 +630,33 @@ def validate_profiles(system: EnergySystem) -> list[Violation]:
     """Check every profile value for range [0, 1] and completeness.
 
     Returns an empty list exactly when all demand, availability, inflow and
-    storage-bound values are present and within range.
+    storage-bound values are present and within range.  Violations come
+    series by series (demand, availability, inflow, storage_min,
+    storage_max; keys sorted) and cell by cell within a series, period
+    before hour.  Each series is checked as one array; a ``Violation`` is
+    built only for a bad cell.
     """
     violations: list[Violation] = []
 
-    def scan_hourly(series_name: str, table: dict, key_fmt):
+    def scan(series_name: str, table: dict, key_fmt):
         for key in sorted(table):
             arr = table[key]
-            for d in range(arr.shape[0]):
-                for h in range(arr.shape[1]):
-                    value = arr[d, h]
-                    if math.isnan(value):
-                        violations.append(Violation(series_name, key_fmt(key), d + 1, h + 1, "missing"))
-                    elif not 0.0 <= value <= 1.0:
-                        violations.append(
-                            Violation(series_name, key_fmt(key), d + 1, h + 1, "range", float(value)))
+            for cell in zip(*np.nonzero(~((arr >= 0.0) & (arr <= 1.0)))):
+                value = float(arr[cell])
+                period = int(cell[0]) + 1
+                hour = int(cell[1]) + 1 if arr.ndim == 2 else None
+                # a NaN per-period storage bound is a range fault, not a missing value
+                if hour is not None and math.isnan(value):
+                    violations.append(Violation(series_name, key_fmt(key), period, hour, "missing"))
+                else:
+                    violations.append(
+                        Violation(series_name, key_fmt(key), period, hour, "range", value))
 
-    scan_hourly("demand", system.demand, lambda k: f"{k[0]}/{k[1]}")
-    scan_hourly("availability", system.availability, lambda k: k)
-    scan_hourly("inflow", system.inflow, lambda k: k)
-
-    for series_name, table in (("storage_min", system.storage_min),
-                               ("storage_max", system.storage_max)):
-        for key in sorted(table):
-            arr = table[key]
-            for d in range(arr.shape[0]):
-                if not 0.0 <= arr[d] <= 1.0:
-                    violations.append(Violation(series_name, key, d + 1, None, "range", float(arr[d])))
+    scan("demand", system.demand, lambda k: f"{k[0]}/{k[1]}")
+    scan("availability", system.availability, lambda k: k)
+    scan("inflow", system.inflow, lambda k: k)
+    scan("storage_min", system.storage_min, lambda k: k)
+    scan("storage_max", system.storage_max, lambda k: k)
     return violations
 
 

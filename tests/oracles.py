@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's closed-form shortcuts: projections
 are found by enumerating active sets (faces) of the constraint polytope and
-keeping the feasible face-minimizer closest to the input point.
+keeping the feasible face-minimizer closest to the input point.  The
+profile reader parses one CSV row at a time.
 """
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -217,3 +219,24 @@ def linprog_solution(model, tolerance: float = 1e-8):
                               "dual_feasibility_tolerance": tolerance})
     assert result.status == 0, result.message
     return float(result.fun), dict(zip(model.var_names, result.x.tolist()))
+
+
+def read_hourly_rows(path, key_columns: tuple[str, ...], num_periods: int,
+                     hours: int) -> dict:
+    """The series of a valid hourly profile CSV, read one ``csv.DictReader``
+    row at a time: key cells stripped (a string for one key column, else a
+    tuple), period and hour by ``int``, the value by ``float``.  Series are
+    (num_periods, hours) float64 arrays, NaN where the file sets no cell, in
+    order of their key's first row.  Blank lines are skipped; a cell set
+    twice fails an assertion."""
+    series: dict = {}
+    with open(path, newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            key = tuple(row[c].strip() for c in key_columns)
+            key = key[0] if len(key) == 1 else key
+            if key not in series:
+                series[key] = np.full((num_periods, hours), np.nan)
+            cell = (int(row["period"]) - 1, int(row["hour"]) - 1)
+            assert np.isnan(series[key][cell]), (key, cell)
+            series[key][cell] = float(row["value"])
+    return series

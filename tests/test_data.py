@@ -25,6 +25,7 @@ from repblend.model import build_full_model
 from repblend.solve import solve
 
 from conftest import make_synthetic_gep, make_system, producer, write_dataset
+from oracles import read_hourly_rows
 
 
 class TestHorizon:
@@ -266,6 +267,119 @@ class TestLoadSystem:
         with pytest.raises(DataError, match=f"^{file}:2: {message}$"):
             load_system(root)
 
+    @pytest.mark.parametrize("file", [
+        "demand.csv", "availability.csv", "inflows.csv", "assets.csv", "lines.csv",
+        "storage_bounds.csv",
+    ])
+    def test_over_long_row_rejected(self, dataset_with, file):
+        # the first data row gains one cell past its header
+        root = dataset_with(file)
+        width = len((root / file).read_text().splitlines()[0].split(","))
+        _edit_first_row(root / file, lambda header, cells: cells + [""] * (width - len(cells))
+                        + ["7"])
+        with pytest.raises(DataError,
+                           match=rf"^{file}:2: row has {width + 1} cells, header has {width}$"):
+            load_system(root)
+
+    @pytest.mark.parametrize("file", ["demand.csv", "assets.csv"])
+    def test_trailing_blank_cells_allowed(self, dataset_with, file):
+        root = dataset_with(file)
+        expected = load_system(root)
+        path = root / file
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + [line + ", ," for line in lines[1:]]) + "\n")
+        system = load_system(root)
+        assert system.assets == expected.assets
+        for key, arr in expected.demand.items():
+            assert system.demand[key].tobytes() == arr.tobytes()
+
+    def test_duplicate_storage_bound_rejected(self, tmp_path):
+        write_dataset(
+            tmp_path, _tiny_config(num_periods=3),
+            [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
+                  storage_cap=10)],
+            [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {},
+            storage_bounds=[("r", 2, 0.2, 0.8), ("r", 2, 0.4, 0.6)])
+        with pytest.raises(DataError, match=r"^storage_bounds.csv:3: duplicate cell \(period 2\)$"):
+            load_system(tmp_path)
+
+
+HOURLY_FILES = [("demand", "demand.csv", ("node", "carrier")),
+                ("availability", "availability.csv", ("asset",)),
+                ("inflow", "inflows.csv", ("asset",))]
+
+
+class TestHourlyProfiles:
+    """The columnar profile reader against a row-by-row reference, and the
+    location of its first error."""
+
+    @pytest.fixture(params=["mini-gep", "synthetic-gep", "synthetic-p2x", "shuffled",
+                            "blank-lines", "padded-keys"])
+    def dataset(self, request, tmp_path):
+        """A dataset as written, or a copy of the synthetic gep dataset with
+        its hourly rows shuffled, blank lines between them, or spaces around
+        the first key cell of every other row."""
+        source = {"mini-gep": "mini_gep_path", "synthetic-p2x": "synthetic_p2x_path"}
+        root = request.getfixturevalue(source.get(request.param, "synthetic_gep_path"))
+        if request.param in ("shuffled", "blank-lines", "padded-keys"):
+            root = shutil.copytree(root, tmp_path / request.param)
+            rng = np.random.default_rng(5)
+            for _, file, _ in HOURLY_FILES:
+                header, *rows = (root / file).read_text().splitlines()
+                if request.param == "shuffled":
+                    rows = [rows[i] for i in rng.permutation(len(rows))]
+                elif request.param == "blank-lines":
+                    rows = [line for i, row in enumerate(rows)
+                            for line in ((row, "") if i % 3 == 0 else (row,))]
+                else:
+                    rows = [f" {row.replace(',', ' ,', 1)}" if i % 2 else row
+                            for i, row in enumerate(rows)]
+                (root / file).write_text("\n".join([header, "", *rows]) + "\n")
+        return root
+
+    def test_arrays_match_row_reader(self, dataset):
+        system = load_system(dataset)
+        D, H = system.horizon.num_periods, system.horizon.hours_per_period
+        for attr, file, key_columns in HOURLY_FILES:
+            expected = read_hourly_rows(dataset / file, key_columns, D, H)
+            if attr == "demand":
+                expected = {key: expected.get(key, np.full((D, H), np.nan))
+                            for key in system.peak_demand}
+            loaded = getattr(system, attr)
+            assert list(loaded) == list(expected)
+            for key, arr in expected.items():
+                assert (loaded[key].dtype, loaded[key].shape) == (arr.dtype, arr.shape)
+                assert loaded[key].tobytes() == arr.tobytes(), (attr, key)
+
+    @pytest.mark.parametrize("file,rows,error", [
+        ("demand.csv", ["n1,el,1,1,0.5", "n1,el,1,2,0.5", "n1,el,1,1,0.5", "n1,el,2,1,0.5",
+                        "n1,el,2,2,nan"],
+         "demand.csv:4: duplicate cell (period 1, hour 1)"),
+        ("availability.csv", ["zz,x,1,0.5"], "availability.csv:2: unknown asset 'zz'"),
+        ("demand.csv", ["n1,el,x,1,"], "demand.csv:2: column 'period': not an integer: 'x'"),
+        ("availability.csv", ["g,0,1,0.5", "zz,1,1,0.5"],
+         "availability.csv:2: period 0 outside 1..2"),
+        ("demand.csv", ["n1,el,1,1,0.5", "", '"n1\n",el,1,2,0.5', "n1,el,2,1,abc"],
+         "demand.csv:6: column 'value': not a number: 'abc'"),
+        ("demand.csv", ["n1,el,1,1,0.5", "n1,el,1,3,0.5"], "demand.csv:3: hour 3 outside 1..2"),
+        ("availability.csv", ["g,1,1,0.5", "zz,1,1,0.5"],
+         "availability.csv:3: unknown asset 'zz'"),
+        ("demand.csv", ["n1,el,99999999999999999999,1,0.5"],
+         "demand.csv:2: period 99999999999999999999 outside 1..2"),
+    ], ids=["duplicate-before-nan", "unknown-key-before-bad-period",
+            "bad-period-before-empty-value", "bad-period-before-later-unknown-key",
+            "after-blank-line-and-multiline-cell", "hour-out-of-range",
+            "unknown-availability-asset", "period-past-int64"])
+    def test_first_fault_in_file_order(self, tmp_path, file, rows, error):
+        write_dataset(tmp_path, _tiny_config(num_periods=2, hours=2),
+                      [dict(name="g", node="n1", kind="producer", carrier_out="el")],
+                      [], {("n1", "el"): np.full((2, 2), 0.5)}, {"g": np.ones((2, 2))}, {})
+        header = (tmp_path / file).read_text().splitlines()[0]
+        (tmp_path / file).write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DataError) as raised:
+            load_system(tmp_path)
+        assert str(raised.value) == error
+
 
 def _edit_first_row(path, edit):
     """Replace the first data row of a CSV file by ``edit(header, cells)``."""
@@ -313,6 +427,26 @@ class TestValidateProfiles:
         system.storage_max["r"][0] = 1.5
         violations = validate_profiles(system)
         assert [v.series for v in violations] == ["storage_max"]
+
+    def test_violations_in_series_then_cell_order(self):
+        storage = Asset(name="r", node="n1", kind="storage_seasonal",
+                        carrier_in="el", carrier_out="el", storage_cap=5)
+        system = make_system(D=2, H=2, assets=[producer("w"), storage],
+                             availability={"w": np.ones((2, 2))})
+        system.storage_max["r"][1] = np.nan
+        system.storage_min["r"][0] = -1.0
+        system.availability["w"][0, 0] = -0.5
+        system.demand[("n1", "el")][1, 0] = np.nan
+        system.demand[("n1", "el")][0, 1] = 2.0
+        system.demand[("n1", "el")][1, 1] = np.inf
+        assert [str(v) for v in validate_profiles(system)] == [
+            "demand n1/el period 1 hour 2: value 2.0 outside [0, 1]",
+            "demand n1/el period 2 hour 1: value missing",
+            "demand n1/el period 2 hour 2: value inf outside [0, 1]",
+            "availability w period 1 hour 1: value -0.5 outside [0, 1]",
+            "storage_min r period 1: value -1.0 outside [0, 1]",
+            "storage_max r period 2: value nan outside [0, 1]",
+        ]
 
     def test_absent_demand_series_reported_cell_by_cell(self, tmp_path):
         # a peak_demand entry promises a demand series; an empty demand.csv

@@ -203,10 +203,8 @@ def solve_full(data_path, mode, out_dir):
         sys.exit(3)
     click.echo(f"objective: {solution.objective!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "full_solution.csv", "w", encoding="utf-8") as out:
-        out.write("variable,value\n")
-        for name, value in solution.values.items():
-            out.write(f"{name},{value!r}\n")
+    rows = (f"{name},{value!r}\n" for name, value in zip(model.var_names, solution.x.tolist()))
+    (out_dir / "full_solution.csv").write_text("variable,value\n" + "".join(rows), encoding="utf-8")
 
 
 @main.command()

@@ -97,10 +97,6 @@ class Asset:
     initial_storage: float = 0.0  # MWh
 
     @property
-    def is_storage(self) -> bool:
-        return self.kind in ("storage_short", "storage_seasonal")
-
-    @property
     def is_seasonal(self) -> bool:
         return self.kind == "storage_seasonal"
 
@@ -252,19 +248,25 @@ def _parse_int(text: str, file: str, line: int, column: str) -> int:
 @contextmanager
 def _open_csv(path: Path, required: tuple[str, ...]):
     """A ``csv.reader`` positioned after the header, and the header, which
-    must name every ``required`` column."""
+    must name every ``required`` column.  A CSV fault (a cell over the field
+    limit) raises DataError at its line, non-UTF-8 text one without a line."""
     fname = path.name
     if not path.exists():
         raise DataError("file not found", fname)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError("missing header row", fname, 1)
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise DataError(f"missing columns: {', '.join(missing)}", fname, 1)
-        yield reader, header
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError("missing header row", fname, 1)
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise DataError(f"missing columns: {', '.join(missing)}", fname, 1)
+            yield reader, header
+        except csv.Error as exc:
+            raise DataError(str(exc), fname, reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8 text: {exc.reason}", fname) from None
 
 
 def _read_csv(path: Path, required: tuple[str, ...]):
@@ -289,10 +291,11 @@ def _load_config(root: Path) -> dict:
     if not path.exists():
         raise DataError("config.json not found", "config.json")
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc.msg}", "config.json", exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text: {exc.reason}", "config.json") from None
 
 
 def load_system(root: Path | str) -> EnergySystem:

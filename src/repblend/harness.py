@@ -3,10 +3,10 @@ model, re-solve the full model with the reduced decisions fixed, and report
 the relative regret with per-stage timings.
 
 The full-resolution benchmark solve is independent of method, weights and
-seed, so it is cached on disk keyed by a content hash of the full model
-itself; a change to the data or to the formulation gives a new key.  The
-cache keeps the optimal basis too, and every fixed solve starts from it:
-a fixed model differs from the full model only in its bounds.
+seed, so it is cached on disk keyed by a hash of the full model's arrays;
+a change to the data or to the formulation gives a new key.  The cache
+keeps ``x`` and the optimal basis, and every fixed solve starts from that
+basis: a fixed model differs from the full model only in its bounds.
 """
 
 from __future__ import annotations
@@ -146,11 +146,10 @@ def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
 
 def model_key(model: LpModel, handle: SolverHandle) -> str:
     """Content hash of everything a solve of ``model`` depends on: the
-    variable names, cost, rows (triplets, senses, right-hand sides) and
-    bounds, plus the solver tolerance."""
+    cost, rows (triplets, senses, right-hand sides) and bounds, plus the
+    solver tolerance; not the names, as ``x`` is stored by position."""
     digest = hashlib.sha256()
     digest.update(f"{model.num_vars} {model.num_constraints} {model.val.size}\n".encode())
-    digest.update("\n".join(model.var_names).encode())
     for array in (model.cost, model.lb, model.ub, model.row, model.col, model.val,
                   model.sense, model.rhs):
         digest.update(np.ascontiguousarray(array))
@@ -175,16 +174,19 @@ def _basis_codes(text: str, size: int) -> np.ndarray:
 def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
     """The solution stored in ``cache_file``, or None when the file is
     missing or cannot be read back (bad JSON, missing keys, an optimal
-    solution without a basis that fits ``model``)."""
+    solution without an ``x`` or a basis that fits ``model``)."""
     try:
         payload = json.loads(cache_file.read_text(encoding="utf-8"))
-        basis = None
+        x = basis = None
         if payload["status"] == "optimal":
+            x = np.array(payload["x"], dtype=float)
+            if x.shape != (model.num_vars,):
+                raise ValueError("x does not fit the model")
             columns, rows = payload["basis"]
             basis = (_basis_codes(columns, model.num_vars),
                      _basis_codes(rows, model.num_constraints))
         return Solution(status=payload["status"], objective=payload["objective"],
-                        values=payload["values"], solve_time=payload["solve_time"],
+                        x=x, solve_time=payload["solve_time"],
                         iterations=payload["iterations"], basis=basis)
     except (OSError, ValueError, KeyError, TypeError):
         return None
@@ -197,11 +199,11 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     directory, ``<data_path>/.full_cache``; ``mode`` is already part of the
     model.
 
-    The file keeps the optimal basis as two digit strings, one for the
-    columns and one for the rows.  A cache file that cannot be read back,
-    or whose basis does not fit the model, counts as a miss and is
-    overwritten.  Writes go through a temporary file in the cache directory
-    and ``os.replace``, so a reader never sees a half-written file.
+    The file keeps ``x`` and the optimal basis (two digit strings, one for
+    the columns and one for the rows).  A cache file that cannot be read
+    back, or whose ``x`` or basis does not fit the model, counts as a miss
+    and is overwritten.  Writes go through a temporary file in the cache
+    directory and ``os.replace``, so a reader never sees a half-written file.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
     key = model_key(full_model, handle)
@@ -214,7 +216,7 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     payload = json.dumps({
         "status": solution.status,
         "objective": solution.objective,
-        "values": solution.values,
+        "x": None if solution.x is None else solution.x.tolist(),
         "solve_time": solution.solve_time,
         "iterations": solution.iterations,
         "basis": None if solution.basis is None else [_basis_text(b) for b in solution.basis],
@@ -298,7 +300,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
                 raise RuntimeError(f"full solve: {full_solution.status}")
             record.objective_full = full_solution.objective
 
-            fixed = fix_decisions(full_model, reduced_solution, mode)
+            fixed = fix_decisions(full_model, reduced, reduced_solution, mode)
             start = time.perf_counter()
             fixed_solution = solve(fixed, handle, basis=full_solution.basis)
             record.t_fixed_solve = time.perf_counter() - start

@@ -14,8 +14,8 @@ row's terms in the order given, with ``sense`` and ``rhs`` arrays.  Named
 blocks (kind, asset, labelled axes, index array) describe which columns
 and rows belong together; ``build_model`` emits each variable kind and each
 constraint family as one vectorized block per asset.  Names are made from
-the blocks only on demand: for LP export, ``Solution.values`` and
-``var_index``/``has_var``.
+the blocks only on demand: for LP export, the ``solve-full`` CSV and
+``var_index``/``has_var``; a ``Solution`` holds values by column position.
 
 Variable names follow the scheme kind_asset_r{rep}_h{hour} (e.g.
 pout_g1_r2_h5); representative, hour and period indices are 1-based.
@@ -40,17 +40,17 @@ SOLUTION_STATUSES = ("optimal", "infeasible", "unbounded", "error")
 
 @dataclass
 class Solution:
-    """Outcome of one solve: objective and variable values when optimal.
+    """Outcome of one solve: objective and column values ``x`` when optimal.
 
-    ``iterations`` counts the solver's simplex iterations.  ``basis`` is
-    the optimal basis when the solve was asked to keep it, as HiGHS basis
-    status codes: one int8 array over the columns and one over the rows, in
-    model order.
+    ``x`` is a float64 array in model column order.  ``iterations`` counts
+    the solver's simplex iterations.  ``basis`` is the optimal basis when
+    the solve was asked to keep it, as HiGHS basis status codes: one int8
+    array over the columns and one over the rows, in model order.
     """
 
     status: str
     objective: float | None = None
-    values: dict[str, float] = field(default_factory=dict)
+    x: np.ndarray | None = field(default=None, compare=False)
     solve_time: float = 0.0
     iterations: int = 0
     basis: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
@@ -265,8 +265,8 @@ class LpModel:
         return self._num_rows
 
     def _with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "LpModel":
-        """A model that shares this one's rows, blocks and names and owns
-        the given bounds and a copy of the cost."""
+        """A model that shares this one's rows, blocks and names (if made)
+        and owns the given bounds and a copy of the cost."""
         clone = copy.copy(self)
         clone.metadata = dict(self.metadata)
         clone.var_blocks = list(self.var_blocks)
@@ -274,7 +274,6 @@ class LpModel:
         clone._rows = self._row_arrays()
         clone._columns = (lb, ub, self.cost.copy())
         clone._new_columns, clone._new_rows = [], []
-        clone._names = self.var_names
         clone._index = None
         return clone
 
@@ -535,7 +534,7 @@ def build_full_model(system: EnergySystem, mode: str | None = None) -> LpModel:
     return build_model(system, rep, identity_weights(D), mode=mode)
 
 
-def fix_decisions(full_model: LpModel, reduced_solution: Solution,
+def fix_decisions(full_model: LpModel, reduced_model: LpModel, reduced_solution: Solution,
                   mode: str) -> LpModel:
     """Pin the reduced model's first-stage decisions into the full model.
 
@@ -546,24 +545,26 @@ def fix_decisions(full_model: LpModel, reduced_solution: Solution,
     where they equal the blended reconstruction from the representative
     intra-period levels).
 
-    Values are clamped into the variable's original bounds to absorb solver
-    round-off before fixing.  The fixed model shares the full model's rows
-    and names and owns its bounds, so the full model is left unchanged.
+    Values come from ``reduced_solution.x`` at the reduced model's block of
+    the same kind, asset and shape, clamped into the variable's bounds to
+    absorb solver round-off.  The fixed model shares the full model's rows
+    and blocks and owns its bounds, so the full model is left unchanged.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if reduced_solution.status != "optimal":
         raise ValueError(f"reduced solution is {reduced_solution.status}, not optimal")
     kind = "inv" if mode == "gep" else "sinter"
+    reduced = {b.asset: b.index for b in reduced_model.var_blocks if b.kind == kind}
     blocks = [b for b in full_model.var_blocks if b.kind == kind]
+    for block in blocks:
+        if block.asset not in reduced or reduced[block.asset].shape != block.index.shape:
+            raise ValueError(f"the reduced model has no {kind} block of asset "
+                             f"{block.asset!r} shaped {block.index.shape}")
     index = np.concatenate([b.index.ravel() for b in blocks] + [np.zeros(0, np.int64)])
-    values = []
-    for name in (n for b in blocks for n in b.names()):
-        if name not in reduced_solution.values:
-            raise ValueError(f"variable {name!r} missing from the reduced solution")
-        values.append(reduced_solution.values[name])
+    source = np.concatenate([reduced[b.asset].ravel() for b in blocks] + [np.zeros(0, np.int64)])
+    value = reduced_solution.x[source]
     lb, ub = full_model.lb.copy(), full_model.ub.copy()
-    value = np.array(values, dtype=float)
     value = np.where(lb[index] > value, lb[index], value)  # max(value, lb)
     value = np.where(ub[index] < value, ub[index], value)  # min(value, ub)
     lb[index] = value

@@ -70,7 +70,7 @@ class SolverHandle:
 def solve(model: LpModel, handle: SolverHandle | None = None,
           basis: tuple[np.ndarray, np.ndarray] | None = None, *,
           keep_basis: bool = False) -> Solution:
-    """Solve the model, returning objective, all variable values and the
+    """Solve the model: the objective, the column values ``x`` and the
     simplex iteration count when optimal, plus the optimal basis when
     ``keep_basis`` is set (otherwise ``Solution.basis`` is None: reading it
     back costs as much as a short warm solve).
@@ -99,7 +99,7 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
         violated = np.where(sense == EQ, np.abs(rhs), np.where(sense == LE, -rhs, rhs))
         if np.any(violated > handle.tolerance):
             return Solution(status="infeasible")
-        return Solution(status="optimal", objective=0.0, values={},
+        return Solution(status="optimal", objective=0.0, x=np.zeros(0),
                         basis=((np.zeros(0, np.int8), np.full(m, BASIC, np.int8))
                                if keep_basis else None))
 
@@ -147,11 +147,7 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
         found = highs.getBasis()
         optimal_basis = (np.fromiter(map(_status_code, found.col_status), np.int8, n),
                          np.fromiter(map(_status_code, found.row_status), np.int8, m))
-    # free HiGHS's copy of the model before the values dict is built, so the
-    # process does not hold both at its peak
-    highs.clear()
-    values = dict(zip(model.var_names, x.tolist()))
-    return Solution(status="optimal", objective=objective, values=values,
+    return Solution(status="optimal", objective=objective, x=x,
                     solve_time=time.perf_counter() - start,
                     iterations=iterations, basis=optimal_basis)
 

@@ -236,6 +236,11 @@ def make_system(D=2, H=2, nodes=("n1",), carriers=("el",), assets=(), lines=(),
     )
 
 
+def value(model, solution, name: str) -> float:
+    """The optimal value of ``model``'s column ``name`` in ``solution``."""
+    return float(solution.x[model.var_index(name)])
+
+
 def producer(name, node="n1", **kwargs):
     from repblend.data import Asset
 

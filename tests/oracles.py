@@ -190,7 +190,7 @@ def best_medoid_set_bruteforce(matrix: np.ndarray, k: int):
 
 
 def linprog_solution(model, tolerance: float = 1e-8):
-    """(objective, values) of ``model`` from ``scipy.optimize.linprog``, called
+    """(objective, x) of ``model`` from ``scipy.optimize.linprog``, called
     with the arguments the package used before it drove HiGHS directly: the
     ``==`` rows as ``A_eq``, the ``<=`` and negated ``>=`` rows as ``A_ub``
     (each group in model order, as CSR), presolve on and both feasibility
@@ -218,7 +218,20 @@ def linprog_solution(model, tolerance: float = 1e-8):
                               "primal_feasibility_tolerance": tolerance,
                               "dual_feasibility_tolerance": tolerance})
     assert result.status == 0, result.message
-    return float(result.fun), dict(zip(model.var_names, result.x.tolist()))
+    return float(result.fun), result.x
+
+
+def pin_by_name(full_model, reduced_model, x, mode: str):
+    """(lb, ub) of ``full_model`` with the reduced first-stage decisions
+    pinned by variable name: each ``inv_*`` (gep) or ``sinter_*`` (p2x)
+    column takes the value in ``x`` of the reduced model's column of the
+    same name, clamped into its own bounds."""
+    prefix = "inv_" if mode == "gep" else "sinter_"
+    lb, ub = full_model.lb.copy(), full_model.ub.copy()
+    for i, name in enumerate(full_model.var_names):
+        if name.startswith(prefix):
+            lb[i] = ub[i] = min(max(x[reduced_model.var_index(name)], lb[i]), ub[i])
+    return lb, ub
 
 
 def read_hourly_rows(path, key_columns: tuple[str, ...], num_periods: int,

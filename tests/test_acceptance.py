@@ -167,7 +167,7 @@ def test_criterion_08_regret_sanity(mini_gep_path, sweep):
     full = build_full_model(system)
     solution = solve(full)
     assert solution.objective == pytest.approx(23.0, abs=1e-8)
-    refixed = solve(fix_decisions(full, solution, "gep"))
+    refixed = solve(fix_decisions(full, full, solution, "gep"))
     assert compute_regret(refixed.objective, solution.objective) == \
         pytest.approx(0.0, abs=1e-8)
 
@@ -225,7 +225,7 @@ def test_criterion_10_determinism(tmp_path):
             weights.projection_errors.tobytes(),
             lp_path.read_bytes(),
             repr(solution.objective),
-            tuple(sorted(solution.values.items())),
+            solution.x.tobytes(),
         ))
     assert artifacts[0] == artifacts[1]
     print("\n[PASS] criterion 10: matrix, selection, weights, LP file and solve "

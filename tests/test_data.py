@@ -281,6 +281,30 @@ class TestLoadSystem:
                            match=rf"^{file}:2: row has {width + 1} cells, header has {width}$"):
             load_system(root)
 
+    @pytest.mark.parametrize("file", [
+        "demand.csv", "availability.csv", "inflows.csv", "assets.csv", "lines.csv",
+        "storage_bounds.csv",
+    ])
+    def test_over_long_cell_rejected(self, dataset_with, file):
+        # the last cell of the first data row grows past csv's field limit
+        root = dataset_with(file)
+        _edit_first_row(root / file, lambda header, cells: cells[:-1]
+                        + [cells[-1] + "0" * 200_000])
+        with pytest.raises(DataError,
+                           match=rf"^{file}:2: field larger than field limit \(131072\)$"):
+            load_system(root)
+
+    @pytest.mark.parametrize("file", [
+        "config.json", "demand.csv", "availability.csv", "inflows.csv", "assets.csv",
+        "lines.csv", "storage_bounds.csv",
+    ])
+    def test_non_utf8_file_rejected(self, dataset_with, file):
+        root = dataset_with(file)
+        with open(root / file, "ab") as handle:
+            handle.write(b"\xff\xfe")
+        with pytest.raises(DataError, match=rf"^{file}: not UTF-8 text: invalid start byte$"):
+            load_system(root)
+
     @pytest.mark.parametrize("file", ["demand.csv", "assets.csv"])
     def test_trailing_blank_cells_allowed(self, dataset_with, file):
         root = dataset_with(file)

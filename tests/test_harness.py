@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import repblend.harness as harness
+import repblend.model
 from repblend.cli import main
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import build_full_model, build_model, fix_decisions
@@ -163,8 +164,10 @@ class TestRunExperiment:
         no_basis = json.dumps({k: v for k, v in payload.items() if k != "basis"})
         columns, rows = payload["basis"]
         short_basis = json.dumps({**payload, "basis": [columns, rows[:-1]]})
-        # truncated file, missing keys, no basis, a basis short of one row
-        for broken in (text[: len(text) // 2], "{}", no_basis, short_basis):
+        short_x = json.dumps({**payload, "x": payload["x"][:-1]})
+        # truncated file, missing keys, no basis, a basis short of one row,
+        # an x short of one entry
+        for broken in (text[: len(text) // 2], "{}", no_basis, short_basis, short_x):
             cached.write_text(broken)
             record = run_experiment(config)[0]
             assert record.error == ""
@@ -173,6 +176,7 @@ class TestRunExperiment:
             rewritten = json.loads(cached.read_text())
             assert rewritten["objective"] == pytest.approx(23.0)
             assert rewritten["basis"] == payload["basis"]
+            assert rewritten["x"] == payload["x"]
 
     def test_cache_round_trip_keeps_the_basis(self, synthetic_p2x_path, tmp_path):
         system = load_system(synthetic_p2x_path)
@@ -180,7 +184,8 @@ class TestRunExperiment:
         args = (model, synthetic_p2x_path, system.mode, SolverHandle(), tmp_path / "cache")
         solved = solve_full_cached(*args)
         cached = solve_full_cached(*args)
-        assert cached.values == solved.values and cached.iterations == solved.iterations
+        assert cached.x.tobytes() == solved.x.tobytes()
+        assert cached.iterations == solved.iterations
         for read, written in zip(cached.basis, solved.basis):
             assert read.dtype == np.int8
             np.testing.assert_array_equal(read, written)
@@ -211,11 +216,11 @@ class TestRunExperiment:
         selection, hard = cluster_matrix(cm.values, method, weight_type, 3, seed=1)
         weights = fit_weights(selection.rep_matrix, cm.values, weight_type,
                               dirac_assignment=hard)
-        reduced = solve(build_model(system, extract_rep_profiles(system, selection, cm),
-                                    weights))
+        reduced_model = build_model(system, extract_rep_profiles(system, selection, cm), weights)
+        reduced = solve(reduced_model)
         assert (reduced.objective, reduced.iterations) == (record.objective_reduced,
                                                            record.iterations_reduced)
-        cold = solve(fix_decisions(build_full_model(system), reduced, system.mode))
+        cold = solve(fix_decisions(build_full_model(system), reduced_model, reduced, system.mode))
         assert cold.status == "optimal"
         assert record.objective_fixed == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
         assert record.iterations_fixed < cold.iterations
@@ -240,6 +245,25 @@ class TestRunExperiment:
         assert record.error == ""
         assert record.mode == "p2x"
         assert record.regret_pct >= -1e-4
+
+    @pytest.mark.parametrize("fixture,method,weight_type,n_rp", [
+        ("mini_gep_copy", "kmeans", "dirac", 1),
+        ("synthetic_p2x_path", "hull", "conic", 3),
+    ], ids=["mini-gep", "p2x"])
+    def test_experiment_makes_no_names(self, request, monkeypatch, tmp_path, fixture, method,
+                                       weight_type, n_rp):
+        # names are for LP export and the solve-full CSV only: the reduced,
+        # full and fixed solves, the cache and the pinning run without them
+        def no_names(*args):
+            raise AssertionError("names were made")
+
+        monkeypatch.setattr(repblend.model, "_names", no_names)
+        config = ExperimentConfig(request.getfixturevalue(fixture), method, weight_type, n_rp,
+                                  seeds=(1, 2), cache_dir=tmp_path / "cache")
+        for _ in range(2):  # a full-solve cache miss, then a hit
+            records = run_experiment(config)
+            assert [r.error for r in records] == ["", ""]
+            assert all(r.regret_pct is not None for r in records)
 
     def test_projection_error_summary_ordering(self, synthetic_gep_path, tmp_path):
         # same clustering seed and method fix the representative set, so the
@@ -354,22 +378,27 @@ class TestCli:
         result = self.run("validate", "--data", tmp_path / "nope")
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("file,old,new", [
-        pytest.param("demand.csv", "n1,el,1,1,1.0", "n1,el", id="short-row"),
-        pytest.param("assets.csv", "true,1,0,10,", "true,1,0,nan,", id="nan-inv-cost"),
-        pytest.param("assets.csv", "true,1,0,10,", "true,1,0,inf,", id="inf-inv-cost"),
+    @pytest.mark.parametrize("file,old,new,location", [
+        pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el", ":2", id="short-row"),
+        pytest.param("assets.csv", b"true,1,0,10,", b"true,1,0,nan,", ":2", id="nan-inv-cost"),
+        pytest.param("assets.csv", b"true,1,0,10,", b"true,1,0,inf,", ":2", id="inf-inv-cost"),
+        pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1." + b"0" * 200_000, ":2",
+                     id="long-cell"),
+        # a decoding fault has no line: the decoder reads ahead of the rows
+        pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1.0\xff\xfe", "",
+                     id="not-utf8"),
     ])
     @pytest.mark.parametrize("command", ["validate", "solve-full"])
     def test_bad_cell_exits_2_with_location(self, mini_gep_copy, tmp_path, command,
-                                            file, old, new):
+                                            file, old, new, location):
         path = mini_gep_copy / file
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
         args = ("--out", tmp_path / "sol") if command == "solve-full" else ()
         result = self.run(command, "--data", mini_gep_copy, *args)
         assert result.exit_code == 2
-        assert f"data error: {file}:2: " in result.output
+        assert f"data error: {file}{location}: " in result.output
 
     def test_cluster_and_weights_outputs(self, synthetic_gep_path, tmp_path):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import value
 from repblend.clustering import greedy_hull, kmedoids
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import (
@@ -100,16 +101,17 @@ class TestBuildModel:
         # hydrogen producer at these costs, so the conversion link must be
         # active in the optimum and obey its efficiency balance
         system = load_system(synthetic_p2x_path)
-        solution = solve(build_full_model(system))
+        model = build_full_model(system)
+        solution = solve(model)
         assert solution.status == "optimal"
-        produced = sum(v for k, v in solution.values.items()
+        produced = sum(value(model, solution, k) for k in model.var_names
                        if k.startswith("pout_electrolyzer"))
         assert produced > 1.0
         eta_in, eta_out = 1.0, 0.7
         for r in range(1, system.horizon.num_periods + 1):
             for h in range(1, system.horizon.hours_per_period + 1):
-                pin = solution.values[f"pin_electrolyzer_n1_r{r}_h{h}"]
-                pout = solution.values[f"pout_electrolyzer_n1_r{r}_h{h}"]
+                pin = value(model, solution, f"pin_electrolyzer_n1_r{r}_h{h}")
+                pout = value(model, solution, f"pout_electrolyzer_n1_r{r}_h{h}")
                 assert eta_in * pin == pytest.approx(pout / eta_out, abs=1e-6)
 
     def test_gep_mode_emits_investment_variables(self, synthetic_gep_path):
@@ -233,12 +235,13 @@ class TestInterPeriodRamping:
         free = solve(build_full_model(self._two_period_system(ramp=None)))
         # unconstrained: cheap serves everything, cost = (2 + 10) * 1
         assert free.objective == pytest.approx(12.0)
-        limited = solve(build_full_model(self._two_period_system(ramp=0.3)))
+        model = build_full_model(self._two_period_system(ramp=0.3))
+        limited = solve(model)
         # cheap may move by 3 MW between periods: 2 -> 5, the dear unit
         # covers the remaining 5 MW of the second period
         assert limited.status == "optimal"
-        assert limited.values["pout_cheap_r2_h1"] == pytest.approx(5.0, abs=1e-6)
-        assert limited.values["pout_dear_r2_h1"] == pytest.approx(5.0, abs=1e-6)
+        assert value(model, limited, "pout_cheap_r2_h1") == pytest.approx(5.0, abs=1e-6)
+        assert value(model, limited, "pout_dear_r2_h1") == pytest.approx(5.0, abs=1e-6)
         assert limited.objective == pytest.approx(2.0 + 5.0 + 5.0 * 100.0)
 
 
@@ -267,10 +270,11 @@ class TestBlendedReduction:
         # full: 4 MWh + 8 MWh at cost 1; reduced: rep dispatch 8 MWh taken
         # 1.5 times (the column sum of the weights)
         full = solve(build_full_model(system))
-        reduced = solve(self._reduced(system))
+        model = self._reduced(system)
+        reduced = solve(model)
         assert full.objective == pytest.approx(12.0)
         assert reduced.objective == pytest.approx(12.0)
-        assert reduced.values["pout_g_r1_h1"] == pytest.approx(8.0)
+        assert value(model, reduced, "pout_g_r1_h1") == pytest.approx(8.0)
 
     def test_blended_interperiod_ramp_is_literal(self):
         # the cross-period ramp couples the single representative to itself
@@ -292,7 +296,8 @@ class TestInterPeriodReconstruction:
         selection = greedy_hull(cm.values, 3, "convex")
         weights = fit_weights(selection.rep_matrix, cm.values, "convex")
         rep = extract_rep_profiles(system, selection, cm)
-        solution = solve(build_model(system, rep, weights))
+        model = build_model(system, rep, weights)
+        solution = solve(model)
         assert solution.status == "optimal"
         name = "reservoir_n2"
         H = system.horizon.hours_per_period
@@ -300,10 +305,10 @@ class TestInterPeriodReconstruction:
         for d in range(system.horizon.num_periods):
             level += sum(
                 weights.values[d, r]
-                * (solution.values[f"sintra_{name}_r{r + 1}_h{H}"]
-                   - solution.values[f"sintra0_{name}_r{r + 1}"])
+                * (value(model, solution, f"sintra_{name}_r{r + 1}_h{H}")
+                   - value(model, solution, f"sintra0_{name}_r{r + 1}"))
                 for r in range(weights.n_rp))
-            assert solution.values[f"sinter_{name}_d{d + 1}"] == \
+            assert value(model, solution, f"sinter_{name}_d{d + 1}") == \
                 pytest.approx(level, abs=1e-6)
 
 
@@ -312,14 +317,14 @@ class TestFixDecisions:
         system = load_system(synthetic_gep_path)
         full = build_full_model(system)
         solution = solve(full)
-        fixed = fix_decisions(full, solution, "gep")
+        fixed = fix_decisions(full, full, solution, "gep")
         assert solve(fixed).objective == pytest.approx(solution.objective, rel=1e-8)
 
     def test_self_fix_reproduces_optimum_p2x(self, synthetic_p2x_path):
         system = load_system(synthetic_p2x_path)
         full = build_full_model(system)
         solution = solve(full)
-        fixed = fix_decisions(full, solution, "p2x")
+        fixed = fix_decisions(full, full, solution, "p2x")
         assert fixed.metadata["fixed_variables"] == \
             len([n for n in full.var_names if n.startswith("sinter_")])
         assert solve(fixed).objective == pytest.approx(solution.objective, rel=1e-8)
@@ -330,13 +335,12 @@ class TestFixDecisions:
         lb, ub = full.lb.copy(), full.ub.copy()
         solution = solve(full)
         pinned = [i for i, n in enumerate(full.var_names) if n.startswith("sinter_")]
-        first = fix_decisions(full, solution, "p2x")
-        at_zero = Solution(status="optimal", objective=0.0,
-                           values={full.var_names[i]: 0.0 for i in pinned})
-        second = fix_decisions(full, at_zero, "p2x")
+        first = fix_decisions(full, full, solution, "p2x")
+        at_zero = Solution(status="optimal", objective=0.0, x=np.zeros(full.num_vars))
+        second = fix_decisions(full, full, at_zero, "p2x")
         np.testing.assert_array_equal(full.lb, lb)
         np.testing.assert_array_equal(full.ub, ub)
-        levels = np.clip([solution.values[full.var_names[i]] for i in pinned],
+        levels = np.clip([value(full, solution, full.var_names[i]) for i in pinned],
                          lb[pinned], ub[pinned])
         np.testing.assert_array_equal(first.lb[pinned], levels)
         np.testing.assert_array_equal(first.ub[pinned], levels)
@@ -353,22 +357,32 @@ class TestFixDecisions:
     def test_zero_investment_is_infeasible_when_demand_exceeds_existing(self, mini_gep_path):
         system = load_system(mini_gep_path)
         full = build_full_model(system)
-        zero = Solution(status="optimal", objective=0.0,
-                        values={"inv_g1": 0.0})
-        fixed = fix_decisions(full, zero, "gep")
+        zero = Solution(status="optimal", objective=0.0, x=np.zeros(full.num_vars))
+        assert value(full, zero, "inv_g1") == 0.0
+        fixed = fix_decisions(full, full, zero, "gep")
         assert solve(fixed).status == "infeasible"
 
-    def test_missing_variable_rejected(self, mini_gep_path):
+    def test_missing_block_rejected(self, mini_gep_path):
         system = load_system(mini_gep_path)
         full = build_full_model(system)
-        with pytest.raises(ValueError, match="missing from the reduced solution"):
-            fix_decisions(full, Solution(status="optimal", objective=0.0, values={}), "gep")
+        no_investment = build_full_model(system, "p2x")
+        solution = Solution(status="optimal", objective=0.0, x=np.zeros(no_investment.num_vars))
+        with pytest.raises(ValueError, match=r"no inv block of asset 'g1' shaped \(\)$"):
+            fix_decisions(full, no_investment, solution, "gep")
+
+    def test_block_of_another_shape_rejected(self, mini_gep_path):
+        full = build_full_model(load_system(mini_gep_path))
+        reduced = LpModel()
+        reduced.name_vars("inv", "g1", "d", reduced.add_vars((2,)))
+        solution = Solution(status="optimal", objective=0.0, x=np.zeros(2))
+        with pytest.raises(ValueError, match=r"no inv block of asset 'g1' shaped \(\)$"):
+            fix_decisions(full, reduced, solution, "gep")
 
     def test_non_optimal_solution_rejected(self, mini_gep_path):
         system = load_system(mini_gep_path)
         full = build_full_model(system)
         with pytest.raises(ValueError, match="not optimal"):
-            fix_decisions(full, Solution(status="infeasible"), "gep")
+            fix_decisions(full, full, Solution(status="infeasible"), "gep")
 
     def test_fixing_cannot_improve_objective(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
@@ -379,9 +393,10 @@ class TestFixDecisions:
             selection = greedy_hull(cm.values, n_rp, "convex")
             weights = fit_weights(selection.rep_matrix, cm.values, "convex")
             rep = extract_rep_profiles(system, selection, cm)
-            reduced_solution = solve(build_model(system, rep, weights))
+            reduced = build_model(system, rep, weights)
+            reduced_solution = solve(reduced)
             assert reduced_solution.status == "optimal"
-            fixed_solution = solve(fix_decisions(full, reduced_solution, "gep"))
+            fixed_solution = solve(fix_decisions(full, reduced, reduced_solution, "gep"))
             assert fixed_solution.objective >= benchmark * (1 - 1e-6)
 
 
@@ -402,12 +417,13 @@ class TestBlendFeasibilityPreservation:
         D = system.horizon.num_periods
         H = system.horizon.hours_per_period
         for g in system.producers:
-            cap = solution.values[f"cap_{g.name}"]
+            cap = value(model, solution, f"cap_{g.name}")
             avail = rep.availability.get(g.name)
             for d in range(D):
                 for h in range(H):
                     blended = sum(
-                        weights.values[d, r] * solution.values[f"pout_{g.name}_r{r + 1}_h{h + 1}"]
+                        weights.values[d, r]
+                        * value(model, solution, f"pout_{g.name}_r{r + 1}_h{h + 1}")
                         for r in range(weights.n_rp))
                     shared_bound = cap * (avail[:, h].max() if avail is not None else 1.0)
                     assert blended <= shared_bound + 1e-6

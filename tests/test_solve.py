@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from oracles import linprog_solution
+from conftest import value
+from oracles import linprog_solution, pin_by_name
 from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import cluster_matrix
@@ -82,11 +83,11 @@ def parse_lp_file(text: str) -> LpModel:
 
 class TestSolve:
     def test_mini_gep_hand_lp(self, mini_gep_path):
-        system = load_system(mini_gep_path)
-        solution = solve(build_full_model(system))
+        model = build_full_model(load_system(mini_gep_path))
+        solution = solve(model)
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(23.0, abs=1e-8)
-        assert solution.values["inv_g1"] == pytest.approx(2.0, abs=1e-8)
+        assert value(model, solution, "inv_g1") == pytest.approx(2.0, abs=1e-8)
         assert solution.solve_time >= 0.0
 
     def test_infeasible_when_demand_exceeds_capacity(self, mini_gep_path):
@@ -116,7 +117,7 @@ class TestSolve:
         solution = solve(m)
         assert solution.status == "optimal"
         assert solution.objective == 0.0
-        assert solution.values == {}
+        assert solution.x.shape == (0,)
         assert solution.basis is None
         assert [b.size for b in solve(m, keep_basis=True).basis] == [0, 0]
 
@@ -135,7 +136,7 @@ class TestSolve:
         solution = solve(m)
         assert solution.status == "optimal"
         assert solution.objective == 0.0
-        assert solution.values["x"] >= 2.0 - 1e-9
+        assert value(m, solution, "x") >= 2.0 - 1e-9
 
     def test_deterministic(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
@@ -143,7 +144,7 @@ class TestSolve:
         a = solve(model)
         b = solve(model)
         assert a.objective == b.objective
-        assert a.values == b.values
+        assert a.x.tobytes() == b.x.tobytes()
 
 
 # dataset fixture and (method, weight type, k) of the reduced models the
@@ -188,14 +189,14 @@ class TestAgainstLinprog:
         # HiGHS and linprog may return different optimal points
         mode, full, full_solution, reduced = pipeline_models(case)
         model = {"full": full, "reduced": reduced,
-                 "self-fixed": fix_decisions(full, full_solution, mode)}[which]
+                 "self-fixed": fix_decisions(full, full, full_solution, mode)}[which]
         solution = full_solution if which == "full" else solve(model)
         objective, _ = linprog_solution(model)  # asserts linprog's optimality
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
 
-        x = np.fromiter(solution.values.values(), float, model.num_vars)
-        assert list(solution.values) == model.var_names
+        x = solution.x
+        assert (x.dtype, x.shape) == (np.float64, (model.num_vars,))
         assert model.cost @ x == pytest.approx(solution.objective, rel=1e-12, abs=0.0)
         assert np.all((model.lb <= x) & (x <= model.ub))
         activity = np.bincount(model.row, weights=model.val * x[model.col],
@@ -212,13 +213,13 @@ class TestWarmStart:
         _, full, full_solution, reduced = pipeline_models(case)
         plain = solve(full)
         assert plain.basis is None
-        assert (plain.objective, plain.values) == (full_solution.objective,
-                                                   full_solution.values)
+        assert plain.objective == full_solution.objective
+        assert plain.x.tobytes() == full_solution.x.tobytes()
         kept = solve(full, keep_basis=True)
         for again, first in zip(kept.basis, full_solution.basis):
             np.testing.assert_array_equal(again, first)
-        assert (kept.objective, kept.values) == (full_solution.objective,
-                                                 full_solution.values)
+        assert kept.objective == full_solution.objective
+        assert kept.x.tobytes() == full_solution.x.tobytes()
         assert solve(reduced).basis is None
         assert solve(full, basis=full_solution.basis).basis is None
 
@@ -232,7 +233,7 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="basis"):
             solve(full, basis=(columns, rows[:-1]))
 
-        fixed = fix_decisions(full, solve(reduced), mode)
+        fixed = fix_decisions(full, reduced, solve(reduced), mode)
         cold = solve(fixed)
         warm = solve(fixed, basis=full_solution.basis)
         assert warm.status == cold.status == "optimal"
@@ -248,6 +249,20 @@ class TestWarmStart:
         assert again.status == "optimal"
         assert again.iterations == 0
         assert again.objective == full_solution.objective
+
+
+class TestPinnedDecisions:
+    @pytest.mark.parametrize("case", sorted(REDUCTIONS))
+    def test_block_pin_matches_name_pin(self, pipeline_models, case):
+        # fix_decisions matches blocks by kind and asset; the oracle matches
+        # every pinned column by its name
+        mode, full, _, reduced = pipeline_models(case)
+        solution = solve(reduced)
+        fixed = fix_decisions(full, reduced, solution, mode)
+        lb, ub = pin_by_name(full, reduced, solution.x, mode)
+        assert fixed.lb.tobytes() == lb.tobytes()
+        assert fixed.ub.tobytes() == ub.tobytes()
+        assert np.any(ub != full.ub)  # something was pinned
 
 
 class TestWriteLpFile:
@@ -276,7 +291,7 @@ class TestWriteLpFile:
             "gep hull+conic k=3": build_model(
                 gep, extract_rep_profiles(gep, selection, cm), weights),
             "p2x full": p2x_full,
-            "p2x self-fixed": fix_decisions(p2x_full, solve(p2x_full), "p2x"),
+            "p2x self-fixed": fix_decisions(p2x_full, p2x_full, solve(p2x_full), "p2x"),
         }
         digests = {}
         for label, model in models.items():

@@ -18,7 +18,6 @@ from .data import (
     EnergySystem,
     Horizon,
     Line,
-    RepProfiles,
     Violation,
     build_clustering_matrix,
     extract_rep_profiles,

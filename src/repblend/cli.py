@@ -43,7 +43,7 @@ def _handle_errors(func):
         except (DataError, ValueError) as exc:
             click.echo(f"data error: {exc}", err=True)
             sys.exit(2)
-        except (SolverError, FloatingPointError) as exc:
+        except SolverError as exc:
             click.echo(f"solver error: {exc}", err=True)
             sys.exit(3)
     return wrapper
@@ -180,8 +180,8 @@ def build_lp(data_path, method, weight_type, n_rp, seed, mode, build_full, out_d
     else:
         system, cmatrix, selection, _, weights = _select_and_fit(
             data_path, method, weight_type, n_rp, seed)
-        rep_data = extract_rep_profiles(system, selection, cmatrix)
-        model = build_model(system, rep_data, weights, mode=mode)
+        model = build_model(system, extract_rep_profiles(system, selection, cmatrix),
+                            weights, mode=mode)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "model.lp"
     write_lp_file(model, path)

@@ -6,9 +6,10 @@ profiles.  All profile values are unitless fractions in [0, 1]; peak demand,
 unit capacity and inflow maxima carry the physical units (MW / MWh).
 
 The clustering matrix stacks, per base period, the hourly demand,
-renewable-availability and inflow values into one feature column, in a fixed
+availability and inflow values into one feature column, in a fixed
 deterministic row order (demand, availability, inflow blocks; lexicographic
-within a block; hour index innermost).
+within a block; hour index innermost).  Representatives are columns over
+the same rows, and the model reads its profiles from them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -183,10 +185,12 @@ class EnergySystem:
 
 @dataclass
 class ClusteringMatrix:
-    """Feature-by-period matrix: column d stacks all hourly profile values of
-    base period d (demand block, then availability, then inflow)."""
+    """Stacked hourly profiles, one column per base period or, from
+    ``extract_rep_profiles``, per representative.  Row ``i`` holds series
+    ``row_keys[i][:-1]`` at hour ``row_keys[i][-1]``: the demand block, then
+    availability, then inflow, hours in order within a series."""
 
-    values: np.ndarray  # (n_features, num_periods), entries in [0, 1]
+    values: np.ndarray  # (n_features, n_columns), entries in [0, 1]
     row_keys: list[tuple]  # ("demand", node, carrier, hour) | ("availability"|"inflow", asset, hour)
 
     @property
@@ -197,20 +201,20 @@ class ClusteringMatrix:
     def num_periods(self) -> int:
         return self.values.shape[1]
 
+    @cached_property
+    def _series_rows(self) -> dict[tuple, list[int]]:
+        rows: dict[tuple, list[int]] = {}
+        for i, key in enumerate(self.row_keys):
+            rows.setdefault(key[:-1], []).append(i)
+        return rows
 
-@dataclass
-class RepProfiles:
-    """Time-varying inputs evaluated at the representative periods.
-
-    Missing availability entries mean "always available" (1.0); missing
-    demand or inflow entries mean zero.
-    """
-
-    n_rp: int
-    hours_per_period: int
-    demand: dict[tuple[str, str], np.ndarray]
-    availability: dict[str, np.ndarray]
-    inflow: dict[str, np.ndarray]
+    def profile(self, *series) -> np.ndarray | None:
+        """The (columns, H) hourly values of one series, such as
+        ``profile("demand", node, carrier)`` or ``profile("availability",
+        asset)``; None when the matrix has no rows for it, which means zero
+        demand or inflow, or full availability."""
+        rows = self._series_rows.get(series)
+        return None if rows is None else self.values[rows].T
 
 
 # --------------------------------------------------------------------------- #
@@ -672,21 +676,13 @@ def require_valid(system: EnergySystem) -> EnergySystem:
     return system
 
 
-def renewable_producers(system: EnergySystem) -> list[Asset]:
-    """Producers whose availability profile drops below 1 somewhere; only
-    these contribute availability rows to the clustering matrix."""
-    out = []
-    for a in sorted(system.producers, key=lambda a: a.name):
-        profile = system.availability.get(a.name)
-        if profile is not None and np.any(profile < 1.0):
-            out.append(a)
-    return out
-
-
 def build_clustering_matrix(system: EnergySystem) -> ClusteringMatrix:
-    """Stack demand, renewable availability and inflow profiles into the
-    feature-by-period matrix used by all clustering methods.
+    """Stack demand, availability and inflow profiles into the
+    feature-by-period matrix used by all clustering methods and, with every
+    period as its own column, by the full model.
 
+    Every demand and inflow series is stacked, and the availability of
+    every asset, of any kind, whose profile drops below 1 somewhere.
     Requires a system that passed validation (``require_valid``).  Row order
     is deterministic: demand series sorted by (node, carrier), availability
     and inflow series sorted by asset name, hours innermost.
@@ -699,9 +695,11 @@ def build_clustering_matrix(system: EnergySystem) -> ClusteringMatrix:
     for node, carrier in sorted(system.demand):
         blocks.append(system.demand[(node, carrier)].T)  # (H, D)
         row_keys.extend(("demand", node, carrier, h + 1) for h in range(H))
-    for asset in renewable_producers(system):
-        blocks.append(system.availability[asset.name].T)
-        row_keys.extend(("availability", asset.name, h + 1) for h in range(H))
+    for name in sorted(system.availability):
+        profile = system.availability[name]
+        if np.any(profile < 1.0):  # an always-available asset needs no rows
+            blocks.append(profile.T)
+            row_keys.extend(("availability", name, h + 1) for h in range(H))
     for name in sorted(system.inflow):
         blocks.append(system.inflow[name].T)
         row_keys.extend(("inflow", name, h + 1) for h in range(H))
@@ -710,49 +708,9 @@ def build_clustering_matrix(system: EnergySystem) -> ClusteringMatrix:
     return ClusteringMatrix(values=values, row_keys=row_keys)
 
 
-def rep_profiles_from_periods(system: EnergySystem, period_indices) -> RepProfiles:
-    """Evaluate all profiles at the given base periods (0-based indices)."""
-    idx = np.asarray(period_indices, dtype=int)
-    return RepProfiles(
-        n_rp=idx.size,
-        hours_per_period=system.horizon.hours_per_period,
-        demand={key: arr[idx].copy() for key, arr in system.demand.items()},
-        availability={key: arr[idx].copy() for key, arr in system.availability.items()},
-        inflow={key: arr[idx].copy() for key, arr in system.inflow.items()},
-    )
-
-
-def rep_profiles_from_matrix(cmatrix: ClusteringMatrix, rep_matrix: np.ndarray,
-                             hours_per_period: int) -> RepProfiles:
-    """Un-stack synthetic representative columns back into per-series hourly
-    profiles (inverse of build_clustering_matrix for the series it covers)."""
-    n_rp = rep_matrix.shape[1]
-    demand: dict[tuple[str, str], np.ndarray] = {}
-    availability: dict[str, np.ndarray] = {}
-    inflow: dict[str, np.ndarray] = {}
-    for row, key in enumerate(cmatrix.row_keys):
-        hour = key[-1] - 1
-        if key[0] == "demand":
-            series = demand.setdefault((key[1], key[2]), np.zeros((n_rp, hours_per_period)))
-        elif key[0] == "availability":
-            series = availability.setdefault(key[1], np.zeros((n_rp, hours_per_period)))
-        else:
-            series = inflow.setdefault(key[1], np.zeros((n_rp, hours_per_period)))
-        series[:, hour] = rep_matrix[row]
-    return RepProfiles(n_rp=n_rp, hours_per_period=hours_per_period,
-                       demand=demand, availability=availability, inflow=inflow)
-
-
-def extract_rep_profiles(system: EnergySystem, selection, cmatrix: ClusteringMatrix | None = None) -> RepProfiles:
-    """Profiles at the representatives of a RepSelection.
-
-    Selections of actual periods are sliced exactly from the system;
-    synthetic centroids are un-stacked from the clustering matrix (which must
-    then be provided).
-    """
-    if selection.source_indices is not None:
-        return rep_profiles_from_periods(system, selection.source_indices)
-    if cmatrix is None:
-        raise ValueError("synthetic representatives require the clustering matrix")
-    return rep_profiles_from_matrix(cmatrix, selection.rep_matrix,
-                                    system.horizon.hours_per_period)
+def extract_rep_profiles(system: EnergySystem, selection,
+                         cmatrix: ClusteringMatrix) -> ClusteringMatrix:
+    """The representatives of a RepSelection, hull points, medoids and
+    centroids alike: the rows of ``cmatrix`` with one column per
+    representative, ``selection.rep_matrix``.  ``system`` is not read."""
+    return ClusteringMatrix(selection.rep_matrix, cmatrix.row_keys)

@@ -16,7 +16,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .clustering import greedy_hull, kmeans, kmedoids
 from .data import (
     DataError,
+    _read_csv,
     build_clustering_matrix,
     extract_rep_profiles,
     load_system,
@@ -280,8 +282,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             record.proj_err_max = float(weights.projection_errors.max())
 
             start = time.perf_counter()
-            rep_data = extract_rep_profiles(system, selection, cmatrix)
-            reduced = build_model(system, rep_data, weights, mode=mode)
+            reduced = build_model(system, extract_rep_profiles(system, selection, cmatrix),
+                                  weights, mode=mode)
             record.t_build = time.perf_counter() - start
 
             start = time.perf_counter()
@@ -318,15 +320,6 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 
 RESULT_COLUMNS = [f.name for f in fields(ExperimentRecord)] + ["total_time"]
 
-_STAGE_FIELDS = ("t_read", "t_cluster", "t_fit", "t_build", "t_solve", "t_fixed_solve")
-_FLOAT_FIELDS = {
-    *_STAGE_FIELDS,
-    "objective_reduced", "objective_fixed", "objective_full",
-    "regret_pct", "proj_err_mean", "proj_err_max", "total_time",
-}
-_INT_FIELDS = {"n_rp", "seed"}
-_COUNT_FIELDS = ("iterations_reduced", "iterations_fixed")
-
 
 def _cell(value) -> str:
     if value is None:
@@ -349,26 +342,33 @@ def write_results_csv(records: list[ExperimentRecord], path: Path | str):
 
 def load_records(path: Path | str) -> list[ExperimentRecord]:
     """Inverse of write_results_csv (the derived total_time column is
-    recomputed, not stored).  A stage column missing from an older file
-    reads as 0.0, an iteration column as 0."""
+    recomputed, not stored).
+
+    Each column is parsed by the type of its ``ExperimentRecord`` field; a
+    blank cell, or a column missing from an older file, reads as the
+    field's default.  A missing column of a field without a default, or a
+    cell that does not parse, raises DataError at its line.
+    """
+    path = Path(path)
+    types = typing.get_type_hints(ExperimentRecord)
+    columns = fields(ExperimentRecord)
+    required = tuple(f.name for f in columns if f.default is MISSING)
     records = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            kwargs = {}
-            for name in RESULT_COLUMNS[:-1]:
-                optional = name in _STAGE_FIELDS or name in _COUNT_FIELDS
-                text = row.get(name, "") if optional else row[name]
-                if name in _FLOAT_FIELDS:
-                    kwargs[name] = float(text) if text else None
-                elif name in _INT_FIELDS:
-                    kwargs[name] = int(text)
-                elif name in _COUNT_FIELDS:
-                    kwargs[name] = int(text) if text else 0
-                else:
-                    kwargs[name] = text
-            for stage in _STAGE_FIELDS:
-                kwargs[stage] = kwargs[stage] if kwargs[stage] is not None else 0.0
-            records.append(ExperimentRecord(**kwargs))
+    for line, row in _read_csv(path, required):
+        kwargs = {}
+        for f in columns:
+            text = row.get(f.name, "")
+            if text == "" and f.default is not MISSING:
+                continue
+            # an optional field parses as its one non-None type
+            kind = next((t for t in typing.get_args(types[f.name]) if t is not type(None)),
+                        types[f.name])
+            try:
+                kwargs[f.name] = kind(text)
+            except ValueError:
+                raise DataError(f"column {f.name!r}: not {kind.__name__}: {text!r}",
+                                path.name, line) from None
+        records.append(ExperimentRecord(**kwargs))
     return records
 
 

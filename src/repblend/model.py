@@ -30,12 +30,12 @@ from itertools import product
 
 import numpy as np
 
-from .data import EnergySystem, MODES, RepProfiles
+from .data import MODES, ClusteringMatrix, EnergySystem, build_clustering_matrix
 from .weights import WeightMatrix
 
 SENSES = ("==", "<=", ">=")  # ``LpModel.sense`` holds indices into this tuple
 
-SOLUTION_STATUSES = ("optimal", "infeasible", "unbounded", "error")
+SOLUTION_STATUSES = ("optimal", "infeasible", "unbounded")
 
 
 @dataclass
@@ -296,12 +296,15 @@ def _terms(shape: tuple[int, ...], pairs) -> tuple[np.ndarray, np.ndarray]:
 
 def build_model(
     system: EnergySystem,
-    rep_data: RepProfiles,
+    reps: ClusteringMatrix,
     weight_matrix: WeightMatrix,
     mode: str | None = None,
 ) -> LpModel:
     """Assemble the cost-minimization LP on the given representatives.
 
+    ``reps`` has one clustering-matrix column per representative; each
+    series is read with ``reps.profile``, and one without rows is zero
+    demand or inflow, or full availability.
     In gep mode, investable producers get free investment variables; in p2x
     every capacity is fixed by its existing units.  Absolute-value ramping
     restrictions become paired inequalities; upper/lower limits that involve
@@ -313,7 +316,7 @@ def build_model(
         raise ValueError(f"mode must be one of {MODES}")
     hz = system.horizon
     D, H, tau = hz.num_periods, hz.hours_per_period, hz.timestep_hours
-    R = rep_data.n_rp
+    R = reps.values.shape[1]
     W = weight_matrix.values
     if weight_matrix.n_periods != D:
         raise ValueError(
@@ -421,7 +424,7 @@ def build_model(
             pairs += [(flow[l.name], 1.0) for l in system.lines
                       if l.to_node == node and l.carrier == carrier]
             peak = system.peak_demand.get((node, carrier), 0.0)
-            profile = rep_data.demand.get((node, carrier))
+            profile = reps.profile("demand", node, carrier)
             rhs = peak * profile if profile is not None else 0.0
             rows("balance", f"{node}_{carrier}", "rh", *_terms(RH, pairs), "==", rhs)
 
@@ -434,7 +437,7 @@ def build_model(
         if s.is_seasonal:
             if s.has_inflows:
                 pairs += [(spill[s.name], 1.0), (borrow[s.name], -1.0)]
-            inflow_profile = rep_data.inflow.get(s.name)
+            inflow_profile = reps.profile("inflow", s.name)
             if inflow_profile is not None:
                 rhs = inflow_profile * s.inflow_max
         rows("intra", s.name, "rh", *_terms(RH, pairs), "==", rhs)
@@ -482,7 +485,7 @@ def build_model(
 
     # availability-capped production and capacity-capped consumption
     for a in system.assets:
-        avail = rep_data.availability.get(a.name)
+        avail = reps.profile("availability", a.name)
         factor = avail if avail is not None else 1.0
         rows("maxout", a.name, "rh", *_terms(RH, [(pout[a.name], 1.0), (cap[a.name], -factor)]),
              "<=")
@@ -527,11 +530,8 @@ def build_model(
 
 def build_full_model(system: EnergySystem, mode: str | None = None) -> LpModel:
     """The unreduced model: every base period is its own representative."""
-    from .data import rep_profiles_from_periods
-
-    D = system.horizon.num_periods
-    rep = rep_profiles_from_periods(system, np.arange(D))
-    return build_model(system, rep, identity_weights(D), mode=mode)
+    return build_model(system, build_clustering_matrix(system),
+                       identity_weights(system.horizon.num_periods), mode=mode)
 
 
 def fix_decisions(full_model: LpModel, reduced_model: LpModel, reduced_solution: Solution,

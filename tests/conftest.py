@@ -236,6 +236,18 @@ def make_system(D=2, H=2, nodes=("n1",), carriers=("el",), assets=(), lines=(),
     )
 
 
+def period_reps(system, idx):
+    """The base periods ``idx`` (0-based) as representatives: the
+    ``extract_rep_profiles`` of a selection of those periods."""
+    from repblend.clustering import RepSelection
+    from repblend.data import build_clustering_matrix, extract_rep_profiles
+
+    cm = build_clustering_matrix(system)
+    idx = np.asarray(idx, dtype=int)
+    selection = RepSelection(cm.values[:, idx], "kmedoids", source_indices=idx)
+    return extract_rep_profiles(system, selection, cm)
+
+
 def value(model, solution, name: str) -> float:
     """The optimal value of ``model``'s column ``name`` in ``solution``."""
     return float(solution.x[model.var_index(name)])

@@ -253,3 +253,15 @@ def read_hourly_rows(path, key_columns: tuple[str, ...], num_periods: int,
             assert np.isnan(series[key][cell]), (key, cell)
             series[key][cell] = float(row["value"])
     return series
+
+
+def period_profiles(system, idx) -> dict:
+    """Every profile series of ``system`` at the base periods ``idx``
+    (0-based), sliced from the system's own arrays: (len(idx), H) arrays
+    keyed ("demand", node, carrier), ("availability", asset) and
+    ("inflow", asset), as ``ClusteringMatrix.profile`` takes them."""
+    idx = np.asarray(idx, dtype=int)
+    out = {("demand", *key): arr[idx] for key, arr in system.demand.items()}
+    out.update({("availability", key): arr[idx] for key, arr in system.availability.items()})
+    out.update({("inflow", key): arr[idx] for key, arr in system.inflow.items()})
+    return out

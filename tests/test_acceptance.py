@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from repblend.clustering import greedy_hull, hull_distance
-from repblend.data import build_clustering_matrix, load_system, rep_profiles_from_periods
+from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import ExperimentConfig, compute_regret, run_experiment
 from repblend.model import build_full_model, build_model, fix_decisions, identity_weights
 from repblend.solve import solve, write_lp_file
 from repblend.weights import PgdParams, fit_weights, pgd, project_simplex, project_weights
 
-from conftest import make_synthetic_gep
+from conftest import make_synthetic_gep, period_reps
 from oracles import PROJECTION_ORACLES, finite_difference_gradient, least_squares_objective
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
@@ -152,8 +152,7 @@ def test_criterion_07_reduction_identity(synthetic_gep_path):
     D = system.horizon.num_periods
     assert (len(system.nodes), D, system.horizon.hours_per_period) == (3, 12, 6)
     full_objective = solve(build_full_model(system)).objective
-    reduced = build_model(system, rep_profiles_from_periods(system, np.arange(D)),
-                          identity_weights(D))
+    reduced = build_model(system, period_reps(system, np.arange(D)), identity_weights(D))
     reduced_objective = solve(reduced).objective
     elapsed = time.perf_counter() - started
     assert reduced_objective == pytest.approx(full_objective, rel=1e-6)
@@ -212,7 +211,7 @@ def test_criterion_10_determinism(tmp_path):
         selection = greedy_hull(cmatrix.values, 3, "conic")
         weights = fit_weights(selection.rep_matrix, cmatrix.values, "conic")
         reduced = build_model(
-            system, rep_profiles_from_periods(system, selection.source_indices), weights)
+            system, extract_rep_profiles(system, selection, cmatrix), weights)
         lp_path = tmp_path / f"run{run}.lp"
         write_lp_file(reduced, lp_path)
         solution = solve(reduced)

@@ -15,17 +15,16 @@ from repblend.data import (
     build_clustering_matrix,
     extract_rep_profiles,
     load_system,
-    rep_profiles_from_matrix,
-    rep_profiles_from_periods,
     require_valid,
     validate_profiles,
 )
 
+from repblend.harness import cluster_matrix
 from repblend.model import build_full_model
 from repblend.solve import solve
 
-from conftest import make_synthetic_gep, make_system, producer, write_dataset
-from oracles import read_hourly_rows
+from conftest import make_synthetic_gep, make_system, period_reps, producer, write_dataset
+from oracles import period_profiles, read_hourly_rows
 
 
 class TestHorizon:
@@ -566,12 +565,12 @@ class TestClusteringMatrix:
 class TestRepProfiles:
     def test_slicing_matches_source_periods(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
-        rep = rep_profiles_from_periods(system, [3, 0])
-        np.testing.assert_array_equal(rep.demand[("n1", "el")][0],
+        rep = period_reps(system, [3, 0])
+        np.testing.assert_array_equal(rep.profile("demand", "n1", "el")[0],
                                       system.demand[("n1", "el")][3])
-        np.testing.assert_array_equal(rep.availability["wind_n1"][1],
+        np.testing.assert_array_equal(rep.profile("availability", "wind_n1")[1],
                                       system.availability["wind_n1"][0])
-        assert rep.n_rp == 2
+        assert rep.values.shape[1] == 2
 
     def test_unstack_roundtrips_the_matrix(self):
         rng = np.random.default_rng(14)
@@ -579,23 +578,39 @@ class TestRepProfiles:
                              availability={"w": rng.uniform(0, 0.9, (4, 3))},
                              demand={("n1", "el"): rng.uniform(0, 1, (4, 3))})
         cm = build_clustering_matrix(system)
-        rep = rep_profiles_from_matrix(cm, cm.values, system.horizon.hours_per_period)
-        np.testing.assert_array_equal(rep.demand[("n1", "el")], system.demand[("n1", "el")])
-        np.testing.assert_array_equal(rep.availability["w"], system.availability["w"])
+        rep = extract_rep_profiles(system, RepSelection(cm.values, "kmeans"), cm)
+        np.testing.assert_array_equal(rep.profile("demand", "n1", "el"),
+                                      system.demand[("n1", "el")])
+        np.testing.assert_array_equal(rep.profile("availability", "w"), system.availability["w"])
+        assert rep.profile("availability", "x") is None
+        assert rep.profile("inflow", "w") is None
 
     def test_extract_dispatch(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
         cm = build_clustering_matrix(system)
         selection, _ = kmeans(cm.values, 3, seed=1)
         rep = extract_rep_profiles(system, selection, cm)
-        assert rep.n_rp == 3  # synthetic centroids unstacked
+        assert rep.values.shape[1] == 3  # synthetic centroids unstacked
+        assert rep.row_keys == cm.row_keys
         medoid_like = RepSelection(rep_matrix=cm.values[:, [1, 2]], method="kmedoids",
                                    source_indices=np.array([1, 2]))
-        rep2 = extract_rep_profiles(system, medoid_like)
-        np.testing.assert_array_equal(rep2.demand[("n2", "el")][0],
+        rep2 = extract_rep_profiles(system, medoid_like, cm)
+        np.testing.assert_array_equal(rep2.profile("demand", "n2", "el")[0],
                                       system.demand[("n2", "el")][1])
 
-    def test_extract_synthetic_needs_matrix(self):
-        selection = RepSelection(rep_matrix=np.zeros((2, 1)), method="kmeans")
-        with pytest.raises(ValueError, match="clustering matrix"):
-            extract_rep_profiles(make_system(), selection)
+    @pytest.mark.parametrize("dataset", ["synthetic_gep_path", "synthetic_p2x_path"])
+    @pytest.mark.parametrize("method", ["kmedoids", "hull"])
+    def test_period_selections_match_period_slices(self, dataset, method, request):
+        # representatives that are base periods carry exactly the system's
+        # profiles at those periods; a series without rows is its default
+        system = load_system(request.getfixturevalue(dataset))
+        cm = build_clustering_matrix(system)
+        selection, _ = cluster_matrix(cm.values, method, "conic", 3, seed=1)
+        rep = extract_rep_profiles(system, selection, cm)
+        expected = period_profiles(system, selection.source_indices)
+        default = {"demand": 0.0, "availability": 1.0, "inflow": 0.0}
+        for series, values in expected.items():
+            got = rep.profile(*series)
+            np.testing.assert_array_equal(
+                default[series[0]] if got is None else got, values, err_msg=str(series))
+        assert {key[:-1] for key in rep.row_keys} <= set(expected)

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import repblend.harness as harness
 import repblend.model
 from repblend.cli import main
-from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
+from repblend.data import DataError, build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import build_full_model, build_model, fix_decisions
 from repblend.harness import (
     ExperimentConfig,
@@ -333,6 +333,38 @@ class TestResultsCsv:
                                   for cells in (header, row)) + "\n")
         assert load_records(path) == [replace(record, iterations_reduced=0, iterations_fixed=0)]
 
+    def test_blank_cells_read_as_defaults(self, tmp_path):
+        record = self.make_record()
+        path = tmp_path / "results.csv"
+        write_results_csv([record], path)
+        header, row = [line.split(",") for line in path.read_text().splitlines()]
+        for name in ("t_fit", "objective_full", "iterations_fixed"):
+            row[header.index(name)] = ""
+        path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+        assert load_records(path) == [
+            replace(record, t_fit=0.0, objective_full=None, iterations_fixed=0)]
+
+    def test_missing_required_column_is_a_data_error(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results_csv([self.make_record()], path)
+        header, row = [line.split(",") for line in path.read_text().splitlines()]
+        drop = header.index("seed")
+        path.write_text("\n".join(",".join(cells[:drop] + cells[drop + 1:])
+                                  for cells in (header, row)) + "\n")
+        with pytest.raises(DataError, match=r"^results.csv:1: missing columns: seed$"):
+            load_records(path)
+
+    @pytest.mark.parametrize("column,text", [("n_rp", "four"), ("n_rp", ""),
+                                             ("regret_pct", "x"), ("iterations_fixed", "1.5")])
+    def test_unparsable_cell_is_a_data_error(self, tmp_path, column, text):
+        path = tmp_path / "results.csv"
+        write_results_csv([self.make_record(), self.make_record(seed=2)], path)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[1][header.index(column)] = text
+        path.write_text("\n".join(",".join(cells) for cells in [header] + rows) + "\n")
+        with pytest.raises(DataError, match=rf"^results.csv:3: column '{column}': "):
+            load_records(path)
+
     def test_one_record_one_row(self, tmp_path):
         emit_plot_data([self.make_record()], tmp_path)
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
@@ -451,6 +483,17 @@ class TestCli:
         result = self.run("emit-plots", "--out", out)
         assert result.exit_code == 0, result.output
         assert (out / "pareto.csv").read_bytes() == pareto
+
+    def test_emit_plots_without_seed_column_is_a_data_error(self, tmp_path):
+        emit_plot_data([TestResultsCsv().make_record()], tmp_path)
+        results = tmp_path / "results.csv"
+        header, row = [line.split(",") for line in results.read_text().splitlines()]
+        drop = header.index("seed")
+        results.write_text("\n".join(",".join(cells[:drop] + cells[drop + 1:])
+                                     for cells in (header, row)) + "\n")
+        result = self.run("emit-plots", "--out", tmp_path)
+        assert result.exit_code == 2
+        assert "results.csv:1: missing columns: seed" in result.output
 
     def test_experiment_data_error_exit_code(self, tmp_path):
         (tmp_path / "broken").mkdir()

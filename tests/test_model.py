@@ -1,11 +1,18 @@
 """Unit tests for LP assembly and decision fixing."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from conftest import value
-from repblend.clustering import greedy_hull, kmedoids
-from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
+from conftest import period_reps, value
+from repblend.clustering import greedy_hull, kmeans, kmedoids
+from repblend.data import (
+    build_clustering_matrix,
+    extract_rep_profiles,
+    load_system,
+    require_valid,
+)
 from repblend.model import (
     SENSES,
     LpModel,
@@ -63,13 +70,10 @@ class TestBuildModel:
         assert len(balance) == 2  # |N| * |X| * |R| * |H| = 1*1*1*2
 
     def test_identity_reduction_is_the_full_model(self, synthetic_gep_path):
-        from repblend.data import rep_profiles_from_periods
-
         system = load_system(synthetic_gep_path)
         D = system.horizon.num_periods
         full = build_full_model(system)
-        rep = rep_profiles_from_periods(system, np.arange(D))
-        reduced = build_model(system, rep, identity_weights(D))
+        reduced = build_model(system, period_reps(system, np.arange(D)), identity_weights(D))
         assert full.var_names == reduced.var_names
         assert full.num_constraints == reduced.num_constraints
         obj_full = solve(full).objective
@@ -145,10 +149,7 @@ class TestBuildModel:
         # one period, one rep, weight 0.25: cop coefficients scale with the
         # column sum rather than a hard-assignment count
         weights = WeightMatrix(np.array([[0.25]]), "subunit_conic", np.zeros(1))
-        from repblend.data import rep_profiles_from_periods
-
-        rep = rep_profiles_from_periods(system, [0])
-        model = build_model(system, rep, weights)
+        model = build_model(system, period_reps(system, [0]), weights)
         coefs = row_coefficients(model)["def_cop"]
         assert coefs["pout_g1_r1_h1"] == pytest.approx(-0.25)
 
@@ -186,7 +187,7 @@ class TestBuildModel:
 class TestTimestepScaling:
     def test_coefficients_carry_timestep_and_annualization(self):
         from conftest import make_system, producer
-        from repblend.data import Asset, rep_profiles_from_periods
+        from repblend.data import Asset
 
         tau, hours_per_year = 2.0, 48.0  # D*H = 4 model steps -> W_op = 12
         gen = producer("g", var_cost=7.0, ramp=0.5, unit_capacity=1.0,
@@ -199,8 +200,7 @@ class TestTimestepScaling:
         system = make_system(D=2, H=2, assets=[gen, reservoir],
                              inflow={"r": np.full((2, 2), 0.25)},
                              timestep_hours=tau, hours_per_year=hours_per_year)
-        model = build_model(system, rep_profiles_from_periods(system, np.arange(2)),
-                            identity_weights(2))
+        model = build_model(system, period_reps(system, np.arange(2)), identity_weights(2))
         w_op = hours_per_year / 4
         rows = row_coefficients(model)
         intra = rows["intra_r_r1_h1"]
@@ -259,11 +259,8 @@ class TestBlendedReduction:
         return make_system(D=2, H=1, assets=[gen], demand=demand, hours_per_year=2.0)
 
     def _reduced(self, system):
-        from repblend.data import rep_profiles_from_periods
-
         weights = WeightMatrix(np.array([[0.5], [1.0]]), "convex", np.zeros(2))
-        rep = rep_profiles_from_periods(system, [1])
-        return build_model(system, rep, weights)
+        return build_model(system, period_reps(system, [1]), weights)
 
     def test_weighted_cost_matches_full_model(self):
         system = self._system()
@@ -418,7 +415,7 @@ class TestBlendFeasibilityPreservation:
         H = system.horizon.hours_per_period
         for g in system.producers:
             cap = value(model, solution, f"cap_{g.name}")
-            avail = rep.availability.get(g.name)
+            avail = rep.profile("availability", g.name)
             for d in range(D):
                 for h in range(H):
                     blended = sum(
@@ -427,3 +424,51 @@ class TestBlendFeasibilityPreservation:
                         for r in range(weights.n_rp))
                     shared_bound = cap * (avail[:, h].max() if avail is not None else 1.0)
                     assert blended <= shared_bound + 1e-6
+
+
+class TestNonProducerAvailability:
+    """An availability profile on an asset that is not a producer, the p2x
+    electrolyzer, is stacked into the clustering matrix, so the reduced
+    model of every method caps the asset's output by it."""
+
+    @pytest.fixture(scope="class")
+    def system(self, synthetic_p2x_path, tmp_path_factory):
+        root = tmp_path_factory.mktemp("data") / "p2x-electrolyzer"
+        shutil.copytree(synthetic_p2x_path, root)
+        hz = load_system(root).horizon
+        D, H = hz.num_periods, hz.hours_per_period
+        profile = 0.5 + 0.4 * np.sin(np.arange(D * H) / 3.0).reshape(D, H)
+        with open(root / "availability.csv", "a", encoding="utf-8") as handle:
+            for (d, h), v in np.ndenumerate(profile):
+                handle.write(f"electrolyzer_n1,{d + 1},{h + 1},{float(v)!r}\n")
+        return require_valid(load_system(root))
+
+    @staticmethod
+    def profile_rows(cm):
+        """Hour -> matrix row of the electrolyzer's availability."""
+        return {key[2]: i for i, key in enumerate(cm.row_keys)
+                if key[:2] == ("availability", "electrolyzer_n1")}
+
+    def test_clustering_matrix_holds_the_profile(self, system):
+        cm = build_clustering_matrix(system)
+        rows = self.profile_rows(cm)
+        H = system.horizon.hours_per_period
+        assert sorted(rows) == list(range(1, H + 1))
+        np.testing.assert_array_equal(cm.values[[rows[h] for h in range(1, H + 1)]],
+                                      system.availability["electrolyzer_n1"].T)
+
+    def test_kmeans_reduced_model_caps_output(self, system):
+        cm = build_clustering_matrix(system)
+        selection, assignment = kmeans(cm.values, 2, seed=1)
+        weights = fit_weights(selection.rep_matrix, cm.values, "dirac",
+                              dirac_assignment=assignment.assignment)
+        model = build_model(system, extract_rep_profiles(system, selection, cm), weights)
+        coefs = row_coefficients(model)
+        rows = self.profile_rows(cm)
+        assert rows
+        for r in range(2):
+            for h, row in rows.items():
+                centroid = selection.rep_matrix[row, r]
+                assert centroid < 1.0
+                assert coefs[f"maxout_electrolyzer_n1_r{r + 1}_h{h}"]["cap_electrolyzer_n1"] \
+                    == -centroid

@@ -89,13 +89,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _select_and_fit(data_path: Path, method: str, weight_type: str, n_rp: int, seed: int):
     """Load and validate the dataset, stack its clustering matrix, select
     representatives and fit the blending weights: (system, cmatrix,
-    selection, hard, weights)."""
+    selection, weights)."""
     system = require_valid(load_system(data_path))
     cmatrix = build_clustering_matrix(system)
-    selection, hard = cluster_matrix(cmatrix.values, method, weight_type, n_rp, seed)
-    weights = fit_weights(selection.rep_matrix, cmatrix.values, weight_type,
-                          dirac_assignment=hard)
-    return system, cmatrix, selection, hard, weights
+    selection = cluster_matrix(cmatrix.values, method, weight_type, n_rp, seed)
+    weights = fit_weights(selection.rep_matrix, cmatrix.values, weight_type)
+    return system, cmatrix, selection, weights
 
 
 @click.group()
@@ -119,7 +118,9 @@ def validate(data_path):
                f"{system.horizon.num_periods} periods x {system.horizon.hours_per_period} hours")
 
 
-def _write_selection(selection: RepSelection, hard, cmatrix, out_dir: Path):
+def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
+    """Write reps.csv, rep_matrix.csv and assignment.csv (each period's
+    nearest representative, its dirac row)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "reps.csv", "w", encoding="utf-8") as handle:
         handle.write("rep,source_period\n")
@@ -131,11 +132,11 @@ def _write_selection(selection: RepSelection, hard, cmatrix, out_dir: Path):
         for row, label in enumerate(cmatrix.row_labels):
             values = ",".join(repr(float(v)) for v in selection.rep_matrix[row])
             handle.write(f"{label},{values}\n")
-    if hard is not None:
-        with open(out_dir / "assignment.csv", "w", encoding="utf-8") as handle:
-            handle.write("period,rep\n")
-            for d, r in enumerate(hard):
-                handle.write(f"{d + 1},{r + 1}\n")
+    hard = fit_weights(selection.rep_matrix, cmatrix.values, "dirac").values.argmax(axis=1)
+    with open(out_dir / "assignment.csv", "w", encoding="utf-8") as handle:
+        handle.write("period,rep\n")
+        for d, r in enumerate(hard):
+            handle.write(f"{d + 1},{r + 1}\n")
 
 
 @main.command()
@@ -146,8 +147,8 @@ def _write_selection(selection: RepSelection, hard, cmatrix, out_dir: Path):
 def cluster(data_path, method, weight_type, n_rp, seed, out_dir):
     """Select representative periods and write them to the output directory."""
     cmatrix = build_clustering_matrix(require_valid(load_system(data_path)))
-    selection, hard = cluster_matrix(cmatrix.values, method, weight_type, n_rp, seed)
-    _write_selection(selection, hard, cmatrix, out_dir)
+    selection = cluster_matrix(cmatrix.values, method, weight_type, n_rp, seed)
+    _write_selection(selection, cmatrix, out_dir)
     click.echo(f"selected {selection.n_rp} representatives with {method}")
 
 
@@ -158,9 +159,9 @@ def cluster(data_path, method, weight_type, n_rp, seed, out_dir):
 @_handle_errors
 def fit_weights_cmd(data_path, method, weight_type, n_rp, seed, out_dir):
     """Cluster, then fit blending weights; writes weights.csv (period, rep, value)."""
-    _, cmatrix, selection, hard, weights = _select_and_fit(
+    _, cmatrix, selection, weights = _select_and_fit(
         data_path, method, weight_type, n_rp, seed)
-    _write_selection(selection, hard, cmatrix, out_dir)
+    _write_selection(selection, cmatrix, out_dir)
     write_weights_csv(weights, out_dir / "weights.csv")
     click.echo(f"fitted {weight_type} weights; mean projection error "
                f"{weights.projection_errors.mean():.6g}")
@@ -178,7 +179,7 @@ def build_lp(data_path, method, weight_type, n_rp, seed, mode, build_full, out_d
     if build_full:
         model = build_full_model(require_valid(load_system(data_path)), mode=mode)
     else:
-        system, cmatrix, selection, _, weights = _select_and_fit(
+        system, cmatrix, selection, weights = _select_and_fit(
             data_path, method, weight_type, n_rp, seed)
         model = build_model(system, extract_rep_profiles(system, selection, cmatrix),
                             weights, mode=mode)

@@ -11,9 +11,9 @@ Three families of methods:
   every column onto the hyperplane <x, q> = 1 (gnomonic projection), and
   convex-with-null coverage by adding a zero column.  Each greedy step
   takes the exact distance of every remaining column to the convex hull of
-  the selection, from the active-set NNLS kernel that also fits the convex
-  weights (``weights.nnls_weights``, Lawson & Hanson 1974), and adds the
-  true farthest column.
+  the selection, as the projection error of a convex ``weights.fit_weights``
+  (active-set NNLS, Lawson & Hanson 1974), and adds the true farthest
+  column.
 
 All methods are deterministic functions of the matrix, the parameters and
 the seed; argmax/argmin ties always resolve to the lowest index.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import nnls_weights
+from .weights import fit_weights, squared_distances
 
 HULL_TYPES = ("convex", "convex_null", "conic")
 
@@ -120,7 +120,7 @@ def kmeans(
     centers = C[:, _farthest_point_init(C, k, seed)].copy()
     assign = np.full(n_periods, -1)
     for _ in range(max_iter):
-        d2 = _sqdist_to_centers(C, centers)
+        d2 = squared_distances(C, centers)
         new_assign = np.argmin(d2, axis=1)
         if np.array_equal(new_assign, assign):
             break
@@ -132,7 +132,7 @@ def kmeans(
         centers = _relocate_empty(C, centers, assign)
     # re-derive the assignment so the returned pair is consistent even when
     # the iteration cap cut the loop between the two half-steps
-    d2 = _sqdist_to_centers(C, centers)
+    d2 = squared_distances(C, centers)
     assign = np.argmin(d2, axis=1)
     sse = float(d2[np.arange(n_periods), assign].sum())
     return (
@@ -141,18 +141,12 @@ def kmeans(
     )
 
 
-def _sqdist_to_centers(C: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (n_periods, k) squared Euclidean distances
-    diff = C[:, :, None] - centers[:, None, :]
-    return np.einsum("ijk,ijk->jk", diff, diff)
-
-
 def _relocate_empty(C: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """Move each empty cluster's center to the point worst-served by its own
     center; keep the center in place when every point is served exactly."""
     k = centers.shape[1]
     taken: set[int] = set()
-    d2 = _sqdist_to_centers(C, centers)
+    d2 = squared_distances(C, centers)
     own = d2[np.arange(C.shape[1]), assign].copy()
     for j in range(k):
         if np.any(assign == j):
@@ -228,23 +222,12 @@ def gnomonic_project(matrix: np.ndarray, tol: float = DEGENERATE_TOL) -> Gnomoni
     return GnomonicProjection(scaled=scaled, q=q, degenerate=degenerate)
 
 
-def _hull_distances(points: np.ndarray, rep_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Euclidean distance from every column of ``points`` to the convex
-    hull of the columns of ``rep_matrix``, with the optimal convex weights
-    (one row per point) from ``weights.nnls_weights``."""
-    R = np.asarray(rep_matrix, dtype=float)
-    X = np.asarray(points, dtype=float)
-    W = nnls_weights(R, X, "convex")
-    return np.linalg.norm(R @ W.T - X, axis=0), W
-
-
 def hull_distance(c: np.ndarray, rep_matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact Euclidean distance from ``c`` to the convex hull of the columns
     of ``rep_matrix``, with the optimal convex weights (one active-set NNLS;
     a column identical to ``c`` short-circuits to distance zero)."""
-    c = np.asarray(c, dtype=float)
-    dist, W = _hull_distances(c[:, None], rep_matrix)
-    return float(dist[0]), W[0]
+    fit = fit_weights(rep_matrix, c, "convex")
+    return float(fit.projection_errors[0]), fit.values[0]
 
 
 def _greedy_select(
@@ -272,7 +255,7 @@ def _greedy_select(
         cols = np.flatnonzero(remaining)
         if cols.size == 0:
             raise ValueError("not enough selectable columns to reach the requested count")
-        dist, _ = _hull_distances(matrix[:, cols], matrix[:, reps])
+        dist = fit_weights(matrix[:, reps], matrix[:, cols], "convex").projection_errors
         best = int(np.argmax(dist))
         reps.append(int(cols[best]))
         steps.append(float(dist[best]))

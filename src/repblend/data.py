@@ -65,6 +65,8 @@ class Horizon:
             raise ValueError("hours_per_year must be a number")
         if math.isinf(self.hours_per_year):
             raise ValueError("hours_per_year must be finite")
+        if not self.hours_per_year > 0:
+            raise ValueError("hours_per_year must be > 0")
 
     @property
     def num_timesteps(self) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import greedy_hull, kmeans, kmedoids
+from .clustering import RepSelection, greedy_hull, kmeans, kmedoids
 from .data import (
     DataError,
     _read_csv,
@@ -132,17 +132,15 @@ def compute_regret(cost_fixed: float, cost_full: float) -> float:
 
 
 def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
-                   seed: int):
-    """Dispatch to the configured clustering; returns (selection, hard) where
-    hard is the per-period representative index array, or None for hull
-    methods (which define no partition)."""
+                   seed: int) -> RepSelection:
+    """Dispatch to the configured clustering and return its selection; every
+    method maps base periods to it through ``fit_weights``."""
     if method in ("kmeans", "kmedoids"):
         cluster = kmeans if method == "kmeans" else kmedoids
-        selection, assignment = cluster(values, n_rp, seed)
-        return selection, assignment.assignment
+        return cluster(values, n_rp, seed)[0]
     if method == "hull":
         hull_type = HULL_FOR_WEIGHT[canonical_weight_type(weight_type)]
-        return greedy_hull(values, n_rp, hull_type), None
+        return greedy_hull(values, n_rp, hull_type)
     raise ValueError(f"method must be one of {METHODS}")
 
 
@@ -270,13 +268,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
         record = new_record(seed, mode, t_read=t_read)
         try:
             start = time.perf_counter()
-            selection, hard = cluster_matrix(
+            selection = cluster_matrix(
                 cmatrix.values, config.method, config.weight_type, config.n_rp, seed)
             record.t_cluster = time.perf_counter() - start
 
             start = time.perf_counter()
-            weights = fit_weights(selection.rep_matrix, cmatrix.values, config.weight_type,
-                                  dirac_assignment=hard)
+            weights = fit_weights(selection.rep_matrix, cmatrix.values, config.weight_type)
             record.t_fit = time.perf_counter() - start
             record.proj_err_mean = float(weights.projection_errors.mean())
             record.proj_err_max = float(weights.projection_errors.max())

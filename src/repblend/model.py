@@ -109,9 +109,8 @@ class LpModel:
     these are next read.
     """
 
-    def __init__(self, name: str = "model", metadata: dict | None = None):
+    def __init__(self, name: str = "model"):
         self.name = name
-        self.metadata: dict = metadata or {}
         self.var_blocks: list[Block] = []
         self.row_blocks: list[Block] = []
         self._num_vars = 0
@@ -268,7 +267,6 @@ class LpModel:
         """A model that shares this one's rows, blocks and names (if made)
         and owns the given bounds and a copy of the cost."""
         clone = copy.copy(self)
-        clone.metadata = dict(self.metadata)
         clone.var_blocks = list(self.var_blocks)
         clone.row_blocks = list(self.row_blocks)
         clone._rows = self._row_arrays()
@@ -326,15 +324,7 @@ def build_model(
             f"weight matrix has {weight_matrix.n_rp} representative columns, profiles have {R}")
     rep_totals = weight_matrix.rep_totals
 
-    m = LpModel(
-        name=f"{system.name}-{mode}-{R}rp",
-        metadata={
-            "system": system.name,
-            "mode": mode,
-            "n_rp": R,
-            "weight_type": weight_matrix.weight_type,
-        },
-    )
+    m = LpModel(name=f"{system.name}-{mode}-{R}rp")
 
     def variables(kind, asset, axes, shape, lb=0.0, ub=math.inf):
         index = m.add_vars(shape, lb, ub)
@@ -569,6 +559,4 @@ def fix_decisions(full_model: LpModel, reduced_model: LpModel, reduced_solution:
     value = np.where(ub[index] < value, ub[index], value)  # min(value, ub)
     lb[index] = value
     ub[index] = value
-    fixed = full_model._with_bounds(lb, ub)
-    fixed.metadata.update(fixed_variables=int(index.size), fixed_mode=mode)
-    return fixed
+    return full_model._with_bounds(lb, ub)

@@ -15,10 +15,11 @@ restrictive:
 Sub-unit rows are the largest class that keeps every upper-bound inequality
 satisfied by the representatives valid for the reconstructed base periods.
 
-``fit_weights`` solves each blended row exactly with ``nnls_weights``;
-``clustering.greedy_hull`` measures hull distances with the same kernel.
-``pgd`` and the projections stay as the reference algorithm and are not on
-the fitting path.
+``fit_weights`` is the one map from base periods to representatives, and
+the greedy hull's distance measure: exact ``nnls_weights`` rows, or dirac
+rows at the nearest representative by ``squared_distances``, which
+``clustering.kmeans`` also assigns by.  ``pgd`` and the projections stay as
+the reference algorithm and are not on the fitting path.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class WeightMatrix:
     """Fitted blending weights, one row per base period.
 
     Blended rows (convex, sub-unit, conic) are the exact least-squares
-    optimum of their space; dirac rows are a hard assignment.
+    optimum of their space; each dirac row is the nearest representative.
     ``projection_errors[d]`` is the Euclidean residual between base-period
     column d and its weighted reconstruction from the representatives.
     """
@@ -212,26 +213,22 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
     return W
 
 
-def _nearest_rep_indices(rep_matrix: np.ndarray, data_matrix: np.ndarray) -> np.ndarray:
-    """Per data column, the index of the closest representative column
-    (lowest index on ties)."""
-    diffs = rep_matrix[:, None, :] - data_matrix[:, :, None]
-    return np.argmin(np.einsum("fdj,fdj->dj", diffs, diffs), axis=1)
+def squared_distances(points: np.ndarray, rep_matrix: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every column of ``points`` to every
+    column of ``rep_matrix``, shaped (n_points, n_reps)."""
+    diffs = points[:, :, None] - rep_matrix[:, None, :]
+    return np.einsum("fdj,fdj->dj", diffs, diffs)
 
 
-def fit_weights(
-    rep_matrix: np.ndarray,
-    data_matrix: np.ndarray,
-    weight_type: str,
-    dirac_assignment: np.ndarray | None = None,
-) -> WeightMatrix:
-    """Fit one weight row per base-period column of ``data_matrix``.
+def fit_weights(rep_matrix: np.ndarray, data_matrix: np.ndarray, weight_type: str) -> WeightMatrix:
+    """Fit one weight row per base-period column of ``data_matrix``: the one
+    map from base periods to representatives.
 
     Each blended row is the exact minimizer of ||R w - c_d||^2 over the
-    declared weight space, from ``nnls_weights``.  For
-    ``weight_type="dirac"`` the rows are ``dirac_assignment`` when one is
-    given, else the nearest representative, which is the exact optimum over
-    hard assignments; blended fits ignore the assignment.
+    declared weight space, from ``nnls_weights``; a convex fit's
+    ``projection_errors`` are the distances to the representatives' convex
+    hull.  Each dirac row is the nearest representative (lowest index on
+    ties), which is the exact optimum over hard assignments.
     """
     weight_type = canonical_weight_type(weight_type)
     R = np.asarray(rep_matrix, dtype=float)
@@ -244,12 +241,7 @@ def fit_weights(
         )
     n_periods = C.shape[1]
     if weight_type == "dirac":
-        if dirac_assignment is not None:
-            hard = np.asarray(dirac_assignment, dtype=int)
-            if hard.shape != (n_periods,):
-                raise ValueError("dirac_assignment must have one entry per period")
-        else:
-            hard = _nearest_rep_indices(R, C)
+        hard = np.argmin(squared_distances(C, R), axis=1)
         W = np.zeros((n_periods, R.shape[1]))
         W[np.arange(n_periods), hard] = 1.0
         return WeightMatrix(W, weight_type, np.linalg.norm(R[:, hard] - C, axis=0))

@@ -10,6 +10,8 @@ from repblend.clustering import (
     kmeans,
     kmedoids,
 )
+from repblend.data import build_clustering_matrix, load_system
+from repblend.weights import fit_weights
 from oracles import best_medoid_set_bruteforce, greedy_hull_reference, nnls_fit
 
 
@@ -275,3 +277,34 @@ class TestGreedyHull:
         b = greedy_hull(C, 6, "conic")
         assert a.source_indices.tolist() == b.source_indices.tolist()
         assert a.step_max_distances == b.step_max_distances
+
+
+class TestDiracRowsAreTheAssignment:
+    """A dirac fit to a k-means or k-medoids selection reproduces the
+    clustering's own final assignment: each period's nearest representative."""
+
+    @staticmethod
+    def assert_dirac_is_assignment(cluster, C, k, seed):
+        selection, assignment = cluster(C, k, seed)
+        expected = np.zeros((C.shape[1], k))
+        expected[np.arange(C.shape[1]), assignment.assignment] = 1.0
+        np.testing.assert_array_equal(
+            fit_weights(selection.rep_matrix, C, "dirac").values, expected)
+
+    @pytest.mark.parametrize("cluster", [kmeans, kmedoids], ids=["kmeans", "kmedoids"])
+    @pytest.mark.parametrize("dataset", ["synthetic_gep_path", "synthetic_p2x_path"])
+    def test_fixture_matrices(self, request, dataset, cluster):
+        C = build_clustering_matrix(load_system(request.getfixturevalue(dataset))).values
+        D = C.shape[1]
+        for k in sorted({1, 2, 3, D // 2, D - 1, D}):
+            for seed in range(1, 6):
+                self.assert_dirac_is_assignment(cluster, C, k, seed)
+
+    @pytest.mark.parametrize("cluster", [kmeans, kmedoids], ids=["kmeans", "kmedoids"])
+    def test_repeated_columns(self, cluster):
+        # three distinct columns repeated: k > 3 leaves clusters empty, which
+        # sends kmeans through its empty-cluster relocation
+        C = np.repeat(random_matrix(4, 3, seed=5), [3, 2, 4], axis=1)
+        for k in (2, 3, 4, 6):
+            for seed in range(1, 6):
+                self.assert_dirac_is_assignment(cluster, C, k, seed)

@@ -238,6 +238,17 @@ class TestLoadSystem:
         with pytest.raises(DataError, match=f"^config.json: {match}$"):
             load_system(tmp_path)
 
+    @pytest.mark.parametrize("hours_per_year", [0, -8760], ids=["zero", "negative"])
+    def test_nonpositive_hours_per_year_rejected(self, tmp_path, hours_per_year):
+        # a zero year drops every operating-cost term from the model, and a
+        # negative one makes the model infeasible; neither is a horizon
+        config = _tiny_config()
+        config["horizon"]["hours_per_year"] = hours_per_year
+        write_dataset(tmp_path, config, [], [], {("n1", "el"): np.full((1, 1), 0.5)}, {}, {})
+        with pytest.raises(DataError,
+                           match="^config.json: bad horizon: hours_per_year must be > 0$"):
+            load_system(tmp_path)
+
     @pytest.mark.parametrize("horizon,peak,match", [
         ({}, math.nan, r"peak_demand\['n1'\]\['el'\] must be a number"),
         ({"timestep_hours": math.nan}, 1.0, "bad horizon: timestep_hours must be > 0"),
@@ -605,7 +616,7 @@ class TestRepProfiles:
         # profiles at those periods; a series without rows is its default
         system = load_system(request.getfixturevalue(dataset))
         cm = build_clustering_matrix(system)
-        selection, _ = cluster_matrix(cm.values, method, "conic", 3, seed=1)
+        selection = cluster_matrix(cm.values, method, "conic", 3, seed=1)
         rep = extract_rep_profiles(system, selection, cm)
         expected = period_profiles(system, selection.source_indices)
         default = {"demand": 0.0, "availability": 1.0, "inflow": 0.0}

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import repblend.harness as harness
 import repblend.model
 from repblend.cli import main
+from repblend.clustering import kmeans
 from repblend.data import DataError, build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import build_full_model, build_model, fix_decisions
 from repblend.harness import (
@@ -213,9 +214,8 @@ class TestRunExperiment:
         assert record.error == ""
         system = load_system(path)
         cm = build_clustering_matrix(system)
-        selection, hard = cluster_matrix(cm.values, method, weight_type, 3, seed=1)
-        weights = fit_weights(selection.rep_matrix, cm.values, weight_type,
-                              dirac_assignment=hard)
+        selection = cluster_matrix(cm.values, method, weight_type, 3, seed=1)
+        weights = fit_weights(selection.rep_matrix, cm.values, weight_type)
         reduced_model = build_model(system, extract_rep_profiles(system, selection, cm), weights)
         reduced = solve(reduced_model)
         assert (reduced.objective, reduced.iterations) == (record.objective_reduced,
@@ -442,12 +442,22 @@ class TestCli:
         header = (out / "weights.csv").read_text().splitlines()[0]
         assert header == "period,rep,value"
 
-    def test_cluster_assignment_written_for_kmeans(self, synthetic_gep_path, tmp_path):
+    @pytest.mark.parametrize("method", ["kmeans", "kmedoids", "hull"])
+    def test_cluster_assignment_written(self, synthetic_gep_path, tmp_path, method):
+        # every method writes each period's nearest representative
         out = tmp_path / "out"
         result = self.run("cluster", "--data", synthetic_gep_path, "--method",
-                          "kmeans", "--n-rp", 3, "--out", out)
-        assert result.exit_code == 0
-        assert (out / "assignment.csv").exists()
+                          method, "--n-rp", 3, "--out", out)
+        assert result.exit_code == 0, result.output
+        values = build_clustering_matrix(load_system(synthetic_gep_path)).values
+        reps = np.loadtxt(out / "rep_matrix.csv", delimiter=",", skiprows=1,
+                          usecols=(1, 2, 3), ndmin=2)
+        nearest = [int(np.argmin(np.linalg.norm(reps - values[:, [d]], axis=0)))
+                   for d in range(values.shape[1])]
+        rows = np.loadtxt(out / "assignment.csv", delimiter=",", skiprows=1,
+                          dtype=int, ndmin=2)
+        np.testing.assert_array_equal(rows[:, 0], np.arange(1, values.shape[1] + 1))
+        np.testing.assert_array_equal(rows[:, 1] - 1, nearest)
 
     def test_build_lp(self, mini_gep_copy, tmp_path):
         out = tmp_path / "lp"
@@ -535,12 +545,13 @@ class TestCli:
             written[seed] = {name: (out / name).read_text()
                              for name in ("reps.csv", "rep_matrix.csv", "assignment.csv")}
         assert written[1] != written[2]
-        selection, hard = cluster_matrix(values, "kmeans", "conic", 3, seed=2)
+        selection, assignment = kmeans(values, 3, seed=2)
         assert written[2]["reps.csv"] == "rep,source_period\n1,\n2,\n3,\n"
         rep_rows = [line.split(",")[1:] for line in written[2]["rep_matrix.csv"].splitlines()[1:]]
         np.testing.assert_array_equal(np.array(rep_rows, dtype=float), selection.rep_matrix)
         assign_rows = [line.split(",") for line in written[2]["assignment.csv"].splitlines()[1:]]
-        np.testing.assert_array_equal(np.array(assign_rows, dtype=int)[:, 1] - 1, hard)
+        np.testing.assert_array_equal(np.array(assign_rows, dtype=int)[:, 1] - 1,
+                                      assignment.assignment)
 
     def test_each_command_takes_only_the_flags_it_reads(self):
         reduction = {"--data", "--method", "--weights", "--n-rp"}

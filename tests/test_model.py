@@ -86,9 +86,8 @@ class TestBuildModel:
         system = load_system(synthetic_gep_path)
         cm = build_clustering_matrix(system)
         D = system.horizon.num_periods
-        selection, assignment = kmedoids(cm.values, D, seed=3)
-        weights = fit_weights(selection.rep_matrix, cm.values, "dirac",
-                              dirac_assignment=assignment.assignment)
+        selection, _ = kmedoids(cm.values, D, seed=3)
+        weights = fit_weights(selection.rep_matrix, cm.values, "dirac")
         rep = extract_rep_profiles(system, selection, cm)
         reduced = build_model(system, rep, weights)
         assert solve(reduced).objective == pytest.approx(
@@ -98,7 +97,7 @@ class TestBuildModel:
         system = load_system(synthetic_p2x_path)
         model = build_full_model(system)
         assert not any(n.startswith("inv_") for n in model.var_names)
-        assert model.metadata["mode"] == "p2x"
+        assert not any(b.kind == "inv" for b in model.var_blocks)
 
     def test_p2x_conversion_carries_the_hydrogen_load(self, synthetic_p2x_path):
         # electricity through the electrolyzer undercuts the fallback
@@ -322,8 +321,11 @@ class TestFixDecisions:
         full = build_full_model(system)
         solution = solve(full)
         fixed = fix_decisions(full, full, solution, "p2x")
-        assert fixed.metadata["fixed_variables"] == \
-            len([n for n in full.var_names if n.startswith("sinter_")])
+        sinter = np.array([n.startswith("sinter_") for n in full.var_names])
+        assert sinter.any()
+        np.testing.assert_array_equal(fixed.lb == fixed.ub, sinter)
+        np.testing.assert_array_equal(fixed.lb[~sinter], full.lb[~sinter])
+        np.testing.assert_array_equal(fixed.ub[~sinter], full.ub[~sinter])
         assert solve(fixed).objective == pytest.approx(solution.objective, rel=1e-8)
 
     def test_fixing_leaves_the_full_model_untouched(self, synthetic_p2x_path):
@@ -459,9 +461,8 @@ class TestNonProducerAvailability:
 
     def test_kmeans_reduced_model_caps_output(self, system):
         cm = build_clustering_matrix(system)
-        selection, assignment = kmeans(cm.values, 2, seed=1)
-        weights = fit_weights(selection.rep_matrix, cm.values, "dirac",
-                              dirac_assignment=assignment.assignment)
+        selection, _ = kmeans(cm.values, 2, seed=1)
+        weights = fit_weights(selection.rep_matrix, cm.values, "dirac")
         model = build_model(system, extract_rep_profiles(system, selection, cm), weights)
         coefs = row_coefficients(model)
         rows = self.profile_rows(cm)

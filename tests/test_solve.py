@@ -167,9 +167,8 @@ def pipeline_models(request):
             fixture, (method, weight_type, k) = REDUCTIONS[case]
             system = load_system(request.getfixturevalue(fixture))
             cm = build_clustering_matrix(system)
-            selection, hard = cluster_matrix(cm.values, method, weight_type, k, seed=1)
-            weights = fit_weights(selection.rep_matrix, cm.values, weight_type,
-                                  dirac_assignment=hard)
+            selection = cluster_matrix(cm.values, method, weight_type, k, seed=1)
+            weights = fit_weights(selection.rep_matrix, cm.values, weight_type)
             full = build_full_model(system)
             reduced = build_model(system, extract_rep_profiles(system, selection, cm), weights)
             built[case] = (system.mode, full, solve(full, keep_basis=True), reduced)

@@ -186,16 +186,6 @@ class TestFitWeights:
         np.testing.assert_allclose(conic.values, [[1.0, 1.0]], atol=1e-6)
         assert conic.projection_errors[0] == pytest.approx(0.0, abs=1e-6)
 
-    def test_dirac_assignment_bypasses_descent(self):
-        rng = np.random.default_rng(2)
-        R = rng.uniform(0, 1, (6, 3))
-        C = rng.uniform(0, 1, (6, 5))
-        assignment = np.array([2, 0, 1, 1, 0])
-        wm = fit_weights(R, C, "dirac", dirac_assignment=assignment)
-        expected = np.zeros((5, 3))
-        expected[np.arange(5), assignment] = 1.0
-        np.testing.assert_array_equal(wm.values, expected)
-
     def test_dirac_without_assignment_picks_nearest(self):
         R = np.array([[0.0, 1.0], [0.0, 1.0]])
         C = np.array([[0.1, 0.9], [0.0, 1.0]])

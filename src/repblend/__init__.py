@@ -3,11 +3,9 @@ blended (hard, convex, sub-unit conic, or conic) weights."""
 
 from .clustering import (
     ClusterAssignment,
-    GnomonicProjection,
     RepSelection,
     gnomonic_project,
     greedy_hull,
-    hull_distance,
     kmeans,
     kmedoids,
 )
@@ -50,13 +48,9 @@ from .solve import (
     write_lp_file,
 )
 from .weights import (
-    PgdParams,
     WeightMatrix,
     canonical_weight_type,
     fit_weights,
-    pgd,
-    project_simplex,
-    project_weights,
 )
 
 __version__ = "0.1.0"

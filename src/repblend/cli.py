@@ -6,6 +6,7 @@ Exit codes: 0 on success, 2 on data errors (bad files, failed validation),
 
 from __future__ import annotations
 
+import csv
 import sys
 from functools import wraps
 from pathlib import Path
@@ -28,11 +29,10 @@ from .harness import (
     load_records,
     run_experiment,
     solve_full_cached,
-    write_weights_csv,
 )
 from .model import build_full_model, build_model
 from .solve import SolverError, SolverHandle, write_lp_file
-from .weights import canonical_weight_type, fit_weights
+from .weights import WeightMatrix, canonical_weight_type, fit_weights
 
 
 def _handle_errors(func):
@@ -137,6 +137,16 @@ def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
         handle.write("period,rep\n")
         for d, r in enumerate(hard):
             handle.write(f"{d + 1},{r + 1}\n")
+
+
+def write_weights_csv(weights: WeightMatrix, path: Path):
+    """Serialize a weight matrix as (period, rep, value) rows, 1-based."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["period", "rep", "value"])
+        for d in range(weights.n_periods):
+            for r in range(weights.n_rp):
+                writer.writerow([d + 1, r + 1, repr(float(weights.values[d, r]))])
 
 
 @main.command()

@@ -66,20 +66,6 @@ class ClusterAssignment:
     cost: float
 
 
-@dataclass
-class GnomonicProjection:
-    """Columns rescaled onto the hyperplane <x, q> = 1.
-
-    ``degenerate`` lists columns whose inner product with the reference
-    direction is at most the tolerance; they cannot be rescaled and are left
-    as zero columns.
-    """
-
-    scaled: np.ndarray
-    q: np.ndarray
-    degenerate: list[int]
-
-
 def _check_k(k: int, n_periods: int):
     if not 1 <= k <= n_periods:
         raise ValueError(f"number of representatives {k} outside 1..{n_periods}")
@@ -200,13 +186,16 @@ def kmedoids(
     )
 
 
-def gnomonic_project(matrix: np.ndarray, tol: float = DEGENERATE_TOL) -> GnomonicProjection:
+def gnomonic_project(matrix: np.ndarray,
+                     tol: float = DEGENERATE_TOL) -> tuple[np.ndarray, list[int]]:
     """Scale every column onto the hyperplane <x, q> = 1, where q is the
-    normalized column mean.
+    normalized column mean: (scaled, degenerate).
 
     A point lies in the conic hull of a column set exactly when its scaled
     image lies in the convex hull of the scaled set, so conic selection can
-    reuse the convex machinery.
+    reuse the convex machinery.  ``degenerate`` lists the columns whose
+    inner product with q is at most ``tol``; they cannot be rescaled and are
+    left as zero columns.
     """
     C = np.asarray(matrix, dtype=float)
     mean = C.mean(axis=1)
@@ -219,15 +208,7 @@ def gnomonic_project(matrix: np.ndarray, tol: float = DEGENERATE_TOL) -> Gnomoni
     scaled = np.zeros_like(C)
     ok = inner > tol
     scaled[:, ok] = C[:, ok] / inner[ok]
-    return GnomonicProjection(scaled=scaled, q=q, degenerate=degenerate)
-
-
-def hull_distance(c: np.ndarray, rep_matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact Euclidean distance from ``c`` to the convex hull of the columns
-    of ``rep_matrix``, with the optimal convex weights (one active-set NNLS;
-    a column identical to ``c`` short-circuits to distance zero)."""
-    fit = fit_weights(rep_matrix, c, "convex")
-    return float(fit.projection_errors[0]), fit.values[0]
+    return scaled, degenerate
 
 
 def _greedy_select(
@@ -292,14 +273,14 @@ def greedy_hull(matrix: np.ndarray, n_rp: int, hull_type: str = "convex") -> Rep
         reps, steps = _greedy_select(augmented, n_rp + 1, [null_idx], candidates)
         chosen = [r for r in reps if r != null_idx]
     else:  # conic
-        proj = gnomonic_project(C)
+        scaled, degenerate = gnomonic_project(C)
         candidates = np.ones(n_periods, dtype=bool)
-        candidates[proj.degenerate] = False
+        candidates[degenerate] = False
         if candidates.sum() < n_rp:
             raise ValueError(
                 f"only {int(candidates.sum())} non-degenerate columns available for {n_rp} representatives"
             )
-        reps, steps = _greedy_select(proj.scaled, n_rp, [], candidates)
+        reps, steps = _greedy_select(scaled, n_rp, [], candidates)
         chosen = reps
 
     return RepSelection(

@@ -159,12 +159,6 @@ class EnergySystem:
     storage_max: dict[str, np.ndarray] = field(default_factory=dict)
     name: str = "system"
 
-    def asset(self, name: str) -> Asset:
-        for a in self.assets:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
     def assets_of_kind(self, *kinds: str) -> list[Asset]:
         return [a for a in self.assets if a.kind in kinds]
 

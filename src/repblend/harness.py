@@ -33,7 +33,7 @@ from .data import (
 )
 from .model import LpModel, Solution, build_full_model, build_model, fix_decisions
 from .solve import SolverHandle, solve
-from .weights import WeightMatrix, canonical_weight_type, fit_weights
+from .weights import canonical_weight_type, fit_weights
 
 METHODS = ("kmeans", "kmedoids", "hull")
 
@@ -238,7 +238,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     once per config, since none of it depends on the seed; every record
     carries that one ``t_read``, and a failure there (including more
     representatives than periods) gives every seed a record with the same
-    error.
+    error.  The full model is built and solved once, for the first seed
+    that reaches it; a failure there is kept and given to every later seed
+    without another attempt.
     """
     case = Path(config.data_path).name
 
@@ -264,6 +266,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     records: list[ExperimentRecord] = []
     full_model: LpModel | None = None
     full_solution: Solution | None = None
+    full_error: Exception | None = None
     for seed in config.seeds:
         record = new_record(seed, mode, t_read=t_read)
         try:
@@ -291,10 +294,15 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             record.objective_reduced = reduced_solution.objective
             record.iterations_reduced = reduced_solution.iterations
 
-            if full_model is None:
-                full_model = build_full_model(system, mode=mode)
-                full_solution = solve_full_cached(
-                    full_model, config.data_path, mode, handle, config.cache_dir)
+            if full_solution is None and full_error is None:
+                try:
+                    full_model = build_full_model(system, mode=mode)
+                    full_solution = solve_full_cached(
+                        full_model, config.data_path, mode, handle, config.cache_dir)
+                except Exception as exc:  # noqa: BLE001 - kept for every later seed
+                    full_error = exc
+            if full_error is not None:
+                raise full_error
             if full_solution.status != "optimal":
                 raise RuntimeError(f"full solve: {full_solution.status}")
             record.objective_full = full_solution.objective
@@ -400,13 +408,3 @@ def emit_plot_data(records: list[ExperimentRecord], out_dir: Path | str):
         for rec in pareto_front(records):
             writer.writerow([rec.case, rec.method, rec.weight_type, rec.n_rp,
                              rec.seed, _cell(rec.total_time), _cell(rec.regret_pct)])
-
-
-def write_weights_csv(weights: WeightMatrix, path: Path | str):
-    """Serialize a weight matrix as (period, rep, value) rows, 1-based."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["period", "rep", "value"])
-        for d in range(weights.n_periods):
-            for r in range(weights.n_rp):
-                writer.writerow([d + 1, r + 1, repr(float(weights.values[d, r]))])

@@ -14,8 +14,8 @@ row's terms in the order given, with ``sense`` and ``rhs`` arrays.  Named
 blocks (kind, asset, labelled axes, index array) describe which columns
 and rows belong together; ``build_model`` emits each variable kind and each
 constraint family as one vectorized block per asset.  Names are made from
-the blocks only on demand: for LP export, the ``solve-full`` CSV and
-``var_index``/``has_var``; a ``Solution`` holds values by column position.
+the blocks only on demand, for LP export and the ``solve-full`` CSV; a
+``Solution`` holds values by column position.
 
 Variable names follow the scheme kind_asset_r{rep}_h{hour} (e.g.
 pout_g1_r2_h5); representative, hour and period indices are 1-based.
@@ -104,9 +104,8 @@ class LpModel:
     order (see the module docstring).
 
     ``add_vars``/``add_rows`` append unnamed blocks that
-    ``name_vars``/``name_rows`` then name; ``add_var``/``add_constr`` add
-    one named entry.  Appends are buffered and joined into the arrays when
-    these are next read.
+    ``name_vars``/``name_rows`` then name.  Appends are buffered and joined
+    into the arrays when these are next read.
     """
 
     def __init__(self, name: str = "model"):
@@ -121,7 +120,6 @@ class LpModel:
         self._new_columns: list[tuple] = []
         self._new_rows: list[tuple] = []
         self._names: list[str] | None = None
-        self._index: dict[str, int] | None = None
 
     # -- columns ---------------------------------------------------------
 
@@ -138,18 +136,8 @@ class LpModel:
 
     def name_vars(self, kind, asset: str | None, axes: str, index, first=()):
         """Name the columns at ``index`` (see ``Block``)."""
-        block = Block(kind, asset, axes, np.asarray(index), tuple(first))
-        self.var_blocks.append(block)
+        self.var_blocks.append(Block(kind, asset, axes, np.asarray(index), tuple(first)))
         self._names = None
-        if self._index is not None:
-            self._index.update(zip(block.names(), block.index.ravel().tolist()))
-
-    def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
-        if self.has_var(name):
-            raise ValueError(f"duplicate variable {name!r}")
-        index = self.add_vars((), lb, ub)
-        self.name_vars(name, None, "", index)
-        return int(index)
 
     def _column_arrays(self) -> tuple[np.ndarray, ...]:
         if self._new_columns:
@@ -167,22 +155,9 @@ class LpModel:
             self._names = _names(self.var_blocks, self._num_vars)
         return self._names
 
-    def var_index(self, name: str) -> int:
-        if self._index is None:
-            self._index = {n: i for i, n in enumerate(self.var_names)}
-        return self._index[name]
-
-    def has_var(self, name: str) -> bool:
-        try:
-            self.var_index(name)
-        except KeyError:
-            return False
-        return True
-
     # -- rows --------------------------------------------------------------
 
-    def add_rows(self, cols, vals, sense: str, rhs=0.0, keep=None,
-                 label: str = "rows") -> np.ndarray:
+    def add_rows(self, cols, vals, sense: str, rhs=0.0, keep=None) -> np.ndarray:
         """Append one row per entry of ``cols.shape[:-1]``, whose last axis
         lists each row's terms in order; ``vals`` and ``keep`` (a mask that
         drops terms) broadcast to ``cols``, ``rhs`` to the row shape.
@@ -207,7 +182,7 @@ class LpModel:
             cols = np.where(keep, cols, -1 - np.arange(width))  # distinct, never a column
         bad = flat[1][(flat[1] < 0) | (flat[1] >= self._num_vars)]
         if bad.size:
-            raise ValueError(f"constraint {label!r} references unknown variable index {bad[0]}")
+            raise ValueError(f"row references unknown variable index {bad[0]}")
         if width > 1:
             ordered = np.sort(cols, axis=1)
             if np.any(ordered[:, 1:] == ordered[:, :-1]):
@@ -231,14 +206,6 @@ class LpModel:
     def name_rows(self, kind, asset: str | None, axes: str, index, first=()):
         """Name the rows at ``index`` (see ``Block``)."""
         self.row_blocks.append(Block(kind, asset, axes, np.asarray(index), tuple(first)))
-
-    def add_constr(self, name: str, terms, sense: str, rhs: float):
-        """Add one row; duplicate variable entries are merged (summed)
-        keeping first-occurrence order."""
-        terms = list(terms)
-        index = self.add_rows(np.array([idx for idx, _ in terms], dtype=np.int64),
-                              [coef for _, coef in terms], sense, rhs, label=name)
-        self.name_rows(name, None, "", index)
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
         if self._new_rows:
@@ -272,7 +239,6 @@ class LpModel:
         clone._rows = self._row_arrays()
         clone._columns = (lb, ub, self.cost.copy())
         clone._new_columns, clone._new_rows = [], []
-        clone._index = None
         return clone
 
 

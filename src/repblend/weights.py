@@ -1,7 +1,5 @@
 """Blending-weight fitting: exact least-squares weights over the four
-weight spaces, one active-set NNLS kernel shared with the greedy hull, plus
-the row-wise projections and projected gradient descent of the paper's
-reference algorithm.
+weight spaces, one active-set NNLS kernel shared with the greedy hull.
 
 A weight row expresses one base period as a combination of representative
 periods.  Four row spaces are supported, nested from most to least
@@ -18,8 +16,7 @@ satisfied by the representatives valid for the reconstructed base periods.
 ``fit_weights`` is the one map from base periods to representatives, and
 the greedy hull's distance measure: exact ``nnls_weights`` rows, or dirac
 rows at the nearest representative by ``squared_distances``, which
-``clustering.kmeans`` also assigns by.  ``pgd`` and the projections stay as
-the reference algorithm and are not on the fitting path.
+``clustering.kmeans`` also assigns by.
 """
 
 from __future__ import annotations
@@ -40,21 +37,6 @@ def canonical_weight_type(tag: str) -> str:
     if tag not in WEIGHT_TYPES:
         raise ValueError(f"unknown weight type {tag!r}; expected one of {WEIGHT_TYPES}")
     return tag
-
-
-@dataclass(frozen=True)
-class PgdParams:
-    """Projected-gradient-descent settings: the iteration cap and the stall
-    tolerance (the step size is an argument of ``pgd``)."""
-
-    max_iter: int = 2000
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
 
 
 @dataclass
@@ -84,88 +66,6 @@ class WeightMatrix:
         """Per-representative total weight (number of periods it stands for,
         generalized to fractional blends)."""
         return self.values.sum(axis=0)
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto the probability simplex
-    {x >= 0, sum(x) = 1}, applied to every row along the last axis.
-
-    Sort-based method (Held, Wolfe & Crowder 1974; Duchi et al. 2008): with
-    u the row sorted in decreasing order, the threshold is
-    theta = max_j (u_1 + ... + u_j - 1) / j and the projection is
-    max(v - theta, 0).
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1] if v.ndim else 0
-    if n == 0:
-        raise ValueError("cannot project an empty vector")
-    if n == 1:
-        return np.ones_like(v)
-    partial = np.sort(v, axis=-1)[..., ::-1].cumsum(axis=-1) - 1.0
-    theta = (partial / np.arange(1, n + 1)).max(axis=-1, keepdims=True)
-    return np.maximum(v - theta, 0.0)
-
-
-def project_nonneg(v: np.ndarray) -> np.ndarray:
-    """Projection onto the nonnegative orthant (conic weights)."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
-def project_subunit(v: np.ndarray) -> np.ndarray:
-    """Exact projection onto {x >= 0, sum(x) <= 1}, row by row.
-
-    If clipping negatives already lands inside the set, that is the
-    projection; otherwise the sum constraint is active and the answer
-    coincides with the simplex projection.
-    """
-    v = np.asarray(v, dtype=float)
-    out = project_nonneg(v)
-    over = out.sum(axis=-1) > 1.0
-    out[over] = project_simplex(v[over])
-    return out
-
-
-def project_dirac(v: np.ndarray) -> np.ndarray:
-    """Projection onto the unit basis vectors, row by row: 1 at the largest
-    coordinate (lowest index on ties), 0 elsewhere."""
-    v = np.asarray(v, dtype=float)
-    return (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(float)
-
-
-_PROJECTORS = {
-    "dirac": project_dirac,
-    "convex": project_simplex,
-    "subunit_conic": project_subunit,
-    "conic": project_nonneg,
-}
-
-
-def project_weights(v: np.ndarray, weight_type: str) -> np.ndarray:
-    """Exact Euclidean projection of ``v`` onto the given weight space."""
-    return _PROJECTORS[canonical_weight_type(weight_type)](v)
-
-
-def pgd(x0, objective_grad, projector, params: PgdParams, alpha: float) -> np.ndarray:
-    """Projected gradient descent from ``x0`` with step size ``alpha``.
-
-    Projects the start, then repeats gradient step + projection for at most
-    ``params.max_iter`` iterations, stopping once the iterate moves by no
-    more than ``tolerance / max_iter`` in the infinity norm.  This is the
-    paper's reference algorithm; ``fit_weights`` solves the same problems
-    exactly with ``nnls_weights``.
-    """
-    x = projector(np.array(x0, dtype=float))
-    stall = params.tolerance / params.max_iter
-    for iteration in range(params.max_iter):
-        g = objective_grad(x)
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient at iteration {iteration}")
-        stepped = projector(x - alpha * g)
-        moved = float(np.abs(stepped - x).max())
-        x = stepped
-        if moved <= stall:
-            break
-    return x
 
 
 def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -> np.ndarray:

@@ -250,7 +250,7 @@ def period_reps(system, idx):
 
 def value(model, solution, name: str) -> float:
     """The optimal value of ``model``'s column ``name`` in ``solution``."""
-    return float(solution.x[model.var_index(name)])
+    return float(solution.x[model.var_names.index(name)])
 
 
 def producer(name, node="n1", **kwargs):

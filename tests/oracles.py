@@ -1,14 +1,21 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent brute-force oracles and reference algorithms used by the
+test suite.
 
 These deliberately avoid the library's closed-form shortcuts: projections
 are found by enumerating active sets (faces) of the constraint polytope and
 keeping the feasible face-minimizer closest to the input point.  The
 profile reader parses one CSV row at a time.
+
+The paper's reference fitting algorithm, projected gradient descent with
+the closed-form row-wise projections onto the four weight spaces, lives
+here too: the package fits weights exactly with NNLS, and the acceptance
+criteria check PGD's projections and descent against the oracles above.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +23,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog, nnls
 
 from repblend.model import SENSES
+from repblend.weights import canonical_weight_type
 
 
 def proj_dirac_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -87,6 +95,103 @@ PROJECTION_ORACLES = {
     "subunit_conic": proj_subunit_bruteforce,
     "conic": proj_conic_bruteforce,
 }
+
+
+@dataclass(frozen=True)
+class PgdParams:
+    """Projected-gradient-descent settings: the iteration cap and the stall
+    tolerance (the step size is an argument of ``pgd``)."""
+
+    max_iter: int = 2000
+    tolerance: float = 1e-8
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be > 0")
+
+
+def project_simplex(v: np.ndarray) -> np.ndarray:
+    """Exact Euclidean projection onto the probability simplex
+    {x >= 0, sum(x) = 1}, applied to every row along the last axis.
+
+    Sort-based method (Held, Wolfe & Crowder 1974; Duchi et al. 2008): with
+    u the row sorted in decreasing order, the threshold is
+    theta = max_j (u_1 + ... + u_j - 1) / j and the projection is
+    max(v - theta, 0).
+    """
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1] if v.ndim else 0
+    if n == 0:
+        raise ValueError("cannot project an empty vector")
+    if n == 1:
+        return np.ones_like(v)
+    partial = np.sort(v, axis=-1)[..., ::-1].cumsum(axis=-1) - 1.0
+    theta = (partial / np.arange(1, n + 1)).max(axis=-1, keepdims=True)
+    return np.maximum(v - theta, 0.0)
+
+
+def project_nonneg(v: np.ndarray) -> np.ndarray:
+    """Projection onto the nonnegative orthant (conic weights)."""
+    return np.maximum(np.asarray(v, dtype=float), 0.0)
+
+
+def project_subunit(v: np.ndarray) -> np.ndarray:
+    """Exact projection onto {x >= 0, sum(x) <= 1}, row by row.
+
+    If clipping negatives already lands inside the set, that is the
+    projection; otherwise the sum constraint is active and the answer
+    coincides with the simplex projection.
+    """
+    v = np.asarray(v, dtype=float)
+    out = project_nonneg(v)
+    over = out.sum(axis=-1) > 1.0
+    out[over] = project_simplex(v[over])
+    return out
+
+
+def project_dirac(v: np.ndarray) -> np.ndarray:
+    """Projection onto the unit basis vectors, row by row: 1 at the largest
+    coordinate (lowest index on ties), 0 elsewhere."""
+    v = np.asarray(v, dtype=float)
+    return (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(float)
+
+
+_PROJECTORS = {
+    "dirac": project_dirac,
+    "convex": project_simplex,
+    "subunit_conic": project_subunit,
+    "conic": project_nonneg,
+}
+
+
+def project_weights(v: np.ndarray, weight_type: str) -> np.ndarray:
+    """Exact Euclidean projection of ``v`` onto the given weight space."""
+    return _PROJECTORS[canonical_weight_type(weight_type)](v)
+
+
+def pgd(x0, objective_grad, projector, params: PgdParams, alpha: float) -> np.ndarray:
+    """Projected gradient descent from ``x0`` with step size ``alpha``.
+
+    Projects the start, then repeats gradient step + projection for at most
+    ``params.max_iter`` iterations, stopping once the iterate moves by no
+    more than ``tolerance / max_iter`` in the infinity norm.  This is the
+    paper's reference algorithm; the package's ``fit_weights`` solves the
+    same problems exactly with NNLS.
+    """
+    x = projector(np.array(x0, dtype=float))
+    stall = params.tolerance / params.max_iter
+    for iteration in range(params.max_iter):
+        g = objective_grad(x)
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient at iteration {iteration}")
+        stepped = projector(x - alpha * g)
+        moved = float(np.abs(stepped - x).max())
+        x = stepped
+        if moved <= stall:
+            break
+    return x
 
 
 def nnls_fit(rep_matrix: np.ndarray, target: np.ndarray, weight_type: str) -> np.ndarray:
@@ -228,9 +333,10 @@ def pin_by_name(full_model, reduced_model, x, mode: str):
     same name, clamped into its own bounds."""
     prefix = "inv_" if mode == "gep" else "sinter_"
     lb, ub = full_model.lb.copy(), full_model.ub.copy()
+    reduced = {name: i for i, name in enumerate(reduced_model.var_names)}
     for i, name in enumerate(full_model.var_names):
         if name.startswith(prefix):
-            lb[i] = ub[i] = min(max(x[reduced_model.var_index(name)], lb[i]), ub[i])
+            lb[i] = ub[i] = min(max(x[reduced[name]], lb[i]), ub[i])
     return lb, ub
 
 

@@ -12,15 +12,23 @@ from itertools import product
 import numpy as np
 import pytest
 
-from repblend.clustering import greedy_hull, hull_distance
+from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import ExperimentConfig, compute_regret, run_experiment
 from repblend.model import build_full_model, build_model, fix_decisions, identity_weights
 from repblend.solve import solve, write_lp_file
-from repblend.weights import PgdParams, fit_weights, pgd, project_simplex, project_weights
+from repblend.weights import fit_weights
 
 from conftest import make_synthetic_gep, period_reps
-from oracles import PROJECTION_ORACLES, finite_difference_gradient, least_squares_objective
+from oracles import (
+    PROJECTION_ORACLES,
+    PgdParams,
+    finite_difference_gradient,
+    least_squares_objective,
+    pgd,
+    project_simplex,
+    project_weights,
+)
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
 SWEEP_RP_COUNTS = (2, 4, 8)
@@ -128,7 +136,7 @@ def test_criterion_05_hull_monotonicity_and_coverage():
     C = np.random.default_rng(53).uniform(0, 1, (24, 60))
     full = greedy_hull(C, 60, "convex")
     assert sorted(full.source_indices.tolist()) == list(range(60))
-    worst = max(hull_distance(C[:, d], full.rep_matrix)[0] for d in range(60))
+    worst = float(fit_weights(full.rep_matrix, C, "convex").projection_errors.max())
     assert worst <= 1e-6
     print(f"\n[PASS] criterion 5: greedy hull distances non-increasing; full "
           f"selection covers all 60 columns (worst residual {worst:.1e})")

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repblend.clustering import (
-    gnomonic_project,
-    greedy_hull,
-    hull_distance,
-    kmeans,
-    kmedoids,
-)
+from repblend.clustering import gnomonic_project, greedy_hull, kmeans, kmedoids
 from repblend.data import build_clustering_matrix, load_system
 from repblend.weights import fit_weights
 from oracles import best_medoid_set_bruteforce, greedy_hull_reference, nnls_fit
@@ -93,21 +87,28 @@ class TestKmedoids:
 
 
 class TestGnomonic:
+    @staticmethod
+    def direction(C):
+        """The reference direction q: the normalized column mean."""
+        mean = C.mean(axis=1)
+        return mean / np.linalg.norm(mean)
+
     def test_closed_form_two_axes(self):
-        proj = gnomonic_project(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(proj.q, [np.sqrt(2) / 2, np.sqrt(2) / 2])
-        np.testing.assert_allclose(proj.scaled, [[np.sqrt(2), 0.0], [0.0, np.sqrt(2)]])
-        assert proj.degenerate == []
+        C = np.array([[1.0, 0.0], [0.0, 1.0]])
+        scaled, degenerate = gnomonic_project(C)
+        np.testing.assert_allclose(self.direction(C), [np.sqrt(2) / 2, np.sqrt(2) / 2])
+        np.testing.assert_allclose(scaled, [[np.sqrt(2), 0.0], [0.0, np.sqrt(2)]])
+        assert degenerate == []
 
     def test_zero_column_degenerate(self):
-        proj = gnomonic_project(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert proj.degenerate == [1]
-        np.testing.assert_array_equal(proj.scaled[:, 1], [0.0, 0.0])
+        scaled, degenerate = gnomonic_project(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert degenerate == [1]
+        np.testing.assert_array_equal(scaled[:, 1], [0.0, 0.0])
 
     def test_scaled_columns_on_hyperplane(self):
         C = random_matrix(12, 30, seed=3)
-        proj = gnomonic_project(C)
-        inner = proj.q @ proj.scaled
+        scaled, _ = gnomonic_project(C)
+        inner = self.direction(C) @ scaled
         np.testing.assert_allclose(inner, np.ones(30), atol=1e-12)
 
     def test_all_zero_matrix_rejected(self):
@@ -116,27 +117,35 @@ class TestGnomonic:
 
 
 class TestHullDistance:
+    """The distance of a point to the convex hull of the representatives is
+    the projection error of its convex fit."""
+
+    @staticmethod
+    def hull_fit(c, R):
+        fit = fit_weights(R, c, "convex")
+        return fit.projection_errors[0], fit.values[0]
+
     def test_exact_column_is_zero(self):
         R = random_matrix(5, 3, seed=1)
-        dist, w = hull_distance(R[:, 1], R)
+        dist, w = self.hull_fit(R[:, 1], R)
         assert dist == 0.0
         np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
 
     def test_midpoint_projection(self):
-        dist, w = hull_distance(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        dist, w = self.hull_fit(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert dist == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-6)
 
     def test_single_column(self):
         r = np.array([[0.2], [0.4]])
         c = np.array([1.0, 1.0])
-        dist, w = hull_distance(c, r)
+        dist, w = self.hull_fit(c, r)
         assert dist == pytest.approx(np.linalg.norm(r[:, 0] - c))
         np.testing.assert_array_equal(w, [1.0])
 
     def test_empty_rep_matrix_rejected(self):
         with pytest.raises(ValueError):
-            hull_distance(np.array([1.0]), np.zeros((1, 0)))
+            fit_weights(np.zeros((1, 0)), np.array([1.0]), "convex")
 
     @staticmethod
     def face_point_and_normal(seed):
@@ -168,7 +177,7 @@ class TestHullDistance:
         for seed in range(10):
             R, w_true, normal = self.face_point_and_normal(seed)
             c = R @ w_true + offset * normal
-            dist, w = hull_distance(c, R)
+            dist, w = self.hull_fit(c, R)
             assert dist == pytest.approx(offset, abs=1e-9)
             assert self.simplex_kkt_residual(R, w, c) <= 1e-9
             np.testing.assert_allclose(w, nnls_fit(R, c, "convex"), rtol=0, atol=1e-5)
@@ -194,9 +203,8 @@ class TestGreedyHull:
         C = random_matrix(6, 10, seed=2)
         selection = greedy_hull(C, 10, "convex")
         assert sorted(selection.source_indices.tolist()) == list(range(10))
-        for d in range(10):
-            dist, _ = hull_distance(C[:, d], selection.rep_matrix)
-            assert dist <= 1e-6
+        dist = fit_weights(selection.rep_matrix, C, "convex").projection_errors
+        assert dist.max() <= 1e-6
 
     def test_step_distances_monotone(self):
         C = random_matrix(10, 25, seed=4)
@@ -234,7 +242,7 @@ class TestGreedyHull:
         for seed in range(5):
             C = random_matrix(12, 40, seed=seed)
             selection = greedy_hull(C, 8, "conic")
-            expected, expected_steps = greedy_hull_reference(gnomonic_project(C).scaled, 8)
+            expected, expected_steps = greedy_hull_reference(gnomonic_project(C)[0], 8)
             assert selection.source_indices.tolist() == expected
             np.testing.assert_allclose(selection.step_max_distances, expected_steps,
                                        rtol=0, atol=1e-6)

@@ -54,7 +54,7 @@ class TestLoadSystem:
         assert len(system.lines) == 0
         assert system.mode == "gep"
         assert system.horizon.operational_weight == 1.0
-        g1 = system.asset("g1")
+        g1 = next(a for a in system.assets if a.name == "g1")
         assert g1.investable and g1.inv_cost == 10.0 and g1.var_cost == 1.0
         assert g1.ramp is None  # blank means unlimited
 
@@ -77,7 +77,7 @@ class TestLoadSystem:
         assert len(system.nodes) == 3
         assert len(system.assets) == 8
         assert len(system.lines) == 3
-        assert system.asset("reservoir_n3").has_inflows
+        assert next(a for a in system.assets if a.name == "reservoir_n3").has_inflows
         assert validate_profiles(system) == []
 
     def test_bad_efficiency(self, tmp_path):

@@ -141,6 +141,38 @@ class TestRunExperiment:
         assert len({r.error for r in records}) == 1
         assert "DataError" in records[0].error and "outside" in records[0].error
 
+    def test_full_solve_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
+                                                     monkeypatch):
+        # a regular file where the cache directory should be: the cache
+        # write fails after the full solve
+        cache_file = tmp_path / "cache"
+        cache_file.write_text("")
+        calls = []
+        solve_full = harness.solve_full_cached
+        monkeypatch.setattr(harness, "solve_full_cached",
+                            lambda *args: calls.append(args) or solve_full(*args))
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2, 3),
+                                  cache_dir=cache_file)
+        records = run_experiment(config)
+        assert len({r.error for r in records}) == 1
+        assert records[0].error.startswith("FileExistsError")
+        assert len(calls) == 1
+
+    def test_full_build_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
+                                                     monkeypatch):
+        calls = []
+
+        def failing_build(system, mode=None):
+            calls.append(mode)
+            raise RuntimeError("full build failed")
+
+        monkeypatch.setattr(harness, "build_full_model", failing_build)
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2, 3),
+                                  cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert [r.error for r in records] == ["RuntimeError: full build failed"] * 3
+        assert len(calls) == 1
+
     def test_full_solve_cached_on_disk(self, mini_gep_copy, tmp_path):
         cache_dir = tmp_path / "cache"
         config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,

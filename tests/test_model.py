@@ -43,22 +43,16 @@ def row_coefficients(model):
 
 
 class TestLpModel:
-    def test_duplicate_variable_rejected(self):
-        m = LpModel()
-        m.add_var("x")
-        with pytest.raises(ValueError, match="duplicate"):
-            m.add_var("x")
-
     def test_terms_merge(self):
         m = LpModel()
-        x = m.add_var("x")
-        m.add_constr("row", [(x, 1.0), (x, 2.0)], "<=", 4.0)
+        x = int(m.add_vars(()))
+        m.add_rows([x, x], [1.0, 2.0], "<=", 4.0)
         assert model_rows(m)[0][1] == [(x, 3.0)]
 
     def test_unknown_index_rejected(self):
         m = LpModel()
         with pytest.raises(ValueError, match="unknown variable"):
-            m.add_constr("row", [(3, 1.0)], "==", 0.0)
+            m.add_rows([3], 1.0, "==")
 
 
 
@@ -161,11 +155,11 @@ class TestBuildModel:
         assert len(inter) == D
         for name in ("cyc0_reservoir_n3", "cycend_reservoir_n3", "tether_reservoir_n3"):
             assert any(n == name for n in row_names)
-        assert model.has_var("spill_reservoir_n3_r1_h1")
-        assert model.has_var("borrow_reservoir_n3_r1_h1")
+        assert "spill_reservoir_n3_r1_h1" in model.var_names
+        assert "borrow_reservoir_n3_r1_h1" in model.var_names
         # battery cycles within the period instead
         assert any(n == "intracyc_battery_n2_r1" for n in row_names)
-        assert not model.has_var("sinter_battery_n2_d1")
+        assert "sinter_battery_n2_d1" not in model.var_names
 
     def test_interperiod_ramp_merges_single_hour(self):
         from conftest import make_synthetic_gep
@@ -297,7 +291,7 @@ class TestInterPeriodReconstruction:
         assert solution.status == "optimal"
         name = "reservoir_n2"
         H = system.horizon.hours_per_period
-        level = system.asset(name).initial_storage
+        level = next(a for a in system.assets if a.name == name).initial_storage
         for d in range(system.horizon.num_periods):
             level += sum(
                 weights.values[d, r]

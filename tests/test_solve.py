@@ -18,16 +18,30 @@ from repblend.solve import BASIC, SolverHandle, SolverNumericalError, solve, wri
 from repblend.weights import fit_weights
 
 
+def add_var(model: LpModel, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
+    """Append one column named ``name``; returns its index."""
+    index = model.add_vars((), lb, ub)
+    model.name_vars(name, None, "", index)
+    return int(index)
+
+
+def add_row(model: LpModel, name: str, terms, sense: str, rhs: float):
+    """Append one row named ``name`` from (column, coefficient) pairs."""
+    cols = np.array([col for col, _ in terms], dtype=np.int64)
+    model.name_rows(name, None, "", model.add_rows(cols, [val for _, val in terms], sense, rhs))
+
+
 def parse_lp_file(text: str) -> LpModel:
     """Independent reader for the emitted LP format, used to verify the
     writer captures the model faithfully."""
     model = LpModel("parsed")
     term_re = re.compile(r"([+-])\s+(\S+)\s+(\S+)")
+    columns: dict[str, int] = {}
 
     def ensure_var(name):
-        if not model.has_var(name):
-            model.add_var(name)
-        return model.var_index(name)
+        if name not in columns:
+            columns[name] = add_var(model, name)
+        return columns[name]
 
     def parse_terms(chunk):
         terms = []
@@ -59,7 +73,7 @@ def parse_lp_file(text: str) -> LpModel:
             if not body.strip().startswith(("+", "-")):
                 body = "+ " + body.strip()
             sense = {"=": "==", "<=": "<=", ">=": ">="}[sense]
-            model.add_constr(name.strip(), parse_terms(body), sense, float(rhs))
+            add_row(model, name.strip(), parse_terms(body), sense, float(rhs))
         elif section == "Bounds":
             if line.endswith(" free"):
                 idx = ensure_var(line[:-5].strip())
@@ -92,12 +106,12 @@ class TestSolve:
 
     def test_infeasible_when_demand_exceeds_capacity(self, mini_gep_path):
         system = load_system(mini_gep_path)
-        system.asset("g1").investable = False  # nothing buildable, U0 = 0
+        next(a for a in system.assets if a.name == "g1").investable = False  # nothing buildable, U0 = 0
         assert solve(build_full_model(system)).status == "infeasible"
 
     def test_unbounded(self):
         m = LpModel()
-        x = m.add_var("x", lb=-math.inf)
+        x = add_var(m, "x", lb=-math.inf)
         m.cost[x] = 1.0
         assert solve(m).status == "unbounded"
 
@@ -105,10 +119,10 @@ class TestSolve:
                                        "NaN right-hand side"])
     def test_rejected_model_raises(self, cause):
         m = LpModel()
-        x = m.add_var("x", lb=math.inf if cause == "lower bound +inf" else 0.0)
+        x = add_var(m, "x", lb=math.inf if cause == "lower bound +inf" else 0.0)
         m.cost[x] = 1.0
-        m.add_constr("row", [(x, math.inf if cause == "infinite coefficient" else 1.0)], ">=",
-                     math.nan if cause == "NaN right-hand side" else 1.0)
+        add_row(m, "row", [(x, math.inf if cause == "infinite coefficient" else 1.0)], ">=",
+                math.nan if cause == "NaN right-hand side" else 1.0)
         with pytest.raises(SolverNumericalError, match="rejected the model"):
             solve(m)
 
@@ -126,13 +140,13 @@ class TestSolve:
                                    ("<=", -1.0, "infeasible"), ("<=", 1.0, "optimal"),
                                    (">=", 1.0, "infeasible"), (">=", -1.0, "optimal")):
             m = LpModel()
-            m.add_constr("r", [], sense, rhs)
+            add_row(m, "r", [], sense, rhs)
             assert solve(m).status == status, (sense, rhs)
 
     def test_no_objective_with_constraints(self):
         m = LpModel()
-        x = m.add_var("x")
-        m.add_constr("row", [(x, 1.0)], ">=", 2.0)
+        x = add_var(m, "x")
+        add_row(m, "row", [(x, 1.0)], ">=", 2.0)
         solution = solve(m)
         assert solution.status == "optimal"
         assert solution.objective == 0.0
@@ -336,12 +350,12 @@ class TestWriteLpFile:
 
     def test_bounds_section_forms(self, tmp_path):
         m = LpModel()
-        m.add_var("a")                              # default, omitted
-        m.add_var("b", lb=-2.0, ub=3.0)
-        m.add_var("c", lb=-math.inf)                # free
-        m.add_var("d", lb=1.0)
-        m.add_var("e", lb=-math.inf, ub=4.0)
-        m.add_var("f", lb=2.5, ub=2.5)              # fixed
+        add_var(m, "a")                             # default, omitted
+        add_var(m, "b", lb=-2.0, ub=3.0)
+        add_var(m, "c", lb=-math.inf)               # free
+        add_var(m, "d", lb=1.0)
+        add_var(m, "e", lb=-math.inf, ub=4.0)
+        add_var(m, "f", lb=2.5, ub=2.5)             # fixed
         write_lp_file(m, tmp_path / "m.lp")
         text = (tmp_path / "m.lp").read_text()
         assert " -2 <= b <= 3" in text
@@ -352,5 +366,5 @@ class TestWriteLpFile:
         assert "\n a" not in text.split("Bounds")[1]
         parsed = parse_lp_file(text)
         for name in "abcdef":
-            original, back = m.var_index(name), parsed.var_index(name)
+            original, back = m.var_names.index(name), parsed.var_names.index(name)
             assert (m.lb[original], m.ub[original]) == (parsed.lb[back], parsed.ub[back])

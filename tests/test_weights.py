@@ -1,26 +1,23 @@
-"""Unit tests for projections, projected gradient descent and exact weight
-fitting."""
+"""Unit tests for exact weight fitting, and for the reference projections
+and projected gradient descent kept in ``oracles``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repblend.weights import (
-    PgdParams,
-    canonical_weight_type,
-    fit_weights,
-    pgd,
-    project_simplex,
-    project_weights,
-)
+from repblend.weights import canonical_weight_type, fit_weights
 
 from oracles import (
     PROJECTION_ORACLES,
+    PgdParams,
     finite_difference_gradient,
     least_squares_objective,
     nearest_column_bruteforce,
     nnls_fit,
+    pgd,
+    project_simplex,
+    project_weights,
 )
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")

@@ -2,7 +2,6 @@
 blended (hard, convex, sub-unit conic, or conic) weights."""
 
 from .clustering import (
-    ClusterAssignment,
     RepSelection,
     gnomonic_project,
     greedy_hull,

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 2 on data errors (bad files, failed validation),
-3 on solver failures.
+3 on solver failures, 1 on any other error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .data import (
     validate_profiles,
 )
 from .harness import (
+    METHODS,
     ExperimentConfig,
     cluster_matrix,
     emit_plot_data,
@@ -63,7 +64,7 @@ def _reduction(func):
     """The flags of every command that clusters: --data --method --weights --n-rp."""
     decorators = [
         _data,
-        click.option("--method", type=click.Choice(["kmeans", "kmedoids", "hull"]),
+        click.option("--method", type=click.Choice(METHODS),
                      default="hull", show_default=True),
         click.option("--weights", "weight_type",
                      type=click.Choice(["dirac", "convex", "subunit", "conic"]),
@@ -218,6 +219,14 @@ def solve_full(data_path, mode, out_dir):
     (out_dir / "full_solution.csv").write_text("variable,value\n" + "".join(rows), encoding="utf-8")
 
 
+def _exit_code(error: str) -> int:
+    """Exit code of a record's error text, "<type>: <message>": 2 for a
+    data error, 3 for a solver error of any kind, 1 for anything else."""
+    name = error.split(":", 1)[0]
+    solver_errors = {cls.__name__ for cls in (SolverError, *SolverError.__subclasses__())}
+    return 2 if name == DataError.__name__ else 3 if name in solver_errors else 1
+
+
 @main.command()
 @_reduction
 @_mode
@@ -239,7 +248,7 @@ def experiment(data_path, method, weight_type, n_rp, mode, seeds, out_dir):
             click.echo(f"seed {record.seed}: regret {record.regret_pct:.4f}% "
                        f"(total {record.total_time:.2f}s)")
     if all(r.error for r in records):
-        sys.exit(2 if records[0].error.startswith("DataError") else 3)
+        sys.exit(_exit_code(records[0].error))
     click.echo(f"wrote {out_dir / 'results.csv'}")
 
 

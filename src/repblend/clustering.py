@@ -15,8 +15,9 @@ Three families of methods:
   (active-set NNLS, Lawson & Hanson 1974), and adds the true farthest
   column.
 
-All methods are deterministic functions of the matrix, the parameters and
-the seed; argmax/argmin ties always resolve to the lowest index.
+Every method returns a ``RepSelection`` and nothing else.  All methods are
+deterministic functions of the matrix, the parameters and the seed;
+argmax/argmin ties always resolve to the lowest index.
 """
 
 from __future__ import annotations
@@ -34,18 +35,19 @@ DEGENERATE_TOL = 1e-12
 
 @dataclass
 class RepSelection:
-    """Chosen representative periods.
+    """Chosen representative periods, the result of every selection method.
 
     ``rep_matrix`` holds one column per representative in selection order.
     ``source_indices`` gives the originating column of each representative
     when they are actual data columns (medoids, hull points); it is None for
     synthetic centroids.  ``step_max_distances`` records, for hull methods,
-    the maximal point-to-hull distance seen at each greedy step.
+    the maximal point-to-hull distance seen at each greedy step.  The map
+    from base periods to the representatives is ``weights.fit_weights``: a
+    dirac fit's rows are the clustering assignment, and its projection
+    errors give the cost.
     """
 
     rep_matrix: np.ndarray
-    method: str
-    hull_type: str = "none"
     source_indices: np.ndarray | None = None
     step_max_distances: list[float] = field(default_factory=list)
 
@@ -54,26 +56,13 @@ class RepSelection:
         return self.rep_matrix.shape[1]
 
 
-@dataclass
-class ClusterAssignment:
-    """Hard assignment of every base period to a representative index.
-
-    ``cost`` is the within-cluster sum of squared distances for k-means and
-    the total Euclidean distance for k-medoids.
-    """
-
-    assignment: np.ndarray  # (n_periods,) of rep positions
-    cost: float
-
-
 def _check_k(k: int, n_periods: int):
     if not 1 <= k <= n_periods:
         raise ValueError(f"number of representatives {k} outside 1..{n_periods}")
 
 
 def _column_distances(matrix: np.ndarray, col: np.ndarray) -> np.ndarray:
-    diff = matrix - col[:, None]
-    return np.sqrt(np.einsum("ij,ij->j", diff, diff))
+    return np.sqrt(squared_distances(matrix, col[:, None])[:, 0])
 
 
 def _farthest_point_init(matrix: np.ndarray, k: int, seed: int) -> list[int]:
@@ -92,13 +81,10 @@ def _farthest_point_init(matrix: np.ndarray, k: int, seed: int) -> list[int]:
     return chosen
 
 
-def kmeans(
-    matrix: np.ndarray, k: int, seed: int, max_iter: int = 300
-) -> tuple[RepSelection, ClusterAssignment]:
+def kmeans(matrix: np.ndarray, k: int, seed: int, max_iter: int = 300) -> RepSelection:
     """Lloyd's algorithm with greedy farthest-point initialization.
 
-    Returns synthetic centroid columns (no source indices) and the final
-    hard assignment with its sum of squared distances.
+    Returns synthetic centroid columns (no source indices).
     """
     C = np.asarray(matrix, dtype=float)
     n_periods = C.shape[1]
@@ -106,8 +92,7 @@ def kmeans(
     centers = C[:, _farthest_point_init(C, k, seed)].copy()
     assign = np.full(n_periods, -1)
     for _ in range(max_iter):
-        d2 = squared_distances(C, centers)
-        new_assign = np.argmin(d2, axis=1)
+        new_assign = np.argmin(squared_distances(C, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -116,15 +101,7 @@ def kmeans(
             if members.size:
                 centers[:, j] = C[:, members].mean(axis=1)
         centers = _relocate_empty(C, centers, assign)
-    # re-derive the assignment so the returned pair is consistent even when
-    # the iteration cap cut the loop between the two half-steps
-    d2 = squared_distances(C, centers)
-    assign = np.argmin(d2, axis=1)
-    sse = float(d2[np.arange(n_periods), assign].sum())
-    return (
-        RepSelection(rep_matrix=centers, method="kmeans"),
-        ClusterAssignment(assignment=assign, cost=sse),
-    )
+    return RepSelection(rep_matrix=centers)
 
 
 def _relocate_empty(C: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
@@ -146,9 +123,7 @@ def _relocate_empty(C: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> n
     return centers
 
 
-def kmedoids(
-    matrix: np.ndarray, k: int, seed: int, max_iter: int = 300
-) -> tuple[RepSelection, ClusterAssignment]:
+def kmedoids(matrix: np.ndarray, k: int, seed: int, max_iter: int = 300) -> RepSelection:
     """Alternating assign/update k-medoids on Euclidean distances.
 
     Medoids are actual data columns; each update sweep re-centers every
@@ -174,28 +149,18 @@ def kmedoids(
         if new_medoids == medoids:
             break
         medoids = new_medoids
-    assign = np.argmin(dist[:, medoids], axis=1)
-    cost = float(dist[np.arange(n_periods), [medoids[j] for j in assign]].sum())
-    return (
-        RepSelection(
-            rep_matrix=C[:, medoids].copy(),
-            method="kmedoids",
-            source_indices=np.array(medoids),
-        ),
-        ClusterAssignment(assignment=assign, cost=cost),
-    )
+    return RepSelection(rep_matrix=C[:, medoids].copy(), source_indices=np.array(medoids))
 
 
-def gnomonic_project(matrix: np.ndarray,
-                     tol: float = DEGENERATE_TOL) -> tuple[np.ndarray, list[int]]:
+def gnomonic_project(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Scale every column onto the hyperplane <x, q> = 1, where q is the
     normalized column mean: (scaled, degenerate).
 
     A point lies in the conic hull of a column set exactly when its scaled
     image lies in the convex hull of the scaled set, so conic selection can
     reuse the convex machinery.  ``degenerate`` lists the columns whose
-    inner product with q is at most ``tol``; they cannot be rescaled and are
-    left as zero columns.
+    inner product with q is at most ``DEGENERATE_TOL``; they cannot be
+    rescaled and are left as zero columns.
     """
     C = np.asarray(matrix, dtype=float)
     mean = C.mean(axis=1)
@@ -204,9 +169,9 @@ def gnomonic_project(matrix: np.ndarray,
         raise ValueError("gnomonic projection undefined: mean column is zero")
     q = mean / norm
     inner = q @ C
-    degenerate = [int(d) for d in np.nonzero(inner <= tol)[0]]
+    degenerate = [int(d) for d in np.nonzero(inner <= DEGENERATE_TOL)[0]]
     scaled = np.zeros_like(C)
-    ok = inner > tol
+    ok = inner > DEGENERATE_TOL
     scaled[:, ok] = C[:, ok] / inner[ok]
     return scaled, degenerate
 
@@ -262,31 +227,21 @@ def greedy_hull(matrix: np.ndarray, n_rp: int, hull_type: str = "convex") -> Rep
     n_periods = C.shape[1]
     _check_k(n_rp, n_periods)
 
-    if hull_type == "convex":
-        candidates = np.ones(n_periods, dtype=bool)
-        reps, steps = _greedy_select(C, n_rp, [], candidates)
-        chosen = reps
-    elif hull_type == "convex_null":
-        augmented = np.hstack([C, np.zeros((C.shape[0], 1))])
-        null_idx = n_periods
-        candidates = np.ones(n_periods + 1, dtype=bool)
-        reps, steps = _greedy_select(augmented, n_rp + 1, [null_idx], candidates)
-        chosen = [r for r in reps if r != null_idx]
-    else:  # conic
-        scaled, degenerate = gnomonic_project(C)
-        candidates = np.ones(n_periods, dtype=bool)
+    points, initial, candidates = C, [], np.ones(n_periods, dtype=bool)
+    if hull_type == "convex_null":
+        points = np.hstack([C, np.zeros((C.shape[0], 1))])
+        initial, candidates = [n_periods], np.ones(n_periods + 1, dtype=bool)
+    elif hull_type == "conic":
+        points, degenerate = gnomonic_project(C)
         candidates[degenerate] = False
         if candidates.sum() < n_rp:
             raise ValueError(
                 f"only {int(candidates.sum())} non-degenerate columns available for {n_rp} representatives"
             )
-        reps, steps = _greedy_select(scaled, n_rp, [], candidates)
-        chosen = reps
-
+    reps, steps = _greedy_select(points, n_rp + len(initial), initial, candidates)
+    chosen = reps[len(initial):]
     return RepSelection(
         rep_matrix=C[:, chosen].copy(),
-        method="hull",
-        hull_type=hull_type,
         source_indices=np.array(chosen),
         step_max_distances=steps,
     )

@@ -17,6 +17,7 @@ import json
 import os
 import time
 import typing
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .data import (
     require_valid,
 )
 from .model import LpModel, Solution, build_full_model, build_model, fix_decisions
-from .solve import SolverHandle, solve
+from .solve import SolverError, SolverHandle, solve
 from .weights import canonical_weight_type, fit_weights
 
 METHODS = ("kmeans", "kmedoids", "hull")
@@ -136,8 +137,7 @@ def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
     """Dispatch to the configured clustering and return its selection; every
     method maps base periods to it through ``fit_weights``."""
     if method in ("kmeans", "kmedoids"):
-        cluster = kmeans if method == "kmeans" else kmedoids
-        return cluster(values, n_rp, seed)[0]
+        return (kmeans if method == "kmeans" else kmedoids)(values, n_rp, seed)
     if method == "hull":
         hull_type = HULL_FOR_WEIGHT[canonical_weight_type(weight_type)]
         return greedy_hull(values, n_rp, hull_type)
@@ -204,6 +204,8 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     back, or whose ``x`` or basis does not fit the model, counts as a miss
     and is overwritten.  Writes go through a temporary file in the cache
     directory and ``os.replace``, so a reader never sees a half-written file.
+    A cache that cannot be written (say, a read-only dataset directory) is
+    a warning naming the cache file, and the solution is still returned.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
     key = model_key(full_model, handle)
@@ -212,7 +214,6 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     if cached is not None:
         return cached
     solution = solve(full_model, handle, keep_basis=True)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps({
         "status": solution.status,
         "objective": solution.objective,
@@ -223,10 +224,14 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     })
     tmp = cache_dir / f"{cache_file.name}.{os.getpid()}.tmp"
     try:
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, cache_file)
-    finally:
-        tmp.unlink(missing_ok=True)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(payload, encoding="utf-8")
+            os.replace(tmp, cache_file)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        warnings.warn(f"full solve not cached in {cache_file}: {exc}", stacklevel=2)
     return solution
 
 
@@ -290,7 +295,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             reduced_solution = solve(reduced, handle)
             record.t_solve = time.perf_counter() - start
             if reduced_solution.status != "optimal":
-                raise RuntimeError(f"reduced solve: {reduced_solution.status}")
+                raise SolverError(f"reduced solve: {reduced_solution.status}")
             record.objective_reduced = reduced_solution.objective
             record.iterations_reduced = reduced_solution.iterations
 
@@ -304,7 +309,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             if full_error is not None:
                 raise full_error
             if full_solution.status != "optimal":
-                raise RuntimeError(f"full solve: {full_solution.status}")
+                raise SolverError(f"full solve: {full_solution.status}")
             record.objective_full = full_solution.objective
 
             fixed = fix_decisions(full_model, reduced, reduced_solution, mode)
@@ -313,7 +318,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             record.t_fixed_solve = time.perf_counter() - start
             record.iterations_fixed = fixed_solution.iterations
             if fixed_solution.status != "optimal":
-                raise RuntimeError(f"fixed solve: {fixed_solution.status}")
+                raise SolverError(f"fixed solve: {fixed_solution.status}")
             record.objective_fixed = fixed_solution.objective
             record.regret_pct = compute_regret(fixed_solution.objective,
                                                full_solution.objective)

@@ -15,8 +15,8 @@ satisfied by the representatives valid for the reconstructed base periods.
 
 ``fit_weights`` is the one map from base periods to representatives, and
 the greedy hull's distance measure: exact ``nnls_weights`` rows, or dirac
-rows at the nearest representative by ``squared_distances``, which
-``clustering.kmeans`` also assigns by.
+rows at the nearest representative by ``squared_distances``, the one
+distance kernel, which ``clustering`` also measures every distance by.
 """
 
 from __future__ import annotations

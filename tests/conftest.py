@@ -244,7 +244,7 @@ def period_reps(system, idx):
 
     cm = build_clustering_matrix(system)
     idx = np.asarray(idx, dtype=int)
-    selection = RepSelection(cm.values[:, idx], "kmedoids", source_indices=idx)
+    selection = RepSelection(cm.values[:, idx], source_indices=idx)
     return extract_rep_profiles(system, selection, cm)
 
 

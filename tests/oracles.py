@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog, nnls
 
 from repblend.model import SENSES
-from repblend.weights import canonical_weight_type
+from repblend.weights import canonical_weight_type, fit_weights
 
 
 def proj_dirac_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -292,6 +292,14 @@ def best_medoid_set_bruteforce(matrix: np.ndarray, k: int):
         if cost < best_cost - 1e-15:
             best, best_cost = subset, cost
     return set(best), best_cost
+
+
+def dirac_cost(selection, matrix: np.ndarray, squared: bool) -> float:
+    """Clustering cost of a selection under its dirac fit, whose rows are
+    the assignment: the sum of squared projection errors (the k-means SSE)
+    when ``squared``, else their sum (the k-medoids total distance)."""
+    errors = fit_weights(selection.rep_matrix, matrix, "dirac").projection_errors
+    return float(np.sum(errors ** 2 if squared else errors))
 
 
 def linprog_solution(model, tolerance: float = 1e-8):

@@ -6,7 +6,7 @@ import pytest
 from repblend.clustering import gnomonic_project, greedy_hull, kmeans, kmedoids
 from repblend.data import build_clustering_matrix, load_system
 from repblend.weights import fit_weights
-from oracles import best_medoid_set_bruteforce, greedy_hull_reference, nnls_fit
+from oracles import best_medoid_set_bruteforce, dirac_cost, greedy_hull_reference, nnls_fit
 
 
 def random_matrix(rows, cols, seed):
@@ -16,24 +16,25 @@ def random_matrix(rows, cols, seed):
 class TestKmeans:
     def test_two_clusters(self):
         C = np.array([[0, 0, 1], [0, 0, 1]], dtype=float)
-        selection, assignment = kmeans(C, 2, seed=4)
+        selection = kmeans(C, 2, seed=4)
         centers = sorted(map(tuple, selection.rep_matrix.T))
         assert centers == [(0.0, 0.0), (1.0, 1.0)]
-        assert assignment.cost == 0.0
+        assert dirac_cost(selection, C, squared=True) == 0.0
         assert selection.source_indices is None
 
     def test_k_equals_periods(self):
         C = random_matrix(5, 7, seed=1)
-        selection, assignment = kmeans(C, 7, seed=2)
-        assert assignment.cost == pytest.approx(0.0, abs=1e-20)
+        selection = kmeans(C, 7, seed=2)
+        assert dirac_cost(selection, C, squared=True) == pytest.approx(0.0, abs=1e-20)
         assert sorted(map(tuple, selection.rep_matrix.T)) == sorted(map(tuple, C.T))
 
     def test_deterministic(self):
         C = random_matrix(6, 20, seed=3)
         first = kmeans(C, 4, seed=9)
         second = kmeans(C, 4, seed=9)
-        np.testing.assert_array_equal(first[0].rep_matrix, second[0].rep_matrix)
-        np.testing.assert_array_equal(first[1].assignment, second[1].assignment)
+        np.testing.assert_array_equal(first.rep_matrix, second.rep_matrix)
+        np.testing.assert_array_equal(fit_weights(first.rep_matrix, C, "dirac").values,
+                                      fit_weights(second.rep_matrix, C, "dirac").values)
 
     def test_k_out_of_range(self):
         C = random_matrix(3, 4, seed=0)
@@ -44,46 +45,50 @@ class TestKmeans:
 
     def test_sse_nonincreasing_across_iterations(self):
         C = random_matrix(8, 40, seed=5)
-        costs = [kmeans(C, 5, seed=0, max_iter=it)[1].cost for it in range(1, 12)]
+        costs = [dirac_cost(kmeans(C, 5, seed=0, max_iter=it), C, squared=True)
+                 for it in range(1, 12)]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
 class TestKmedoids:
     def test_matches_bruteforce_pair(self):
         C = np.array([[0.0, 0.1, 1.0], [0.0, 0.0, 1.0]])
-        selection, assignment = kmedoids(C, 2, seed=1)
+        selection = kmedoids(C, 2, seed=1)
         expected_set, expected_cost = best_medoid_set_bruteforce(C, 2)
         assert set(selection.source_indices.tolist()) == expected_set == {0, 2}
-        assert assignment.cost == pytest.approx(expected_cost) == pytest.approx(0.1)
+        assert dirac_cost(selection, C, squared=False) == pytest.approx(expected_cost) \
+            == pytest.approx(0.1)
 
     def test_medoids_are_actual_columns(self):
         C = random_matrix(6, 15, seed=7)
-        selection, _ = kmedoids(C, 4, seed=3)
+        selection = kmedoids(C, 4, seed=3)
         for j, src in enumerate(selection.source_indices):
             np.testing.assert_array_equal(selection.rep_matrix[:, j], C[:, src])
 
     def test_k_equals_periods(self):
         C = random_matrix(4, 6, seed=2)
-        selection, assignment = kmedoids(C, 6, seed=5)
+        selection = kmedoids(C, 6, seed=5)
         assert sorted(selection.source_indices.tolist()) == list(range(6))
-        assert assignment.cost == 0.0
+        assert dirac_cost(selection, C, squared=False) == 0.0
 
     def test_duplicates_collapse(self):
         C = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        _, assignment = kmedoids(C, 2, seed=0)
-        assert assignment.assignment[0] == assignment.assignment[1]
-        assert assignment.cost == 0.0
+        selection = kmedoids(C, 2, seed=0)
+        assignment = fit_weights(selection.rep_matrix, C, "dirac").values.argmax(axis=1)
+        assert assignment[0] == assignment[1]
+        assert dirac_cost(selection, C, squared=False) == 0.0
 
     def test_cost_nonincreasing_across_sweeps(self):
         C = random_matrix(10, 30, seed=11)
-        costs = [kmedoids(C, 4, seed=1, max_iter=it)[1].cost for it in range(1, 10)]
+        costs = [dirac_cost(kmedoids(C, 4, seed=1, max_iter=it), C, squared=False)
+                 for it in range(1, 10)]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_deterministic(self):
         C = random_matrix(5, 25, seed=13)
         first = kmedoids(C, 5, seed=21)
         second = kmedoids(C, 5, seed=21)
-        np.testing.assert_array_equal(first[0].source_indices, second[0].source_indices)
+        np.testing.assert_array_equal(first.source_indices, second.source_indices)
 
 
 class TestGnomonic:
@@ -250,7 +255,6 @@ class TestGreedyHull:
     def test_convex_null_drops_null_and_counts(self):
         C = random_matrix(4, 8, seed=6)
         selection = greedy_hull(C, 3, "convex_null")
-        assert selection.hull_type == "convex_null"
         assert selection.n_rp == 3
         assert all(0 <= s < 8 for s in selection.source_indices)
         for j, src in enumerate(selection.source_indices):
@@ -288,16 +292,29 @@ class TestGreedyHull:
 
 
 class TestDiracRowsAreTheAssignment:
-    """A dirac fit to a k-means or k-medoids selection reproduces the
-    clustering's own final assignment: each period's nearest representative."""
+    """The dirac rows of a k-means or k-medoids selection are the
+    clustering's assignment, and the selection is a fixed point of the
+    clustering's update step under them: every non-empty k-means cluster is
+    centred exactly on its members' mean, and every medoid minimizes the
+    total distance to its cluster's members."""
 
     @staticmethod
-    def assert_dirac_is_assignment(cluster, C, k, seed):
-        selection, assignment = cluster(C, k, seed)
-        expected = np.zeros((C.shape[1], k))
-        expected[np.arange(C.shape[1]), assignment.assignment] = 1.0
-        np.testing.assert_array_equal(
-            fit_weights(selection.rep_matrix, C, "dirac").values, expected)
+    def assert_fixed_point(cluster, C, k, seed):
+        selection = cluster(C, k, seed)
+        assign = fit_weights(selection.rep_matrix, C, "dirac").values.argmax(axis=1)
+        for j in range(k):
+            members = np.flatnonzero(assign == j)
+            if members.size == 0:
+                continue
+            if cluster is kmeans:
+                np.testing.assert_array_equal(selection.rep_matrix[:, j],
+                                              C[:, members].mean(axis=1))
+                continue
+            M = C[:, members]
+            medoid_total = np.linalg.norm(M - selection.rep_matrix[:, [j]], axis=0).sum()
+            best_total = min(np.linalg.norm(M - M[:, [i]], axis=0).sum()
+                             for i in range(members.size))
+            assert medoid_total <= best_total + 1e-12 * (1.0 + best_total)
 
     @pytest.mark.parametrize("cluster", [kmeans, kmedoids], ids=["kmeans", "kmedoids"])
     @pytest.mark.parametrize("dataset", ["synthetic_gep_path", "synthetic_p2x_path"])
@@ -306,7 +323,7 @@ class TestDiracRowsAreTheAssignment:
         D = C.shape[1]
         for k in sorted({1, 2, 3, D // 2, D - 1, D}):
             for seed in range(1, 6):
-                self.assert_dirac_is_assignment(cluster, C, k, seed)
+                self.assert_fixed_point(cluster, C, k, seed)
 
     @pytest.mark.parametrize("cluster", [kmeans, kmedoids], ids=["kmeans", "kmedoids"])
     def test_repeated_columns(self, cluster):
@@ -315,4 +332,81 @@ class TestDiracRowsAreTheAssignment:
         C = np.repeat(random_matrix(4, 3, seed=5), [3, 2, 4], axis=1)
         for k in (2, 3, 4, 6):
             for seed in range(1, 6):
-                self.assert_dirac_is_assignment(cluster, C, k, seed)
+                self.assert_fixed_point(cluster, C, k, seed)
+
+
+class TestPinnedSelections:
+    """Pinned selections on the two synthetic fixtures: a change that moves
+    any selection fails here.  k-means pins the dirac assignment, k-medoids
+    the medoids, and each hull type the chosen columns and step distances."""
+
+    KMEANS_ASSIGNMENT = {
+        ("gep", 2, 1): [1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1],
+        ("gep", 2, 2): [0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0],
+        ("gep", 2, 3): [0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0],
+        ("gep", 4, 1): [2, 2, 1, 3, 0, 0, 0, 2, 2, 1, 2, 2],
+        ("gep", 4, 2): [0, 0, 3, 1, 2, 2, 2, 0, 0, 3, 0, 0],
+        ("gep", 4, 3): [2, 2, 0, 3, 1, 1, 2, 2, 2, 0, 2, 2],
+        ("p2x", 2, 1): [1, 0, 0, 0, 1, 1],
+        ("p2x", 2, 2): [0, 1, 1, 1, 0, 0],
+        ("p2x", 2, 3): [0, 1, 1, 0, 0, 0],
+        ("p2x", 4, 1): [3, 0, 0, 2, 1, 1],
+        ("p2x", 4, 2): [3, 1, 1, 2, 0, 0],
+        ("p2x", 4, 3): [2, 1, 1, 3, 0, 0],
+    }
+    KMEDOIDS = {
+        ("gep", 2, 1): [6, 1],
+        ("gep", 2, 2): [11, 2],
+        ("gep", 2, 3): [1, 4],
+        ("gep", 4, 1): [5, 2, 11, 3],
+        ("gep", 4, 2): [11, 3, 5, 2],
+        ("gep", 4, 3): [2, 4, 11, 3],
+        ("p2x", 2, 1): [2, 5],
+        ("p2x", 2, 2): [5, 2],
+        ("p2x", 2, 3): [5, 1],
+        ("p2x", 4, 1): [1, 4, 3, 0],
+        ("p2x", 4, 2): [4, 1, 3, 0],
+        ("p2x", 4, 3): [4, 1, 0, 3],
+    }
+    HULL = {
+        ("gep", "convex", 2): ([3, 10], [3.236502466886144]),
+        ("gep", "convex_null", 2): ([3, 10], [4.440658373980941, 2.6324421275968084]),
+        ("gep", "conic", 2): ([4, 10], [0.9403797738009321]),
+        ("gep", "convex", 4): ([3, 10, 4, 9], [3.236502466886144, 1.8648548786534564, 1.4800236856260511]),
+        ("gep", "convex_null", 4): ([3, 10, 4, 9], [4.440658373980941, 2.6324421275968084, 1.681677230678105, 1.4538664740646068]),
+        ("gep", "conic", 4): ([4, 10, 9, 3], [0.9403797738009321, 0.6587183067397865, 0.2341210617600668]),
+        ("p2x", "convex", 2): ([2, 5], [2.25108401815104]),
+        ("p2x", "convex_null", 2): ([2, 5], [3.045706339295066, 2.0697666512546933]),
+        ("p2x", "conic", 2): ([2, 5], [0.806861177462388]),
+        ("p2x", "convex", 4): ([2, 5, 0, 4], [2.25108401815104, 0.7619342870668607, 0.6878248478969712]),
+        ("p2x", "convex_null", 4): ([2, 5, 0, 4], [3.045706339295066, 2.0697666512546933, 0.7488071825701345, 0.6835475185557555]),
+        ("p2x", "conic", 4): ([2, 5, 0, 4], [0.806861177462388, 0.27934471310181813, 0.24852676402126786]),
+    }
+
+    @pytest.fixture(params=["gep", "p2x"])
+    def case(self, request):
+        path = request.getfixturevalue(f"synthetic_{request.param}_path")
+        return request.param, build_clustering_matrix(load_system(path)).values
+
+    def test_kmeans_assignment(self, case):
+        name, C = case
+        for (dataset, k, seed), expected in self.KMEANS_ASSIGNMENT.items():
+            if dataset == name:
+                rep_matrix = kmeans(C, k, seed).rep_matrix
+                assign = fit_weights(rep_matrix, C, "dirac").values.argmax(axis=1)
+                assert assign.tolist() == expected, (k, seed)
+
+    def test_kmedoids(self, case):
+        name, C = case
+        for (dataset, k, seed), expected in self.KMEDOIDS.items():
+            if dataset == name:
+                assert kmedoids(C, k, seed).source_indices.tolist() == expected, (k, seed)
+
+    def test_greedy_hull(self, case):
+        name, C = case
+        for (dataset, hull_type, k), (expected, steps) in self.HULL.items():
+            if dataset == name:
+                selection = greedy_hull(C, k, hull_type)
+                assert selection.source_indices.tolist() == expected, (hull_type, k)
+                np.testing.assert_allclose(selection.step_max_distances, steps,
+                                           rtol=0, atol=1e-12)

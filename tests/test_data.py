@@ -589,7 +589,7 @@ class TestRepProfiles:
                              availability={"w": rng.uniform(0, 0.9, (4, 3))},
                              demand={("n1", "el"): rng.uniform(0, 1, (4, 3))})
         cm = build_clustering_matrix(system)
-        rep = extract_rep_profiles(system, RepSelection(cm.values, "kmeans"), cm)
+        rep = extract_rep_profiles(system, RepSelection(cm.values), cm)
         np.testing.assert_array_equal(rep.profile("demand", "n1", "el"),
                                       system.demand[("n1", "el")])
         np.testing.assert_array_equal(rep.profile("availability", "w"), system.availability["w"])
@@ -599,12 +599,11 @@ class TestRepProfiles:
     def test_extract_dispatch(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
         cm = build_clustering_matrix(system)
-        selection, _ = kmeans(cm.values, 3, seed=1)
+        selection = kmeans(cm.values, 3, seed=1)
         rep = extract_rep_profiles(system, selection, cm)
         assert rep.values.shape[1] == 3  # synthetic centroids unstacked
         assert rep.row_keys == cm.row_keys
-        medoid_like = RepSelection(rep_matrix=cm.values[:, [1, 2]], method="kmedoids",
-                                   source_indices=np.array([1, 2]))
+        medoid_like = RepSelection(rep_matrix=cm.values[:, [1, 2]], source_indices=np.array([1, 2]))
         rep2 = extract_rep_profiles(system, medoid_like, cm)
         np.testing.assert_array_equal(rep2.profile("demand", "n2", "el")[0],
                                       system.demand[("n2", "el")][1])

@@ -28,7 +28,7 @@ from repblend.harness import (
     solve_full_cached,
     write_results_csv,
 )
-from repblend.solve import SolverHandle, solve
+from repblend.solve import SolverHandle, SolverNumericalError, solve
 from repblend.weights import fit_weights
 
 NON_TIMING_FIELDS = [f.name for f in fields(ExperimentRecord)
@@ -143,8 +143,28 @@ class TestRunExperiment:
 
     def test_full_solve_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
                                                      monkeypatch):
+        # the full solve (the one solve that keeps its basis) fails
+        def failing_full_solve(model, handle=None, basis=None, *, keep_basis=False):
+            if keep_basis:
+                raise SolverNumericalError("solver failed: full")
+            return solve(model, handle, basis)
+
+        calls = []
+        solve_full = harness.solve_full_cached
+        monkeypatch.setattr(harness, "solve", failing_full_solve)
+        monkeypatch.setattr(harness, "solve_full_cached",
+                            lambda *args: calls.append(args) or solve_full(*args))
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2, 3),
+                                  cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert len({r.error for r in records}) == 1
+        assert records[0].error.startswith("SolverNumericalError")
+        assert len(calls) == 1
+
+    def test_unwritable_cache_keeps_the_full_solve(self, mini_gep_copy, tmp_path,
+                                                   monkeypatch):
         # a regular file where the cache directory should be: the cache
-        # write fails after the full solve
+        # write fails after the full solve, which every seed still uses
         cache_file = tmp_path / "cache"
         cache_file.write_text("")
         calls = []
@@ -153,10 +173,12 @@ class TestRunExperiment:
                             lambda *args: calls.append(args) or solve_full(*args))
         config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2, 3),
                                   cache_dir=cache_file)
-        records = run_experiment(config)
-        assert len({r.error for r in records}) == 1
-        assert records[0].error.startswith("FileExistsError")
+        with pytest.warns(UserWarning, match="full solve not cached in .*cache"):
+            records = run_experiment(config)
+        assert [r.error for r in records] == [""] * 3
+        assert all(r.regret_pct is not None for r in records)
         assert len(calls) == 1
+        assert cache_file.read_text() == ""
 
     def test_full_build_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
                                                      monkeypatch):
@@ -543,6 +565,21 @@ class TestCli:
                           "--n-rp", 1, "--out", tmp_path / "o")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("error,exit_code", [
+        (PermissionError("cache not readable"), 1),
+        (SolverNumericalError("solver failed: full"), 3),
+    ], ids=["os-error", "solver-error"])
+    def test_experiment_exit_code_follows_the_error(self, mini_gep_copy, tmp_path,
+                                                    monkeypatch, error, exit_code):
+        def failing_full_solve(*args):
+            raise error
+
+        monkeypatch.setattr(harness, "solve_full_cached", failing_full_solve)
+        result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 1,
+                          "--seeds", "1,2", "--out", tmp_path / "o")
+        assert result.exit_code == exit_code, result.output
+        assert result.output.count(f"{type(error).__name__}: {error}") == 2
+
     def test_bad_seeds_rejected(self, mini_gep_copy):
         result = self.run("experiment", "--data", mini_gep_copy, "--seeds", "a,b")
         assert result.exit_code != 0
@@ -577,13 +614,14 @@ class TestCli:
             written[seed] = {name: (out / name).read_text()
                              for name in ("reps.csv", "rep_matrix.csv", "assignment.csv")}
         assert written[1] != written[2]
-        selection, assignment = kmeans(values, 3, seed=2)
+        selection = kmeans(values, 3, seed=2)
         assert written[2]["reps.csv"] == "rep,source_period\n1,\n2,\n3,\n"
         rep_rows = [line.split(",")[1:] for line in written[2]["rep_matrix.csv"].splitlines()[1:]]
         np.testing.assert_array_equal(np.array(rep_rows, dtype=float), selection.rep_matrix)
         assign_rows = [line.split(",") for line in written[2]["assignment.csv"].splitlines()[1:]]
-        np.testing.assert_array_equal(np.array(assign_rows, dtype=int)[:, 1] - 1,
-                                      assignment.assignment)
+        np.testing.assert_array_equal(
+            np.array(assign_rows, dtype=int)[:, 1] - 1,
+            fit_weights(selection.rep_matrix, values, "dirac").values.argmax(axis=1))
 
     def test_each_command_takes_only_the_flags_it_reads(self):
         reduction = {"--data", "--method", "--weights", "--n-rp"}

@@ -80,7 +80,7 @@ class TestBuildModel:
         system = load_system(synthetic_gep_path)
         cm = build_clustering_matrix(system)
         D = system.horizon.num_periods
-        selection, _ = kmedoids(cm.values, D, seed=3)
+        selection = kmedoids(cm.values, D, seed=3)
         weights = fit_weights(selection.rep_matrix, cm.values, "dirac")
         rep = extract_rep_profiles(system, selection, cm)
         reduced = build_model(system, rep, weights)
@@ -455,7 +455,7 @@ class TestNonProducerAvailability:
 
     def test_kmeans_reduced_model_caps_output(self, system):
         cm = build_clustering_matrix(system)
-        selection, _ = kmeans(cm.values, 2, seed=1)
+        selection = kmeans(cm.values, 2, seed=1)
         weights = fit_weights(selection.rep_matrix, cm.values, "dirac")
         model = build_model(system, extract_rep_profiles(system, selection, cm), weights)
         coefs = row_coefficients(model)

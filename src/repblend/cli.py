@@ -36,17 +36,20 @@ from .solve import SolverError, SolverHandle, write_lp_file
 from .weights import WeightMatrix, canonical_weight_type, fit_weights
 
 
+# exit code and stderr label of each error family; any other error exits 1
+_ERRORS = {DataError: (2, "data error"), ValueError: (2, "data error"),
+           SolverError: (3, "solver error")}
+
+
 def _handle_errors(func):
     @wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except (DataError, ValueError) as exc:
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(2)
-        except SolverError as exc:
-            click.echo(f"solver error: {exc}", err=True)
-            sys.exit(3)
+        except tuple(_ERRORS) as exc:
+            code, label = next(_ERRORS[cls] for cls in type(exc).__mro__ if cls in _ERRORS)
+            click.echo(f"{label}: {exc}", err=True)
+            sys.exit(code)
     return wrapper
 
 
@@ -56,7 +59,7 @@ _mode = click.option("--mode", type=click.Choice(["gep", "p2x"]), default=None,
                      help="override the dataset's declared mode")
 _out = click.option("--out", "out_dir", type=click.Path(path_type=Path),
                     default=Path("out"), show_default=True)
-_seed = click.option("--seed", type=int, default=1, show_default=True,
+_seed = click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True,
                      help="clustering seed")
 
 
@@ -77,14 +80,11 @@ def _reduction(func):
     return func
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(s) for s in text.split(",") if s.strip() != "")
-    except ValueError:
-        raise click.BadParameter(f"seeds must be integers, got {text!r}")
-    if not seeds:
-        raise click.BadParameter("at least one seed is required")
-    return seeds
+def _parse_seeds(ctx, param, text: str) -> tuple[int, ...]:
+    seeds = [s.strip() for s in text.split(",") if s.strip() != ""]
+    if not all(s.isdecimal() for s in seeds):
+        raise click.BadParameter(f"seeds must be integers >= 0, got {text!r}")
+    return tuple(map(int, seeds))
 
 
 def _select_and_fit(data_path: Path, method: str, weight_type: str, n_rp: int, seed: int):
@@ -219,27 +219,27 @@ def solve_full(data_path, mode, out_dir):
     (out_dir / "full_solution.csv").write_text("variable,value\n" + "".join(rows), encoding="utf-8")
 
 
+def _class_names(cls: type) -> set[str]:
+    return {cls.__name__}.union(*map(_class_names, cls.__subclasses__()))
+
+
 def _exit_code(error: str) -> int:
-    """Exit code of a record's error text, "<type>: <message>": 2 for a
-    data error, 3 for a solver error of any kind, 1 for anything else."""
+    """Exit code of a record's error text, "<type>: <message>": the code
+    ``_handle_errors`` gives an error of that type, else 1."""
     name = error.split(":", 1)[0]
-    solver_errors = {cls.__name__ for cls in (SolverError, *SolverError.__subclasses__())}
-    return 2 if name == DataError.__name__ else 3 if name in solver_errors else 1
+    return next((code for cls, (code, _) in _ERRORS.items() if name in _class_names(cls)), 1)
 
 
 @main.command()
 @_reduction
 @_mode
-@click.option("--seeds", default="1,2,3,4,5", show_default=True,
-              help="comma-separated clustering seeds")
+@click.option("--seeds", default="1,2,3,4,5", show_default=True, callback=_parse_seeds,
+              help="comma-separated clustering seeds, each >= 0")
 @_out
 @_handle_errors
 def experiment(data_path, method, weight_type, n_rp, mode, seeds, out_dir):
     """Run the full pipeline over all seeds and emit results/pareto CSVs."""
-    config = ExperimentConfig(
-        data_path=data_path, method=method, weight_type=weight_type,
-        n_rp=n_rp, seeds=_parse_seeds(seeds), mode=mode)
-    records = run_experiment(config)
+    records = run_experiment(ExperimentConfig(data_path, method, weight_type, n_rp, seeds, mode))
     emit_plot_data(records, out_dir)
     for record in records:
         if record.error:

@@ -67,8 +67,8 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.n_rp < 1:
             raise ValueError("n_rp must be >= 1")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError(f"at least one seed is required, each >= 0: got {self.seeds}")
 
 
 @dataclass
@@ -83,9 +83,10 @@ class ExperimentRecord:
     ``total_time``, which covers the reduction and its solve.
     ``iterations_reduced`` and ``iterations_fixed`` are the simplex
     iterations of the reduced solve and of the fixed solve, which starts
-    from the full model's basis.  ``error``
-    holds the failure message of a seed that did not finish, with the
-    fields it did not reach left unset.
+    from the full model's basis.  ``error`` holds the failure message of a
+    seed that did not finish, with the fields it did not reach left unset;
+    a failure in the once-per-config set-up, up to and including the full
+    solve, gives every seed the same error and no per-seed field.
     """
 
     case: str
@@ -235,25 +236,37 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     return solution
 
 
+def _timed(func, *args, **kwargs):
+    """``func(*args, **kwargs)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    result = func(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def _optimal(stage: str, solution: Solution) -> Solution:
+    """``solution`` if it is optimal; otherwise SolverError naming the stage."""
+    if solution.status != "optimal":
+        raise SolverError(f"{stage} solve: {solution.status}")
+    return solution
+
+
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run the pipeline once per seed; failures are recorded per seed
     without aborting the sweep.
 
-    The dataset is loaded, validated and stacked into its clustering matrix
-    once per config, since none of it depends on the seed; every record
-    carries that one ``t_read``, and a failure there (including more
-    representatives than periods) gives every seed a record with the same
-    error.  The full model is built and solved once, for the first seed
-    that reaches it; a failure there is kept and given to every later seed
-    without another attempt.
+    Only the clustering depends on the seed, so a set-up runs once per
+    config: load, validate, stack the clustering matrix and check the
+    number of representatives (together ``t_read``), then build the full
+    model and solve it through the cache.  A failure there gives every seed
+    a record with the same error, and the resolved mode and ``t_read`` once
+    the read has finished.  Each seed then runs one straight pass: cluster,
+    fit, build and solve the reduced model, fix its first-stage decisions
+    in the full model, solve that and score the regret.
     """
-    case = Path(config.data_path).name
-
-    def new_record(seed: int, mode: str, **values) -> ExperimentRecord:
-        return ExperimentRecord(case=case, mode=mode, method=config.method,
-                                weight_type=config.weight_type, n_rp=config.n_rp, seed=seed,
-                                **values)
-
+    records = [ExperimentRecord(case=Path(config.data_path).name, mode=config.mode or "",
+                                method=config.method, weight_type=config.weight_type,
+                                n_rp=config.n_rp, seed=seed)
+               for seed in config.seeds]
     try:
         start = time.perf_counter()
         system = require_valid(load_system(config.data_path))
@@ -262,69 +275,41 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
             raise DataError(f"number of representatives {config.n_rp} "
                             f"outside 1..{cmatrix.num_periods}")
         t_read = time.perf_counter() - start
+        mode = config.mode or system.mode
+        for record in records:
+            record.mode, record.t_read = mode, t_read
+        handle = SolverHandle()
+        full_model = build_full_model(system, mode=mode)
+        full_solution = _optimal("full", solve_full_cached(
+            full_model, config.data_path, mode, handle, config.cache_dir))
     except Exception as exc:  # noqa: BLE001 - failures become record rows
-        error = f"{type(exc).__name__}: {exc}"
-        return [new_record(seed, config.mode or "", error=error) for seed in config.seeds]
-    mode = config.mode or system.mode
-    handle = SolverHandle()
+        for record in records:
+            record.error = f"{type(exc).__name__}: {exc}"
+        return records
 
-    records: list[ExperimentRecord] = []
-    full_model: LpModel | None = None
-    full_solution: Solution | None = None
-    full_error: Exception | None = None
-    for seed in config.seeds:
-        record = new_record(seed, mode, t_read=t_read)
+    for record in records:
         try:
-            start = time.perf_counter()
-            selection = cluster_matrix(
-                cmatrix.values, config.method, config.weight_type, config.n_rp, seed)
-            record.t_cluster = time.perf_counter() - start
-
-            start = time.perf_counter()
-            weights = fit_weights(selection.rep_matrix, cmatrix.values, config.weight_type)
-            record.t_fit = time.perf_counter() - start
+            selection, record.t_cluster = _timed(
+                cluster_matrix, cmatrix.values, config.method, config.weight_type,
+                config.n_rp, record.seed)
+            weights, record.t_fit = _timed(
+                fit_weights, selection.rep_matrix, cmatrix.values, config.weight_type)
             record.proj_err_mean = float(weights.projection_errors.mean())
             record.proj_err_max = float(weights.projection_errors.max())
-
-            start = time.perf_counter()
-            reduced = build_model(system, extract_rep_profiles(system, selection, cmatrix),
-                                  weights, mode=mode)
-            record.t_build = time.perf_counter() - start
-
-            start = time.perf_counter()
-            reduced_solution = solve(reduced, handle)
-            record.t_solve = time.perf_counter() - start
-            if reduced_solution.status != "optimal":
-                raise SolverError(f"reduced solve: {reduced_solution.status}")
-            record.objective_reduced = reduced_solution.objective
+            reduced, record.t_build = _timed(lambda: build_model(
+                system, extract_rep_profiles(system, selection, cmatrix), weights, mode=mode))
+            reduced_solution, record.t_solve = _timed(solve, reduced, handle)
+            record.objective_reduced = _optimal("reduced", reduced_solution).objective
             record.iterations_reduced = reduced_solution.iterations
-
-            if full_solution is None and full_error is None:
-                try:
-                    full_model = build_full_model(system, mode=mode)
-                    full_solution = solve_full_cached(
-                        full_model, config.data_path, mode, handle, config.cache_dir)
-                except Exception as exc:  # noqa: BLE001 - kept for every later seed
-                    full_error = exc
-            if full_error is not None:
-                raise full_error
-            if full_solution.status != "optimal":
-                raise SolverError(f"full solve: {full_solution.status}")
             record.objective_full = full_solution.objective
-
             fixed = fix_decisions(full_model, reduced, reduced_solution, mode)
-            start = time.perf_counter()
-            fixed_solution = solve(fixed, handle, basis=full_solution.basis)
-            record.t_fixed_solve = time.perf_counter() - start
+            fixed_solution, record.t_fixed_solve = _timed(
+                solve, fixed, handle, basis=full_solution.basis)
             record.iterations_fixed = fixed_solution.iterations
-            if fixed_solution.status != "optimal":
-                raise SolverError(f"fixed solve: {fixed_solution.status}")
-            record.objective_fixed = fixed_solution.objective
-            record.regret_pct = compute_regret(fixed_solution.objective,
-                                               full_solution.objective)
+            record.objective_fixed = _optimal("fixed", fixed_solution).objective
+            record.regret_pct = compute_regret(record.objective_fixed, full_solution.objective)
         except Exception as exc:  # noqa: BLE001 - failures become record rows
             record.error = f"{type(exc).__name__}: {exc}"
-        records.append(record)
     return records
 
 

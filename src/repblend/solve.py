@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,6 +153,11 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
                     iterations=iterations, basis=optimal_basis)
 
 
+# whitespace and the characters at which LP readers (HiGHS among them) end
+# or split a name
+_LP_NAME_BREAKS = re.compile(r"[\s+\-:/\[\]*^<>=\\]")
+
+
 def _fmt(value: float) -> str:
     # repr of a float round-trips exactly and is stable across runs
     value = float(value)
@@ -162,10 +168,13 @@ def _fmt(value: float) -> str:
 
 def write_lp_file(model: LpModel, path: Path | str):
     """Write the model in CPLEX LP text format, byte-identical across runs
-    for identical models."""
+    for identical models; a name LP readers cannot parse is a ValueError."""
     path = Path(path)
     if model.num_vars == 0:
         raise ValueError("cannot write a model with no variables")
+    for block in model.var_blocks + model.row_blocks:
+        if block.asset is not None and _LP_NAME_BREAKS.search(block.asset):
+            raise ValueError(f"name {block.asset!r} cannot be written in LP format")
     names = model.var_names
 
     def terms_text(cols: np.ndarray, vals: np.ndarray) -> list[str]:

@@ -69,6 +69,10 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(tmp_path, "hull", "subunit", 2, seeds=(1,))
         assert cfg.weight_type == "subunit_conic"
 
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"got \(1, -1\)"):
+            ExperimentConfig(tmp_path, "kmeans", "convex", 2, seeds=(1, -1))
+
 
 @pytest.fixture()
 def mini_gep_copy(tmp_path, mini_gep_path):
@@ -194,6 +198,39 @@ class TestRunExperiment:
         records = run_experiment(config)
         assert [r.error for r in records] == ["RuntimeError: full build failed"] * 3
         assert len(calls) == 1
+
+    def test_full_solve_once_before_clustering(self, synthetic_gep_path, tmp_path,
+                                               monkeypatch):
+        calls = []
+        solve_full, cluster = harness.solve_full_cached, harness.cluster_matrix
+        monkeypatch.setattr(harness, "solve_full_cached",
+                            lambda *args: calls.append("full") or solve_full(*args))
+        monkeypatch.setattr(harness, "cluster_matrix",
+                            lambda *args: calls.append("cluster") or cluster(*args))
+        for method in ("kmeans", "hull"):
+            calls.clear()
+            config = ExperimentConfig(synthetic_gep_path, method, "convex", 3,
+                                      seeds=(1, 2, 3), cache_dir=tmp_path / "cache")
+            records = run_experiment(config)
+            assert [r.error for r in records] == [""] * 3
+            assert calls == ["full", "cluster", "cluster", "cluster"]
+
+    def test_full_build_failure_gives_every_seed_the_set_up(self, mini_gep_copy, tmp_path,
+                                                            monkeypatch):
+        def failing_build(system, mode=None):
+            raise RuntimeError("full build failed")
+
+        clustered = []
+        monkeypatch.setattr(harness, "build_full_model", failing_build)
+        monkeypatch.setattr(harness, "cluster_matrix", lambda *args: clustered.append(args))
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2, 3),
+                                  cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert [r.error for r in records] == ["RuntimeError: full build failed"] * 3
+        assert [r.mode for r in records] == ["gep"] * 3
+        assert all(r.t_read > 0 for r in records) and len({r.t_read for r in records}) == 1
+        assert all(r.t_cluster == 0.0 and r.objective_reduced is None for r in records)
+        assert clustered == []
 
     def test_full_solve_cached_on_disk(self, mini_gep_copy, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -583,6 +620,48 @@ class TestCli:
     def test_bad_seeds_rejected(self, mini_gep_copy):
         result = self.run("experiment", "--data", mini_gep_copy, "--seeds", "a,b")
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("args", [["cluster", "--seed", "-1"],
+                                      ["experiment", "--seeds=-1"],
+                                      ["experiment", "--seeds=1,-1"]])
+    def test_negative_seed_rejected(self, mini_gep_copy, tmp_path, args):
+        result = self.run(*args, "--data", mini_gep_copy, "--method", "kmeans", "--n-rp", 1,
+                          "--out", tmp_path / "o")
+        assert result.exit_code == 2, result.output
+        assert "-1" in result.output and "Traceback" not in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_record_value_error_is_a_data_error(self, mini_gep_copy, tmp_path):
+        # zero demand leaves the conic hull's mean column zero: cluster
+        # raises the ValueError, experiment records it for every seed, and
+        # both exit 2
+        demand = mini_gep_copy / "demand.csv"
+        demand.write_text(demand.read_text().replace(",1.0\n", ",0.0\n")
+                          .replace(",0.5\n", ",0.0\n"))
+        flags = ["--data", mini_gep_copy, "--method", "hull", "--weights", "conic", "--n-rp", 1]
+        result = self.run("cluster", *flags, "--out", tmp_path / "c")
+        assert result.exit_code == 2, result.output
+        assert "data error: gnomonic projection undefined" in result.output
+        result = self.run("experiment", *flags, "--seeds", "1,2", "--out", tmp_path / "e")
+        assert result.exit_code == 2, result.output
+        assert result.output.count("ValueError: gnomonic projection undefined") == 2
+
+    @pytest.mark.parametrize("char", list(" -+:/[]*^<>=\\"))
+    def test_lp_export_refuses_unwritable_names(self, mini_gep_copy, tmp_path, char):
+        # LP readers split or end a name at these characters; the
+        # experiment path makes no names, so it still runs
+        name = f"gas{char}plant"
+        assets = mini_gep_copy / "assets.csv"
+        assets.write_text(assets.read_text().replace("\ng1,", f"\n{name},"))
+        result = self.run("build-lp", "--data", mini_gep_copy, "--full",
+                          "--out", tmp_path / "lp")
+        assert result.exit_code == 2, result.output
+        assert f"data error: name {name!r} cannot be written in LP format" in result.output
+        assert not (tmp_path / "lp" / "model.lp").exists()
+        if char == " ":
+            result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 1,
+                              "--seeds", "1", "--out", tmp_path / "e")
+            assert result.exit_code == 0, result.output
 
     def test_oversized_rp_count_is_a_data_error(self, mini_gep_copy, tmp_path):
         result = self.run("cluster", "--data", mini_gep_copy, "--n-rp", 99,

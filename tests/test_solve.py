@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize._highspy._core as highspy
 
 from conftest import value
 from oracles import linprog_solution, pin_by_name
@@ -291,14 +292,14 @@ class TestWriteLpFile:
         "p2x self-fixed": "db0a9e4debb1bccefa33de05f0bde1c603b27524f0faea5b9a7bf1e02698d3a2",
     }
 
-    def test_pinned_lp_bytes(self, mini_gep_path, synthetic_gep_path, synthetic_p2x_path,
-                             tmp_path):
+    @pytest.fixture()
+    def pinned_models(self, mini_gep_path, synthetic_gep_path, synthetic_p2x_path):
         gep = load_system(synthetic_gep_path)
         cm = build_clustering_matrix(gep)
         selection = greedy_hull(cm.values, 3, "conic")
         weights = fit_weights(selection.rep_matrix, cm.values, "conic")
         p2x_full = build_full_model(load_system(synthetic_p2x_path))
-        models = {
+        return {
             "mini-gep full": build_full_model(load_system(mini_gep_path)),
             "gep full": build_full_model(gep),
             "gep hull+conic k=3": build_model(
@@ -306,11 +307,27 @@ class TestWriteLpFile:
             "p2x full": p2x_full,
             "p2x self-fixed": fix_decisions(p2x_full, p2x_full, solve(p2x_full), "p2x"),
         }
+
+    def test_pinned_lp_bytes(self, pinned_models, tmp_path):
         digests = {}
-        for label, model in models.items():
+        for label, model in pinned_models.items():
             write_lp_file(model, tmp_path / "m.lp")
             digests[label] = hashlib.sha256((tmp_path / "m.lp").read_bytes()).hexdigest()
         assert digests == self.PINNED
+
+    def test_highs_reads_back_pinned_models(self, pinned_models, tmp_path):
+        # HiGHS's own LP reader is a parser independent of parse_lp_file
+        for label, model in pinned_models.items():
+            write_lp_file(model, tmp_path / "m.lp")
+            highs = highspy._Highs()
+            highs.setOptionValue("output_flag", False)
+            assert highs.readModel(str(tmp_path / "m.lp")) == highspy.HighsStatus.kOk, label
+            assert (highs.getNumCol(), highs.getNumRow()) == \
+                (model.num_vars, model.num_constraints), label
+            highs.run()
+            assert highs.getModelStatus() == highspy.HighsModelStatus.kOptimal, label
+            assert highs.getInfo().objective_function_value == \
+                pytest.approx(solve(model).objective, rel=1e-9), label
 
     def test_byte_identical_runs(self, mini_gep_path, tmp_path):
         system = load_system(mini_gep_path)

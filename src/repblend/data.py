@@ -518,14 +518,6 @@ def _fill_hourly_rows(path: Path, key_columns: tuple[str, ...], D: int, H: int,
     return target
 
 
-_ASSET_COLUMNS = (
-    "name", "node", "kind", "carrier_in", "carrier_out", "investable",
-    "unit_capacity", "existing_units", "inv_cost", "var_cost", "eff_in",
-    "eff_out", "ramp", "storage_cap", "inflow_max", "spill_cost",
-    "borrow_cost", "initial_storage",
-)
-
-
 def _load_assets(path: Path, nodes: list[str], carriers: list[str]) -> list[Asset]:
     fname = path.name
     assets: list[Asset] = []

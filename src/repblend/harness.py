@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import os
 import time
 import typing
 import warnings
+import zipfile
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize._highspy._core import HighsBasis, HighsBasisStatus
 
 from .clustering import RepSelection, greedy_hull, kmeans, kmedoids
 from .data import (
@@ -158,38 +159,42 @@ def model_key(model: LpModel, handle: SolverHandle) -> str:
     return digest.hexdigest()[:20]
 
 
-def _basis_text(codes: np.ndarray) -> str:
-    """Basis status codes (0-4) as one digit per entry."""
-    return (codes + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+# HiGHS basis statuses by their codes 0-4: lower, basic, upper, zero, nonbasic
+_BASIS_STATUS = [HighsBasisStatus(code) for code in range(5)]
 
 
-def _basis_codes(text: str, size: int) -> np.ndarray:
-    """Inverse of ``_basis_text``; raises ValueError unless ``text`` holds
-    exactly ``size`` status digits."""
-    codes = np.frombuffer(text.encode("ascii"), np.uint8) - np.uint8(ord("0"))
-    if codes.size != size or np.any(codes > 4):
+def _codes(statuses: list[HighsBasisStatus]) -> np.ndarray:
+    return np.array([status.value for status in statuses], np.int8)
+
+
+def _statuses(codes: np.ndarray, size: int) -> list[HighsBasisStatus]:
+    """Inverse of ``_codes``; raises ValueError unless ``codes`` holds
+    exactly ``size`` codes 0-4."""
+    if codes.shape != (size,) or not np.all((codes >= 0) & (codes <= 4)):
         raise ValueError("basis does not fit the model")
-    return codes.astype(np.int8)
+    return [_BASIS_STATUS[code] for code in codes.tolist()]
 
 
 def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
     """The solution stored in ``cache_file``, or None when the file is
-    missing or cannot be read back (bad JSON, missing keys, an optimal
-    solution without an ``x`` or a basis that fits ``model``)."""
+    missing or cannot be read back (not an ``.npz`` file, a missing array,
+    an optimal solution without an ``x`` or a basis that fits ``model``)."""
     try:
-        payload = json.loads(cache_file.read_text(encoding="utf-8"))
-        x = basis = None
-        if payload["status"] == "optimal":
-            x = np.array(payload["x"], dtype=float)
-            if x.shape != (model.num_vars,):
-                raise ValueError("x does not fit the model")
-            columns, rows = payload["basis"]
-            basis = (_basis_codes(columns, model.num_vars),
-                     _basis_codes(rows, model.num_constraints))
-        return Solution(status=payload["status"], objective=payload["objective"],
-                        x=x, solve_time=payload["solve_time"],
-                        iterations=payload["iterations"], basis=basis)
-    except (OSError, ValueError, KeyError, TypeError):
+        with np.load(cache_file, allow_pickle=False) as saved:
+            status = str(saved["status"])
+            objective = x = basis = None
+            if status == "optimal":
+                objective, x = float(saved["objective"]), saved["x"]
+                if x.shape != (model.num_vars,):
+                    raise ValueError("x does not fit the model")
+                basis = HighsBasis()
+                basis.col_status = _statuses(saved["columns"], model.num_vars)
+                basis.row_status = _statuses(saved["rows"], model.num_constraints)
+                basis.alien = False  # as from getBasis: no alien-basis refactor per start
+            return Solution(status=status, objective=objective, x=x,
+                            solve_time=float(saved["solve_time"]),
+                            iterations=int(saved["iterations"]), basis=basis)
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
         return None
 
 
@@ -200,34 +205,35 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     directory, ``<data_path>/.full_cache``; ``mode`` is already part of the
     model.
 
-    The file keeps ``x`` and the optimal basis (two digit strings, one for
-    the columns and one for the rows).  A cache file that cannot be read
-    back, or whose ``x`` or basis does not fit the model, counts as a miss
-    and is overwritten.  Writes go through a temporary file in the cache
-    directory and ``os.replace``, so a reader never sees a half-written file.
-    A cache that cannot be written (say, a read-only dataset directory) is
-    a warning naming the cache file, and the solution is still returned.
+    The file, ``full_<key>.npz``, keeps the status, the iteration count and
+    the solve time, plus for an optimal solution the objective, ``x`` and
+    the optimal basis as int8 status codes (``columns`` and ``rows``).  A
+    cache file that cannot be read back, or whose ``x`` or basis does not
+    fit the model, counts as a miss and is overwritten.  Writes go through
+    a temporary file in the cache directory and ``os.replace``, so a reader
+    never sees a half-written file.  A cache that cannot be written (say, a
+    read-only dataset directory) is a warning naming the cache file, and
+    the solution is still returned.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
     key = model_key(full_model, handle)
-    cache_file = cache_dir / f"full_{key}.json"
+    cache_file = cache_dir / f"full_{key}.npz"
     cached = _read_cached_solution(cache_file, full_model)
     if cached is not None:
         return cached
-    solution = solve(full_model, handle, keep_basis=True)
-    payload = json.dumps({
-        "status": solution.status,
-        "objective": solution.objective,
-        "x": None if solution.x is None else solution.x.tolist(),
-        "solve_time": solution.solve_time,
-        "iterations": solution.iterations,
-        "basis": None if solution.basis is None else [_basis_text(b) for b in solution.basis],
-    })
+    solution = solve(full_model, handle)
+    arrays = {"status": solution.status, "solve_time": solution.solve_time,
+              "iterations": solution.iterations}
+    if solution.status == "optimal":
+        arrays.update(objective=solution.objective, x=solution.x,
+                      columns=_codes(solution.basis.col_status),
+                      rows=_codes(solution.basis.row_status))
     tmp = cache_dir / f"{cache_file.name}.{os.getpid()}.tmp"
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_text(payload, encoding="utf-8")
+            with open(tmp, "wb") as out:
+                np.savez(out, **arrays)
             os.replace(tmp, cache_file)
         finally:
             tmp.unlink(missing_ok=True)
@@ -255,8 +261,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     without aborting the sweep.
 
     Only the clustering depends on the seed, so a set-up runs once per
-    config: load, validate, stack the clustering matrix and check the
-    number of representatives (together ``t_read``), then build the full
+    config: load, validate and stack the clustering matrix (together
+    ``t_read``), check the number of representatives, then build the full
     model and solve it through the cache.  A failure there gives every seed
     a record with the same error, and the resolved mode and ``t_read`` once
     the read has finished.  Each seed then runs one straight pass: cluster,
@@ -271,13 +277,13 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
         start = time.perf_counter()
         system = require_valid(load_system(config.data_path))
         cmatrix = build_clustering_matrix(system)
-        if config.n_rp > cmatrix.num_periods:
-            raise DataError(f"number of representatives {config.n_rp} "
-                            f"outside 1..{cmatrix.num_periods}")
         t_read = time.perf_counter() - start
         mode = config.mode or system.mode
         for record in records:
             record.mode, record.t_read = mode, t_read
+        if config.n_rp > cmatrix.num_periods:
+            raise DataError(f"number of representatives {config.n_rp} "
+                            f"outside 1..{cmatrix.num_periods}")
         handle = SolverHandle()
         full_model = build_full_model(system, mode=mode)
         full_solution = _optimal("full", solve_full_cached(

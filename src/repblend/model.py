@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from scipy.optimize._highspy._core import HighsBasis
 
 from .data import MODES, ClusteringMatrix, EnergySystem, build_clustering_matrix
 from .weights import WeightMatrix
@@ -43,9 +44,11 @@ class Solution:
     """Outcome of one solve: objective and column values ``x`` when optimal.
 
     ``x`` is a float64 array in model column order.  ``iterations`` counts
-    the solver's simplex iterations.  ``basis`` is the optimal basis when
-    the solve was asked to keep it, as HiGHS basis status codes: one int8
-    array over the columns and one over the rows, in model order.
+    the solver's simplex iterations.  ``basis`` is the optimal basis, the
+    ``HighsBasis`` object HiGHS returns (column and row statuses in model
+    order), ready to start a solve of a model with the same columns and
+    rows.  A HiGHS object cannot be pickled or copied, so neither can a
+    ``Solution`` that carries a basis.
     """
 
     status: str
@@ -53,7 +56,7 @@ class Solution:
     x: np.ndarray | None = field(default=None, compare=False)
     solve_time: float = 0.0
     iterations: int = 0
-    basis: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
+    basis: HighsBasis | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.status not in SOLUTION_STATUSES:

@@ -12,15 +12,15 @@ decisions fixed, starts from that model's optimal basis instead of from
 scratch.  Such a start is a few pivots from optimal, so it prices with
 Devex, whose weights start at 1; HiGHS's default dual steepest edge would
 first compute exact weights for the whole basis, which costs more than the
-pivots.  Cold solves keep the default pricing.  Reading the optimal basis
-back costs about as much as a short warm solve, so ``solve`` returns it
-only when asked (``keep_basis``), which the full-solve cache does.
+pivots.  Cold solves keep the default pricing.  The basis stays HiGHS's own
+``HighsBasis`` object on the way out and on the way in: reading its
+statuses into Python would cost about a third of a warm solve, so only the
+full-solve cache, which stores it on disk, converts it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 import time
 from dataclasses import dataclass
@@ -33,10 +33,6 @@ from .model import SENSES, LpModel, Solution
 
 EQ, LE, GE = range(len(SENSES))  # codes of "==", "<=", ">=" in LpModel.sense
 
-# HiGHS basis statuses by code: lower, basic, upper, zero, nonbasic
-_BASIS_STATUS = [highspy.HighsBasisStatus(code) for code in range(5)]
-BASIC = int(highspy.HighsBasisStatus.kBasic)
-_status_code = operator.attrgetter("value")
 _DUAL_SIMPLEX = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _DEVEX = 1  # simplex_dual_edge_weight_strategy: -1 choose (default), 0 Dantzig, 1 Devex
 _ROWWISE = int(highspy.MatrixFormat.kRowwise)
@@ -69,40 +65,34 @@ class SolverHandle:
 
 
 def solve(model: LpModel, handle: SolverHandle | None = None,
-          basis: tuple[np.ndarray, np.ndarray] | None = None, *,
-          keep_basis: bool = False) -> Solution:
-    """Solve the model: the objective, the column values ``x`` and the
-    simplex iteration count when optimal, plus the optimal basis when
-    ``keep_basis`` is set (otherwise ``Solution.basis`` is None: reading it
-    back costs as much as a short warm solve).
+          basis: highspy.HighsBasis | None = None) -> Solution:
+    """Solve the model: the objective, the column values ``x``, the simplex
+    iteration count and the optimal basis when optimal.
 
     ``basis`` is a start: the ``Solution.basis`` of a model with the same
-    columns and rows (any bounds), as two arrays of HiGHS basis status
-    codes, one per column and one per row in model order.  A started solve
-    prices with Devex; a cold one keeps HiGHS's default pricing.
+    columns and rows (any bounds), or a ``HighsBasis`` built to the same
+    sizes.  A started solve prices with Devex; a cold one keeps HiGHS's
+    default pricing.
 
     Statuses 'infeasible' and 'unbounded' are regular outcomes.  A model
     HiGHS rejects (a lower bound of +inf, an infinite coefficient, a NaN
     right-hand side) and a solver breakdown (iteration limit, numerical
-    failure, a rejected start basis) raise SolverNumericalError.  A
-    model without variables is optimal with objective 0 unless one of its
-    (constant) rows is violated by more than the tolerance, which makes it
-    infeasible.
+    failure, a start basis HiGHS rejects, such as one of another size)
+    raise SolverNumericalError.  A model without variables is optimal with
+    objective 0, and every row basic, unless one of its (constant) rows is
+    violated by more than the tolerance, which makes it infeasible.
     """
     handle = handle or SolverHandle()
     n, m = model.num_vars, model.num_constraints
-    if basis is not None and (len(basis[0]), len(basis[1])) != (n, m):
-        raise ValueError(f"basis has {len(basis[0])} columns and {len(basis[1])} rows; "
-                         f"the model has {n} and {m}")
     sense, rhs = model.sense, model.rhs
     if n == 0:
         # every row reads 0 (sense) rhs
         violated = np.where(sense == EQ, np.abs(rhs), np.where(sense == LE, -rhs, rhs))
         if np.any(violated > handle.tolerance):
             return Solution(status="infeasible")
-        return Solution(status="optimal", objective=0.0, x=np.zeros(0),
-                        basis=((np.zeros(0, np.int8), np.full(m, BASIC, np.int8))
-                               if keep_basis else None))
+        rows_basic = highspy.HighsBasis()
+        rows_basic.row_status = [highspy.HighsBasisStatus.kBasic] * m
+        return Solution(status="optimal", objective=0.0, x=np.zeros(0), basis=rows_basic)
 
     start = time.perf_counter()
     highs = highspy._Highs()
@@ -125,10 +115,7 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
         # dual steepest edge would start with one BTRAN per row to weigh a
         # basis that is a few pivots from optimal
         highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX)
-        start_basis = highspy.HighsBasis()
-        start_basis.col_status = [_BASIS_STATUS[code] for code in basis[0].tolist()]
-        start_basis.row_status = [_BASIS_STATUS[code] for code in basis[1].tolist()]
-        if highs.setBasis(start_basis) == highspy.HighsStatus.kError:
+        if highs.setBasis(basis) == highspy.HighsStatus.kError:
             raise SolverNumericalError("HiGHS rejected the start basis")
     highs.run()
     model_status = highs.getModelStatus()
@@ -143,14 +130,9 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
 
     objective = float(info.objective_function_value)
     x = np.array(highs.getSolution().col_value)
-    optimal_basis = None
-    if keep_basis:
-        found = highs.getBasis()
-        optimal_basis = (np.fromiter(map(_status_code, found.col_status), np.int8, n),
-                         np.fromiter(map(_status_code, found.row_status), np.int8, m))
     return Solution(status="optimal", objective=objective, x=x,
                     solve_time=time.perf_counter() - start,
-                    iterations=iterations, basis=optimal_basis)
+                    iterations=iterations, basis=highs.getBasis())
 
 
 # whitespace and the characters at which LP readers (HiGHS among them) end

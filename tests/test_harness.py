@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import basis_codes
 import repblend.harness as harness
 import repblend.model
 from repblend.cli import main
@@ -136,6 +137,14 @@ class TestRunExperiment:
         singles = [run_experiment(replace(config, seeds=(seed,)))[0] for seed in (1, 2, 3)]
         assert [record_key(r) for r in records] == [record_key(r) for r in singles]
 
+    def test_n_rp_failure_carries_the_read(self, mini_gep_copy, tmp_path):
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 99, seeds=(1, 2),
+                                  cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert all("representatives 99 outside 1..1" in r.error for r in records)
+        assert [r.mode for r in records] == ["gep"] * 2
+        assert all(r.t_read > 0 for r in records) and len({r.t_read for r in records}) == 1
+
     def test_validation_failure_recorded(self, mini_gep_copy):
         demand = (mini_gep_copy / "demand.csv").read_text().replace("1.0", "1.7")
         (mini_gep_copy / "demand.csv").write_text(demand)
@@ -147,9 +156,12 @@ class TestRunExperiment:
 
     def test_full_solve_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
                                                      monkeypatch):
-        # the full solve (the one solve that keeps its basis) fails
-        def failing_full_solve(model, handle=None, basis=None, *, keep_basis=False):
-            if keep_basis:
+        # the full solve, the first solve of a run, fails
+        solves = []
+
+        def failing_full_solve(model, handle=None, basis=None):
+            solves.append(model)
+            if len(solves) == 1:
                 raise SolverNumericalError("solver failed: full")
             return solve(model, handle, basis)
 
@@ -164,6 +176,7 @@ class TestRunExperiment:
         assert len({r.error for r in records}) == 1
         assert records[0].error.startswith("SolverNumericalError")
         assert len(calls) == 1
+        assert len(solves) == 1
 
     def test_unwritable_cache_keeps_the_full_solve(self, mini_gep_copy, tmp_path,
                                                    monkeypatch):
@@ -237,7 +250,7 @@ class TestRunExperiment:
         config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,
                                   seeds=(1,), cache_dir=cache_dir)
         run_experiment(config)
-        cached = list(cache_dir.glob("full_*.json"))
+        cached = list(cache_dir.glob("full_*.npz"))
         assert len(cached) == 1
         assert list(cache_dir.iterdir()) == cached  # no temporary file left
         stamp = cached[0].stat().st_mtime_ns
@@ -249,26 +262,53 @@ class TestRunExperiment:
         cache_dir = tmp_path / "cache"
         config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,
                                   seeds=(1,), cache_dir=cache_dir)
-        run_experiment(config)
-        [cached] = cache_dir.glob("full_*.json")
-        text = cached.read_text()
-        payload = json.loads(text)
-        no_basis = json.dumps({k: v for k, v in payload.items() if k != "basis"})
-        columns, rows = payload["basis"]
-        short_basis = json.dumps({**payload, "basis": [columns, rows[:-1]]})
-        short_x = json.dumps({**payload, "x": payload["x"][:-1]})
-        # truncated file, missing keys, no basis, a basis short of one row,
-        # an x short of one entry
-        for broken in (text[: len(text) // 2], "{}", no_basis, short_basis, short_x):
-            cached.write_text(broken)
+        run_experiment(config)  # a missing file is a miss
+        [cached] = cache_dir.glob("full_*.npz")
+        raw = cached.read_bytes()
+        with np.load(cached) as saved:
+            arrays = dict(saved)
+        x, columns, rows = arrays["x"], arrays["columns"], arrays["rows"]
+        old_json = json.dumps({"status": "optimal", "objective": 23.0, "x": x.tolist(),
+                               "solve_time": 0.0, "iterations": 1,
+                               "basis": ["".join(map(str, c.tolist())) for c in (columns, rows)]})
+        broken = {"empty": b"", "not a zip": b"not a zip file", "truncated": raw[: len(raw) // 2],
+                  "old JSON": old_json.encode()}
+        # each array left out, and arrays that do not fit the model
+        for name in arrays:
+            broken[f"no {name}"] = {k: v for k, v in arrays.items() if k != name}
+        for name, array in (("x", x), ("columns", columns), ("rows", rows)):
+            broken[f"short {name}"] = {**arrays, name: array[:-1]}
+            broken[f"long {name}"] = {**arrays, name: np.append(array, array[:1])}
+        for code in (5, -1):
+            broken[f"status code {code}"] = {**arrays, "rows": np.full_like(rows, code)}
+        for case, content in broken.items():
+            if isinstance(content, bytes):
+                cached.write_bytes(content)
+            else:
+                np.savez(cached, **content)
             record = run_experiment(config)[0]
-            assert record.error == ""
-            assert record.objective_full == pytest.approx(23.0)
+            assert record.error == "", case
+            assert record.objective_full == pytest.approx(23.0), case
             # re-solved and overwritten
-            rewritten = json.loads(cached.read_text())
-            assert rewritten["objective"] == pytest.approx(23.0)
-            assert rewritten["basis"] == payload["basis"]
-            assert rewritten["x"] == payload["x"]
+            with np.load(cached) as rewritten:
+                assert dict(rewritten).keys() == arrays.keys(), case
+                for name, array in arrays.items():
+                    if name != "solve_time":
+                        np.testing.assert_array_equal(rewritten[name], array, err_msg=case)
+
+    def test_old_json_cache_file_ignored(self, mini_gep_copy, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        key = model_key(build_full_model(load_system(mini_gep_copy)), SolverHandle())
+        old = cache_dir / f"full_{key}.json"
+        old.write_text(json.dumps({"status": "optimal", "objective": 99.0, "x": [0.0],
+                                   "solve_time": 0.0, "iterations": 0, "basis": ["0", "1"]}))
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,
+                                  seeds=(1,), cache_dir=cache_dir)
+        assert run_experiment(config)[0].objective_full == pytest.approx(23.0)
+        assert sorted(path.name for path in cache_dir.iterdir()) == [f"full_{key}.json",
+                                                                      f"full_{key}.npz"]
+        assert json.loads(old.read_text())["objective"] == 99.0
 
     def test_cache_round_trip_keeps_the_basis(self, synthetic_p2x_path, tmp_path):
         system = load_system(synthetic_p2x_path)
@@ -276,11 +316,40 @@ class TestRunExperiment:
         args = (model, synthetic_p2x_path, system.mode, SolverHandle(), tmp_path / "cache")
         solved = solve_full_cached(*args)
         cached = solve_full_cached(*args)
+        assert cached == solved  # status, objective, solve time, iterations
         assert cached.x.tobytes() == solved.x.tobytes()
         assert cached.iterations == solved.iterations
-        for read, written in zip(cached.basis, solved.basis):
-            assert read.dtype == np.int8
+        for read, written in zip(basis_codes(cached.basis), basis_codes(solved.basis)):
             np.testing.assert_array_equal(read, written)
+        [cache_file] = (tmp_path / "cache").glob("full_*.npz")
+        with np.load(cache_file) as saved:
+            assert (saved["columns"].dtype, saved["rows"].dtype) == (np.int8, np.int8)
+
+    @pytest.mark.parametrize("fixture", ["synthetic_gep_path", "synthetic_p2x_path"],
+                             ids=["gep", "p2x"])
+    def test_cached_basis_starts_like_the_solved_one(self, request, tmp_path, fixture):
+        # a cache miss starts the fixed solves from HiGHS's own basis, a hit
+        # from one built from the file: the records and the solves agree
+        path = request.getfixturevalue(fixture)
+        config = ExperimentConfig(path, "kmeans", "dirac", 3, seeds=(1, 2),
+                                  cache_dir=tmp_path / "records")
+        miss, hit = run_experiment(config), run_experiment(config)
+        assert [r.error for r in miss] == ["", ""]
+        assert [record_key(r) for r in hit] == [record_key(r) for r in miss]
+
+        system = load_system(path)
+        full = build_full_model(system)
+        args = (full, path, system.mode, SolverHandle(), tmp_path / "cache")
+        solved, cached = solve_full_cached(*args), solve_full_cached(*args)
+        cm = build_clustering_matrix(system)
+        selection = cluster_matrix(cm.values, "hull", "conic", 3, seed=1)
+        weights = fit_weights(selection.rep_matrix, cm.values, "conic")
+        reduced_model = build_model(system, extract_rep_profiles(system, selection, cm), weights)
+        fixed = fix_decisions(full, reduced_model, solve(reduced_model), system.mode)
+        from_solved, from_cached = (solve(fixed, basis=s.basis) for s in (solved, cached))
+        assert from_cached.status == from_solved.status == "optimal"
+        assert from_cached.iterations == from_solved.iterations
+        assert from_cached.objective == from_solved.objective
 
     def test_fixed_solve_timed_outside_total(self, mini_gep_copy, tmp_path):
         config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,

@@ -1,0 +1,80 @@
+"""Metamorphic relations of the whole pipeline: a change to the dataset
+whose effect on every output is known, checked on the synthetic fixtures
+without an oracle solver.
+
+Scale: every MW or MWh quantity times c (peak demand, unit capacities,
+storage capacities, inflow maxima, initial storage and line limits).
+Profiles are unitless, so the selection and the weights do not move, and
+the full, reduced and fixed objectives all scale by c.
+"""
+
+import csv
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repblend.data import build_clustering_matrix, load_system, require_valid
+from repblend.harness import ExperimentConfig, cluster_matrix, run_experiment
+from repblend.weights import fit_weights
+
+SCALE = 3.0
+N_RP = 4
+# the MW and MWh columns of each file; peak demand is in config.json
+SCALED_COLUMNS = {
+    "assets.csv": ("unit_capacity", "storage_cap", "inflow_max", "initial_storage"),
+    "lines.csv": ("import_limit", "export_limit"),
+}
+
+
+def scaled_copy(source: Path, dest: Path, c: float) -> Path:
+    """A copy of the dataset at ``source`` with every MW or MWh quantity
+    multiplied by ``c``; blank cells stay blank."""
+    shutil.copytree(source, dest)
+    config = json.loads((dest / "config.json").read_text(encoding="utf-8"))
+    config["peak_demand"] = {node: {carrier: c * peak for carrier, peak in peaks.items()}
+                             for node, peaks in config["peak_demand"].items()}
+    (dest / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for name, columns in SCALED_COLUMNS.items():
+        with open(dest / name, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            header, rows = reader.fieldnames, list(reader)
+        for row in rows:
+            for column in columns:
+                if row[column].strip():
+                    row[column] = repr(c * float(row[column]))
+        with open(dest / name, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=header)
+            writer.writeheader()
+            writer.writerows(rows)
+    return dest
+
+
+@pytest.mark.parametrize("method,weight_type", [("hull", "conic"), ("kmeans", "dirac")])
+@pytest.mark.parametrize("fixture", ["synthetic_gep_path", "synthetic_p2x_path"],
+                         ids=["gep", "p2x"])
+def test_scale(request, tmp_path, fixture, method, weight_type):
+    base = request.getfixturevalue(fixture)
+    runs = []
+    for path in (base, scaled_copy(base, tmp_path / "scaled", SCALE)):
+        system = require_valid(load_system(path))
+        cm = build_clustering_matrix(system)
+        selection = cluster_matrix(cm.values, method, weight_type, N_RP, seed=1)
+        weights = fit_weights(selection.rep_matrix, cm.values, weight_type)
+        config = ExperimentConfig(path, method, weight_type, N_RP, seeds=(1,),
+                                  cache_dir=tmp_path / f"cache-{len(runs)}")
+        [record] = run_experiment(config)
+        assert record.error == ""
+        runs.append((selection, weights, record))
+    (selection, weights, record), (scaled_selection, scaled_weights, scaled) = runs
+
+    np.testing.assert_array_equal(scaled_selection.rep_matrix, selection.rep_matrix)
+    if selection.source_indices is not None:
+        np.testing.assert_array_equal(scaled_selection.source_indices, selection.source_indices)
+    np.testing.assert_array_equal(scaled_weights.values, weights.values)
+    for name in ("objective_full", "objective_reduced", "objective_fixed"):
+        assert getattr(scaled, name) == pytest.approx(SCALE * getattr(record, name),
+                                                      rel=1e-9, abs=0.0), name
+    assert scaled.regret_pct == pytest.approx(record.regret_pct, rel=0.0, abs=1e-6)

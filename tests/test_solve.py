@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 import scipy.optimize._highspy._core as highspy
 
-from conftest import value
+from conftest import basis_codes, value
 from oracles import linprog_solution, pin_by_name
 from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import cluster_matrix
 from repblend.model import SENSES, LpModel, build_full_model, build_model, fix_decisions
-from repblend.solve import BASIC, SolverHandle, SolverNumericalError, solve, write_lp_file
+from repblend.solve import SolverHandle, SolverNumericalError, solve, write_lp_file
 from repblend.weights import fit_weights
+
+BASIC = int(highspy.HighsBasisStatus.kBasic)
 
 
 def add_var(model: LpModel, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
@@ -133,8 +135,7 @@ class TestSolve:
         assert solution.status == "optimal"
         assert solution.objective == 0.0
         assert solution.x.shape == (0,)
-        assert solution.basis is None
-        assert [b.size for b in solve(m, keep_basis=True).basis] == [0, 0]
+        assert [b.size for b in basis_codes(solution.basis)] == [0, 0]
 
     def test_constant_rows_without_variables(self):
         for sense, rhs, status in (("==", 5.0, "infeasible"), ("==", 0.0, "optimal"),
@@ -142,7 +143,10 @@ class TestSolve:
                                    (">=", 1.0, "infeasible"), (">=", -1.0, "optimal")):
             m = LpModel()
             add_row(m, "r", [], sense, rhs)
-            assert solve(m).status == status, (sense, rhs)
+            solution = solve(m)
+            assert solution.status == status, (sense, rhs)
+            if status == "optimal":
+                assert [b.tolist() for b in basis_codes(solution.basis)] == [[], [BASIC]]
 
     def test_no_objective_with_constraints(self):
         m = LpModel()
@@ -186,7 +190,7 @@ def pipeline_models(request):
             weights = fit_weights(selection.rep_matrix, cm.values, weight_type)
             full = build_full_model(system)
             reduced = build_model(system, extract_rep_profiles(system, selection, cm), weights)
-            built[case] = (system.mode, full, solve(full, keep_basis=True), reduced)
+            built[case] = (system.mode, full, solve(full), reduced)
         return built[case]
     return get
 
@@ -221,31 +225,36 @@ class TestAgainstLinprog:
         assert np.all(excess <= SolverHandle().tolerance * np.maximum(1.0, np.abs(rhs)))
 
 
+def highs_basis(columns: np.ndarray, rows: np.ndarray) -> highspy.HighsBasis:
+    """A ``HighsBasis`` built from status codes, as from a file."""
+    basis = highspy.HighsBasis()
+    basis.col_status = [highspy.HighsBasisStatus(code) for code in columns.tolist()]
+    basis.row_status = [highspy.HighsBasisStatus(code) for code in rows.tolist()]
+    return basis
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("case", ["gep", "p2x"])
-    def test_basis_read_back_only_when_kept(self, pipeline_models, case):
+    def test_every_optimal_solve_returns_its_basis(self, pipeline_models, case):
         _, full, full_solution, reduced = pipeline_models(case)
-        plain = solve(full)
-        assert plain.basis is None
-        assert plain.objective == full_solution.objective
-        assert plain.x.tobytes() == full_solution.x.tobytes()
-        kept = solve(full, keep_basis=True)
-        for again, first in zip(kept.basis, full_solution.basis):
-            np.testing.assert_array_equal(again, first)
-        assert kept.objective == full_solution.objective
-        assert kept.x.tobytes() == full_solution.x.tobytes()
-        assert solve(reduced).basis is None
-        assert solve(full, basis=full_solution.basis).basis is None
+        first = basis_codes(full_solution.basis)
+        again = solve(full)
+        for codes, kept in zip(basis_codes(again.basis), first):
+            np.testing.assert_array_equal(codes, kept)
+        assert again.objective == full_solution.objective
+        assert again.x.tobytes() == full_solution.x.tobytes()
+        assert [b.size for b in basis_codes(solve(reduced).basis)] == [reduced.num_vars,
+                                                                        reduced.num_constraints]
+        # a start at the optimum pivots nowhere and comes back unchanged
+        for codes, kept in zip(basis_codes(solve(full, basis=full_solution.basis).basis), first):
+            np.testing.assert_array_equal(codes, kept)
 
     @pytest.mark.parametrize("case", ["gep", "p2x"])
     def test_fixed_solve_from_full_basis(self, pipeline_models, case):
         mode, full, full_solution, reduced = pipeline_models(case)
-        columns, rows = full_solution.basis
-        assert (columns.dtype, rows.dtype) == (np.int8, np.int8)
+        columns, rows = basis_codes(full_solution.basis)
         assert (columns.size, rows.size) == (full.num_vars, full.num_constraints)
         assert int((columns == BASIC).sum() + (rows == BASIC).sum()) == full.num_constraints
-        with pytest.raises(ValueError, match="basis"):
-            solve(full, basis=(columns, rows[:-1]))
 
         fixed = fix_decisions(full, reduced, solve(reduced), mode)
         cold = solve(fixed)
@@ -254,15 +263,24 @@ class TestWarmStart:
         assert abs(warm.objective - cold.objective) <= 1e-9 * abs(cold.objective)
         assert warm.iterations < cold.iterations
 
-
     @pytest.mark.parametrize("case", ["gep", "p2x"])
     def test_full_solve_from_its_own_basis(self, pipeline_models, case):
-        # basis codes go in and come out in the same (model) order
+        # the basis codes come out, and go back in, in model order
         _, full, full_solution, _ = pipeline_models(case)
-        again = solve(full, basis=full_solution.basis)
+        again = solve(full, basis=highs_basis(*basis_codes(full_solution.basis)))
         assert again.status == "optimal"
         assert again.iterations == 0
         assert again.objective == full_solution.objective
+
+    @pytest.mark.parametrize("case", ["gep", "p2x"])
+    def test_start_basis_of_another_size_rejected(self, pipeline_models, case):
+        _, full, full_solution, _ = pipeline_models(case)
+        columns, rows = basis_codes(full_solution.basis)
+        other_model = pipeline_models("mini-gep")[2].basis
+        for basis in (highs_basis(columns, rows[:-1]), highs_basis(columns[:-1], rows),
+                      other_model):
+            with pytest.raises(SolverNumericalError, match="rejected the start basis"):
+                solve(full, basis=basis)
 
 
 class TestPinnedDecisions:

@@ -33,13 +33,13 @@ from .harness import (
 )
 from .model import (
     LpModel,
-    Solution,
     build_full_model,
     build_model,
     fix_decisions,
     identity_weights,
 )
 from .solve import (
+    Solution,
     SolverError,
     SolverHandle,
     SolverNumericalError,

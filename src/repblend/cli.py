@@ -128,11 +128,11 @@ def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
         for j in range(selection.n_rp):
             source = "" if selection.source_indices is None else selection.source_indices[j] + 1
             handle.write(f"{j + 1},{source}\n")
-    with open(out_dir / "rep_matrix.csv", "w", encoding="utf-8") as handle:
-        handle.write("row," + ",".join(f"rep{j + 1}" for j in range(selection.n_rp)) + "\n")
-        for row, label in enumerate(cmatrix.row_labels):
-            values = ",".join(repr(float(v)) for v in selection.rep_matrix[row])
-            handle.write(f"{label},{values}\n")
+    with open(out_dir / "rep_matrix.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["row"] + [f"rep{j + 1}" for j in range(selection.n_rp)])
+        for label, values in zip(cmatrix.row_labels, selection.rep_matrix.tolist()):
+            writer.writerow([label] + [repr(v) for v in values])
     hard = fit_weights(selection.rep_matrix, cmatrix.values, "dirac").values.argmax(axis=1)
     with open(out_dir / "assignment.csv", "w", encoding="utf-8") as handle:
         handle.write("period,rep\n")
@@ -215,8 +215,9 @@ def solve_full(data_path, mode, out_dir):
         sys.exit(3)
     click.echo(f"objective: {solution.objective!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = (f"{name},{value!r}\n" for name, value in zip(model.var_names, solution.x.tolist()))
-    (out_dir / "full_solution.csv").write_text("variable,value\n" + "".join(rows), encoding="utf-8")
+    with open(out_dir / "full_solution.csv", "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            [("variable", "value"), *zip(model.var_names, map(repr, solution.x.tolist()))])
 
 
 def _class_names(cls: type) -> set[str]:

@@ -358,6 +358,9 @@ def load_system(root: Path | str) -> EnergySystem:
             if math.isinf(peak):
                 raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be finite",
                                 "config.json")
+            if peak < 0:
+                raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be >= 0",
+                                "config.json")
             peaks[(node, carrier)] = peak
 
     assets = _load_assets(root / "assets.csv", nodes, carriers)
@@ -405,6 +408,8 @@ def load_system(root: Path | str) -> EnergySystem:
             if (name, period) in seen:
                 raise DataError(f"duplicate cell (period {period})", fname, ln)
             seen.add((name, period))
+            if 0 <= high < low <= 1:  # out-of-range values are validation faults
+                raise DataError(f"min_frac {low!r} > max_frac {high!r}", fname, ln)
             storage_min[name][period - 1] = low
             storage_max[name][period - 1] = high
 

@@ -4,9 +4,9 @@ the relative regret with per-stage timings.
 
 The full-resolution benchmark solve is independent of method, weights and
 seed, so it is cached on disk keyed by a hash of the full model's arrays;
-a change to the data or to the formulation gives a new key.  The cache
-keeps ``x`` and the optimal basis, and every fixed solve starts from that
-basis: a fixed model differs from the full model only in its bounds.
+a change to the data or to the formulation gives a new key.  The file
+keeps ``x`` and the optimal basis, in ``solve``'s codes, and every fixed
+solve starts from that basis: a fixed model differs only in its bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsBasis, HighsBasisStatus
 
 from .clustering import RepSelection, greedy_hull, kmeans, kmedoids
 from .data import (
@@ -33,8 +32,8 @@ from .data import (
     load_system,
     require_valid,
 )
-from .model import LpModel, Solution, build_full_model, build_model, fix_decisions
-from .solve import SolverError, SolverHandle, solve
+from .model import LpModel, build_full_model, build_model, fix_decisions
+from .solve import Solution, SolverError, SolverHandle, basis_codes, basis_from_codes, solve
 from .weights import canonical_weight_type, fit_weights
 
 METHODS = ("kmeans", "kmedoids", "hull")
@@ -159,22 +158,6 @@ def model_key(model: LpModel, handle: SolverHandle) -> str:
     return digest.hexdigest()[:20]
 
 
-# HiGHS basis statuses by their codes 0-4: lower, basic, upper, zero, nonbasic
-_BASIS_STATUS = [HighsBasisStatus(code) for code in range(5)]
-
-
-def _codes(statuses: list[HighsBasisStatus]) -> np.ndarray:
-    return np.array([status.value for status in statuses], np.int8)
-
-
-def _statuses(codes: np.ndarray, size: int) -> list[HighsBasisStatus]:
-    """Inverse of ``_codes``; raises ValueError unless ``codes`` holds
-    exactly ``size`` codes 0-4."""
-    if codes.shape != (size,) or not np.all((codes >= 0) & (codes <= 4)):
-        raise ValueError("basis does not fit the model")
-    return [_BASIS_STATUS[code] for code in codes.tolist()]
-
-
 def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
     """The solution stored in ``cache_file``, or None when the file is
     missing or cannot be read back (not an ``.npz`` file, a missing array,
@@ -185,12 +168,10 @@ def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
             objective = x = basis = None
             if status == "optimal":
                 objective, x = float(saved["objective"]), saved["x"]
-                if x.shape != (model.num_vars,):
-                    raise ValueError("x does not fit the model")
-                basis = HighsBasis()
-                basis.col_status = _statuses(saved["columns"], model.num_vars)
-                basis.row_status = _statuses(saved["rows"], model.num_constraints)
-                basis.alien = False  # as from getBasis: no alien-basis refactor per start
+                columns, rows = saved["columns"], saved["rows"]
+                if x.shape + columns.shape + rows.shape != model.lb.shape * 2 + model.rhs.shape:
+                    raise ValueError("solution does not fit the model")
+                basis = basis_from_codes(columns, rows)
             return Solution(status=status, objective=objective, x=x,
                             solve_time=float(saved["solve_time"]),
                             iterations=int(saved["iterations"]), basis=basis)
@@ -225,9 +206,8 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     arrays = {"status": solution.status, "solve_time": solution.solve_time,
               "iterations": solution.iterations}
     if solution.status == "optimal":
-        arrays.update(objective=solution.objective, x=solution.x,
-                      columns=_codes(solution.basis.col_status),
-                      rows=_codes(solution.basis.row_status))
+        columns, rows = basis_codes(solution.basis)
+        arrays.update(objective=solution.objective, x=solution.x, columns=columns, rows=rows)
     tmp = cache_dir / f"{cache_file.name}.{os.getpid()}.tmp"
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)

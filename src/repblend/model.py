@@ -14,8 +14,8 @@ row's terms in the order given, with ``sense`` and ``rhs`` arrays.  Named
 blocks (kind, asset, labelled axes, index array) describe which columns
 and rows belong together; ``build_model`` emits each variable kind and each
 constraint family as one vectorized block per asset.  Names are made from
-the blocks only on demand, for LP export and the ``solve-full`` CSV; a
-``Solution`` holds values by column position.
+the blocks only on demand, for LP export and the ``solve-full`` CSV.  The
+module knows no solver: ``solve.Solution`` holds values by column position.
 
 Variable names follow the scheme kind_asset_r{rep}_h{hour} (e.g.
 pout_g1_r2_h5); representative, hour and period indices are 1-based.
@@ -25,42 +25,19 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsBasis
 
 from .data import MODES, ClusteringMatrix, EnergySystem, build_clustering_matrix
 from .weights import WeightMatrix
 
+if TYPE_CHECKING:
+    from .solve import Solution
+
 SENSES = ("==", "<=", ">=")  # ``LpModel.sense`` holds indices into this tuple
-
-SOLUTION_STATUSES = ("optimal", "infeasible", "unbounded")
-
-
-@dataclass
-class Solution:
-    """Outcome of one solve: objective and column values ``x`` when optimal.
-
-    ``x`` is a float64 array in model column order.  ``iterations`` counts
-    the solver's simplex iterations.  ``basis`` is the optimal basis, the
-    ``HighsBasis`` object HiGHS returns (column and row statuses in model
-    order), ready to start a solve of a model with the same columns and
-    rows.  A HiGHS object cannot be pickled or copied, so neither can a
-    ``Solution`` that carries a basis.
-    """
-
-    status: str
-    objective: float | None = None
-    x: np.ndarray | None = field(default=None, compare=False)
-    solve_time: float = 0.0
-    iterations: int = 0
-    basis: HighsBasis | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.status not in SOLUTION_STATUSES:
-            raise ValueError(f"status must be one of {SOLUTION_STATUSES}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +114,9 @@ class LpModel:
         self._num_vars += count
         return index
 
-    def name_vars(self, kind, asset: str | None, axes: str, index, first=()):
+    def name_vars(self, kind, asset: str | None, axes: str, index):
         """Name the columns at ``index`` (see ``Block``)."""
-        self.var_blocks.append(Block(kind, asset, axes, np.asarray(index), tuple(first)))
+        self.var_blocks.append(Block(kind, asset, axes, np.asarray(index)))
         self._names = None
 
     def _column_arrays(self) -> tuple[np.ndarray, ...]:

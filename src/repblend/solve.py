@@ -1,6 +1,6 @@
-"""LP solving with HiGHS through scipy's bundled HiGHS bindings
-(``scipy.optimize._highspy._core``), plus deterministic LP-file export as
-the portability escape hatch for external solvers.
+"""LP solving with HiGHS through scipy's private HiGHS bindings
+(``scipy.optimize._highspy._core``), which no other module imports, plus
+deterministic LP-file export as the escape hatch for external solvers.
 
 ``solve`` hands HiGHS the ``LpModel`` as it is, as arrays in one
 ``passModel`` call: the rows in model order, each with a ranged bound
@@ -15,7 +15,7 @@ first compute exact weights for the whole basis, which costs more than the
 pivots.  Cold solves keep the default pricing.  The basis stays HiGHS's own
 ``HighsBasis`` object on the way out and on the way in: reading its
 statuses into Python would cost about a third of a warm solve, so only the
-full-solve cache, which stores it on disk, converts it.
+full-solve cache converts it (``basis_codes``/``basis_from_codes``).
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.optimize._highspy._core as highspy
 
-from .model import SENSES, LpModel, Solution
+from .model import SENSES, LpModel
 
 EQ, LE, GE = range(len(SENSES))  # codes of "==", "<=", ">=" in LpModel.sense
 
@@ -37,12 +37,58 @@ _DUAL_SIMPLEX = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _DEVEX = 1  # simplex_dual_edge_weight_strategy: -1 choose (default), 0 Dantzig, 1 Devex
 _ROWWISE = int(highspy.MatrixFormat.kRowwise)
 _MINIMIZE = int(highspy.ObjSense.kMinimize)
+_BASIS_STATUS = [highspy.HighsBasisStatus(code) for code in range(5)]  # by code, see basis_codes
 
 _REGULAR_STATUS = {
     highspy.HighsModelStatus.kOptimal: "optimal",
     highspy.HighsModelStatus.kInfeasible: "infeasible",
     highspy.HighsModelStatus.kUnbounded: "unbounded",
 }
+
+
+@dataclass
+class Solution:
+    """Outcome of one solve: objective and column values ``x`` when optimal.
+
+    ``x`` is a float64 array in model column order.  ``iterations`` counts
+    the solver's simplex iterations.  ``basis`` is the optimal basis, the
+    ``HighsBasis`` object HiGHS returns (column and row statuses in model
+    order), ready to start a solve of a model with the same columns and
+    rows.  A HiGHS object cannot be pickled or copied, so neither can a
+    ``Solution`` that carries a basis.
+    """
+
+    status: str
+    objective: float | None = None
+    x: np.ndarray | None = field(default=None, compare=False)
+    solve_time: float = 0.0
+    iterations: int = 0
+    basis: highspy.HighsBasis | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.status not in _REGULAR_STATUS.values():
+            raise ValueError(f"status must be one of {tuple(_REGULAR_STATUS.values())}")
+
+
+def basis_codes(basis: highspy.HighsBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The column and the row statuses of ``basis`` as int8 codes (0 lower,
+    1 basic, 2 upper, 3 zero, 4 nonbasic), in model order."""
+    return tuple(np.array([status.value for status in statuses], np.int8)
+                 for statuses in (basis.col_status, basis.row_status))
+
+
+def basis_from_codes(columns: np.ndarray, rows: np.ndarray) -> highspy.HighsBasis:
+    """Inverse of ``basis_codes``: a ``HighsBasis`` marked non-alien, as from
+    ``getBasis()``, so a start needs no alien-basis refactor.  ValueError
+    unless ``columns`` and ``rows`` are each a vector of integer codes 0-4."""
+    basis = highspy.HighsBasis()
+    for side, codes in (("col_status", columns), ("row_status", rows)):
+        codes = np.asarray(codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu" or np.any((codes < 0) | (codes > 4)):
+            raise ValueError("basis status codes must be a vector of codes 0-4")
+        setattr(basis, side, [_BASIS_STATUS[code] for code in codes.tolist()])
+    basis.alien = False
+    return basis
 
 
 class SolverError(Exception):
@@ -90,8 +136,7 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
         violated = np.where(sense == EQ, np.abs(rhs), np.where(sense == LE, -rhs, rhs))
         if np.any(violated > handle.tolerance):
             return Solution(status="infeasible")
-        rows_basic = highspy.HighsBasis()
-        rows_basic.row_status = [highspy.HighsBasisStatus.kBasic] * m
+        rows_basic = basis_from_codes(np.zeros(0, np.int8), np.ones(m, np.int8))  # 1: basic
         return Solution(status="optimal", objective=0.0, x=np.zeros(0), basis=rows_basic)
 
     start = time.perf_counter()

@@ -253,13 +253,6 @@ def value(model, solution, name: str) -> float:
     return float(solution.x[model.var_names.index(name)])
 
 
-def basis_codes(basis) -> tuple[np.ndarray, np.ndarray]:
-    """The column and the row statuses of a ``HighsBasis`` as int8 codes
-    (0 lower, 1 basic, 2 upper, 3 zero, 4 nonbasic)."""
-    return tuple(np.array([status.value for status in statuses], np.int8)
-                 for statuses in (basis.col_status, basis.row_status))
-
-
 def producer(name, node="n1", **kwargs):
     from repblend.data import Asset
 

@@ -337,6 +337,43 @@ class TestLoadSystem:
         with pytest.raises(DataError, match=r"^storage_bounds.csv:3: duplicate cell \(period 2\)$"):
             load_system(tmp_path)
 
+    @pytest.mark.parametrize("low,high,crossed", [
+        (0.8, 0.2, True), (1.0, 0.0, True), (0.5, 0.5, False), (1.5, 0.2, False),
+        (0.8, -0.1, False),
+    ])
+    def test_crossed_storage_bounds_rejected(self, tmp_path, low, high, crossed):
+        # a crossed pair within [0, 1] leaves the full model infeasible; a
+        # value outside [0, 1] stays a validation fault
+        write_dataset(
+            tmp_path, _tiny_config(num_periods=3),
+            [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
+                  storage_cap=10)],
+            [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {},
+            storage_bounds=[("r", 1, 0.2, 0.8), ("r", 2, low, high)])
+        if crossed:
+            with pytest.raises(DataError, match=rf"^storage_bounds.csv:3: "
+                                                rf"min_frac {low} > max_frac {high}$"):
+                load_system(tmp_path)
+            return
+        system = load_system(tmp_path)
+        assert (system.storage_min["r"][1], system.storage_max["r"][1]) == (low, high)
+        in_range = 0 <= low <= 1 and 0 <= high <= 1
+        assert [v.series for v in validate_profiles(system)] == (
+            [] if in_range else ["storage_min" if low > 1 else "storage_max"])
+
+    def test_negative_peak_demand_rejected(self, tmp_path):
+        # a negative peak leaves the full model infeasible: a data fault,
+        # not a solver outcome
+        config = _tiny_config()
+        config["peak_demand"]["n1"]["el"] = -2.0
+        write_dataset(tmp_path, config, [], [], {("n1", "el"): np.full((1, 1), 0.5)}, {}, {})
+        with pytest.raises(DataError,
+                           match=r"^config.json: peak_demand\['n1'\]\['el'\] must be >= 0$"):
+            load_system(tmp_path)
+        config["peak_demand"]["n1"]["el"] = 0.0
+        write_dataset(tmp_path, config, [], [], {("n1", "el"): np.full((1, 1), 0.5)}, {}, {})
+        assert load_system(tmp_path).peak_demand[("n1", "el")] == 0.0
+
 
 HOURLY_FILES = [("demand", "demand.csv", ("node", "carrier")),
                 ("availability", "availability.csv", ("asset",)),

@@ -1,6 +1,7 @@
 """Unit tests for the experiment pipeline, regret accounting, result CSVs
 and the command-line interface."""
 
+import csv
 import json
 import shutil
 from dataclasses import fields, replace
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import basis_codes
 import repblend.harness as harness
 import repblend.model
 from repblend.cli import main
@@ -29,7 +29,7 @@ from repblend.harness import (
     solve_full_cached,
     write_results_csv,
 )
-from repblend.solve import SolverHandle, SolverNumericalError, solve
+from repblend.solve import SolverHandle, SolverNumericalError, basis_codes, solve
 from repblend.weights import fit_weights
 
 NON_TIMING_FIELDS = [f.name for f in fields(ExperimentRecord)
@@ -574,6 +574,8 @@ class TestCli:
         pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el", ":2", id="short-row"),
         pytest.param("assets.csv", b"true,1,0,10,", b"true,1,0,nan,", ":2", id="nan-inv-cost"),
         pytest.param("assets.csv", b"true,1,0,10,", b"true,1,0,inf,", ":2", id="inf-inv-cost"),
+        # a negative peak would leave the full model infeasible (exit 3)
+        pytest.param("config.json", b'"el": 2.0', b'"el": -2.0', "", id="negative-peak"),
         pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1." + b"0" * 200_000, ":2",
                      id="long-cell"),
         # a decoding fault has no line: the decoder reads ahead of the rows
@@ -591,6 +593,42 @@ class TestCli:
         result = self.run(command, "--data", mini_gep_copy, *args)
         assert result.exit_code == 2
         assert f"data error: {file}{location}: " in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "solve-full"])
+    def test_crossed_storage_bounds_exit_2(self, synthetic_gep_path, tmp_path, command):
+        # the full model would be infeasible: a data error, not a solver
+        # outcome (exit 3)
+        root = tmp_path / "gep"
+        shutil.copytree(synthetic_gep_path, root)
+        (root / "storage_bounds.csv").write_text(
+            "asset,period,min_frac,max_frac\nreservoir_n3,3,0.8,0.2\n")
+        args = ("--out", tmp_path / "sol") if command == "solve-full" else ()
+        result = self.run(command, "--data", root, *args)
+        assert result.exit_code == 2, result.output
+        assert "data error: storage_bounds.csv:2: min_frac 0.8 > max_frac 0.2" in result.output
+
+    def test_names_with_commas_survive_csv(self, mini_gep_copy, tmp_path):
+        # a node "n1,a" and an asset "g1,x" must come back as one cell each
+        for file, old, new in (("config.json", '"n1"', '"n1,a"'),
+                               ("demand.csv", "\nn1,", '\n"n1,a",'),
+                               ("assets.csv", "\ng1,n1,", '\n"g1,x","n1,a",')):
+            path = mini_gep_copy / file
+            path.write_text(path.read_text().replace(old, new))
+        system = load_system(mini_gep_copy)
+        assert [a.name for a in system.assets] == ["g1,x"] and system.nodes == ["n1,a"]
+        out = tmp_path / "out"
+        for args in (("cluster", "--n-rp", 1), ("solve-full",)):
+            result = self.run(*args, "--data", mini_gep_copy, "--out", out)
+            assert result.exit_code == 0, result.output
+        expected = {"rep_matrix.csv": build_clustering_matrix(system).row_labels,
+                    "full_solution.csv": build_full_model(system).var_names}
+        for file, names in expected.items():
+            with open(out / file, newline="", encoding="utf-8") as handle:
+                header, *rows = csv.reader(handle)
+            assert {len(row) for row in rows} == {len(header)}, file
+            assert [row[0] for row in rows] == names, file
+        assert "demand:n1,a:el:1" in expected["rep_matrix.csv"]
+        assert "inv_g1,x" in expected["full_solution.csv"]
 
     def test_cluster_and_weights_outputs(self, synthetic_gep_path, tmp_path):
         out = tmp_path / "out"

@@ -16,13 +16,12 @@ from repblend.data import (
 from repblend.model import (
     SENSES,
     LpModel,
-    Solution,
     build_full_model,
     build_model,
     fix_decisions,
     identity_weights,
 )
-from repblend.solve import solve
+from repblend.solve import Solution, solve
 from repblend.weights import WeightMatrix, fit_weights
 
 

@@ -1,21 +1,31 @@
 """Unit tests for the solver adapter and the LP file writer, including a
 round-trip through an independent parser of the emitted format."""
 
+import ast
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize._highspy._core as highspy
 
-from conftest import basis_codes, value
+import repblend
+from conftest import value
 from oracles import linprog_solution, pin_by_name
 from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import cluster_matrix
 from repblend.model import SENSES, LpModel, build_full_model, build_model, fix_decisions
-from repblend.solve import SolverHandle, SolverNumericalError, solve, write_lp_file
+from repblend.solve import (
+    SolverHandle,
+    SolverNumericalError,
+    basis_codes,
+    basis_from_codes,
+    solve,
+    write_lp_file,
+)
 from repblend.weights import fit_weights
 
 BASIC = int(highspy.HighsBasisStatus.kBasic)
@@ -225,14 +235,6 @@ class TestAgainstLinprog:
         assert np.all(excess <= SolverHandle().tolerance * np.maximum(1.0, np.abs(rhs)))
 
 
-def highs_basis(columns: np.ndarray, rows: np.ndarray) -> highspy.HighsBasis:
-    """A ``HighsBasis`` built from status codes, as from a file."""
-    basis = highspy.HighsBasis()
-    basis.col_status = [highspy.HighsBasisStatus(code) for code in columns.tolist()]
-    basis.row_status = [highspy.HighsBasisStatus(code) for code in rows.tolist()]
-    return basis
-
-
 class TestWarmStart:
     @pytest.mark.parametrize("case", ["gep", "p2x"])
     def test_every_optimal_solve_returns_its_basis(self, pipeline_models, case):
@@ -267,7 +269,7 @@ class TestWarmStart:
     def test_full_solve_from_its_own_basis(self, pipeline_models, case):
         # the basis codes come out, and go back in, in model order
         _, full, full_solution, _ = pipeline_models(case)
-        again = solve(full, basis=highs_basis(*basis_codes(full_solution.basis)))
+        again = solve(full, basis=basis_from_codes(*basis_codes(full_solution.basis)))
         assert again.status == "optimal"
         assert again.iterations == 0
         assert again.objective == full_solution.objective
@@ -277,10 +279,70 @@ class TestWarmStart:
         _, full, full_solution, _ = pipeline_models(case)
         columns, rows = basis_codes(full_solution.basis)
         other_model = pipeline_models("mini-gep")[2].basis
-        for basis in (highs_basis(columns, rows[:-1]), highs_basis(columns[:-1], rows),
+        for basis in (basis_from_codes(columns, rows[:-1]), basis_from_codes(columns[:-1], rows),
                       other_model):
             with pytest.raises(SolverNumericalError, match="rejected the start basis"):
                 solve(full, basis=basis)
+
+
+class TestBasisCodec:
+    @pytest.mark.parametrize("case", ["gep", "p2x"])
+    def test_codes_are_the_status_values(self, pipeline_models, case):
+        basis = pipeline_models(case)[2].basis
+        columns, rows = basis_codes(basis)
+        assert (columns.dtype, rows.dtype) == (np.int8, np.int8)
+        assert columns.tolist() == [status.value for status in basis.col_status]
+        assert rows.tolist() == [status.value for status in basis.row_status]
+        assert len(set(columns.tolist() + rows.tolist())) > 1
+
+    @pytest.mark.parametrize("case", ["gep", "p2x"])
+    def test_round_trip(self, pipeline_models, case):
+        basis = pipeline_models(case)[2].basis
+        built = basis_from_codes(*basis_codes(basis))
+        assert (built.col_status, built.row_status) == (basis.col_status, basis.row_status)
+        for codes, kept in zip(basis_codes(built), basis_codes(basis)):
+            np.testing.assert_array_equal(codes, kept)
+
+    def test_every_code_and_not_alien(self):
+        # marked non-alien as getBasis() returns it, so a start from it
+        # needs no alien-basis refactor
+        codes = np.arange(5, dtype=np.int8)
+        basis = basis_from_codes(codes, codes[::-1])
+        assert [status.name for status in basis.col_status] == [
+            "kLower", "kBasic", "kUpper", "kZero", "kNonbasic"]
+        assert basis.row_status == basis.col_status[::-1]
+        assert basis.alien is False
+        assert [b.tolist() for b in basis_codes(basis)] == [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]
+        empty = basis_from_codes(np.zeros(0, np.int8), np.zeros(0, np.int64))
+        assert (empty.col_status, empty.row_status, empty.alien) == ([], [], False)
+
+    @pytest.mark.parametrize("codes", [
+        np.array([1, 5], np.int8), np.array([-1, 1]), np.array([[1, 0]], np.int8),
+        np.int8(1), np.array([1.0, 0.0]),
+    ], ids=["above 4", "negative", "matrix", "scalar", "float"])
+    @pytest.mark.parametrize("side", ["columns", "rows"])
+    def test_bad_codes_rejected(self, codes, side):
+        good = np.array([1, 0], np.int8)
+        args = (codes, good) if side == "columns" else (good, codes)
+        with pytest.raises(ValueError, match="must be a vector of codes 0-4"):
+            basis_from_codes(*args)
+
+
+def test_only_solve_imports_highs():
+    # scipy's HiGHS bindings are private and may change with any release:
+    # one module speaks to them, and model.py imports no scipy at all
+    imports = {}
+    for path in sorted(Path(repblend.__file__).parent.glob("*.py")):
+        names = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+        imports[path.name] = names
+    assert {file for file, names in imports.items()
+            if any(name.startswith("scipy.optimize._highspy") for name in names)} == {"solve.py"}
+    assert [name for name in imports["model.py"] if name.startswith("scipy")] == []
 
 
 class TestPinnedDecisions:

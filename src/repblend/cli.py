@@ -143,7 +143,7 @@ def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
 def write_weights_csv(weights: WeightMatrix, path: Path):
     """Serialize a weight matrix as (period, rep, value) rows, 1-based."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["period", "rep", "value"])
         for d in range(weights.n_periods):
             for r in range(weights.n_rp):

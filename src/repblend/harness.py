@@ -163,7 +163,9 @@ def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
     missing or cannot be read back (not an ``.npz`` file, a missing array,
     an optimal solution without an ``x`` or a basis that fits ``model``)."""
     try:
-        with np.load(cache_file, allow_pickle=False) as saved:
+        # given a path, np.load leaves the file open when the zip
+        # directory is broken; a handle it is given stays ours to close
+        with open(cache_file, "rb") as handle, np.load(handle, allow_pickle=False) as saved:
             status = str(saved["status"])
             objective = x = basis = None
             if status == "optimal":
@@ -313,7 +315,7 @@ def _cell(value) -> str:
 def write_results_csv(records: list[ExperimentRecord], path: Path | str):
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
         for record in records:
             row = [_cell(getattr(record, name)) for name in RESULT_COLUMNS[:-1]]
@@ -378,7 +380,7 @@ def emit_plot_data(records: list[ExperimentRecord], out_dir: Path | str):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(records, out_dir / "results.csv")
     with open(out_dir / "pareto.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["case", "method", "weight_type", "n_rp", "seed",
                          "total_time", "regret_pct"])
         for rec in pareto_front(records):

@@ -3,8 +3,12 @@ and the command-line interface."""
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,10 +576,16 @@ class TestCli:
 
     @pytest.mark.parametrize("file,old,new,location", [
         pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el", ":2", id="short-row"),
+        pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1.0,7", ":2", id="long-row"),
+        pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1.0\nn1,el,1,1,1.0", ":3",
+                     id="repeated-row"),
         pytest.param("assets.csv", b"true,1,0,10,", b"true,1,0,nan,", ":2", id="nan-inv-cost"),
         pytest.param("assets.csv", b"true,1,0,10,", b"true,1,0,inf,", ":2", id="inf-inv-cost"),
         # a negative peak would leave the full model infeasible (exit 3)
         pytest.param("config.json", b'"el": 2.0', b'"el": -2.0', "", id="negative-peak"),
+        # a zero year would drop every operating cost
+        pytest.param("config.json", b'"hours_per_year": 2', b'"hours_per_year": 0', "",
+                     id="zero-year"),
         pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1." + b"0" * 200_000, ":2",
                      id="long-cell"),
         # a decoding fault has no line: the decoder reads ahead of the rows
@@ -616,6 +626,8 @@ class TestCli:
             path.write_text(path.read_text().replace(old, new))
         system = load_system(mini_gep_copy)
         assert [a.name for a in system.assets] == ["g1,x"] and system.nodes == ["n1,a"]
+        result = self.run("validate", "--data", mini_gep_copy)
+        assert result.exit_code == 0, result.output
         out = tmp_path / "out"
         for args in (("cluster", "--n-rp", 1), ("solve-full",)):
             result = self.run(*args, "--data", mini_gep_copy, "--out", out)
@@ -639,6 +651,8 @@ class TestCli:
         assert (out / "reps.csv").exists()
         header = (out / "weights.csv").read_text().splitlines()[0]
         assert header == "period,rep,value"
+        for path in out.iterdir():
+            assert b"\r" not in path.read_bytes(), path.name
 
     @pytest.mark.parametrize("method", ["kmeans", "kmedoids", "hull"])
     def test_cluster_assignment_written(self, synthetic_gep_path, tmp_path, method):
@@ -657,12 +671,37 @@ class TestCli:
         np.testing.assert_array_equal(rows[:, 0], np.arange(1, values.shape[1] + 1))
         np.testing.assert_array_equal(rows[:, 1] - 1, nearest)
 
+    @pytest.mark.parametrize("method", ["kmeans", "kmedoids", "hull"])
+    def test_cluster_writes_a_line_per_rep_and_period(self, synthetic_gep_path, tmp_path,
+                                                       method):
+        out = tmp_path / "out"
+        result = self.run("cluster", "--data", synthetic_gep_path, "--method", method,
+                          "--n-rp", 4, "--seed", 2, "--out", out)
+        assert result.exit_code == 0, result.output
+        assert (out / "reps.csv").read_bytes().count(b"\n") == 1 + 4
+        assert (out / "assignment.csv").read_bytes().count(b"\n") == 1 + 12
+
     def test_build_lp(self, mini_gep_copy, tmp_path):
         out = tmp_path / "lp"
         result = self.run("build-lp", "--data", mini_gep_copy, "--n-rp", 1,
                           "--method", "kmedoids", "--weights", "dirac", "--out", out)
         assert result.exit_code == 0
         assert (out / "model.lp").read_text().startswith("\\")
+
+    def test_one_period_reduced_models_are_the_full_model(self, mini_gep_copy, tmp_path):
+        # mini-gep has one period, so every reduction at --n-rp 1 writes the
+        # full model's LP file byte for byte
+        variants = {"kmeans": ("--n-rp", 1, "--method", "kmeans", "--weights", "dirac"),
+                    "kmedoids": ("--n-rp", 1, "--method", "kmedoids", "--weights", "conic"),
+                    "hull": ("--n-rp", 1, "--method", "hull", "--weights", "subunit"),
+                    "full": ("--full",)}
+        written = {}
+        for name, args in variants.items():
+            result = self.run("build-lp", "--data", mini_gep_copy, *args,
+                              "--out", tmp_path / name)
+            assert result.exit_code == 0, result.output
+            written[name] = (tmp_path / name / "model.lp").read_bytes()
+        assert [name for name, lp in written.items() if lp != written["full"]] == []
 
     def test_mode_override_drops_investments(self, mini_gep_copy, tmp_path):
         out = tmp_path / "lp"
@@ -691,6 +730,57 @@ class TestCli:
         result = self.run("emit-plots", "--out", out)
         assert result.exit_code == 0, result.output
         assert (out / "pareto.csv").read_bytes() == pareto
+        # a second run reads the full solve from the one .npz cache file and
+        # writes the same rows, timings aside
+        result = self.run("experiment", "--data", mini_gep_copy, "--method", "hull",
+                          "--weights", "conic", "--n-rp", 1, "--seeds", "1,2",
+                          "--out", tmp_path / "again")
+        assert result.exit_code == 0, result.output
+        cache = mini_gep_copy / ".full_cache"
+        assert len(list(cache.rglob("full_*.npz"))) == 1
+        assert list(cache.rglob("*.json")) == []
+
+        def untimed_rows(path):
+            with open(path, newline="", encoding="utf-8") as handle:
+                return [{k: v for k, v in row.items()
+                         if not (k.startswith("t_") or k == "total_time")}
+                        for row in csv.DictReader(handle)]
+
+        assert untimed_rows(tmp_path / "again" / "results.csv") == untimed_rows(
+            out / "results.csv")
+
+    def test_cache_path_that_is_a_file_keeps_every_seed(self, mini_gep_copy, tmp_path):
+        # the full solve cannot be cached, but both seeds are still scored
+        # from that one solve
+        (mini_gep_copy / ".full_cache").write_text("")
+        with pytest.warns(UserWarning, match=r"full solve not cached in .*\.full_cache"):
+            result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 1,
+                              "--seeds", "1,2", "--out", tmp_path / "o")
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        for seed in (1, 2):
+            assert sum(line.startswith(f"seed {seed}: regret") for line in lines) == 1
+        assert "AttributeError" not in result.output
+
+    def test_console_script(self, mini_gep_copy, tmp_path):
+        # the real entry point: the installed script, or the module where
+        # the package is not installed, importing this package either way
+        script = shutil.which("repblend")
+        command = [script] if script else [sys.executable, "-m", "repblend.cli"]
+        package_root = str(Path(repblend.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        for args, expected in ((("validate", "--data", mini_gep_copy), "ok: "),
+                               (("experiment", "--data", mini_gep_copy, "--n-rp", 1,
+                                 "--seeds", 1, "--out", out), "seed 1: regret ")):
+            result = subprocess.run([*command, *map(str, args)], env=env, capture_output=True,
+                                    text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert expected in result.stdout
+        assert sorted(path.name for path in out.iterdir()) == ["pareto.csv", "results.csv"]
+        for path in out.iterdir():
+            assert b"\r" not in path.read_bytes(), path.name
 
     def test_emit_plots_without_seed_column_is_a_data_error(self, tmp_path):
         emit_plot_data([TestResultsCsv().make_record()], tmp_path)

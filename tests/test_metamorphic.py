@@ -6,6 +6,11 @@ Scale: every MW or MWh quantity times c (peak demand, unit capacities,
 storage capacities, inflow maxima, initial storage and line limits).
 Profiles are unitless, so the selection and the weights do not move, and
 the full, reduced and fixed objectives all scale by c.
+
+Nesting: the greedy hull's first k picks do not depend on how many it is
+asked for, so ``greedy_hull(C, k)`` is the first k picks of
+``greedy_hull(C, K)`` for k < K, with the same step distances.  One run at
+the largest k can then serve every smaller k.
 """
 
 import csv
@@ -16,6 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_synthetic_gep, make_synthetic_p2x
+from repblend.clustering import HULL_TYPES, greedy_hull
 from repblend.data import build_clustering_matrix, load_system, require_valid
 from repblend.harness import ExperimentConfig, cluster_matrix, run_experiment
 from repblend.weights import fit_weights
@@ -78,3 +85,29 @@ def test_scale(request, tmp_path, fixture, method, weight_type):
         assert getattr(scaled, name) == pytest.approx(SCALE * getattr(record, name),
                                                       rel=1e-9, abs=0.0), name
     assert scaled.regret_pct == pytest.approx(record.regret_pct, rel=0.0, abs=1e-6)
+
+
+# the datasets and sizes of the benchmark's three workloads
+NESTING_DATASETS = {"gep-52x24": (make_synthetic_gep, 52, 24),
+                    "gep-52x12": (make_synthetic_gep, 52, 12),
+                    "p2x-52x24": (make_synthetic_p2x, 52, 24)}
+NESTING_K = 24
+
+
+@pytest.fixture(scope="module", params=list(NESTING_DATASETS))
+def year_matrix(request, tmp_path_factory):
+    writer, periods, hours = NESTING_DATASETS[request.param]
+    path = writer(tmp_path_factory.mktemp("nesting") / request.param, periods, hours)
+    return build_clustering_matrix(require_valid(load_system(path))).values
+
+
+@pytest.mark.parametrize("hull_type", HULL_TYPES)
+def test_nesting(year_matrix, hull_type):
+    full = greedy_hull(year_matrix, NESTING_K, hull_type)
+    for k in (2, 4, 8, 16):
+        head = greedy_hull(year_matrix, k, hull_type)
+        np.testing.assert_array_equal(head.source_indices, full.source_indices[:k])
+        steps = len(head.step_max_distances)
+        assert steps == len(full.step_max_distances) - (NESTING_K - k)
+        np.testing.assert_allclose(head.step_max_distances, full.step_max_distances[:steps],
+                                   rtol=0.0, atol=1e-12)

@@ -317,6 +317,15 @@ def load_system(root: Path | str) -> EnergySystem:
     for key in ("num_periods", "hours_per_period"):
         if key not in hz:
             raise DataError(f"horizon is missing {key!r}", "config.json")
+    # int() and float() would read 1.9 as 1 and true as 1
+    counts = ("num_periods", "hours_per_period")
+    for key in counts + ("timestep_hours", "hours_per_year"):
+        value = hz.get(key)
+        fractional = key in counts and isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) or fractional:
+            kind = "a whole number" if key in counts else "a number"
+            raise DataError(f"bad horizon: {key} must be {kind}, got {json.dumps(value)}",
+                            "config.json")
     try:
         horizon = Horizon(
             num_periods=int(hz["num_periods"]),

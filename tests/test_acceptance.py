@@ -19,7 +19,8 @@ from repblend.model import build_full_model, build_model, fix_decisions, identit
 from repblend.solve import solve, write_lp_file
 from repblend.weights import fit_weights
 
-from conftest import make_synthetic_gep, period_reps
+from conftest import period_reps
+from generators import make_gep
 from oracles import (
     PROJECTION_ORACLES,
     PgdParams,
@@ -211,7 +212,7 @@ def test_criterion_09_hull_versus_kmeans_report(sweep):
 
 
 def test_criterion_10_determinism(tmp_path):
-    data = make_synthetic_gep(tmp_path / "det", num_periods=8, hours=4)
+    data = make_gep(tmp_path / "det", 8, 4)
     artifacts = []
     for run in range(2):
         system = load_system(data)

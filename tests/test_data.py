@@ -1,5 +1,6 @@
 """Unit tests for system loading, validation and the clustering matrix."""
 
+import csv
 import math
 import shutil
 
@@ -23,7 +24,8 @@ from repblend.harness import cluster_matrix
 from repblend.model import build_full_model
 from repblend.solve import solve
 
-from conftest import make_synthetic_gep, make_system, period_reps, producer, write_dataset
+from conftest import make_system, period_reps, producer
+from generators import write_dataset
 from oracles import period_profiles, read_hourly_rows
 
 
@@ -137,6 +139,18 @@ class TestLoadSystem:
         ("horizon", {"num_periods": 1, "hours_per_period": None}, "bad horizon"),
         ("horizon", {"num_periods": 1, "hours_per_period": 2,
                      "timestep_hours": {"a": 1}}, "bad horizon"),
+        ("horizon", {"num_periods": 1.9, "hours_per_period": 2},
+         "^config.json: bad horizon: num_periods must be a whole number, got 1.9$"),
+        ("horizon", {"num_periods": True, "hours_per_period": 2},
+         "^config.json: bad horizon: num_periods must be a whole number, got true$"),
+        ("horizon", {"num_periods": 1, "hours_per_period": 2.5},
+         "^config.json: bad horizon: hours_per_period must be a whole number, got 2.5$"),
+        ("horizon", {"num_periods": 1, "hours_per_period": True},
+         "^config.json: bad horizon: hours_per_period must be a whole number, got true$"),
+        ("horizon", {"num_periods": 1, "hours_per_period": 2, "timestep_hours": True},
+         "^config.json: bad horizon: timestep_hours must be a number, got true$"),
+        ("horizon", {"num_periods": 1, "hours_per_period": 2, "hours_per_year": True},
+         "^config.json: bad horizon: hours_per_year must be a number, got true$"),
     ])
     def test_wrongly_typed_config_values(self, tmp_path, mini_gep_path, key, value, match):
         import json
@@ -150,13 +164,18 @@ class TestLoadSystem:
         with pytest.raises(DataError, match=match):
             load_system(root)
 
+    def test_whole_float_horizon_counts_load(self, tmp_path, mini_gep_path):
+        import json
+
+        root = tmp_path / "float"
+        shutil.copytree(mini_gep_path, root)
+        cfg = json.loads((root / "config.json").read_text())
+        cfg["horizon"].update(num_periods=1.0, hours_per_period=2.0)
+        (root / "config.json").write_text(json.dumps(cfg))
+        assert load_system(root).horizon == load_system(mini_gep_path).horizon
+
     def test_storage_bounds_defaults_and_file(self, tmp_path):
-        write_dataset(
-            tmp_path, _tiny_config(num_periods=3),
-            [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
-                  storage_cap=10)],
-            [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {},
-            storage_bounds=[("r", 2, 0.2, 0.8)])
+        _store_dataset(tmp_path, [("r", 2, 0.2, 0.8)])
         system = load_system(tmp_path)
         np.testing.assert_allclose(system.storage_min["r"], [0.0, 0.2, 0.0])
         np.testing.assert_allclose(system.storage_max["r"], [1.0, 0.8, 1.0])
@@ -168,12 +187,7 @@ class TestLoadSystem:
         def make(file):
             root = tmp_path / "data"
             if file == "storage_bounds.csv":
-                write_dataset(
-                    root, _tiny_config(num_periods=3),
-                    [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
-                          storage_cap=10)],
-                    [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {},
-                    storage_bounds=[("r", 2, 0.2, 0.8)])
+                _store_dataset(root, [("r", 2, 0.2, 0.8)])
             else:
                 shutil.copytree(synthetic_gep_path, root)
             return root
@@ -328,12 +342,7 @@ class TestLoadSystem:
             assert system.demand[key].tobytes() == arr.tobytes()
 
     def test_duplicate_storage_bound_rejected(self, tmp_path):
-        write_dataset(
-            tmp_path, _tiny_config(num_periods=3),
-            [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
-                  storage_cap=10)],
-            [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {},
-            storage_bounds=[("r", 2, 0.2, 0.8), ("r", 2, 0.4, 0.6)])
+        _store_dataset(tmp_path, [("r", 2, 0.2, 0.8), ("r", 2, 0.4, 0.6)])
         with pytest.raises(DataError, match=r"^storage_bounds.csv:3: duplicate cell \(period 2\)$"):
             load_system(tmp_path)
 
@@ -344,12 +353,7 @@ class TestLoadSystem:
     def test_crossed_storage_bounds_rejected(self, tmp_path, low, high, crossed):
         # a crossed pair within [0, 1] leaves the full model infeasible; a
         # value outside [0, 1] stays a validation fault
-        write_dataset(
-            tmp_path, _tiny_config(num_periods=3),
-            [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
-                  storage_cap=10)],
-            [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {},
-            storage_bounds=[("r", 1, 0.2, 0.8), ("r", 2, low, high)])
+        _store_dataset(tmp_path, [("r", 1, 0.2, 0.8), ("r", 2, low, high)])
         if crossed:
             with pytest.raises(DataError, match=rf"^storage_bounds.csv:3: "
                                                 rf"min_frac {low} > max_frac {high}$"):
@@ -467,6 +471,19 @@ def _tiny_config(num_periods=1, hours=1):
         "carriers": ["el"],
         "peak_demand": {"n1": {"el": 1.0}},
     }
+
+
+def _store_dataset(root, storage_bounds):
+    """A 3-period one-node dataset with the seasonal store ``r`` and the
+    ``storage_bounds.csv`` rows (asset, period, min_frac, max_frac)."""
+    write_dataset(root, _tiny_config(num_periods=3),
+                  [dict(name="r", node="n1", kind="storage_seasonal", carrier_out="el",
+                        storage_cap=10)],
+                  [], {("n1", "el"): np.full((3, 1), 0.5)}, {}, {})
+    with open(root / "storage_bounds.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["asset", "period", "min_frac", "max_frac"])
+        writer.writerows(storage_bounds)
 
 
 class TestValidateProfiles:

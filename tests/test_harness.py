@@ -586,6 +586,9 @@ class TestCli:
         # a zero year would drop every operating cost
         pytest.param("config.json", b'"hours_per_year": 2', b'"hours_per_year": 0', "",
                      id="zero-year"),
+        # int() would read 1.9 periods as 1
+        pytest.param("config.json", b'"num_periods": 1,', b'"num_periods": 1.9,', "",
+                     id="fractional-periods"),
         pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1." + b"0" * 200_000, ":2",
                      id="long-cell"),
         # a decoding fault has no line: the decoder reads ahead of the rows

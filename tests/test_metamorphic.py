@@ -11,6 +11,11 @@ Nesting: the greedy hull's first k picks do not depend on how many it is
 asked for, so ``greedy_hull(C, k)`` is the first k picks of
 ``greedy_hull(C, K)`` for k < K, with the same step distances.  One run at
 the largest k can then serve every smaller k.
+
+k = D: with as many representatives as base periods, every method's
+representatives are the base periods themselves and every weight space fits
+each period to itself, so the reduced model is the full one: the same
+objective, and zero regret.
 """
 
 import csv
@@ -21,11 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_gep, make_synthetic_p2x
+from generators import make_gep, make_p2x
 from repblend.clustering import HULL_TYPES, greedy_hull
 from repblend.data import build_clustering_matrix, load_system, require_valid
-from repblend.harness import ExperimentConfig, cluster_matrix, run_experiment
-from repblend.weights import fit_weights
+from repblend.harness import METHODS, ExperimentConfig, cluster_matrix, run_experiment
+from repblend.weights import WEIGHT_TYPES, fit_weights
 
 SCALE = 3.0
 N_RP = 4
@@ -88,9 +93,9 @@ def test_scale(request, tmp_path, fixture, method, weight_type):
 
 
 # the datasets and sizes of the benchmark's three workloads
-NESTING_DATASETS = {"gep-52x24": (make_synthetic_gep, 52, 24),
-                    "gep-52x12": (make_synthetic_gep, 52, 12),
-                    "p2x-52x24": (make_synthetic_p2x, 52, 24)}
+NESTING_DATASETS = {"gep-52x24": (make_gep, 52, 24),
+                    "gep-52x12": (make_gep, 52, 12),
+                    "p2x-52x24": (make_p2x, 52, 24)}
 NESTING_K = 24
 
 
@@ -111,3 +116,25 @@ def test_nesting(year_matrix, hull_type):
         assert steps == len(full.step_max_distances) - (NESTING_K - k)
         np.testing.assert_allclose(head.step_max_distances, full.step_max_distances[:steps],
                                    rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def full_cache(tmp_path_factory):
+    """One full-solve cache for every k = D run; its files are keyed by the
+    full model's content."""
+    return tmp_path_factory.mktemp("k-equals-d-cache")
+
+
+@pytest.mark.parametrize("weight_type", WEIGHT_TYPES)
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("fixture", ["synthetic_gep_path", "synthetic_p2x_path"],
+                         ids=["gep", "p2x"])
+def test_k_equals_d(request, full_cache, fixture, method, weight_type):
+    path = request.getfixturevalue(fixture)
+    periods = load_system(path).horizon.num_periods
+    config = ExperimentConfig(path, method, weight_type, periods, seeds=(1,),
+                              cache_dir=full_cache)
+    [record] = run_experiment(config)
+    assert record.error == ""
+    assert record.objective_reduced == pytest.approx(record.objective_full, rel=1e-9, abs=0.0)
+    assert record.regret_pct == pytest.approx(0.0, rel=0.0, abs=1e-9)

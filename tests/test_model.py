@@ -160,12 +160,10 @@ class TestBuildModel:
         assert any(n == "intracyc_battery_n2_r1" for n in row_names)
         assert "sinter_battery_n2_d1" not in model.var_names
 
-    def test_interperiod_ramp_merges_single_hour(self):
-        from conftest import make_synthetic_gep
-        import tempfile
-        from pathlib import Path
+    def test_interperiod_ramp_merges_single_hour(self, tmp_path):
+        from generators import make_gep
 
-        root = make_synthetic_gep(Path(tempfile.mkdtemp()) / "one-hour", hours=1)
+        root = make_gep(tmp_path / "one-hour", 12, 1)
         system = load_system(root)
         model = build_full_model(system)
         rows = [terms for name, terms, _, _ in model_rows(model)

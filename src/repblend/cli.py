@@ -6,7 +6,6 @@ Exit codes: 0 on success, 2 on data errors (bad files, failed validation),
 
 from __future__ import annotations
 
-import csv
 import sys
 from functools import wraps
 from pathlib import Path
@@ -21,6 +20,7 @@ from .data import (
     load_system,
     require_valid,
     validate_profiles,
+    write_csv,
 )
 from .harness import (
     METHODS,
@@ -33,7 +33,7 @@ from .harness import (
 )
 from .model import build_full_model, build_model
 from .solve import SolverError, SolverHandle, write_lp_file
-from .weights import WeightMatrix, canonical_weight_type, fit_weights
+from .weights import canonical_weight_type, fit_weights
 
 
 # exit code and stderr label of each error family; any other error exits 1
@@ -123,31 +123,17 @@ def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
     """Write reps.csv, rep_matrix.csv and assignment.csv (each period's
     nearest representative, its dirac row)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "reps.csv", "w", encoding="utf-8") as handle:
-        handle.write("rep,source_period\n")
-        for j in range(selection.n_rp):
-            source = "" if selection.source_indices is None else selection.source_indices[j] + 1
-            handle.write(f"{j + 1},{source}\n")
-    with open(out_dir / "rep_matrix.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["row"] + [f"rep{j + 1}" for j in range(selection.n_rp)])
-        for label, values in zip(cmatrix.row_labels, selection.rep_matrix.tolist()):
-            writer.writerow([label] + [repr(v) for v in values])
+    sources = selection.source_indices
+    write_csv(out_dir / "reps.csv", ["rep", "source_period"],
+              ((j + 1, None if sources is None else sources[j] + 1)
+               for j in range(selection.n_rp)))
+    write_csv(out_dir / "rep_matrix.csv",
+              ["row"] + [f"rep{j + 1}" for j in range(selection.n_rp)],
+              ([label] + values
+               for label, values in zip(cmatrix.row_labels, selection.rep_matrix.tolist())))
     hard = fit_weights(selection.rep_matrix, cmatrix.values, "dirac").values.argmax(axis=1)
-    with open(out_dir / "assignment.csv", "w", encoding="utf-8") as handle:
-        handle.write("period,rep\n")
-        for d, r in enumerate(hard):
-            handle.write(f"{d + 1},{r + 1}\n")
-
-
-def write_weights_csv(weights: WeightMatrix, path: Path):
-    """Serialize a weight matrix as (period, rep, value) rows, 1-based."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["period", "rep", "value"])
-        for d in range(weights.n_periods):
-            for r in range(weights.n_rp):
-                writer.writerow([d + 1, r + 1, repr(float(weights.values[d, r]))])
+    write_csv(out_dir / "assignment.csv", ["period", "rep"],
+              ((d + 1, r + 1) for d, r in enumerate(hard.tolist())))
 
 
 @main.command()
@@ -173,7 +159,9 @@ def fit_weights_cmd(data_path, method, weight_type, n_rp, seed, out_dir):
     _, cmatrix, selection, weights = _select_and_fit(
         data_path, method, weight_type, n_rp, seed)
     _write_selection(selection, cmatrix, out_dir)
-    write_weights_csv(weights, out_dir / "weights.csv")
+    write_csv(out_dir / "weights.csv", ["period", "rep", "value"],
+              ((d + 1, r + 1, value) for d, row in enumerate(weights.values.tolist())
+               for r, value in enumerate(row)))
     click.echo(f"fitted {weight_type} weights; mean projection error "
                f"{weights.projection_errors.mean():.6g}")
 
@@ -215,9 +203,8 @@ def solve_full(data_path, mode, out_dir):
         sys.exit(3)
     click.echo(f"objective: {solution.objective!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "full_solution.csv", "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(
-            [("variable", "value"), *zip(model.var_names, map(repr, solution.x.tolist()))])
+    write_csv(out_dir / "full_solution.csv", ["variable", "value"],
+              zip(model.var_names, solution.x.tolist()))
 
 
 def _class_names(cls: type) -> set[str]:

@@ -248,12 +248,13 @@ def _parse_int(text: str, file: str, line: int, column: str) -> int:
 @contextmanager
 def _open_csv(path: Path, required: tuple[str, ...]):
     """A ``csv.reader`` positioned after the header, and the header, which
-    must name every ``required`` column.  A CSV fault (a cell over the field
+    must name every ``required`` column.  A leading byte-order mark, as
+    spreadsheet exports write, is dropped.  A CSV fault (a cell over the field
     limit) raises DataError at its line, non-UTF-8 text one without a line."""
     fname = path.name
     if not path.exists():
         raise DataError("file not found", fname)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -269,7 +270,7 @@ def _open_csv(path: Path, required: tuple[str, ...]):
             raise DataError(f"not UTF-8 text: {exc.reason}", fname) from None
 
 
-def _read_csv(path: Path, required: tuple[str, ...]):
+def read_csv(path: Path, required: tuple[str, ...]):
     """Yield (line_number, row_dict) for every data row; checks the header.
     Blank lines are skipped, cells missing from a short row read as blank,
     and a non-blank cell past the header is an error.  The line number is
@@ -286,6 +287,27 @@ def _read_csv(path: Path, required: tuple[str, ...]):
             yield reader.line_num, dict(zip(header, cells))
 
 
+def _cell(value) -> str:
+    """The CSV text of one value: blank for None, ``repr`` for a float (a
+    numpy float too, which ``repr`` alone writes as ``np.float64(...)``), and
+    ``str`` for anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path: Path | str, header, rows):
+    """Write ``header`` and then ``rows``, each cell through ``_cell``, as
+    UTF-8 CSV with ``\\n`` line ends on every platform: the format of every
+    file the package writes, and the one ``read_csv`` reads back."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
 def _load_config(root: Path) -> dict:
     path = root / "config.json"
     if not path.exists():
@@ -296,6 +318,15 @@ def _load_config(root: Path) -> dict:
         raise DataError(f"invalid JSON: {exc.msg}", "config.json", exc.lineno) from None
     except UnicodeDecodeError as exc:
         raise DataError(f"not UTF-8 text: {exc.reason}", "config.json") from None
+
+
+def _json_number(value, whole: bool = False) -> bool:
+    """Whether a ``config.json`` value is a JSON number, and a whole one when
+    ``whole``: ``int()`` and ``float()`` would also take the string "1",
+    ``true`` (a Python int) and, for a count, 1.9 as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not whole or isinstance(value, int) or value.is_integer()
 
 
 def load_system(root: Path | str) -> EnergySystem:
@@ -317,14 +348,11 @@ def load_system(root: Path | str) -> EnergySystem:
     for key in ("num_periods", "hours_per_period"):
         if key not in hz:
             raise DataError(f"horizon is missing {key!r}", "config.json")
-    # int() and float() would read 1.9 as 1 and true as 1
     counts = ("num_periods", "hours_per_period")
     for key in counts + ("timestep_hours", "hours_per_year"):
-        value = hz.get(key)
-        fractional = key in counts and isinstance(value, float) and not value.is_integer()
-        if isinstance(value, bool) or fractional:
+        if key in hz and not _json_number(hz[key], whole=key in counts):
             kind = "a whole number" if key in counts else "a number"
-            raise DataError(f"bad horizon: {key} must be {kind}, got {json.dumps(value)}",
+            raise DataError(f"bad horizon: {key} must be {kind}, got {json.dumps(hz[key])}",
                             "config.json")
     try:
         horizon = Horizon(
@@ -333,7 +361,7 @@ def load_system(root: Path | str) -> EnergySystem:
             timestep_hours=float(hz.get("timestep_hours", 1.0)),
             hours_per_year=(float(hz["hours_per_year"]) if "hours_per_year" in hz else None),
         )
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise DataError(f"bad horizon: {exc}", "config.json") from None
     mode = cfg["mode"]
     if mode not in MODES:
@@ -357,20 +385,14 @@ def load_system(root: Path | str) -> EnergySystem:
         for carrier, value in per_carrier.items():
             if carrier not in carriers:
                 raise DataError(f"peak_demand references unknown carrier {carrier!r}", "config.json")
-            try:
-                peak = float(value)
-            except (ValueError, TypeError):
-                peak = math.nan
-            if math.isnan(peak):
-                raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be a number",
-                                "config.json")
-            if math.isinf(peak):
-                raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be finite",
-                                "config.json")
-            if peak < 0:
-                raise DataError(f"peak_demand[{node!r}][{carrier!r}] must be >= 0",
-                                "config.json")
-            peaks[(node, carrier)] = peak
+            where = f"peak_demand[{node!r}][{carrier!r}]"
+            if not _json_number(value) or math.isnan(value):
+                raise DataError(f"{where} must be a number", "config.json")
+            if math.isinf(value):
+                raise DataError(f"{where} must be finite", "config.json")
+            if value < 0:
+                raise DataError(f"{where} must be >= 0", "config.json")
+            peaks[(node, carrier)] = float(value)
 
     assets = _load_assets(root / "assets.csv", nodes, carriers)
     asset_by_name = {a.name: a for a in assets}
@@ -402,7 +424,7 @@ def load_system(root: Path | str) -> EnergySystem:
     if bounds_path.exists():
         fname = bounds_path.name
         seen: set[tuple[str, int]] = set()
-        for ln, row in _read_csv(bounds_path, ("asset", "period", "min_frac", "max_frac")):
+        for ln, row in read_csv(bounds_path, ("asset", "period", "min_frac", "max_frac")):
             name = row["asset"].strip()
             if name not in asset_by_name:
                 raise DataError(f"unknown asset {name!r}", fname, ln)
@@ -509,7 +531,7 @@ def _fill_hourly_rows(path: Path, key_columns: tuple[str, ...], D: int, H: int,
     raises DataError at the line of the first fault."""
     fname = path.name
     target: dict = {}
-    for ln, row in _read_csv(path, key_columns + ("period", "hour", "value")):
+    for ln, row in read_csv(path, key_columns + ("period", "hour", "value")):
         key = _hourly_key(row[c] for c in key_columns)
         message = key_error(key)
         if message is not None:
@@ -536,7 +558,7 @@ def _load_assets(path: Path, nodes: list[str], carriers: list[str]) -> list[Asse
     fname = path.name
     assets: list[Asset] = []
     seen: set[str] = set()
-    for ln, row in _read_csv(path, ("name", "node", "kind")):
+    for ln, row in read_csv(path, ("name", "node", "kind")):
         get = lambda c: (row.get(c) or "").strip()
         name = get("name")
         if not name:
@@ -608,8 +630,8 @@ def _load_lines(path: Path, nodes: list[str], carriers: list[str]) -> list[Line]
     fname = path.name
     lines: list[Line] = []
     seen: set[str] = set()
-    for ln, row in _read_csv(path, ("name", "from_node", "to_node", "carrier",
-                                    "import_limit", "export_limit")):
+    for ln, row in read_csv(path, ("name", "from_node", "to_node", "carrier",
+                                   "import_limit", "export_limit")):
         name = row["name"].strip()
         if not name:
             raise DataError("empty line name", fname, ln)

@@ -11,7 +11,6 @@ solve starts from that basis: a fixed model differs only in its bounds.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import time
@@ -26,11 +25,12 @@ import numpy as np
 from .clustering import RepSelection, greedy_hull, kmeans, kmedoids
 from .data import (
     DataError,
-    _read_csv,
     build_clustering_matrix,
     extract_rep_profiles,
     load_system,
+    read_csv,
     require_valid,
+    write_csv,
 )
 from .model import LpModel, build_full_model, build_model, fix_decisions
 from .solve import Solution, SolverError, SolverHandle, basis_codes, basis_from_codes, solve
@@ -304,23 +304,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 RESULT_COLUMNS = [f.name for f in fields(ExperimentRecord)] + ["total_time"]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results_csv(records: list[ExperimentRecord], path: Path | str):
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for record in records:
-            row = [_cell(getattr(record, name)) for name in RESULT_COLUMNS[:-1]]
-            row.append(_cell(record.total_time))
-            writer.writerow(row)
+    write_csv(path, RESULT_COLUMNS,
+              ([getattr(record, name) for name in RESULT_COLUMNS] for record in records))
 
 
 def load_records(path: Path | str) -> list[ExperimentRecord]:
@@ -337,7 +323,7 @@ def load_records(path: Path | str) -> list[ExperimentRecord]:
     columns = fields(ExperimentRecord)
     required = tuple(f.name for f in columns if f.default is MISSING)
     records = []
-    for line, row in _read_csv(path, required):
+    for line, row in read_csv(path, required):
         kwargs = {}
         for f in columns:
             text = row.get(f.name, "")
@@ -379,10 +365,6 @@ def emit_plot_data(records: list[ExperimentRecord], out_dir: Path | str):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(records, out_dir / "results.csv")
-    with open(out_dir / "pareto.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["case", "method", "weight_type", "n_rp", "seed",
-                         "total_time", "regret_pct"])
-        for rec in pareto_front(records):
-            writer.writerow([rec.case, rec.method, rec.weight_type, rec.n_rp,
-                             rec.seed, _cell(rec.total_time), _cell(rec.regret_pct)])
+    columns = ["case", "method", "weight_type", "n_rp", "seed", "total_time", "regret_pct"]
+    write_csv(out_dir / "pareto.csv", columns,
+              ([getattr(rec, name) for name in columns] for rec in pareto_front(records)))

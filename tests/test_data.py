@@ -151,6 +151,16 @@ class TestLoadSystem:
          "^config.json: bad horizon: timestep_hours must be a number, got true$"),
         ("horizon", {"num_periods": 1, "hours_per_period": 2, "hours_per_year": True},
          "^config.json: bad horizon: hours_per_year must be a number, got true$"),
+        ("horizon", {"num_periods": "1", "hours_per_period": 2},
+         '^config.json: bad horizon: num_periods must be a whole number, got "1"$'),
+        ("horizon", {"num_periods": 1, "hours_per_period": "2"},
+         '^config.json: bad horizon: hours_per_period must be a whole number, got "2"$'),
+        ("horizon", {"num_periods": 1, "hours_per_period": 2, "timestep_hours": "1.0"},
+         '^config.json: bad horizon: timestep_hours must be a number, got "1.0"$'),
+        ("horizon", {"num_periods": 1, "hours_per_period": 2, "hours_per_year": " 2 "},
+         '^config.json: bad horizon: hours_per_year must be a number, got " 2 "$'),
+        ("peak_demand", {"n1": {"el": "2.0"}},
+         r"^config.json: peak_demand\['n1'\]\['el'\] must be a number$"),
     ])
     def test_wrongly_typed_config_values(self, tmp_path, mini_gep_path, key, value, match):
         import json
@@ -328,6 +338,20 @@ class TestLoadSystem:
             handle.write(b"\xff\xfe")
         with pytest.raises(DataError, match=rf"^{file}: not UTF-8 text: invalid start byte$"):
             load_system(root)
+
+    def test_byte_order_mark_dropped(self, tmp_path, synthetic_gep_path):
+        # spreadsheet exports often start a CSV with a UTF-8 byte-order mark
+        root = tmp_path / "bom"
+        shutil.copytree(synthetic_gep_path, root)
+        for path in root.glob("*.csv"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        expected, system = load_system(synthetic_gep_path), load_system(root)
+        assert (system.horizon, system.assets, system.lines, system.peak_demand) == \
+            (expected.horizon, expected.assets, expected.lines, expected.peak_demand)
+        for attr in ("demand", "availability", "inflow", "storage_min", "storage_max"):
+            loaded, arrays = getattr(system, attr), getattr(expected, attr)
+            assert list(loaded) == list(arrays), attr
+            assert all(loaded[key].tobytes() == arr.tobytes() for key, arr in arrays.items())
 
     @pytest.mark.parametrize("file", ["demand.csv", "assets.csv"])
     def test_trailing_blank_cells_allowed(self, dataset_with, file):

@@ -471,7 +471,9 @@ class TestResultsCsv:
                    self.make_record(seed=2, regret_pct=None, objective_fixed=None,
                                     objective_full=None, error="RuntimeError: x"),
                    self.make_record(seed=3, regret_pct=None,
-                                    error='DataError: bad cell (period 1, hour 2), "quoted"')]
+                                    error='DataError: bad cell (period 1, hour 2), "quoted"'),
+                   # numpy 2 gives repr(np.float64(7.4)) as "np.float64(7.4)"
+                   self.make_record(seed=4, regret_pct=np.float64(7.4))]
         path = tmp_path / "results.csv"
         write_results_csv(records, path)
         assert load_records(path) == records

@@ -1,10 +1,9 @@
 """Unit tests for the solver adapter and the LP file writer, including a
-round-trip through an independent parser of the emitted format."""
+read-back of the emitted format through HiGHS's own LP reader."""
 
 import ast
 import hashlib
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -42,70 +41,6 @@ def add_row(model: LpModel, name: str, terms, sense: str, rhs: float):
     """Append one row named ``name`` from (column, coefficient) pairs."""
     cols = np.array([col for col, _ in terms], dtype=np.int64)
     model.name_rows(name, None, "", model.add_rows(cols, [val for _, val in terms], sense, rhs))
-
-
-def parse_lp_file(text: str) -> LpModel:
-    """Independent reader for the emitted LP format, used to verify the
-    writer captures the model faithfully."""
-    model = LpModel("parsed")
-    term_re = re.compile(r"([+-])\s+(\S+)\s+(\S+)")
-    columns: dict[str, int] = {}
-
-    def ensure_var(name):
-        if name not in columns:
-            columns[name] = add_var(model, name)
-        return columns[name]
-
-    def parse_terms(chunk):
-        terms = []
-        for sign, coef, name in term_re.findall(chunk):
-            value = float(coef) * (1.0 if sign == "+" else -1.0)
-            terms.append((ensure_var(name), value))
-        return terms
-
-    section = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        if line in ("Minimize", "Subject To", "Bounds", "End"):
-            section = line
-            continue
-        if section == "Minimize":
-            _, expr = line.split(":", 1)
-            # normalize the leading term so every term carries a sign
-            expr = expr.strip()
-            if not expr.startswith(("+", "-")):
-                expr = "+ " + expr
-            for idx, coef in parse_terms(expr):
-                model.cost[idx] += coef
-        elif section == "Subject To":
-            name, rest = line.split(":", 1)
-            match = re.match(r"(.*?)(<=|>=|=)\s*(\S+)\s*$", rest.strip())
-            body, sense, rhs = match.groups()
-            if not body.strip().startswith(("+", "-")):
-                body = "+ " + body.strip()
-            sense = {"=": "==", "<=": "<=", ">=": ">="}[sense]
-            add_row(model, name.strip(), parse_terms(body), sense, float(rhs))
-        elif section == "Bounds":
-            if line.endswith(" free"):
-                idx = ensure_var(line[:-5].strip())
-                model.lb[idx] = -math.inf
-            elif "<=" in line:
-                parts = [p.strip() for p in line.split("<=")]
-                lo, name, hi = parts
-                idx = ensure_var(name)
-                model.lb[idx] = -math.inf if lo == "-inf" else float(lo)
-                model.ub[idx] = float(hi)
-            elif ">=" in line:
-                name, lo = [p.strip() for p in line.split(">=")]
-                idx = ensure_var(name)
-                model.lb[idx] = float(lo)
-            elif "=" in line:
-                name, value = [p.strip() for p in line.split("=")]
-                idx = ensure_var(name)
-                model.lb[idx] = model.ub[idx] = float(value)
-    return model
 
 
 class TestSolve:
@@ -330,7 +265,8 @@ class TestBasisCodec:
 
 def test_only_solve_imports_highs():
     # scipy's HiGHS bindings are private and may change with any release:
-    # one module speaks to them, and model.py imports no scipy at all
+    # one module speaks to them, and model.py imports no scipy at all.  One
+    # module speaks CSV too: data.py reads and writes every file
     imports = {}
     for path in sorted(Path(repblend.__file__).parent.glob("*.py")):
         names = []
@@ -343,6 +279,7 @@ def test_only_solve_imports_highs():
     assert {file for file, names in imports.items()
             if any(name.startswith("scipy.optimize._highspy") for name in names)} == {"solve.py"}
     assert [name for name in imports["model.py"] if name.startswith("scipy")] == []
+    assert {file for file, names in imports.items() if "csv" in names} == {"data.py"}
 
 
 class TestPinnedDecisions:
@@ -396,7 +333,7 @@ class TestWriteLpFile:
         assert digests == self.PINNED
 
     def test_highs_reads_back_pinned_models(self, pinned_models, tmp_path):
-        # HiGHS's own LP reader is a parser independent of parse_lp_file
+        # HiGHS's own LP reader is a parser independent of write_lp_file
         for label, model in pinned_models.items():
             write_lp_file(model, tmp_path / "m.lp")
             highs = highspy._Highs()
@@ -426,25 +363,6 @@ class TestWriteLpFile:
         assert "inv_g1" in text
         assert "pout_g1_r1_h2" in text
 
-    def test_roundtrip_solves_to_same_objective(self, synthetic_gep_path, tmp_path):
-        system = load_system(synthetic_gep_path)
-        model = build_full_model(system)
-        direct = solve(model)
-        write_lp_file(model, tmp_path / "m.lp")
-        parsed = parse_lp_file((tmp_path / "m.lp").read_text())
-        assert parsed.num_vars == model.num_vars
-        assert parsed.num_constraints == model.num_constraints
-        reread = solve(parsed)
-        assert reread.status == "optimal"
-        assert reread.objective == pytest.approx(direct.objective, abs=1e-8 * (1 + abs(direct.objective)))
-
-    def test_roundtrip_p2x(self, synthetic_p2x_path, tmp_path):
-        system = load_system(synthetic_p2x_path)
-        model = build_full_model(system)
-        write_lp_file(model, tmp_path / "m.lp")
-        parsed = parse_lp_file((tmp_path / "m.lp").read_text())
-        assert solve(parsed).objective == pytest.approx(solve(model).objective, rel=1e-9)
-
     def test_bounds_section_forms(self, tmp_path):
         m = LpModel()
         add_var(m, "a")                             # default, omitted
@@ -461,7 +379,9 @@ class TestWriteLpFile:
         assert " -inf <= e <= 4" in text
         assert " f = 2.5" in text
         assert "\n a" not in text.split("Bounds")[1]
-        parsed = parse_lp_file(text)
-        for name in "abcdef":
-            original, back = m.var_names.index(name), parsed.var_names.index(name)
-            assert (m.lb[original], m.ub[original]) == (parsed.lb[back], parsed.ub[back])
+        highs = highspy._Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(tmp_path / "m.lp")) == highspy.HighsStatus.kOk
+        lp = highs.getLp()
+        assert lp.col_names_ == m.var_names
+        assert (lp.col_lower_, lp.col_upper_) == (m.lb.tolist(), m.ub.tolist())

@@ -27,8 +27,8 @@ from .harness import (
     ExperimentConfig,
     cluster_matrix,
     emit_plot_data,
+    iter_seed_runs,
     load_records,
-    run_experiment,
     solve_full_cached,
 )
 from .model import build_full_model, build_model
@@ -41,13 +41,18 @@ _ERRORS = {DataError: (2, "data error"), ValueError: (2, "data error"),
            SolverError: (3, "solver error")}
 
 
+def _family(exc: Exception) -> tuple[int, str]:
+    """Exit code and label of ``exc``'s nearest class in ``_ERRORS``, else 1."""
+    return next((_ERRORS[cls] for cls in type(exc).__mro__ if cls in _ERRORS), (1, "error"))
+
+
 def _handle_errors(func):
     @wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
         except tuple(_ERRORS) as exc:
-            code, label = next(_ERRORS[cls] for cls in type(exc).__mro__ if cls in _ERRORS)
+            code, label = _family(exc)
             click.echo(f"{label}: {exc}", err=True)
             sys.exit(code)
     return wrapper
@@ -207,17 +212,6 @@ def solve_full(data_path, mode, out_dir):
               zip(model.var_names, solution.x.tolist()))
 
 
-def _class_names(cls: type) -> set[str]:
-    return {cls.__name__}.union(*map(_class_names, cls.__subclasses__()))
-
-
-def _exit_code(error: str) -> int:
-    """Exit code of a record's error text, "<type>: <message>": the code
-    ``_handle_errors`` gives an error of that type, else 1."""
-    name = error.split(":", 1)[0]
-    return next((code for cls, (code, _) in _ERRORS.items() if name in _class_names(cls)), 1)
-
-
 @main.command()
 @_reduction
 @_mode
@@ -227,7 +221,9 @@ def _exit_code(error: str) -> int:
 @_handle_errors
 def experiment(data_path, method, weight_type, n_rp, mode, seeds, out_dir):
     """Run the full pipeline over all seeds and emit results/pareto CSVs."""
-    records = run_experiment(ExperimentConfig(data_path, method, weight_type, n_rp, seeds, mode))
+    runs = list(iter_seed_runs(
+        ExperimentConfig(data_path, method, weight_type, n_rp, seeds, mode)))
+    records = [run.record() for run in runs]
     emit_plot_data(records, out_dir)
     for record in records:
         if record.error:
@@ -236,7 +232,7 @@ def experiment(data_path, method, weight_type, n_rp, mode, seeds, out_dir):
             click.echo(f"seed {record.seed}: regret {record.regret_pct:.4f}% "
                        f"(total {record.total_time:.2f}s)")
     if all(r.error for r in records):
-        sys.exit(_exit_code(records[0].error))
+        sys.exit(_family(runs[0].error)[0])
     click.echo(f"wrote {out_dir / 'results.csv'}")
 
 

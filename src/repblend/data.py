@@ -313,11 +313,17 @@ def _load_config(root: Path) -> dict:
     if not path.exists():
         raise DataError("config.json not found", "config.json")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc.msg}", "config.json", exc.lineno) from None
     except UnicodeDecodeError as exc:
         raise DataError(f"not UTF-8 text: {exc.reason}", "config.json") from None
+
+
+def _json_int(text: str) -> int | float:
+    """A JSON integer; one too large for a float reads as inf, as 1e400 does."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
 
 
 def _json_number(value, whole: bool = False) -> bool:

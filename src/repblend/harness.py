@@ -17,6 +17,7 @@ import time
 import typing
 import warnings
 import zipfile
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .data import (
 )
 from .model import LpModel, build_full_model, build_model, fix_decisions
 from .solve import Solution, SolverError, SolverHandle, basis_codes, basis_from_codes, solve
-from .weights import canonical_weight_type, fit_weights
+from .weights import WeightMatrix, canonical_weight_type, fit_weights
 
 METHODS = ("kmeans", "kmedoids", "hull")
 
@@ -238,31 +239,63 @@ def _optimal(stage: str, solution: Solution) -> Solution:
     return solution
 
 
-def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Run the pipeline once per seed; failures are recorded per seed
-    without aborting the sweep.
+@dataclass
+class SeedRun:
+    """What one seed's pass computed, up to the stage that raised ``error``:
+    the ``ExperimentRecord`` stage times, the selection, weights and reduced
+    model, and the set-up's full solution (one object for every run of a
+    config) with the reduced and fixed solutions, whatever their status."""
 
-    Only the clustering depends on the seed, so a set-up runs once per
-    config: load, validate and stack the clustering matrix (together
-    ``t_read``), check the number of representatives, then build the full
-    model and solve it through the cache.  A failure there gives every seed
-    a record with the same error, and the resolved mode and ``t_read`` once
-    the read has finished.  Each seed then runs one straight pass: cluster,
-    fit, build and solve the reduced model, fix its first-stage decisions
-    in the full model, solve that and score the regret.
+    config: ExperimentConfig
+    seed: int
+    mode: str
+    times: dict[str, float]  # t_read, then t_cluster ... t_fixed_solve as each ends
+    full_solution: Solution | None = None
+    selection: RepSelection | None = None
+    weights: WeightMatrix | None = None
+    reduced: LpModel | None = None
+    reduced_solution: Solution | None = None
+    fixed_solution: Solution | None = None
+    regret_pct: float | None = None
+    error: Exception | None = None
+
+    def record(self) -> ExperimentRecord:
+        """This run as a results row, with the fields of each stage it
+        reached (the reduced solve's once it is optimal) and its error as
+        "<type>: <message>"."""
+        config, reduced, fixed = self.config, self.reduced_solution, self.fixed_solution
+        error = "" if self.error is None else f"{type(self.error).__name__}: {self.error}"
+        row = dict(self.times, regret_pct=self.regret_pct, error=error)
+        if self.weights is not None:
+            errors = self.weights.projection_errors
+            row.update(proj_err_mean=float(errors.mean()), proj_err_max=float(errors.max()))
+        if reduced is not None and reduced.status == "optimal":
+            row.update(objective_reduced=reduced.objective, iterations_reduced=reduced.iterations,
+                       objective_full=self.full_solution.objective)
+        if fixed is not None:
+            row.update(objective_fixed=fixed.objective, iterations_fixed=fixed.iterations)
+        return ExperimentRecord(config.data_path.name, self.mode, config.method,
+                                config.weight_type, config.n_rp, self.seed, **row)
+
+
+def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
+    """Yield one ``SeedRun`` per seed, running each pass only when its run
+    is asked for; a failure ends its own run, not the sweep.
+
+    The first request runs the set-up, once per config: read, validate and
+    stack the clustering matrix (``t_read``), check the number of
+    representatives, build the full model and solve it through the cache;
+    a failure there is every run's error.  Each pass clusters, fits, builds
+    and solves the reduced model, fixes its first-stage decisions in the
+    full model, solves that and scores the regret.
     """
-    records = [ExperimentRecord(case=Path(config.data_path).name, mode=config.mode or "",
-                                method=config.method, weight_type=config.weight_type,
-                                n_rp=config.n_rp, seed=seed)
-               for seed in config.seeds]
+    mode, t_read = config.mode or "", 0.0
     try:
         start = time.perf_counter()
         system = require_valid(load_system(config.data_path))
         cmatrix = build_clustering_matrix(system)
         t_read = time.perf_counter() - start
         mode = config.mode or system.mode
-        for record in records:
-            record.mode, record.t_read = mode, t_read
         if config.n_rp > cmatrix.num_periods:
             raise DataError(f"number of representatives {config.n_rp} "
                             f"outside 1..{cmatrix.num_periods}")
@@ -270,35 +303,38 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
         full_model = build_full_model(system, mode=mode)
         full_solution = _optimal("full", solve_full_cached(
             full_model, config.data_path, mode, handle, config.cache_dir))
-    except Exception as exc:  # noqa: BLE001 - failures become record rows
-        for record in records:
-            record.error = f"{type(exc).__name__}: {exc}"
-        return records
+    except Exception as exc:  # noqa: BLE001 - a failure is kept on its run
+        for seed in config.seeds:
+            yield SeedRun(config, seed, mode, {"t_read": t_read}, error=exc)
+        return
 
-    for record in records:
+    for seed in config.seeds:
+        times = {"t_read": t_read}
+        run = SeedRun(config, seed, mode, times, full_solution)
         try:
-            selection, record.t_cluster = _timed(
+            run.selection, times["t_cluster"] = _timed(
                 cluster_matrix, cmatrix.values, config.method, config.weight_type,
-                config.n_rp, record.seed)
-            weights, record.t_fit = _timed(
-                fit_weights, selection.rep_matrix, cmatrix.values, config.weight_type)
-            record.proj_err_mean = float(weights.projection_errors.mean())
-            record.proj_err_max = float(weights.projection_errors.max())
-            reduced, record.t_build = _timed(lambda: build_model(
-                system, extract_rep_profiles(system, selection, cmatrix), weights, mode=mode))
-            reduced_solution, record.t_solve = _timed(solve, reduced, handle)
-            record.objective_reduced = _optimal("reduced", reduced_solution).objective
-            record.iterations_reduced = reduced_solution.iterations
-            record.objective_full = full_solution.objective
-            fixed = fix_decisions(full_model, reduced, reduced_solution, mode)
-            fixed_solution, record.t_fixed_solve = _timed(
+                config.n_rp, seed)
+            run.weights, times["t_fit"] = _timed(
+                fit_weights, run.selection.rep_matrix, cmatrix.values, config.weight_type)
+            run.reduced, times["t_build"] = _timed(lambda: build_model(
+                system, extract_rep_profiles(system, run.selection, cmatrix), run.weights,
+                mode=mode))
+            run.reduced_solution, times["t_solve"] = _timed(solve, run.reduced, handle)
+            fixed = fix_decisions(full_model, run.reduced,
+                                  _optimal("reduced", run.reduced_solution), mode)
+            run.fixed_solution, times["t_fixed_solve"] = _timed(
                 solve, fixed, handle, basis=full_solution.basis)
-            record.iterations_fixed = fixed_solution.iterations
-            record.objective_fixed = _optimal("fixed", fixed_solution).objective
-            record.regret_pct = compute_regret(record.objective_fixed, full_solution.objective)
-        except Exception as exc:  # noqa: BLE001 - failures become record rows
-            record.error = f"{type(exc).__name__}: {exc}"
-    return records
+            run.regret_pct = compute_regret(_optimal("fixed", run.fixed_solution).objective,
+                                            full_solution.objective)
+        except Exception as exc:  # noqa: BLE001 - a failure is kept on its run
+            run.error = exc
+        yield run
+
+
+def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
+    """One record per seed: the runs of ``iter_seed_runs``."""
+    return [run.record() for run in iter_seed_runs(config)]
 
 
 RESULT_COLUMNS = [f.name for f in fields(ExperimentRecord)] + ["total_time"]

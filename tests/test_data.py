@@ -174,6 +174,33 @@ class TestLoadSystem:
         with pytest.raises(DataError, match=match):
             load_system(root)
 
+    @pytest.mark.parametrize("section,key,digits,match", [
+        pytest.param("peak_demand", "el", "1" + "0" * 400,
+                     r"peak_demand\['n1'\]\['el'\] must be finite", id="peak"),
+        pytest.param("peak_demand", "el", "-" + "9" * 401,
+                     r"peak_demand\['n1'\]\['el'\] must be finite", id="negative-peak"),
+        pytest.param("horizon", "hours_per_year", "1" + "0" * 400,
+                     "bad horizon: hours_per_year must be finite", id="year"),
+        # past the 4300 digits up to which Python converts a string to an int
+        pytest.param("horizon", "hours_per_year", "7" * 5000,
+                     "bad horizon: hours_per_year must be finite", id="year-5000-digits"),
+        pytest.param("horizon", "timestep_hours", "1" + "0" * 400,
+                     "bad horizon: timestep_hours must be finite", id="timestep"),
+    ])
+    def test_integer_too_large_for_a_float(self, tmp_path, mini_gep_path, section, key, digits,
+                                           match):
+        # a JSON integer has no size limit; as a float it is infinite, like 1e400
+        import json
+
+        root = tmp_path / "huge"
+        shutil.copytree(mini_gep_path, root)
+        cfg = json.loads((root / "config.json").read_text())
+        (cfg["peak_demand"]["n1"] if section == "peak_demand" else cfg["horizon"])[key] = 424242
+        text = json.dumps(cfg)
+        (root / "config.json").write_text(text.replace("424242", digits))
+        with pytest.raises(DataError, match=f"^config.json: {match}$"):
+            load_system(root)
+
     def test_whole_float_horizon_counts_load(self, tmp_path, mini_gep_path):
         import json
 
@@ -340,10 +367,11 @@ class TestLoadSystem:
             load_system(root)
 
     def test_byte_order_mark_dropped(self, tmp_path, synthetic_gep_path):
-        # spreadsheet exports often start a CSV with a UTF-8 byte-order mark
+        # spreadsheet exports and some editors start a file with a UTF-8
+        # byte-order mark
         root = tmp_path / "bom"
         shutil.copytree(synthetic_gep_path, root)
-        for path in root.glob("*.csv"):
+        for path in [*root.glob("*.csv"), root / "config.json"]:
             path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         expected, system = load_system(synthetic_gep_path), load_system(root)
         assert (system.horizon, system.assets, system.lines, system.peak_demand) == \

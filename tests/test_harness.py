@@ -1,6 +1,7 @@
 """Unit tests for the experiment pipeline, regret accounting, result CSVs
 and the command-line interface."""
 
+import collections
 import csv
 import json
 import os
@@ -26,6 +27,7 @@ from repblend.harness import (
     cluster_matrix,
     compute_regret,
     emit_plot_data,
+    iter_seed_runs,
     load_records,
     model_key,
     pareto_front,
@@ -35,6 +37,8 @@ from repblend.harness import (
 )
 from repblend.solve import SolverHandle, SolverNumericalError, basis_codes, solve
 from repblend.weights import fit_weights
+
+import spans
 
 NON_TIMING_FIELDS = [f.name for f in fields(ExperimentRecord)
                      if not f.name.startswith("t_")]
@@ -456,6 +460,67 @@ class TestRunExperiment:
                 assert abs(record.regret_pct) <= 1e-4, (method, weight_type, record.regret_pct)
 
 
+# the harness globals the benchmark's tracer (perfbench/spans.py) wraps and
+# the harness looks up at call time; the harness validates through
+# require_valid, so the tracer counts validations at data.validate_profiles
+HARNESS_TARGETS = sorted({attr for places in spans.TARGETS.values() for module, attr in places
+                          if module == "repblend.harness" and attr != "validate_profiles"})
+CLUSTERERS = {"kmeans": "kmeans", "kmedoids": "kmedoids", "hull": "greedy_hull"}
+
+
+class TestSeedRuns:
+    @pytest.mark.parametrize("method,weight_type", [
+        ("kmeans", "dirac"), ("kmedoids", "convex"), ("hull", "conic")])
+    def test_benchmark_targets_called(self, mini_gep_path, tmp_path, monkeypatch, method,
+                                      weight_type):
+        calls = collections.Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in HARNESS_TARGETS:  # an AttributeError if the harness lost the name
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        config = ExperimentConfig(mini_gep_path, method, weight_type, 1, seeds=(1,),
+                                  cache_dir=tmp_path / "cache")
+        [record] = run_experiment(config)
+        assert record.error == ""
+        other_clusterers = set(CLUSTERERS.values()) - {CLUSTERERS[method]}
+        assert {name for name in HARNESS_TARGETS if not calls[name]} == other_clusterers
+
+    def test_runs_are_lazy_and_match_their_records(self, synthetic_gep_path, tmp_path,
+                                                   monkeypatch):
+        config = ExperimentConfig(synthetic_gep_path, "kmeans", "convex", 3, seeds=(1, 2, 3),
+                                  cache_dir=tmp_path / "cache")
+        seeds = []
+
+        def clustering(*args):
+            seeds.append(args[-1])
+            return cluster_matrix(*args)
+
+        monkeypatch.setattr(harness, "cluster_matrix", clustering)
+        runs = iter_seed_runs(config)
+        first = next(runs)
+        assert seeds == [1]
+        runs = [first, *runs]
+        assert seeds == [1, 2, 3]
+        for run, record in zip(runs, run_experiment(config), strict=True):
+            assert run.error is None and record.error == ""
+            assert float(run.weights.projection_errors.mean()) == record.proj_err_mean
+            assert run.reduced_solution.objective == record.objective_reduced
+            assert run.fixed_solution.objective == record.objective_fixed
+            assert record_key(run.record()) == record_key(record)
+
+    def test_setup_failure_is_every_runs_error(self, tmp_path):
+        config = ExperimentConfig(tmp_path / "none", "kmeans", "dirac", 1, seeds=(1, 2))
+        first, second = iter_seed_runs(config)
+        assert isinstance(first.error, DataError) and second.error is first.error
+        assert first.selection is None and first.full_solution is None
+        assert first.record().error == "DataError: config.json: config.json not found"
+
+
 class TestResultsCsv:
     def make_record(self, **overrides):
         base = ExperimentRecord(
@@ -804,20 +869,39 @@ class TestCli:
                           "--n-rp", 1, "--out", tmp_path / "o")
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("error,exit_code", [
-        (PermissionError("cache not readable"), 1),
-        (SolverNumericalError("solver failed: full"), 3),
-    ], ids=["os-error", "solver-error"])
+    @pytest.mark.parametrize("stage,error,exit_code", [
+        ("full", PermissionError("cache not readable"), 1),
+        ("full", SolverNumericalError("solver failed: full"), 3),
+        ("reduced", SolverNumericalError("solver failed: reduced"), 3),
+    ], ids=["os-error", "solver-error", "per-seed-solver-error"])
     def test_experiment_exit_code_follows_the_error(self, mini_gep_copy, tmp_path,
-                                                    monkeypatch, error, exit_code):
+                                                    monkeypatch, stage, error, exit_code):
+        # an error in the set-up (the full solve) or in every seed's pass
+        # (the reduced solve) sets the exit code
+        reduced_models = []
+
         def failing_full_solve(*args):
             raise error
 
-        monkeypatch.setattr(harness, "solve_full_cached", failing_full_solve)
+        def recording_build(*args, **kwargs):
+            reduced_models.append(build_model(*args, **kwargs))
+            return reduced_models[-1]
+
+        def failing_reduced_solve(model, *args, **kwargs):
+            if any(model is reduced for reduced in reduced_models):
+                raise error
+            return solve(model, *args, **kwargs)
+
+        if stage == "full":
+            monkeypatch.setattr(harness, "solve_full_cached", failing_full_solve)
+        else:
+            monkeypatch.setattr(harness, "build_model", recording_build)
+            monkeypatch.setattr(harness, "solve", failing_reduced_solve)
         result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 1,
                           "--seeds", "1,2", "--out", tmp_path / "o")
         assert result.exit_code == exit_code, result.output
         assert result.output.count(f"{type(error).__name__}: {error}") == 2
+        assert len(reduced_models) == (2 if stage == "reduced" else 0)
 
     def test_bad_seeds_rejected(self, mini_gep_copy):
         result = self.run("experiment", "--data", mini_gep_copy, "--seeds", "a,b")

@@ -29,8 +29,8 @@ import pytest
 from generators import make_gep, make_p2x
 from repblend.clustering import HULL_TYPES, greedy_hull
 from repblend.data import build_clustering_matrix, load_system, require_valid
-from repblend.harness import METHODS, ExperimentConfig, cluster_matrix, run_experiment
-from repblend.weights import WEIGHT_TYPES, fit_weights
+from repblend.harness import METHODS, ExperimentConfig, iter_seed_runs, run_experiment
+from repblend.weights import WEIGHT_TYPES
 
 SCALE = 3.0
 N_RP = 4
@@ -71,15 +71,11 @@ def test_scale(request, tmp_path, fixture, method, weight_type):
     base = request.getfixturevalue(fixture)
     runs = []
     for path in (base, scaled_copy(base, tmp_path / "scaled", SCALE)):
-        system = require_valid(load_system(path))
-        cm = build_clustering_matrix(system)
-        selection = cluster_matrix(cm.values, method, weight_type, N_RP, seed=1)
-        weights = fit_weights(selection.rep_matrix, cm.values, weight_type)
         config = ExperimentConfig(path, method, weight_type, N_RP, seeds=(1,),
                                   cache_dir=tmp_path / f"cache-{len(runs)}")
-        [record] = run_experiment(config)
-        assert record.error == ""
-        runs.append((selection, weights, record))
+        [run] = iter_seed_runs(config)
+        assert run.error is None
+        runs.append((run.selection, run.weights, run.record()))
     (selection, weights, record), (scaled_selection, scaled_weights, scaled) = runs
 
     np.testing.assert_array_equal(scaled_selection.rep_matrix, selection.rep_matrix)

@@ -26,6 +26,12 @@ import numpy as np
 
 ASSET_KINDS = ("producer", "storage_short", "storage_seasonal", "conversion")
 MODES = ("gep", "p2x")
+# The most timesteps (num_periods * hours_per_period) a horizon may hold.
+# Every profile series is one (D, H) float64 array and the full model has
+# columns per timestep, so this caps one series at 80 MB, ample for a year
+# at one-minute steps (525,600); a larger horizon is an input error, found
+# before anything of its size is allocated.
+MAX_TIMESTEPS = 10**7
 
 
 class DataError(Exception):
@@ -52,6 +58,9 @@ class Horizon:
     def __post_init__(self):
         if self.num_periods < 1 or self.hours_per_period < 1:
             raise ValueError("num_periods and hours_per_period must be >= 1")
+        if self.num_periods * self.hours_per_period > MAX_TIMESTEPS:
+            raise ValueError(f"num_periods * hours_per_period must be at most {MAX_TIMESTEPS}, "
+                             f"got {self.num_periods * self.hours_per_period}")
         if not self.timestep_hours > 0:
             raise ValueError("timestep_hours must be > 0")
         if math.isinf(self.timestep_hours):

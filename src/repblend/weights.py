@@ -21,10 +21,11 @@ distance kernel, which ``clustering`` also measures every distance by.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import lsq_linear, nnls
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
 
@@ -68,6 +69,12 @@ class WeightMatrix:
         return self.values.sum(axis=0)
 
 
+def _bvls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, None]:
+    """argmin ||A x - b|| over x >= 0 by the bounded-variable least squares
+    of ``lsq_linear``, returned the way ``scipy.optimize.nnls`` returns it."""
+    return lsq_linear(A, b, bounds=(0.0, np.inf), method="bvls").x, None
+
+
 def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -> np.ndarray:
     """Exact minimizer of ||R w - x||^2 over the blended weight space
     ``weight_type`` ("convex", "subunit_conic" or "conic") for every column
@@ -85,7 +92,9 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
       convex, so the constraint is then active).
 
     A point identical to a representative column gets that column's unit
-    row, which is optimal in every space.
+    row, which is optimal in every space.  Every row's KKT conditions are
+    checked, and a row that fails them is fitted again by bounded-variable
+    least squares.
     """
     R = np.asarray(rep_matrix, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
@@ -95,21 +104,46 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
     hit = same.any(axis=1)
     W = np.zeros((X.shape[1], R.shape[1]))
     W[hit, np.argmax(same[hit], axis=1)] = 1.0
+    simplex = np.zeros(len(W), dtype=bool)  # rows fitted with sum(w) = 1
     augmented = np.empty((R.shape[0] + 1, R.shape[1]))
     target = np.zeros(R.shape[0] + 1)
-    for d in np.flatnonzero(~hit):
+
+    def fit(d, solve):
         if weight_type != "convex":
-            w, _ = nnls(R, X[:, d])
+            w, _ = solve(R, X[:, d])
             if weight_type == "conic" or w.sum() <= 1.0:
                 W[d] = w
-                continue
+                return
         A = R - X[:, d, None]
         lam = max(1.0, float(np.abs(A).max()))
         augmented[:-1] = A
         augmented[-1] = lam
         target[-1] = lam
-        u, _ = nnls(augmented, target)
+        u, _ = solve(augmented, target)
         W[d] = u / u.sum()
+        simplex[d] = True
+
+    for d in np.flatnonzero(~hit):
+        fit(d, nnls)
+    # scipy's nnls can stop short of the optimum when columns tie: on the
+    # convex fit of (0, 0, 0, -9.0625, 0.1, -6.40625, 0.9) against the
+    # identity its point is not even stationary on its own support.  So
+    # every row's KKT conditions are checked, with the gradient G of
+    # 0.5 ||R w - x||^2 and the sum constraint's multiplier mu (nonnegative
+    # for sum <= 1), to 1e-9 of a bound on G; a row that fails is fitted
+    # again by bounded-variable least squares
+    G = (W @ R.T - X.T) @ R
+    mu = np.where(simplex, -G.min(axis=1), 0.0)
+    reduced = G + mu[:, None]
+    violation = np.where(W > 0, np.abs(reduced), -reduced).max(axis=1)
+    if weight_type == "subunit_conic":
+        violation = np.maximum(violation, -mu)
+    top = np.abs(R).max(initial=0.0)
+    tol = 1e-9 * R.shape[0] * top * (top * W.sum(axis=1).max(initial=0.0)
+                                     + np.abs(X).max(initial=0.0))
+    for d in np.flatnonzero(violation > tol):
+        simplex[d] = False
+        fit(d, _bvls)
     return W
 
 
@@ -141,7 +175,16 @@ def fit_weights(rep_matrix: np.ndarray, data_matrix: np.ndarray, weight_type: st
         )
     n_periods = C.shape[1]
     if weight_type == "dirac":
-        hard = np.argmin(squared_distances(C, R), axis=1)
+        sq = squared_distances(C, R)
+        hard = np.argmin(sq, axis=1)
+        # a float sum of F squares is within F ulps of exact, so two equal
+        # distances whose terms add in another order can differ by that much:
+        # such near ties are settled on exactly rounded sums (math.fsum),
+        # which no order changes, and the lower index wins a tie
+        near = sq <= sq.min(axis=1, keepdims=True) * (1.0 + 2.0 * C.shape[0] * np.finfo(float).eps)
+        for d in np.flatnonzero(near.sum(axis=1) > 1):
+            tied = np.flatnonzero(near[d])
+            hard[d] = tied[np.argmin([math.fsum((R[:, j] - C[:, d]) ** 2) for j in tied])]
         W = np.zeros((n_periods, R.shape[1]))
         W[np.arange(n_periods), hard] = 1.0
         return WeightMatrix(W, weight_type, np.linalg.norm(R[:, hard] - C, axis=0))

@@ -1,21 +1,19 @@
 """Independent brute-force oracles and reference algorithms used by the
 test suite.
 
-These deliberately avoid the library's closed-form shortcuts: projections
-are found by enumerating active sets (faces) of the constraint polytope and
-keeping the feasible face-minimizer closest to the input point.  The
-profile reader parses one CSV row at a time.
-
-The paper's reference fitting algorithm, projected gradient descent with
-the closed-form row-wise projections onto the four weight spaces, lives
-here too: the package fits weights exactly with NNLS, and the acceptance
-criteria check PGD's projections and descent against the oracles above.
+These deliberately avoid the library's shortcuts: projections and weight
+fits are found by enumerating active sets (faces) of the constraint
+polytope and keeping the feasible face-minimizer closest to the input
+point.  The package's ``fit_weights`` is checked against them directly: a
+fit against the identity matrix is the Euclidean projection onto the
+weight space, and ``fit_bruteforce`` gives the optimum of a general fit.
+The profile reader parses one CSV row at a time.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
 from itertools import combinations
 
 import numpy as np
@@ -23,70 +21,65 @@ import scipy.sparse as sp
 from scipy.optimize import linprog, nnls
 
 from repblend.model import SENSES
-from repblend.weights import canonical_weight_type, fit_weights
+from repblend.weights import fit_weights
 
 
 def proj_dirac_bruteforce(v: np.ndarray) -> np.ndarray:
+    """The nearest unit vector, lowest index on ties.  Each distance is the
+    exactly rounded sum (``math.fsum``) of the squared differences, which
+    does not depend on their order: two coordinates of ``v`` that are equal
+    give two vertices at exactly equal distances, and the lower one wins."""
     best, best_dist = None, np.inf
     for j in range(len(v)):
         e = np.zeros(len(v))
         e[j] = 1.0
-        dist = float(np.linalg.norm(e - v))
+        dist = math.fsum((e - v) ** 2)
         if dist < best_dist:
             best, best_dist = e, dist
     return best
 
 
+def _supports(n: int) -> np.ndarray:
+    """Every subset of range(n) as a boolean row, smallest first and in
+    lexicographic order within a size: the order that breaks ties."""
+    return np.array([[i in subset for i in range(n)] for size in range(n + 1)
+                     for subset in combinations(range(n), size)], dtype=bool)
+
+
+def _closest(candidates: np.ndarray, feasible: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The feasible candidate row nearest to ``v``, the first one on ties."""
+    dist = np.linalg.norm(candidates - v, axis=1)
+    return candidates[np.argmin(np.where(feasible, dist, np.inf))]
+
+
 def proj_conic_bruteforce(v: np.ndarray) -> np.ndarray:
     """Enumerate every zero-set; on each face the free coordinates keep
     their input values, feasible iff those are nonnegative."""
-    n = len(v)
-    best, best_dist = None, np.inf
-    for size in range(n + 1):
-        for zeros in combinations(range(n), size):
-            w = np.array(v, dtype=float)
-            w[list(zeros)] = 0.0
-            if np.any(w < 0):
-                continue
-            dist = float(np.linalg.norm(w - v))
-            if dist < best_dist:
-                best, best_dist = w, dist
-    return best
+    w = np.where(_supports(len(v)), 0.0, v)
+    return _closest(w, np.all(w >= 0, axis=1), v)
 
 
-def _simplex_face_candidates(v: np.ndarray):
-    n = len(v)
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            idx = list(support)
-            shift = (v[idx].sum() - 1.0) / size
-            w = np.zeros(n)
-            w[idx] = v[idx] - shift
-            if np.all(w[idx] >= -1e-12):
-                yield np.maximum(w, 0.0)
+def _simplex_faces(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each face's minimizer on the sum = 1 plane, one row per nonempty
+    support (shift the support's coordinates equally to sum 1), clipped at
+    zero, and whether it is feasible (no support coordinate below zero)."""
+    support = _supports(len(v))[1:]
+    shift = (np.where(support, v, 0.0).sum(axis=1) - 1.0) / support.sum(axis=1)
+    w = np.where(support, v - shift[:, None], 0.0)
+    return np.maximum(w, 0.0), np.all(~support | (w >= -1e-12), axis=1)
 
 
 def proj_simplex_bruteforce(v: np.ndarray) -> np.ndarray:
-    best, best_dist = None, np.inf
-    for w in _simplex_face_candidates(v):
-        dist = float(np.linalg.norm(w - v))
-        if dist < best_dist:
-            best, best_dist = w, dist
-    return best
+    return _closest(*_simplex_faces(v), v)
 
 
 def proj_subunit_bruteforce(v: np.ndarray) -> np.ndarray:
     """Faces with the sum constraint inactive (orthant faces with total at
     most one) plus faces on the sum = 1 boundary."""
-    best, best_dist = None, np.inf
     free = np.maximum(np.array(v, dtype=float), 0.0)
-    if free.sum() <= 1.0 + 1e-12:
-        best, best_dist = free, float(np.linalg.norm(free - v))
-    for w in _simplex_face_candidates(v):
-        dist = float(np.linalg.norm(w - v))
-        if dist < best_dist:
-            best, best_dist = w, dist
-    return best
+    faces, feasible = _simplex_faces(v)
+    return _closest(np.vstack([free, faces]),
+                    np.append(free.sum() <= 1.0 + 1e-12, feasible), v)
 
 
 PROJECTION_ORACLES = {
@@ -97,122 +90,51 @@ PROJECTION_ORACLES = {
 }
 
 
-@dataclass(frozen=True)
-class PgdParams:
-    """Projected-gradient-descent settings: the iteration cap and the stall
-    tolerance (the step size is an argument of ``pgd``)."""
-
-    max_iter: int = 2000
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto the probability simplex
-    {x >= 0, sum(x) = 1}, applied to every row along the last axis.
-
-    Sort-based method (Held, Wolfe & Crowder 1974; Duchi et al. 2008): with
-    u the row sorted in decreasing order, the threshold is
-    theta = max_j (u_1 + ... + u_j - 1) / j and the projection is
-    max(v - theta, 0).
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1] if v.ndim else 0
-    if n == 0:
-        raise ValueError("cannot project an empty vector")
-    if n == 1:
-        return np.ones_like(v)
-    partial = np.sort(v, axis=-1)[..., ::-1].cumsum(axis=-1) - 1.0
-    theta = (partial / np.arange(1, n + 1)).max(axis=-1, keepdims=True)
-    return np.maximum(v - theta, 0.0)
+def fit_bruteforce(rep_matrix: np.ndarray, target: np.ndarray, weight_type: str) -> np.ndarray:
+    """Optimal weights of min ||R w - c|| over a blended weight space, by
+    enumerating every support, the empty one included (a point far outside
+    the cone can have w = 0 as its optimum).  On each support, conic
+    candidates solve the least squares and convex candidates the KKT system
+    with the sum row [A^T A, 1; 1^T, 0] [w; mu] = [A^T c; 1]; sub-unit takes
+    the conic candidates that sum to at most one and the convex ones.  The
+    best nonnegative candidate wins: the optimum's own support gives it
+    exactly, with no weight below zero."""
+    R = np.asarray(rep_matrix, dtype=float)
+    c = np.asarray(target, dtype=float)
+    n = R.shape[1]
+    candidates = []
+    for size in range(n + 1):
+        for support in combinations(range(n), size):
+            idx = list(support)
+            A = R[:, idx]
+            if weight_type != "convex":
+                w = np.zeros(n)
+                w[idx] = np.linalg.lstsq(A, c, rcond=None)[0]
+                if weight_type == "conic" or w.sum() <= 1.0:
+                    candidates.append(w)
+            if weight_type != "conic" and size:
+                kkt = np.block([[A.T @ A, np.ones((size, 1))],
+                                [np.ones((1, size)), np.zeros((1, 1))]])
+                w = np.zeros(n)
+                w[idx] = np.linalg.lstsq(kkt, np.append(A.T @ c, 1.0), rcond=None)[0][:size]
+                candidates.append(w)
+    return min((w for w in candidates if w.min() >= 0.0),
+               key=lambda w: float(np.linalg.norm(R @ w - c)))
 
 
-def project_nonneg(v: np.ndarray) -> np.ndarray:
-    """Projection onto the nonnegative orthant (conic weights)."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
-def project_subunit(v: np.ndarray) -> np.ndarray:
-    """Exact projection onto {x >= 0, sum(x) <= 1}, row by row.
-
-    If clipping negatives already lands inside the set, that is the
-    projection; otherwise the sum constraint is active and the answer
-    coincides with the simplex projection.
-    """
-    v = np.asarray(v, dtype=float)
-    out = project_nonneg(v)
-    over = out.sum(axis=-1) > 1.0
-    out[over] = project_simplex(v[over])
-    return out
-
-
-def project_dirac(v: np.ndarray) -> np.ndarray:
-    """Projection onto the unit basis vectors, row by row: 1 at the largest
-    coordinate (lowest index on ties), 0 elsewhere."""
-    v = np.asarray(v, dtype=float)
-    return (np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]).astype(float)
-
-
-_PROJECTORS = {
-    "dirac": project_dirac,
-    "convex": project_simplex,
-    "subunit_conic": project_subunit,
-    "conic": project_nonneg,
-}
-
-
-def project_weights(v: np.ndarray, weight_type: str) -> np.ndarray:
-    """Exact Euclidean projection of ``v`` onto the given weight space."""
-    return _PROJECTORS[canonical_weight_type(weight_type)](v)
-
-
-def pgd(x0, objective_grad, projector, params: PgdParams, alpha: float) -> np.ndarray:
-    """Projected gradient descent from ``x0`` with step size ``alpha``.
-
-    Projects the start, then repeats gradient step + projection for at most
-    ``params.max_iter`` iterations, stopping once the iterate moves by no
-    more than ``tolerance / max_iter`` in the infinity norm.  This is the
-    paper's reference algorithm; the package's ``fit_weights`` solves the
-    same problems exactly with NNLS.
-    """
-    x = projector(np.array(x0, dtype=float))
-    stall = params.tolerance / params.max_iter
-    for iteration in range(params.max_iter):
-        g = objective_grad(x)
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient at iteration {iteration}")
-        stepped = projector(x - alpha * g)
-        moved = float(np.abs(stepped - x).max())
-        x = stepped
-        if moved <= stall:
-            break
-    return x
-
-
-def nnls_fit(rep_matrix: np.ndarray, target: np.ndarray, weight_type: str) -> np.ndarray:
-    """Optimal weights of min ||R w - c|| over a blended weight space, from
-    the Lawson-Hanson active-set solver ``scipy.optimize.nnls``.
-
-    Conic weights are a plain NNLS problem.  Convex weights solve NNLS on
-    the shifted system [R - c 1^T; lam 1^T] u ~ [0; lam] and take
-    w = u / 1^T u: the minimizer is u = t w with w the simplex optimum and
-    t = lam^2 / (lam^2 + d^2) > 0 at distance d, so the sum is exact however
-    far c lies from the hull; lam = max(1, max|R - c 1^T|) keeps both blocks
-    on one scale.  The simplex optimality conditions are asserted on the
-    result.  Sub-unit weights are the conic optimum when it sums to at most
-    one (the sum constraint is inactive), else the convex optimum (the
-    objective is convex, so the constraint is then active).
+def nnls_fit(rep_matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Optimal convex weights of min ||R w - c||, from the Lawson-Hanson
+    active-set solver ``scipy.optimize.nnls``: NNLS on the shifted system
+    [R - c 1^T; lam 1^T] u ~ [0; lam], then w = u / 1^T u.  The minimizer is
+    u = t w with w the simplex optimum and t = lam^2 / (lam^2 + d^2) > 0 at
+    distance d, so the sum is exact however far c lies from the hull;
+    lam = max(1, max|R - c 1^T|) keeps both blocks on one scale.  The
+    simplex optimality conditions are asserted on the result.  This is the
+    kernel of ``greedy_hull_reference``, where ``fit_bruteforce`` would be
+    too slow.
     """
     R = np.asarray(rep_matrix, dtype=float)
     c = np.asarray(target, dtype=float)
-    w, _ = nnls(R, c)
-    if weight_type == "conic" or (weight_type == "subunit_conic" and w.sum() <= 1.0):
-        return w
     shifted = R - c[:, None]
     lam = max(1.0, float(np.abs(shifted).max()))
     u, _ = nnls(np.vstack([shifted, np.full((1, R.shape[1]), lam)]),
@@ -254,7 +176,7 @@ def greedy_hull_reference(matrix: np.ndarray, k: int,
             if d in reps:
                 continue
             c = matrix[:, d]
-            dist = float(np.linalg.norm(R @ nnls_fit(R, c, "convex") - c))
+            dist = float(np.linalg.norm(R @ nnls_fit(R, c) - c))
             if dist > best_dist:
                 best, best_dist = d, dist
         reps.append(best)

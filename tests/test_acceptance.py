@@ -23,15 +23,13 @@ from conftest import period_reps
 from generators import make_gep
 from oracles import (
     PROJECTION_ORACLES,
-    PgdParams,
     finite_difference_gradient,
+    fit_bruteforce,
     least_squares_objective,
-    pgd,
-    project_simplex,
-    project_weights,
 )
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
+BLENDED_TYPES = ("convex", "subunit_conic", "conic")
 SWEEP_RP_COUNTS = (2, 4, 8)
 SWEEP_SEEDS = (1, 2, 3, 4, 5)
 
@@ -51,67 +49,78 @@ def sweep(synthetic_gep_path):
 
 
 def test_criterion_01_projection_oracles():
+    # a fit against the identity matrix is the Euclidean projection onto the
+    # weight space: one fit_weights call per (weight type, dimension)
     started = time.perf_counter()
     rng = np.random.default_rng(1001)
     per_type = 1000
     for weight_type in WEIGHT_TYPES:
-        oracle = PROJECTION_ORACLES[weight_type]
+        points = {n: [] for n in range(2, 7)}
         for i in range(per_type):
             n = 2 + i % 5  # dimensions 2..6
-            v = rng.uniform(-2.0, 2.0, n) * rng.uniform(0.2, 3.0)
-            got = project_weights(v, weight_type)
-            expected = oracle(v)
-            assert np.max(np.abs(got - expected)) < 1e-6, (weight_type, v)
+            points[n].append(rng.uniform(-2.0, 2.0, n) * rng.uniform(0.2, 3.0))
+        oracle = PROJECTION_ORACLES[weight_type]
+        for n, vs in points.items():
+            got = fit_weights(np.eye(n), np.column_stack(vs), weight_type).values
+            for v, row in zip(vs, got):
+                assert np.max(np.abs(row - oracle(v))) < 1e-6, (weight_type, v)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"projection oracle run took {elapsed:.1f}s"
-    print(f"\n[PASS] criterion 1: 4x{per_type} projections match the brute-force "
-          f"oracle within 1e-6 ({elapsed:.1f}s)")
+    print(f"\n[PASS] criterion 1: 4x{per_type} identity fits match the brute-force "
+          f"projection oracle within 1e-6 ({elapsed:.1f}s)")
 
 
-def test_criterion_02_gradient_check():
-    rng = np.random.default_rng(1002)
-    worst = 0.0
+def _fit_instances(seed, target_high):
+    """100 random least-squares fits: R of 4-11 rows and 2-5 columns and a
+    target, both drawn uniformly."""
+    rng = np.random.default_rng(seed)
     for _ in range(100):
         rows = int(rng.integers(4, 12))
         cols = int(rng.integers(2, 6))
-        R = rng.uniform(0, 1, (rows, cols))
-        c = rng.uniform(0, 1, rows)
-        w = rng.uniform(0, 1, cols)
-        analytic = R.T @ (R @ w - c)
-        numeric = finite_difference_gradient(
-            lambda x: least_squares_objective(R, x, c), w)
-        rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
-        worst = max(worst, rel)
-        assert rel < 1e-5
-    print(f"\n[PASS] criterion 2: analytic gradient matches central differences "
-          f"on 100 instances (worst relative error {worst:.2e})")
+        yield rng.uniform(0, 1, (rows, cols)), rng.uniform(0, target_high, rows)
+
+
+def test_criterion_02_fit_optimality():
+    worst = 0.0
+    for weight_type in BLENDED_TYPES:
+        for R, c in _fit_instances(1002, 1.0):
+            got = least_squares_objective(R, fit_weights(R, c, weight_type).values[0], c)
+            best = least_squares_objective(R, fit_bruteforce(R, c, weight_type), c)
+            gap = abs(got - best) / best
+            worst = max(worst, gap)
+            assert gap <= 1e-9, (weight_type, got, best)
+    print(f"\n[PASS] criterion 2: fitted objectives equal the support-enumeration "
+          f"optimum on 3x100 instances (worst relative gap {worst:.1e})")
 
 
 def test_criterion_03_descent_property():
-    rng = np.random.default_rng(1003)
+    # no feasible direction descends from a fitted optimum: the first-order
+    # (KKT) conditions, read off central differences
     checked = 0
-    for _ in range(100):
-        rows = int(rng.integers(4, 12))
-        cols = int(rng.integers(2, 6))
-        R = rng.uniform(0, 1, (rows, cols))
-        c = rng.uniform(0, 1.5, rows)
-        lipschitz = float(np.linalg.eigvalsh(R.T @ R).max())
-        alpha = 1.0 / lipschitz
-        trace = []
-
-        def recording(x):
-            w = project_simplex(x)
-            trace.append(w.copy())
-            return w
-
-        pgd(rng.uniform(-1, 1, cols), lambda w: R.T @ (R @ w - c),
-            recording, PgdParams(max_iter=300, tolerance=1e-9), alpha=alpha)
-        objectives = np.array([least_squares_objective(R, w, c) for w in trace])
-        increases = np.diff(objectives)
-        assert np.all(increases <= 1e-10 * (1.0 + objectives[:-1])), increases.max()
-        checked += len(increases)
-    print(f"\n[PASS] criterion 3: objective non-increasing over {checked} PGD steps "
-          f"on 100 instances with step size 1/L")
+    for weight_type in BLENDED_TYPES:
+        for R, c in _fit_instances(1003, 1.5):
+            w = fit_weights(R, c, weight_type).values[0]
+            grad = finite_difference_gradient(lambda x: least_squares_objective(R, x, c), w)
+            tol = 1e-6 * max(1.0, float(np.abs(grad).max()))
+            total = w.sum()
+            assert w.min() >= 0.0, (weight_type, w)
+            if weight_type == "convex":
+                assert abs(total - 1.0) <= 1e-12, (weight_type, w)
+            if weight_type == "subunit_conic":
+                assert total <= 1.0 + 1e-12, (weight_type, w)
+            # the multiplier of the sum constraint where it is active: minus
+            # the gradient's mean over the weights, nonnegative for sum <= 1
+            active = weight_type == "convex" or (weight_type == "subunit_conic"
+                                                and total >= 1.0 - 1e-12)
+            mu = -float(w @ grad) / total if active else 0.0
+            if weight_type == "subunit_conic":
+                assert mu >= -tol, (weight_type, mu)
+            reduced = grad + mu
+            assert np.all(reduced[w == 0] >= -tol), (weight_type, w, reduced)
+            assert np.all(np.abs(reduced[w > 0]) <= tol), (weight_type, w, reduced)
+            checked += 1
+    print(f"\n[PASS] criterion 3: no feasible descent direction at {checked} fitted "
+          f"optima (central-difference gradients meet the KKT sign conditions)")
 
 
 def test_criterion_04_error_ordering():
@@ -147,10 +156,15 @@ def test_criterion_06_subunit_blend_preserves_bounds():
     rng = np.random.default_rng(1006)
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        w = project_weights(rng.uniform(-1, 3, n), "subunit_conic")
+        v = rng.uniform(-1, 3, n)
+        w = fit_weights(np.eye(n), v[:, None], "subunit_conic").values[0]
         bound = float(rng.uniform(0.1, 10.0))
         y = rng.uniform(0, bound, n)
         assert w @ y <= bound * (1 + 1e-9) + 1e-12
+        # a zero row would keep the bound too: the blend also keeps the mass
+        # it may have, min(1, sum of v's positive part), so values all at
+        # the bound reach it once that sum is 1
+        assert w.sum() == pytest.approx(min(1.0, np.maximum(v, 0.0).sum()), rel=1e-9)
     print("\n[PASS] criterion 6: 1000 sub-unit blends of bounded values never "
           "exceed the shared bound")
 

@@ -185,14 +185,14 @@ class TestHullDistance:
             dist, w = self.hull_fit(c, R)
             assert dist == pytest.approx(offset, abs=1e-9)
             assert self.simplex_kkt_residual(R, w, c) <= 1e-9
-            np.testing.assert_allclose(w, nnls_fit(R, c, "convex"), rtol=0, atol=1e-5)
+            np.testing.assert_allclose(w, nnls_fit(R, c), rtol=0, atol=1e-5)
             np.testing.assert_allclose(w, w_true, rtol=0, atol=1e-9)
 
     def test_nnls_oracle_far_from_hull(self):
         # the oracle's convex weights stay exact at distance 1e4 from the hull
         for seed in range(10):
             R, w_true, normal = self.face_point_and_normal(seed)
-            np.testing.assert_allclose(nnls_fit(R, R @ w_true + 1e4 * normal, "convex"),
+            np.testing.assert_allclose(nnls_fit(R, R @ w_true + 1e4 * normal),
                                        w_true, rtol=0, atol=1e-7)
 
 

@@ -6,10 +6,13 @@ import shutil
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from repblend.cli import main
 from repblend.clustering import RepSelection, kmeans
 from repblend.data import (
+    MAX_TIMESTEPS,
     Asset,
     DataError,
     Horizon,
@@ -210,6 +213,25 @@ class TestLoadSystem:
         cfg["horizon"].update(num_periods=1.0, hours_per_period=2.0)
         (root / "config.json").write_text(json.dumps(cfg))
         assert load_system(root).horizon == load_system(mini_gep_path).horizon
+
+    @pytest.mark.parametrize("horizon", [
+        pytest.param({"hours_per_period": 10**20}, id="hours-1e20"),
+        pytest.param({"num_periods": 10**6, "hours_per_period": 10**6}, id="1e6x1e6"),
+    ])
+    def test_huge_horizon_exits_2(self, tmp_path, mini_gep_path, horizon):
+        # refused before any (D, H) array exists: not numpy's "maximum allowed
+        # dimension exceeded" nor a MemoryError traceback
+        import json
+
+        root = tmp_path / "huge"
+        shutil.copytree(mini_gep_path, root)
+        cfg = json.loads((root / "config.json").read_text())
+        cfg["horizon"].update(horizon)
+        (root / "config.json").write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["validate", "--data", str(root)])
+        assert result.exit_code == 2, result.output
+        assert (f"data error: config.json: bad horizon: num_periods * hours_per_period must be "
+                f"at most {MAX_TIMESTEPS}, got ") in result.output
 
     def test_storage_bounds_defaults_and_file(self, tmp_path):
         _store_dataset(tmp_path, [("r", 2, 0.2, 0.8)])

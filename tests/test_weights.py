@@ -1,23 +1,21 @@
-"""Unit tests for exact weight fitting, and for the reference projections
-and projected gradient descent kept in ``oracles``."""
+"""Unit tests for exact weight fitting, checked against the brute-force
+oracles in ``oracles``.  A fit against the identity matrix is the Euclidean
+projection onto the weight space, so the projection tests call
+``fit_weights(np.eye(n), ...)`` through ``project``."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repblend.weights import canonical_weight_type, fit_weights
 
 from oracles import (
     PROJECTION_ORACLES,
-    PgdParams,
     finite_difference_gradient,
+    fit_bruteforce,
     least_squares_objective,
     nearest_column_bruteforce,
-    nnls_fit,
-    pgd,
-    project_simplex,
-    project_weights,
 )
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
@@ -33,63 +31,79 @@ finite_batches = arrays(
 )
 
 
+def project(v: np.ndarray, weight_type: str) -> np.ndarray:
+    """Euclidean projection of ``v`` (each row of a 2-d ``v``) onto the
+    weight space: the package's fit against the identity matrix."""
+    v = np.asarray(v, dtype=float)
+    return fit_weights(np.eye(v.shape[-1]), np.atleast_2d(v).T, weight_type).values.reshape(v.shape)
+
+
 class TestProjectSimplex:
     def test_already_on_simplex(self):
-        np.testing.assert_allclose(project_simplex(np.array([0.5, 0.5])), [0.5, 0.5])
+        np.testing.assert_allclose(project(np.array([0.5, 0.5]), "convex"), [0.5, 0.5])
 
     def test_nearest_vertex(self):
-        np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
+        np.testing.assert_allclose(project(np.array([2.0, 0.0]), "convex"), [1.0, 0.0])
 
     def test_uniform_shift(self):
         # closed form: shift both coordinates by -0.2 to reach sum 1
-        np.testing.assert_allclose(project_simplex(np.array([0.4, 0.2])), [0.6, 0.4],
+        np.testing.assert_allclose(project(np.array([0.4, 0.2]), "convex"), [0.6, 0.4],
                                    atol=1e-12)
         oracle = PROJECTION_ORACLES["convex"](np.array([0.4, 0.2]))
         np.testing.assert_allclose(oracle, [0.6, 0.4], atol=1e-12)
 
     def test_single_coordinate(self):
-        np.testing.assert_allclose(project_simplex(np.array([-3.0])), [1.0])
+        np.testing.assert_allclose(project(np.array([-3.0]), "convex"), [1.0])
 
     @given(finite_vectors)
     @settings(max_examples=200, deadline=None)
     def test_matches_bruteforce(self, v):
-        if v.size > 6:
-            v = v[:6]
-        got = project_simplex(v)
-        expected = PROJECTION_ORACLES["convex"](v)
-        # near-degenerate inputs admit several candidates whose distances
-        # collapse at double precision; 1e-6 covers that resolution limit
-        np.testing.assert_allclose(got, expected, atol=1e-6)
-        # the strict check: feasible and no farther than the oracle's best
-        assert np.all(got >= 0) and abs(got.sum() - 1.0) < 1e-9
-        assert np.linalg.norm(got - v) <= np.linalg.norm(expected - v) + 1e-9
+        v = v[:6]
+        for weight_type in WEIGHT_TYPES:
+            got = project(v, weight_type)
+            expected = PROJECTION_ORACLES[weight_type](v)
+            # near-degenerate inputs admit several candidates whose distances
+            # collapse at double precision; 1e-6 covers that resolution limit
+            np.testing.assert_allclose(got, expected, atol=1e-6, err_msg=weight_type)
+            # the strict check: feasible and no farther than the oracle's best
+            total = got.sum()
+            assert np.all(got >= 0)
+            if weight_type == "dirac":
+                assert np.all((got == 0.0) | (got == 1.0)) and total == 1.0
+            if weight_type == "convex":
+                assert abs(total - 1.0) < 1e-9
+            if weight_type == "subunit_conic":
+                assert total <= 1.0 + 1e-9
+            assert np.linalg.norm(got - v) <= np.linalg.norm(expected - v) + 1e-9
 
     @given(finite_vectors)
     @settings(max_examples=100, deadline=None)
     def test_feasible(self, v):
-        w = project_simplex(v)
+        w = project(v, "convex")
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-9
 
 
 class TestProjectWeights:
     def test_conic_thresholds(self):
-        np.testing.assert_allclose(project_weights(np.array([-1.0, 2.0]), "conic"), [0.0, 2.0])
+        np.testing.assert_allclose(project(np.array([-1.0, 2.0]), "conic"), [0.0, 2.0])
 
     def test_dirac_largest_coordinate(self):
-        np.testing.assert_allclose(project_weights(np.array([0.3, 0.7]), "dirac"), [0.0, 1.0])
+        np.testing.assert_allclose(project(np.array([0.3, 0.7]), "dirac"), [0.0, 1.0])
 
     def test_dirac_tie_lowest_index(self):
-        np.testing.assert_allclose(project_weights(np.array([0.5, 0.5]), "dirac"), [1.0, 0.0])
+        np.testing.assert_allclose(project(np.array([0.5, 0.5]), "dirac"), [1.0, 0.0])
+        # the two equal distances sum their terms in different orders, and
+        # plain float sums put the last vertex nearer by an ulp
+        np.testing.assert_allclose(project(np.array([1.2, -1.2, -3.0, 1.2]), "dirac"),
+                                   [1.0, 0.0, 0.0, 0.0])
 
     def test_subunit_interior_and_boundary(self):
-        np.testing.assert_allclose(
-            project_weights(np.array([0.2, 0.3]), "subunit_conic"), [0.2, 0.3])
-        np.testing.assert_allclose(
-            project_weights(np.array([0.9, 0.9]), "subunit_conic"), [0.5, 0.5])
+        np.testing.assert_allclose(project(np.array([0.2, 0.3]), "subunit_conic"), [0.2, 0.3])
+        np.testing.assert_allclose(project(np.array([0.9, 0.9]), "subunit_conic"), [0.5, 0.5])
         for v in (np.array([0.2, 0.3]), np.array([0.9, 0.9])):
             np.testing.assert_allclose(PROJECTION_ORACLES["subunit_conic"](v),
-                                       project_weights(v, "subunit_conic"), atol=1e-12)
+                                       project(v, "subunit_conic"), atol=1e-12)
 
     def test_subunit_alias(self):
         assert canonical_weight_type("subunit") == "subunit_conic"
@@ -100,69 +114,28 @@ class TestProjectWeights:
     @given(v=finite_vectors)
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, weight_type, v):
-        once = project_weights(v, weight_type)
-        twice = project_weights(once, weight_type)
+        once = project(v, weight_type)
+        twice = project(once, weight_type)
         np.testing.assert_allclose(once, twice, atol=1e-12)
 
     @pytest.mark.parametrize("weight_type", WEIGHT_TYPES)
     @given(batch=finite_batches)
     @settings(max_examples=100, deadline=None)
     def test_batch_equals_row_by_row(self, weight_type, batch):
-        rows = np.array([project_weights(v, weight_type) for v in batch])
-        np.testing.assert_array_equal(project_weights(batch, weight_type), rows)
+        rows = np.array([project(v, weight_type) for v in batch])
+        np.testing.assert_array_equal(project(batch, weight_type), rows)
 
     @given(v=finite_vectors)
+    # scipy's nnls alone stops short of the optimum on this augmented point
+    @example(v=np.array([0.0, 0.0, 0.0, -9.0625, 0.1, -6.40625]))
     @settings(max_examples=100, deadline=None)
     def test_subunit_equals_null_augmented_simplex(self, v):
         # appending a slack coordinate holding the unused mass turns the
         # sub-unit projection into a plain simplex projection
-        direct = project_weights(v, "subunit_conic")
+        direct = project(v, "subunit_conic")
         slack = 1.0 - np.maximum(v, 0.0).sum()
-        augmented = project_simplex(np.concatenate([v, [slack]]))
+        augmented = project(np.concatenate([v, [slack]]), "convex")
         np.testing.assert_allclose(direct, augmented[:-1], atol=1e-9)
-
-
-class TestPgd:
-    def test_zero_gradient_returns_projected_start(self):
-        params = PgdParams(max_iter=50, tolerance=1e-8)
-        out = pgd(np.array([2.0, 0.0]), lambda x: np.zeros_like(x), project_simplex, params,
-                  alpha=0.1)
-        np.testing.assert_allclose(out, [1.0, 0.0])
-
-    def test_quadratic_over_simplex(self):
-        # minimize 0.5||x - (0.4, 0.2)||^2 over the simplex
-        target = np.array([0.4, 0.2])
-        params = PgdParams(max_iter=2000, tolerance=1e-10)
-        out = pgd(np.array([1.0, 0.0]), lambda x: x - target, project_simplex, params,
-                  alpha=0.5)
-        np.testing.assert_allclose(out, [0.6, 0.4], atol=1e-6)
-
-    def test_nonfinite_gradient_aborts(self):
-        params = PgdParams(max_iter=10, tolerance=1e-8)
-        with pytest.raises(FloatingPointError):
-            pgd(np.array([1.0, 0.0]), lambda x: np.array([np.nan, 0.0]),
-                project_simplex, params, alpha=0.1)
-
-    def test_descent_with_auto_rate(self):
-        rng = np.random.default_rng(5)
-        R = rng.uniform(0, 1, (10, 4))
-        c = rng.uniform(0, 1, 10)
-        params = PgdParams(max_iter=500, tolerance=1e-9)
-        # step 1/L, L the largest eigenvalue of R^T R (the gradient's
-        # Lipschitz constant), guarantees monotone descent
-        alpha = 1.0 / float(np.linalg.eigvalsh(R.T @ R).max())
-        trace = []
-
-        def recording_projector(x):
-            w = project_simplex(x)
-            trace.append(w.copy())
-            return w
-
-        pgd(np.linalg.lstsq(R, c, rcond=None)[0], lambda w: R.T @ (R @ w - c),
-            recording_projector, params, alpha=alpha)
-        objectives = [least_squares_objective(R, w, c) for w in trace]
-        assert objectives[-1] <= objectives[0] + 1e-12
-        assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
 
 class TestFitWeights:
@@ -262,14 +235,15 @@ class TestFitWeights:
 
 
 class TestAgainstNnls:
-    """Cross-check the fitting against the optimum of the NNLS oracle on the
-    QP solver's instances."""
+    """The package's NNLS fit reaches the optimum that the support-enumeration
+    oracle finds, on the QP solver's instances (one nearly collinear) and on
+    points far outside the hull."""
 
     @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
     def test_fitting_reaches_nnls_optimum(self, weight_type):
-        for R, c in TestAgainstQpSolver._instances():
+        for R, c in (*TestAgainstQpSolver._instances(), *_far_instances()):
             fitted = fit_weights(R, c[:, None], weight_type).projection_errors[0]
-            optimum = float(np.linalg.norm(R @ nnls_fit(R, c, weight_type) - c))
+            optimum = float(np.linalg.norm(R @ fit_bruteforce(R, c, weight_type) - c))
             assert fitted == pytest.approx(optimum, abs=1e-9)
 
 

@@ -60,9 +60,7 @@ def _handle_errors(func):
 
 _data = click.option("--data", "data_path", required=True,
                      type=click.Path(path_type=Path), help="dataset directory")
-_mode = click.option("--mode", type=click.Choice(["gep", "p2x"]), default=None,
-                     help="override the dataset's declared mode")
-_out = click.option("--out", "out_dir", type=click.Path(path_type=Path),
+_out = click.option("--out", "out_dir", type=click.Path(path_type=Path, file_okay=False),
                     default=Path("out"), show_default=True)
 _seed = click.option("--seed", type=click.IntRange(min=0), default=1, show_default=True,
                      help="clustering seed")
@@ -174,19 +172,17 @@ def fit_weights_cmd(data_path, method, weight_type, n_rp, seed, out_dir):
 @main.command(name="build-lp")
 @_reduction
 @_seed
-@_mode
 @click.option("--full", "build_full", is_flag=True, help="build the unreduced model")
 @_out
 @_handle_errors
-def build_lp(data_path, method, weight_type, n_rp, seed, mode, build_full, out_dir):
+def build_lp(data_path, method, weight_type, n_rp, seed, build_full, out_dir):
     """Build the (reduced) linear program and write it in LP format."""
     if build_full:
-        model = build_full_model(require_valid(load_system(data_path)), mode=mode)
+        model = build_full_model(require_valid(load_system(data_path)))
     else:
         system, cmatrix, selection, weights = _select_and_fit(
             data_path, method, weight_type, n_rp, seed)
-        model = build_model(system, extract_rep_profiles(system, selection, cmatrix),
-                            weights, mode=mode)
+        model = build_model(system, extract_rep_profiles(system, selection, cmatrix), weights)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "model.lp"
     write_lp_file(model, path)
@@ -195,14 +191,13 @@ def build_lp(data_path, method, weight_type, n_rp, seed, mode, build_full, out_d
 
 @main.command(name="solve-full")
 @_data
-@_mode
 @_out
 @_handle_errors
-def solve_full(data_path, mode, out_dir):
+def solve_full(data_path, out_dir):
     """Solve the full-resolution benchmark model (cached by dataset content)."""
     system = require_valid(load_system(data_path))
-    model = build_full_model(system, mode=mode)
-    solution = solve_full_cached(model, data_path, mode or system.mode, SolverHandle(), None)
+    model = build_full_model(system)
+    solution = solve_full_cached(model, data_path, system.mode, SolverHandle(), None)
     click.echo(f"status: {solution.status}")
     if solution.status != "optimal":
         sys.exit(3)
@@ -214,15 +209,13 @@ def solve_full(data_path, mode, out_dir):
 
 @main.command()
 @_reduction
-@_mode
 @click.option("--seeds", default="1,2,3,4,5", show_default=True, callback=_parse_seeds,
               help="comma-separated clustering seeds, each >= 0")
 @_out
 @_handle_errors
-def experiment(data_path, method, weight_type, n_rp, mode, seeds, out_dir):
+def experiment(data_path, method, weight_type, n_rp, seeds, out_dir):
     """Run the full pipeline over all seeds and emit results/pareto CSVs."""
-    runs = list(iter_seed_runs(
-        ExperimentConfig(data_path, method, weight_type, n_rp, seeds, mode)))
+    runs = list(iter_seed_runs(ExperimentConfig(data_path, method, weight_type, n_rp, seeds)))
     records = [run.record() for run in runs]
     emit_plot_data(records, out_dir)
     for record in records:

@@ -378,9 +378,8 @@ def load_system(root: Path | str) -> EnergySystem:
         )
     except ValueError as exc:
         raise DataError(f"bad horizon: {exc}", "config.json") from None
-    mode = cfg["mode"]
-    if mode not in MODES:
-        raise DataError(f"mode must be one of {MODES}, got {mode!r}", "config.json")
+    if cfg["mode"] not in MODES:
+        raise DataError(f"mode must be one of {MODES}, got {cfg['mode']!r}", "config.json")
     for key in ("nodes", "carriers"):
         if not isinstance(cfg[key], list):
             raise DataError(f"{key!r} must be a list of names", "config.json")
@@ -461,7 +460,7 @@ def load_system(root: Path | str) -> EnergySystem:
 
     return EnergySystem(
         horizon=horizon,
-        mode=mode,
+        mode=cfg["mode"],
         nodes=nodes,
         carriers=carriers,
         assets=assets,

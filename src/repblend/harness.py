@@ -58,7 +58,6 @@ class ExperimentConfig:
     weight_type: str
     n_rp: int
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    mode: str | None = None  # None: use the dataset's declared mode
     cache_dir: Path | None = None  # None: <data_path>/.full_cache
 
     def __post_init__(self):
@@ -289,18 +288,18 @@ def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
     and solves the reduced model, fixes its first-stage decisions in the
     full model, solves that and scores the regret.
     """
-    mode, t_read = config.mode or "", 0.0
+    mode, t_read = "", 0.0
     try:
         start = time.perf_counter()
         system = require_valid(load_system(config.data_path))
         cmatrix = build_clustering_matrix(system)
         t_read = time.perf_counter() - start
-        mode = config.mode or system.mode
+        mode = system.mode
         if config.n_rp > cmatrix.num_periods:
             raise DataError(f"number of representatives {config.n_rp} "
                             f"outside 1..{cmatrix.num_periods}")
         handle = SolverHandle()
-        full_model = build_full_model(system, mode=mode)
+        full_model = build_full_model(system)
         full_solution = _optimal("full", solve_full_cached(
             full_model, config.data_path, mode, handle, config.cache_dir))
     except Exception as exc:  # noqa: BLE001 - a failure is kept on its run
@@ -318,8 +317,7 @@ def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
             run.weights, times["t_fit"] = _timed(
                 fit_weights, run.selection.rep_matrix, cmatrix.values, config.weight_type)
             run.reduced, times["t_build"] = _timed(lambda: build_model(
-                system, extract_rep_profiles(system, run.selection, cmatrix), run.weights,
-                mode=mode))
+                system, extract_rep_profiles(system, run.selection, cmatrix), run.weights))
             run.reduced_solution, times["t_solve"] = _timed(solve, run.reduced, handle)
             fixed = fix_decisions(full_model, run.reduced,
                                   _optimal("reduced", run.reduced_solution), mode)

@@ -242,21 +242,20 @@ def build_model(
     system: EnergySystem,
     reps: ClusteringMatrix,
     weight_matrix: WeightMatrix,
-    mode: str | None = None,
 ) -> LpModel:
     """Assemble the cost-minimization LP on the given representatives.
 
     ``reps`` has one clustering-matrix column per representative; each
     series is read with ``reps.profile``, and one without rows is zero
     demand or inflow, or full availability.
-    In gep mode, investable producers get free investment variables; in p2x
-    every capacity is fixed by its existing units.  Absolute-value ramping
+    The system's declared ``mode`` selects the formulation: in gep,
+    investable producers get free investment variables; in p2x every
+    capacity is fixed by its existing units.  Absolute-value ramping
     restrictions become paired inequalities; upper/lower limits that involve
     a single variable and constants (storage levels, line flows) are emitted
     as variable bounds.
     """
-    mode = mode or system.mode
-    if mode not in MODES:
+    if system.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     hz = system.horizon
     D, H, tau = hz.num_periods, hz.hours_per_period, hz.timestep_hours
@@ -270,7 +269,7 @@ def build_model(
             f"weight matrix has {weight_matrix.n_rp} representative columns, profiles have {R}")
     rep_totals = weight_matrix.rep_totals
 
-    m = LpModel(name=f"{system.name}-{mode}-{R}rp")
+    m = LpModel(name=f"{system.name}-{system.mode}-{R}rp")
 
     def variables(kind, asset, axes, shape, lb=0.0, ub=math.inf):
         index = m.add_vars(shape, lb, ub)
@@ -284,7 +283,7 @@ def build_model(
     storages = system.storages
     seasonals = system.seasonal_storages
     conversions = system.conversions
-    investables = [a for a in producers if a.investable] if mode == "gep" else []
+    investables = [a for a in producers if a.investable] if system.mode == "gep" else []
     RH = (R, H)
 
     cinv = variables("cinv", None, "", ())
@@ -464,10 +463,10 @@ def build_model(
     return m
 
 
-def build_full_model(system: EnergySystem, mode: str | None = None) -> LpModel:
+def build_full_model(system: EnergySystem) -> LpModel:
     """The unreduced model: every base period is its own representative."""
     return build_model(system, build_clustering_matrix(system),
-                       identity_weights(system.horizon.num_periods), mode=mode)
+                       identity_weights(system.horizon.num_periods))
 
 
 def fix_decisions(full_model: LpModel, reduced_model: LpModel, reduced_solution: Solution,

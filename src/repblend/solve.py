@@ -195,14 +195,20 @@ def _fmt(value: float) -> str:
 
 def write_lp_file(model: LpModel, path: Path | str):
     """Write the model in CPLEX LP text format, byte-identical across runs
-    for identical models; a name LP readers cannot parse is a ValueError."""
+    for identical models; a name LP readers cannot parse, or a column or row
+    name that repeats, is a ValueError."""
     path = Path(path)
     if model.num_vars == 0:
         raise ValueError("cannot write a model with no variables")
     for block in model.var_blocks + model.row_blocks:
         if block.asset is not None and _LP_NAME_BREAKS.search(block.asset):
             raise ValueError(f"name {block.asset!r} cannot be written in LP format")
-    names = model.var_names
+    names, row_names = model.var_names, model.row_names()
+    for what, group in (("column", names), ("row", row_names)):
+        if len(set(group)) < len(group):  # e.g. node a_b, carrier c and node a, carrier b_c
+            seen = set()
+            repeat = next(name for name in group if name in seen or seen.add(name))
+            raise ValueError(f"{what} name {repeat!r} is not unique")
 
     def terms_text(cols: np.ndarray, vals: np.ndarray) -> list[str]:
         # one "+ coef name" string per term, each distinct magnitude
@@ -224,7 +230,7 @@ def write_lp_file(model: LpModel, path: Path | str):
     terms = terms_text(model.col, model.val)
     starts = np.searchsorted(model.row, np.arange(model.num_constraints + 1)).tolist()
     sense_text = ("=", "<=", ">=")  # in SENSES order
-    for i, (name, sense, rhs) in enumerate(zip(model.row_names(), model.sense.tolist(),
+    for i, (name, sense, rhs) in enumerate(zip(row_names, model.sense.tolist(),
                                                 model.rhs.tolist())):
         out.append(f" {name}: {row_text(terms[starts[i]:starts[i + 1]])} "
                    f"{sense_text[sense]} {_fmt(rhs)}")

@@ -209,8 +209,8 @@ class TestRunExperiment:
                                                      monkeypatch):
         calls = []
 
-        def failing_build(system, mode=None):
-            calls.append(mode)
+        def failing_build(system):
+            calls.append(system)
             raise RuntimeError("full build failed")
 
         monkeypatch.setattr(harness, "build_full_model", failing_build)
@@ -238,7 +238,7 @@ class TestRunExperiment:
 
     def test_full_build_failure_gives_every_seed_the_set_up(self, mini_gep_copy, tmp_path,
                                                             monkeypatch):
-        def failing_build(system, mode=None):
+        def failing_build(system):
             raise RuntimeError("full build failed")
 
         clustered = []
@@ -396,13 +396,13 @@ class TestRunExperiment:
     def test_model_key_tracks_content(self, mini_gep_copy):
         handle = SolverHandle()
         system = load_system(mini_gep_copy)
-        before = model_key(build_full_model(system, "gep"), handle)
-        assert before == model_key(build_full_model(system, "gep"), handle)
-        assert before != model_key(build_full_model(system, "p2x"), handle)
+        before = model_key(build_full_model(system), handle)
+        assert before == model_key(build_full_model(system), handle)
+        assert before != model_key(build_full_model(replace(system, mode="p2x")), handle)
         (mini_gep_copy / "demand.csv").write_text(
             "node,carrier,period,hour,value\nn1,el,1,1,0.9\nn1,el,1,2,0.5\n")
-        assert before != model_key(build_full_model(load_system(mini_gep_copy), "gep"), handle)
-        edited = build_full_model(system, "gep")
+        assert before != model_key(build_full_model(load_system(mini_gep_copy)), handle)
+        edited = build_full_model(system)
         edited.val[-1] *= 2.0
         assert before != model_key(edited, handle)
 
@@ -773,13 +773,6 @@ class TestCli:
             written[name] = (tmp_path / name / "model.lp").read_bytes()
         assert [name for name, lp in written.items() if lp != written["full"]] == []
 
-    def test_mode_override_drops_investments(self, mini_gep_copy, tmp_path):
-        out = tmp_path / "lp"
-        result = self.run("build-lp", "--data", mini_gep_copy, "--full",
-                          "--mode", "p2x", "--out", out)
-        assert result.exit_code == 0
-        assert "inv_" not in (out / "model.lp").read_text()
-
     def test_solve_full(self, mini_gep_copy, tmp_path):
         out = tmp_path / "sol"
         result = self.run("solve-full", "--data", mini_gep_copy, "--out", out)
@@ -949,6 +942,39 @@ class TestCli:
                               "--seeds", "1", "--out", tmp_path / "e")
             assert result.exit_code == 0, result.output
 
+    def test_lp_export_refuses_repeated_row_names(self, mini_gep_copy, tmp_path):
+        # node "a" with carrier "b_c" and node "a_b" with carrier "c" both
+        # name their balance rows balance_a_b_c_r{rep}_h{hour}
+        for file, old, new in (
+                ("config.json", '"nodes": ["n1"]', '"nodes": ["a", "a_b"]'),
+                ("config.json", '"carriers": ["el"]', '"carriers": ["b_c", "c"]'),
+                ("config.json", '{"n1": {"el": 2.0}}', '{"a": {"b_c": 2.0}}'),
+                ("demand.csv", "n1,el,", "a,b_c,"),
+                ("assets.csv", "g1,n1,producer,,el,", "g1,a,producer,,b_c,")):
+            path = mini_gep_copy / file
+            assert old in path.read_text()
+            path.write_text(path.read_text().replace(old, new))
+        result = self.run("build-lp", "--data", mini_gep_copy, "--full",
+                          "--out", tmp_path / "lp")
+        assert result.exit_code == 2, result.output
+        assert "data error: row name 'balance_a_b_c_r1_h1' is not unique" in result.output
+        assert not (tmp_path / "lp" / "model.lp").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["cluster", "--n-rp", 1], ["fit-weights", "--n-rp", 1], ["build-lp", "--n-rp", 1],
+        ["solve-full"], ["experiment", "--n-rp", 1, "--seeds", 1], ["emit-plots"],
+    ], ids=lambda args: args[0])
+    def test_out_that_is_a_file_exits_2_before_any_work(self, mini_gep_copy, tmp_path, args):
+        # the solving commands would otherwise fail only after their solves
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        data = [] if args[0] == "emit-plots" else ["--data", mini_gep_copy]
+        result = self.run(*args, *data, "--out", taken)
+        assert result.exit_code == 2, result.output
+        assert f"Directory '{taken}' is a file" in result.output
+        assert taken.read_text() == "kept"
+        assert not (mini_gep_copy / ".full_cache").exists()
+
     def test_oversized_rp_count_is_a_data_error(self, mini_gep_copy, tmp_path):
         result = self.run("cluster", "--data", mini_gep_copy, "--n-rp", 99,
                           "--out", tmp_path / "c")
@@ -994,12 +1020,12 @@ class TestCli:
             "validate": {"--data"},
             "cluster": reduction | {"--seed", "--out"},
             "fit-weights": reduction | {"--seed", "--out"},
-            "build-lp": reduction | {"--seed", "--out", "--mode", "--full"},
-            "solve-full": {"--data", "--mode", "--out"},
-            "experiment": reduction | {"--mode", "--seeds", "--out"},
+            "build-lp": reduction | {"--seed", "--out", "--full"},
+            "solve-full": {"--data", "--out"},
+            "experiment": reduction | {"--seeds", "--out"},
             "emit-plots": {"--out"},
         }
         flags = {name: {opt for param in command.params for opt in param.opts}
                  for name, command in main.commands.items()}
         assert flags == expected
-        assert sum(len(f) for f in flags.values()) == 32
+        assert sum(len(f) for f in flags.values()) == 29

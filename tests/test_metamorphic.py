@@ -16,6 +16,13 @@ k = D: with as many representatives as base periods, every method's
 representatives are the base periods themselves and every weight space fits
 each period to itself, so the reduced model is the full one: the same
 objective, and zero regret.
+
+Relabel: every node, carrier, asset and line renamed so that their sorted
+order reverses, with the rows of every file kept in place.  The loader and
+the clustering matrix sort by name, so the model's rows and columns come in
+another order, but each series must still reach the asset or node it names:
+the full, reduced and fixed objectives do not move, and neither do the
+selected periods and the weights.
 """
 
 import csv
@@ -41,27 +48,84 @@ SCALED_COLUMNS = {
 }
 
 
-def scaled_copy(source: Path, dest: Path, c: float) -> Path:
-    """A copy of the dataset at ``source`` with every MW or MWh quantity
-    multiplied by ``c``; blank cells stay blank."""
+# the kind of name in each renamed column of each file
+RELABELED_COLUMNS = {
+    "assets.csv": {"name": "asset", "node": "node", "carrier_in": "carrier",
+                   "carrier_out": "carrier"},
+    "lines.csv": {"name": "line", "from_node": "node", "to_node": "node", "carrier": "carrier"},
+    "demand.csv": {"node": "node", "carrier": "carrier"},
+    "availability.csv": {"asset": "asset"},
+    "inflows.csv": {"asset": "asset"},
+    "storage_bounds.csv": {"asset": "asset"},
+}
+
+
+def edit_copy(source: Path, dest: Path, edit_config, columns: dict[str, dict]) -> Path:
+    """A copy of the dataset at ``source`` with ``config.json`` passed
+    through ``edit_config`` and, in each file of ``columns`` that exists,
+    every non-blank cell of a listed column passed through that column's
+    function; rows keep their order."""
     shutil.copytree(source, dest)
     config = json.loads((dest / "config.json").read_text(encoding="utf-8"))
-    config["peak_demand"] = {node: {carrier: c * peak for carrier, peak in peaks.items()}
-                             for node, peaks in config["peak_demand"].items()}
-    (dest / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    for name, columns in SCALED_COLUMNS.items():
+    (dest / "config.json").write_text(json.dumps(edit_config(config)), encoding="utf-8")
+    for name, edits in columns.items():
+        if not (dest / name).exists():
+            continue
         with open(dest / name, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             header, rows = reader.fieldnames, list(reader)
         for row in rows:
-            for column in columns:
+            for column, edit in edits.items():
                 if row[column].strip():
-                    row[column] = repr(c * float(row[column]))
+                    row[column] = edit(row[column])
         with open(dest / name, "w", newline="", encoding="utf-8") as handle:
             writer = csv.DictWriter(handle, fieldnames=header)
             writer.writeheader()
             writer.writerows(rows)
     return dest
+
+
+def scaled_copy(source: Path, dest: Path, c: float) -> Path:
+    """A copy of the dataset at ``source`` with every MW or MWh quantity
+    multiplied by ``c``; blank cells stay blank."""
+    def edit_config(config):
+        config["peak_demand"] = {node: {carrier: c * peak for carrier, peak in peaks.items()}
+                                 for node, peaks in config["peak_demand"].items()}
+        return config
+
+    def scale(cell):
+        return repr(c * float(cell))
+
+    return edit_copy(source, dest, edit_config,
+                     {name: dict.fromkeys(columns, scale)
+                      for name, columns in SCALED_COLUMNS.items()})
+
+
+def relabeled_copy(source: Path, dest: Path) -> Path:
+    """A copy of the dataset at ``source`` with every node, carrier, asset
+    and line renamed: the i-th of n names in sorted order becomes
+    ``{kind}{n - 1 - i}``, so the sorted order of each kind reverses."""
+    config = json.loads((source / "config.json").read_text(encoding="utf-8"))
+    names = {"node": config["nodes"], "carrier": config["carriers"]}
+    for kind, file in (("asset", "assets.csv"), ("line", "lines.csv")):
+        with open(source / file, newline="", encoding="utf-8") as handle:
+            names[kind] = [row["name"] for row in csv.DictReader(handle)]
+    renamed = {kind: {name: f"{kind}{len(group) - 1 - i:0{len(str(len(group)))}d}"
+                      for i, name in enumerate(sorted(group))}
+               for kind, group in names.items()}
+
+    def edit_config(config):
+        node, carrier = renamed["node"], renamed["carrier"]
+        config["nodes"] = [node[n] for n in config["nodes"]]
+        config["carriers"] = [carrier[x] for x in config["carriers"]]
+        config["peak_demand"] = {node[n]: {carrier[x]: peak for x, peak in peaks.items()}
+                                 for n, peaks in config["peak_demand"].items()}
+        return config
+
+    return edit_copy(source, dest, edit_config,
+                     {file: {column: renamed[kind].__getitem__
+                             for column, kind in columns.items()}
+                      for file, columns in RELABELED_COLUMNS.items()})
 
 
 @pytest.mark.parametrize("method,weight_type", [("hull", "conic"), ("kmeans", "dirac")])
@@ -86,6 +150,46 @@ def test_scale(request, tmp_path, fixture, method, weight_type):
         assert getattr(scaled, name) == pytest.approx(SCALE * getattr(record, name),
                                                       rel=1e-9, abs=0.0), name
     assert scaled.regret_pct == pytest.approx(record.regret_pct, rel=0.0, abs=1e-6)
+
+
+# p2x's reduced model under k-means + dirac has more than one optimal
+# storage trajectory.  Relabeled, its rows and columns come in another order
+# and HiGHS returns another optimal vertex: the reduced objectives agree to
+# the last bit, but the pinned levels differ, and with them the fixed
+# objective (regret 1.775 % against 1.941 %)
+ALTERNATIVE_OPTIMA = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the fixed objective depends on which optimal vertex of a degenerate "
+           "reduced model the solver returns")
+
+
+@pytest.mark.parametrize("fixture,method,weight_type", [
+    pytest.param(fixture, method, weight_type, id=f"{case}-{method}-{weight_type}",
+                 marks=ALTERNATIVE_OPTIMA if (case, method) == ("p2x", "kmeans") else ())
+    for case, fixture in (("gep", "synthetic_gep_path"), ("p2x", "synthetic_p2x_path"))
+    for method, weight_type in (("hull", "conic"), ("kmeans", "dirac"), ("kmedoids", "convex"))
+])
+def test_relabel(request, tmp_path, fixture, method, weight_type):
+    base = request.getfixturevalue(fixture)
+    runs = []
+    for path in (base, relabeled_copy(base, tmp_path / "relabeled")):
+        config = ExperimentConfig(path, method, weight_type, N_RP, seeds=(1,),
+                                  cache_dir=tmp_path / f"cache-{len(runs)}")
+        [run] = iter_seed_runs(config)
+        assert run.error is None
+        runs.append(run)
+    original, relabeled = runs
+
+    # k-means selects no source periods; its dirac weights are the assignment
+    if original.selection.source_indices is not None:
+        np.testing.assert_array_equal(relabeled.selection.source_indices,
+                                      original.selection.source_indices)
+    np.testing.assert_allclose(relabeled.weights.values, original.weights.values,
+                               rtol=0.0, atol=1e-9)
+    record, relabeled_record = original.record(), relabeled.record()
+    for name in ("objective_full", "objective_reduced", "objective_fixed"):
+        assert getattr(relabeled_record, name) == pytest.approx(getattr(record, name),
+                                                                rel=1e-9, abs=0.0), name
 
 
 # the datasets and sizes of the benchmark's three workloads

@@ -1,6 +1,7 @@
 """Unit tests for LP assembly and decision fixing."""
 
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ class TestFixDecisions:
     def test_missing_block_rejected(self, mini_gep_path):
         system = load_system(mini_gep_path)
         full = build_full_model(system)
-        no_investment = build_full_model(system, "p2x")
+        no_investment = build_full_model(replace(system, mode="p2x"))
         solution = Solution(status="optimal", objective=0.0, x=np.zeros(no_investment.num_vars))
         with pytest.raises(ValueError, match=r"no inv block of asset 'g1' shaped \(\)$"):
             fix_decisions(full, no_investment, solution, "gep")

@@ -363,6 +363,19 @@ class TestWriteLpFile:
         assert "inv_g1" in text
         assert "pout_g1_r1_h2" in text
 
+    @pytest.mark.parametrize("section,columns,rows,repeat", [
+        ("column", "xyyx", "rst", "y"), ("row", "xyz", "rssr", "s")])
+    def test_repeated_names_refused(self, tmp_path, section, columns, rows, repeat):
+        # HiGHS reads a file with a repeated name; other LP readers do not
+        m = LpModel()
+        for name in columns:
+            add_var(m, name)
+        for name in rows:
+            add_row(m, name, [(0, 1.0)], ">=", 1.0)
+        with pytest.raises(ValueError, match=f"^{section} name '{repeat}' is not unique"):
+            write_lp_file(m, tmp_path / "m.lp")
+        assert not (tmp_path / "m.lp").exists()
+
     def test_bounds_section_forms(self, tmp_path):
         m = LpModel()
         add_var(m, "a")                             # default, omitted

@@ -234,49 +234,29 @@ class TestFitWeights:
             fit_weights(np.zeros((3, 2)), np.zeros((4, 2)), "convex")
 
 
+def _random_instances():
+    """Random 10x4 representatives and points, then one instance whose
+    representatives are nearly collinear (rank-deficient up to 1e-9)."""
+    rng = np.random.default_rng(99)
+    for _ in range(8):
+        yield rng.uniform(0, 1, (10, 4)), rng.uniform(0, 1.5, 10)
+    base = rng.uniform(0, 1, 10)
+    R = np.column_stack([base, base + 1e-9 * rng.standard_normal(10),
+                         rng.uniform(0, 1, 10), rng.uniform(0, 1, 10)])
+    yield R, rng.uniform(0, 1.5, 10)
+
+
 class TestAgainstNnls:
     """The package's NNLS fit reaches the optimum that the support-enumeration
-    oracle finds, on the QP solver's instances (one nearly collinear) and on
-    points far outside the hull."""
+    oracle finds, on random instances (one nearly collinear) and on points
+    far outside the hull."""
 
     @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
     def test_fitting_reaches_nnls_optimum(self, weight_type):
-        for R, c in (*TestAgainstQpSolver._instances(), *_far_instances()):
+        for R, c in (*_random_instances(), *_far_instances()):
             fitted = fit_weights(R, c[:, None], weight_type).projection_errors[0]
             optimum = float(np.linalg.norm(R @ fit_bruteforce(R, c, weight_type) - c))
             assert fitted == pytest.approx(optimum, abs=1e-9)
-
-
-class TestAgainstQpSolver:
-    """Cross-check the fitting against an interior-point QP solver on the
-    same constrained problems (skipped when cvxpy is absent)."""
-
-    @staticmethod
-    def _instances():
-        rng = np.random.default_rng(99)
-        for _ in range(8):
-            yield rng.uniform(0, 1, (10, 4)), rng.uniform(0, 1.5, 10)
-        # nearly collinear representatives (rank-deficient up to 1e-9)
-        base = rng.uniform(0, 1, 10)
-        R = np.column_stack([base, base + 1e-9 * rng.standard_normal(10),
-                             rng.uniform(0, 1, 10), rng.uniform(0, 1, 10)])
-        yield R, rng.uniform(0, 1.5, 10)
-
-    @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
-    def test_fitting_reaches_qp_optimum(self, weight_type):
-        cp = pytest.importorskip("cvxpy")
-        for R, c in self._instances():
-            fitted = fit_weights(R, c[:, None], weight_type).projection_errors[0]
-            w = cp.Variable(R.shape[1])
-            constraints = [w >= 0]
-            if weight_type == "convex":
-                constraints.append(cp.sum(w) == 1)
-            elif weight_type == "subunit_conic":
-                constraints.append(cp.sum(w) <= 1)
-            problem = cp.Problem(cp.Minimize(cp.sum_squares(R @ w - c)), constraints)
-            problem.solve()
-            qp_error = float(np.sqrt(max(problem.value, 0.0)))
-            assert fitted == pytest.approx(qp_error, abs=1e-5)
 
 
 def _far_instances():
@@ -300,7 +280,7 @@ def test_fit_satisfies_kkt(weight_type):
     gradient on the zero set and a zero gradient on the support (after
     adding the sum constraint's multiplier where it is active), and
     complementarity."""
-    instances = list(TestAgainstQpSolver._instances()) + list(_far_instances())
+    instances = list(_random_instances()) + list(_far_instances())
     for R, c in instances:
         w = fit_weights(R, c[:, None], weight_type).values[0]
         grad = R.T @ (R @ w - c)

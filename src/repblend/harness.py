@@ -175,7 +175,6 @@ def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
                     raise ValueError("solution does not fit the model")
                 basis = basis_from_codes(columns, rows)
             return Solution(status=status, objective=objective, x=x,
-                            solve_time=float(saved["solve_time"]),
                             iterations=int(saved["iterations"]), basis=basis)
     except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
         return None
@@ -188,15 +187,15 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     directory, ``<data_path>/.full_cache``; ``mode`` is already part of the
     model.
 
-    The file, ``full_<key>.npz``, keeps the status, the iteration count and
-    the solve time, plus for an optimal solution the objective, ``x`` and
-    the optimal basis as int8 status codes (``columns`` and ``rows``).  A
-    cache file that cannot be read back, or whose ``x`` or basis does not
-    fit the model, counts as a miss and is overwritten.  Writes go through
-    a temporary file in the cache directory and ``os.replace``, so a reader
-    never sees a half-written file.  A cache that cannot be written (say, a
-    read-only dataset directory) is a warning naming the cache file, and
-    the solution is still returned.
+    The file, ``full_<key>.npz``, keeps the status and the iteration count,
+    plus for an optimal solution the objective, ``x`` and the optimal basis
+    as int8 status codes (``columns`` and ``rows``).  A cache file that
+    cannot be read back, or whose ``x`` or basis does not fit the model,
+    counts as a miss and is overwritten.  Writes go through a temporary
+    file in the cache directory and ``os.replace``, so a reader never sees
+    a half-written file.  A cache that cannot be written (say, a read-only
+    dataset directory) is a warning naming the cache file, and the solution
+    is still returned.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else Path(data_path) / ".full_cache"
     key = model_key(full_model, handle)
@@ -205,8 +204,7 @@ def solve_full_cached(full_model: LpModel, data_path: Path, mode: str,
     if cached is not None:
         return cached
     solution = solve(full_model, handle)
-    arrays = {"status": solution.status, "solve_time": solution.solve_time,
-              "iterations": solution.iterations}
+    arrays = {"status": solution.status, "iterations": solution.iterations}
     if solution.status == "optimal":
         columns, rows = basis_codes(solution.basis)
         arrays.update(objective=solution.objective, x=solution.x, columns=columns, rows=rows)
@@ -320,7 +318,7 @@ def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
                 system, extract_rep_profiles(system, run.selection, cmatrix), run.weights))
             run.reduced_solution, times["t_solve"] = _timed(solve, run.reduced, handle)
             fixed = fix_decisions(full_model, run.reduced,
-                                  _optimal("reduced", run.reduced_solution), mode)
+                                  _optimal("reduced", run.reduced_solution))
             run.fixed_solution, times["t_fixed_solve"] = _timed(
                 solve, fixed, handle, basis=full_solution.basis)
             run.regret_pct = compute_regret(_optimal("fixed", run.fixed_solution).objective,

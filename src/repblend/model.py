@@ -85,11 +85,13 @@ class LpModel:
 
     ``add_vars``/``add_rows`` append unnamed blocks that
     ``name_vars``/``name_rows`` then name.  Appends are buffered and joined
-    into the arrays when these are next read.
+    into the arrays when these are next read.  ``first_stage`` is the kind
+    of block that ``fix_decisions`` pins (None: the model declares none).
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
+        self.first_stage: str | None = None
         self.var_blocks: list[Block] = []
         self.row_blocks: list[Block] = []
         self._num_vars = 0
@@ -270,6 +272,7 @@ def build_model(
     rep_totals = weight_matrix.rep_totals
 
     m = LpModel(name=f"{system.name}-{system.mode}-{R}rp")
+    m.first_stage = "inv" if system.mode == "gep" else "sinter"
 
     def variables(kind, asset, axes, shape, lb=0.0, ub=math.inf):
         index = m.add_vars(shape, lb, ub)
@@ -469,27 +472,30 @@ def build_full_model(system: EnergySystem) -> LpModel:
                        identity_weights(system.horizon.num_periods))
 
 
-def fix_decisions(full_model: LpModel, reduced_model: LpModel, reduced_solution: Solution,
-                  mode: str) -> LpModel:
-    """Pin the reduced model's first-stage decisions into the full model.
+def fix_decisions(full_model: LpModel, reduced_model: LpModel,
+                  reduced_solution: Solution) -> LpModel:
+    """Pin the reduced model's first-stage decisions, the blocks of the
+    models' ``first_stage`` kind, into the full model.
 
     gep: every investment variable (the ``inv`` blocks) is fixed to its
     reduced value.
     p2x: every inter-period storage level (the ``sinter`` blocks) is fixed
     to its reduced value (the reduced model keeps these on all base periods,
     where they equal the blended reconstruction from the representative
-    intra-period levels).
+    intra-period levels).  A full model without a first stage, or two
+    models that disagree on it, is a ValueError.
 
     Values come from ``reduced_solution.x`` at the reduced model's block of
     the same kind, asset and shape, clamped into the variable's bounds to
     absorb solver round-off.  The fixed model shares the full model's rows
     and blocks and owns its bounds, so the full model is left unchanged.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    kind = full_model.first_stage
+    if kind is None or reduced_model.first_stage != kind:
+        raise ValueError(f"the full model's first stage is {kind}, "
+                         f"the reduced model's is {reduced_model.first_stage}")
     if reduced_solution.status != "optimal":
         raise ValueError(f"reduced solution is {reduced_solution.status}, not optimal")
-    kind = "inv" if mode == "gep" else "sinter"
     reduced = {b.asset: b.index for b in reduced_model.var_blocks if b.kind == kind}
     blocks = [b for b in full_model.var_blocks if b.kind == kind]
     for block in blocks:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,7 +60,6 @@ class Solution:
     status: str
     objective: float | None = None
     x: np.ndarray | None = field(default=None, compare=False)
-    solve_time: float = 0.0
     iterations: int = 0
     basis: highspy.HighsBasis | None = field(default=None, compare=False)
 
@@ -139,7 +137,6 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
         rows_basic = basis_from_codes(np.zeros(0, np.int8), np.ones(m, np.int8))  # 1: basic
         return Solution(status="optimal", objective=0.0, x=np.zeros(0), basis=rows_basic)
 
-    start = time.perf_counter()
     highs = highspy._Highs()
     for option, value in (("output_flag", False), ("presolve", "on"),
                           ("primal_feasibility_tolerance", handle.tolerance),
@@ -170,13 +167,11 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
     info = highs.getInfo()
     iterations = int(info.simplex_iteration_count)
     if status != "optimal":
-        return Solution(status=status, iterations=iterations,
-                        solve_time=time.perf_counter() - start)
+        return Solution(status=status, iterations=iterations)
 
     objective = float(info.objective_function_value)
     x = np.array(highs.getSolution().col_value)
     return Solution(status="optimal", objective=objective, x=x,
-                    solve_time=time.perf_counter() - start,
                     iterations=iterations, basis=highs.getBasis())
 
 

@@ -87,9 +87,9 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
       u = t w with w the nearest-point simplex weights and
       t = lam^2 / (lam^2 + d^2) > 0 at distance d, so w = u / 1^T u
       exactly; lam = max(1, max|A|) keeps both blocks on the same scale.
-    - ``subunit_conic``: the conic optimum when it sums to at most one (the
-      sum constraint is inactive), else the convex optimum (the objective is
-      convex, so the constraint is then active).
+    - ``subunit_conic``: the convex optimum over [R, 0], the representatives
+      and the null point (the ``convex_null`` hull), without the null
+      point's weight.
 
     A point identical to a representative column gets that column's unit
     row, which is optimal in every space.  Every row's KKT conditions are
@@ -99,21 +99,20 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
     R = np.asarray(rep_matrix, dtype=float)
     if R.ndim != 2 or R.shape[1] == 0:
         raise ValueError("rep_matrix must have at least one column")
+    if weight_type == "subunit_conic":
+        return nnls_weights(np.hstack([R, np.zeros((R.shape[0], 1))]), points, "convex")[:, :-1]
     X = np.asarray(points, dtype=float)
     same = np.all(X[:, :, None] == R[:, None, :], axis=0)  # (n_points, n_reps)
     hit = same.any(axis=1)
     W = np.zeros((X.shape[1], R.shape[1]))
     W[hit, np.argmax(same[hit], axis=1)] = 1.0
-    simplex = np.zeros(len(W), dtype=bool)  # rows fitted with sum(w) = 1
     augmented = np.empty((R.shape[0] + 1, R.shape[1]))
     target = np.zeros(R.shape[0] + 1)
 
     def fit(d, solve):
-        if weight_type != "convex":
-            w, _ = solve(R, X[:, d])
-            if weight_type == "conic" or w.sum() <= 1.0:
-                W[d] = w
-                return
+        if weight_type == "conic":
+            W[d], _ = solve(R, X[:, d])
+            return
         A = R - X[:, d, None]
         lam = max(1.0, float(np.abs(A).max()))
         augmented[:-1] = A
@@ -121,7 +120,6 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
         target[-1] = lam
         u, _ = solve(augmented, target)
         W[d] = u / u.sum()
-        simplex[d] = True
 
     for d in np.flatnonzero(~hit):
         fit(d, nnls)
@@ -129,20 +127,17 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
     # convex fit of (0, 0, 0, -9.0625, 0.1, -6.40625, 0.9) against the
     # identity its point is not even stationary on its own support.  So
     # every row's KKT conditions are checked, with the gradient G of
-    # 0.5 ||R w - x||^2 and the sum constraint's multiplier mu (nonnegative
-    # for sum <= 1), to 1e-9 of a bound on G; a row that fails is fitted
+    # 0.5 ||R w - x||^2 shifted by the sum constraint's multiplier for
+    # convex rows, to 1e-9 of a bound on G; a row that fails is fitted
     # again by bounded-variable least squares
     G = (W @ R.T - X.T) @ R
-    mu = np.where(simplex, -G.min(axis=1), 0.0)
-    reduced = G + mu[:, None]
-    violation = np.where(W > 0, np.abs(reduced), -reduced).max(axis=1)
-    if weight_type == "subunit_conic":
-        violation = np.maximum(violation, -mu)
+    if weight_type == "convex":
+        G -= G.min(axis=1, keepdims=True)
+    violation = np.where(W > 0, np.abs(G), -G).max(axis=1)
     top = np.abs(R).max(initial=0.0)
     tol = 1e-9 * R.shape[0] * top * (top * W.sum(axis=1).max(initial=0.0)
                                      + np.abs(X).max(initial=0.0))
     for d in np.flatnonzero(violation > tol):
-        simplex[d] = False
         fit(d, _bvls)
     return W
 

@@ -189,7 +189,7 @@ def test_criterion_08_regret_sanity(mini_gep_path, sweep):
     full = build_full_model(system)
     solution = solve(full)
     assert solution.objective == pytest.approx(23.0, abs=1e-8)
-    refixed = solve(fix_decisions(full, full, solution, "gep"))
+    refixed = solve(fix_decisions(full, full, solution))
     assert compute_regret(refixed.objective, solution.objective) == \
         pytest.approx(0.0, abs=1e-8)
 

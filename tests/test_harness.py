@@ -205,21 +205,6 @@ class TestRunExperiment:
         assert len(calls) == 1
         assert cache_file.read_text() == ""
 
-    def test_full_build_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
-                                                     monkeypatch):
-        calls = []
-
-        def failing_build(system):
-            calls.append(system)
-            raise RuntimeError("full build failed")
-
-        monkeypatch.setattr(harness, "build_full_model", failing_build)
-        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2, 3),
-                                  cache_dir=tmp_path / "cache")
-        records = run_experiment(config)
-        assert [r.error for r in records] == ["RuntimeError: full build failed"] * 3
-        assert len(calls) == 1
-
     def test_full_solve_once_before_clustering(self, synthetic_gep_path, tmp_path,
                                                monkeypatch):
         calls = []
@@ -238,7 +223,10 @@ class TestRunExperiment:
 
     def test_full_build_failure_gives_every_seed_the_set_up(self, mini_gep_copy, tmp_path,
                                                             monkeypatch):
+        calls = []
+
         def failing_build(system):
+            calls.append(system)
             raise RuntimeError("full build failed")
 
         clustered = []
@@ -252,6 +240,7 @@ class TestRunExperiment:
         assert all(r.t_read > 0 for r in records) and len({r.t_read for r in records}) == 1
         assert all(r.t_cluster == 0.0 and r.objective_reduced is None for r in records)
         assert clustered == []
+        assert len(calls) == 1
 
     def test_full_solve_cached_on_disk(self, mini_gep_copy, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -301,8 +290,22 @@ class TestRunExperiment:
             with np.load(cached) as rewritten:
                 assert dict(rewritten).keys() == arrays.keys(), case
                 for name, array in arrays.items():
-                    if name != "solve_time":
-                        np.testing.assert_array_equal(rewritten[name], array, err_msg=case)
+                    np.testing.assert_array_equal(rewritten[name], array, err_msg=case)
+
+    def test_cache_file_with_a_solve_time_is_a_hit(self, mini_gep_copy, tmp_path):
+        # files written before the solve time was dropped hold one more array
+        cache_dir = tmp_path / "cache"
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1,
+                                  seeds=(1,), cache_dir=cache_dir)
+        run_experiment(config)
+        [cached] = cache_dir.glob("full_*.npz")
+        with np.load(cached) as saved:
+            arrays = dict(saved)
+        assert "solve_time" not in arrays
+        np.savez(cached, **arrays, solve_time=0.5)
+        assert run_experiment(config)[0].objective_full == pytest.approx(23.0)
+        with np.load(cached) as reread:
+            assert float(reread["solve_time"]) == 0.5  # read, not rewritten
 
     def test_old_json_cache_file_ignored(self, mini_gep_copy, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -353,7 +356,7 @@ class TestRunExperiment:
         selection = cluster_matrix(cm.values, "hull", "conic", 3, seed=1)
         weights = fit_weights(selection.rep_matrix, cm.values, "conic")
         reduced_model = build_model(system, extract_rep_profiles(system, selection, cm), weights)
-        fixed = fix_decisions(full, reduced_model, solve(reduced_model), system.mode)
+        fixed = fix_decisions(full, reduced_model, solve(reduced_model))
         from_solved, from_cached = (solve(fixed, basis=s.basis) for s in (solved, cached))
         assert from_cached.status == from_solved.status == "optimal"
         assert from_cached.iterations == from_solved.iterations
@@ -388,7 +391,7 @@ class TestRunExperiment:
         reduced = solve(reduced_model)
         assert (reduced.objective, reduced.iterations) == (record.objective_reduced,
                                                            record.iterations_reduced)
-        cold = solve(fix_decisions(build_full_model(system), reduced_model, reduced, system.mode))
+        cold = solve(fix_decisions(build_full_model(system), reduced_model, reduced))
         assert cold.status == "optimal"
         assert record.objective_fixed == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
         assert record.iterations_fixed < cold.iterations

@@ -23,6 +23,10 @@ the clustering matrix sort by name, so the model's rows and columns come in
 another order, but each series must still reach the asset or node it names:
 the full, reduced and fixed objectives do not move, and neither do the
 selected periods and the weights.
+
+Representative order: the columns of R permuted.  Every weight space's
+projection errors do not move, and where R has full column rank the
+blended optimum is unique, so its weights permute with the columns.
 """
 
 import csv
@@ -36,8 +40,14 @@ import pytest
 from generators import make_gep, make_p2x
 from repblend.clustering import HULL_TYPES, greedy_hull
 from repblend.data import build_clustering_matrix, load_system, require_valid
-from repblend.harness import METHODS, ExperimentConfig, iter_seed_runs, run_experiment
-from repblend.weights import WEIGHT_TYPES
+from repblend.harness import (
+    METHODS,
+    ExperimentConfig,
+    cluster_matrix,
+    iter_seed_runs,
+    run_experiment,
+)
+from repblend.weights import WEIGHT_TYPES, fit_weights
 
 SCALE = 3.0
 N_RP = 4
@@ -190,6 +200,26 @@ def test_relabel(request, tmp_path, fixture, method, weight_type):
     for name in ("objective_full", "objective_reduced", "objective_fixed"):
         assert getattr(relabeled_record, name) == pytest.approx(getattr(record, name),
                                                                 rel=1e-9, abs=0.0), name
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("fixture", ["synthetic_gep_path", "synthetic_p2x_path"],
+                         ids=["gep", "p2x"])
+def test_representative_order(request, fixture, method):
+    C = build_clustering_matrix(load_system(request.getfixturevalue(fixture))).values
+    for k in sorted({2, 3, min(C.shape[1], 8)}):
+        for weight_type in WEIGHT_TYPES:
+            R = cluster_matrix(C, method, weight_type, k, seed=1).rep_matrix
+            fitted = fit_weights(R, C, weight_type)
+            for perm in (np.roll(np.arange(k), 1), np.arange(k)[::-1]):
+                permuted = fit_weights(R[:, perm], C, weight_type)
+                case = f"k={k} {weight_type} order {perm}"
+                np.testing.assert_allclose(permuted.projection_errors, fitted.projection_errors,
+                                           rtol=1e-12, atol=1e-12 * np.abs(C).max(),
+                                           err_msg=case)
+                if weight_type != "dirac" and np.linalg.matrix_rank(R) == k:
+                    np.testing.assert_allclose(permuted.values, fitted.values[:, perm],
+                                               rtol=0.0, atol=1e-12, err_msg=case)
 
 
 # the datasets and sizes of the benchmark's three workloads

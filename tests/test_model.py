@@ -305,14 +305,14 @@ class TestFixDecisions:
         system = load_system(synthetic_gep_path)
         full = build_full_model(system)
         solution = solve(full)
-        fixed = fix_decisions(full, full, solution, "gep")
+        fixed = fix_decisions(full, full, solution)
         assert solve(fixed).objective == pytest.approx(solution.objective, rel=1e-8)
 
     def test_self_fix_reproduces_optimum_p2x(self, synthetic_p2x_path):
         system = load_system(synthetic_p2x_path)
         full = build_full_model(system)
         solution = solve(full)
-        fixed = fix_decisions(full, full, solution, "p2x")
+        fixed = fix_decisions(full, full, solution)
         sinter = np.array([n.startswith("sinter_") for n in full.var_names])
         assert sinter.any()
         np.testing.assert_array_equal(fixed.lb == fixed.ub, sinter)
@@ -326,9 +326,9 @@ class TestFixDecisions:
         lb, ub = full.lb.copy(), full.ub.copy()
         solution = solve(full)
         pinned = [i for i, n in enumerate(full.var_names) if n.startswith("sinter_")]
-        first = fix_decisions(full, full, solution, "p2x")
+        first = fix_decisions(full, full, solution)
         at_zero = Solution(status="optimal", objective=0.0, x=np.zeros(full.num_vars))
-        second = fix_decisions(full, full, at_zero, "p2x")
+        second = fix_decisions(full, full, at_zero)
         np.testing.assert_array_equal(full.lb, lb)
         np.testing.assert_array_equal(full.ub, ub)
         levels = np.clip([value(full, solution, full.var_names[i]) for i in pinned],
@@ -350,30 +350,58 @@ class TestFixDecisions:
         full = build_full_model(system)
         zero = Solution(status="optimal", objective=0.0, x=np.zeros(full.num_vars))
         assert value(full, zero, "inv_g1") == 0.0
-        fixed = fix_decisions(full, full, zero, "gep")
+        fixed = fix_decisions(full, full, zero)
         assert solve(fixed).status == "infeasible"
 
-    def test_missing_block_rejected(self, mini_gep_path):
+    def test_first_stage_follows_the_mode(self, mini_gep_path):
         system = load_system(mini_gep_path)
         full = build_full_model(system)
-        no_investment = build_full_model(replace(system, mode="p2x"))
-        solution = Solution(status="optimal", objective=0.0, x=np.zeros(no_investment.num_vars))
+        solution = solve(full)
+        assert full.first_stage == "inv"
+        assert fix_decisions(full, full, solution).first_stage == "inv"
+        assert build_full_model(replace(system, mode="p2x")).first_stage == "sinter"
+        assert LpModel().first_stage is None
+
+    def test_models_of_two_formulations_rejected(self, mini_gep_path):
+        system = load_system(mini_gep_path)
+        gep = build_full_model(system)
+        p2x = build_full_model(replace(system, mode="p2x"))
+        for full, reduced, message in (
+                (gep, p2x, "first stage is inv, the reduced model's is sinter"),
+                (p2x, gep, "first stage is sinter, the reduced model's is inv")):
+            solution = Solution(status="optimal", objective=0.0, x=np.zeros(reduced.num_vars))
+            with pytest.raises(ValueError, match=message):
+                fix_decisions(full, reduced, solution)
+
+    def test_model_without_first_stage_rejected(self):
+        full = LpModel()
+        full.name_vars("inv", "g1", "", full.add_vars(()))
+        solution = Solution(status="optimal", objective=0.0, x=np.zeros(1))
+        with pytest.raises(ValueError, match="the full model's first stage is None"):
+            fix_decisions(full, full, solution)
+
+    def test_missing_block_rejected(self, mini_gep_path):
+        full = build_full_model(load_system(mini_gep_path))
+        reduced = LpModel()
+        reduced.first_stage = "inv"
+        solution = Solution(status="optimal", objective=0.0, x=np.zeros(0))
         with pytest.raises(ValueError, match=r"no inv block of asset 'g1' shaped \(\)$"):
-            fix_decisions(full, no_investment, solution, "gep")
+            fix_decisions(full, reduced, solution)
 
     def test_block_of_another_shape_rejected(self, mini_gep_path):
         full = build_full_model(load_system(mini_gep_path))
         reduced = LpModel()
+        reduced.first_stage = "inv"
         reduced.name_vars("inv", "g1", "d", reduced.add_vars((2,)))
         solution = Solution(status="optimal", objective=0.0, x=np.zeros(2))
         with pytest.raises(ValueError, match=r"no inv block of asset 'g1' shaped \(\)$"):
-            fix_decisions(full, reduced, solution, "gep")
+            fix_decisions(full, reduced, solution)
 
     def test_non_optimal_solution_rejected(self, mini_gep_path):
         system = load_system(mini_gep_path)
         full = build_full_model(system)
         with pytest.raises(ValueError, match="not optimal"):
-            fix_decisions(full, full, Solution(status="infeasible"), "gep")
+            fix_decisions(full, full, Solution(status="infeasible"))
 
     def test_fixing_cannot_improve_objective(self, synthetic_gep_path):
         system = load_system(synthetic_gep_path)
@@ -387,7 +415,7 @@ class TestFixDecisions:
             reduced = build_model(system, rep, weights)
             reduced_solution = solve(reduced)
             assert reduced_solution.status == "optimal"
-            fixed_solution = solve(fix_decisions(full, reduced, reduced_solution, "gep"))
+            fixed_solution = solve(fix_decisions(full, reduced, reduced_solution))
             assert fixed_solution.objective >= benchmark * (1 - 1e-6)
 
 

@@ -218,16 +218,21 @@ class TestFitWeights:
             lambda x: least_squares_objective(R, x, c), w)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
-    def test_subunit_fit_equals_zero_column_augmented_convex_fit(self):
-        # the null-point trick: a zero representative column absorbs the
-        # missing mass of a sub-unit row under plain convex fitting
-        rng = np.random.default_rng(12)
-        R = rng.uniform(0, 1, (6, 3))
-        C = rng.uniform(0, 2, (6, 5))
-        direct = fit_weights(R, C, "subunit_conic")
-        augmented = fit_weights(np.hstack([R, np.zeros((6, 1))]), C, "convex")
-        np.testing.assert_allclose(direct.projection_errors,
-                                   augmented.projection_errors, atol=1e-5)
+    def test_subunit_ties_at_a_zero_representative(self):
+        # with a zero representative the sub-unit optimum is not unique: the
+        # null point ties with it, and the zero representative gets the
+        # missing mass
+        a = np.array([1.0, 2.0, 3.0])
+        wm = fit_weights(np.column_stack([a, np.zeros(3)]), 0.5 * a[:, None], "subunit_conic")
+        np.testing.assert_allclose(wm.values, [[0.5, 0.5]], atol=1e-12)
+        assert wm.projection_errors[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_period_gets_a_zero_subunit_row(self):
+        R = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 4.0]])
+        wm = fit_weights(R, np.column_stack([np.zeros(3), 0.5 * R[:, 0]]), "subunit_conic")
+        np.testing.assert_array_equal(wm.values[0], [0.0, 0.0])
+        np.testing.assert_allclose(wm.values[1], [0.5, 0.0], atol=1e-12)
+        np.testing.assert_allclose(wm.projection_errors, 0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="feature count"):

@@ -205,6 +205,21 @@ class TestRunExperiment:
         assert len(calls) == 1
         assert cache_file.read_text() == ""
 
+    def test_full_build_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
+                                                     monkeypatch):
+        calls = []
+
+        def failing_build(system):
+            calls.append(system)
+            raise RuntimeError("full build failed")
+
+        monkeypatch.setattr(harness, "build_full_model", failing_build)
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2, 3),
+                                  cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert [r.error for r in records] == ["RuntimeError: full build failed"] * 3
+        assert len(calls) == 1
+
     def test_full_solve_once_before_clustering(self, synthetic_gep_path, tmp_path,
                                                monkeypatch):
         calls = []

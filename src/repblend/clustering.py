@@ -8,12 +8,11 @@ Three families of methods:
 - ``greedy_hull``: grows a set of extreme data columns so that the chosen
   hull (convex, convex-with-null, or conic) covers the remaining columns as
   well as possible.  Conic coverage is reduced to the convex case by scaling
-  every column onto the hyperplane <x, q> = 1 (gnomonic projection), and
-  convex-with-null coverage by adding a zero column.  Each greedy step
-  takes the exact distance of every remaining column to the convex hull of
-  the selection, as the projection error of a convex ``weights.fit_weights``
-  (active-set NNLS, Lawson & Hanson 1974), and adds the true farthest
-  column.
+  every column onto the hyperplane <x, q> = 1 (gnomonic projection).  Each
+  greedy step takes the exact distance of every remaining column to the
+  hull of the selection, as the projection error of a ``weights.fit_weights``
+  in the hull's space (active-set NNLS, Lawson & Hanson 1974): convex, or
+  sub-unit for convex-with-null.  It adds the true farthest column.
 
 Every method returns a ``RepSelection`` and nothing else.  All methods are
 deterministic functions of the matrix, the parameters and the seed;
@@ -56,7 +55,14 @@ class RepSelection:
         return self.rep_matrix.shape[1]
 
 
+def check_integer(value, name: str):
+    """Raise ValueError unless ``value`` is a Python or numpy int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer: got {value!r}")
+
+
 def _check_k(k: int, n_periods: int):
+    check_integer(k, "number of representatives")
     if not 1 <= k <= n_periods:
         raise ValueError(f"number of representatives {k} outside 1..{n_periods}")
 
@@ -176,32 +182,24 @@ def gnomonic_project(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return scaled, degenerate
 
 
-def _greedy_select(
-    matrix: np.ndarray,
-    n_rp: int,
-    initial: list[int],
-    candidates: np.ndarray,
-) -> tuple[list[int], list[float]]:
+def _greedy_select(matrix: np.ndarray, n_rp: int, weight_type: str,
+                   candidates: np.ndarray) -> tuple[list[int], list[float]]:
     """Core greedy loop: repeatedly add the candidate column farthest from
-    the convex hull of the current selection.
-
-    Every step computes the exact hull distance of every remaining
-    candidate and takes the true argmax (lowest index on ties).
+    the hull of the selection, by the projection errors of ``fit_weights``
+    in ``weight_type``'s space (lowest index on ties).  A convex hull starts
+    from the column farthest from the column mean, a sub-unit hull from the
+    empty selection, whose hull is the origin.
     """
-    reps = list(initial)
+    reps: list[int] = []
     steps: list[float] = []
-    if not reps:
-        mean = matrix.mean(axis=1)
-        dist_to_mean = _column_distances(matrix, mean)
-        masked = np.where(candidates, dist_to_mean, -np.inf)
-        reps.append(int(np.argmax(masked)))
+    if weight_type == "convex":
+        dist_to_mean = _column_distances(matrix, matrix.mean(axis=1))
+        reps.append(int(np.argmax(np.where(candidates, dist_to_mean, -np.inf))))
     while len(reps) < n_rp:
         remaining = candidates.copy()
         remaining[reps] = False
         cols = np.flatnonzero(remaining)
-        if cols.size == 0:
-            raise ValueError("not enough selectable columns to reach the requested count")
-        dist = fit_weights(matrix[:, reps], matrix[:, cols], "convex").projection_errors
+        dist = fit_weights(matrix[:, reps], matrix[:, cols], weight_type).projection_errors
         best = int(np.argmax(dist))
         reps.append(int(cols[best]))
         steps.append(float(dist[best]))
@@ -211,15 +209,14 @@ def _greedy_select(
 def greedy_hull(matrix: np.ndarray, n_rp: int, hull_type: str = "convex") -> RepSelection:
     """Greedy hull clustering in one of three variants.
 
-    - ``convex``: run the greedy loop on the matrix directly;
-    - ``convex_null``: append a zero column, force it as the initial
-      representative, select one extra point, then drop the zero column
-      (covers weight rows summing to at most one);
-    - ``conic``: select on the gnomonically scaled matrix and return the
-      unscaled columns; degenerate columns are excluded from selection.
-
-    Selection starts from the column farthest from the column mean (after
-    the forced zero column for ``convex_null``).
+    - ``convex``: select on the matrix directly by convex fits, starting
+      from the column farthest from the column mean;
+    - ``convex_null``: select on the matrix directly by sub-unit fits, whose
+      hull is the convex hull of the selection and the origin (covers weight
+      rows summing to at most one), starting from the empty selection;
+    - ``conic``: select as ``convex`` on the gnomonically scaled matrix and
+      return the unscaled columns; degenerate columns are excluded from
+      selection.
     """
     if hull_type not in HULL_TYPES:
         raise ValueError(f"unknown hull type {hull_type!r}; expected one of {HULL_TYPES}")
@@ -227,21 +224,18 @@ def greedy_hull(matrix: np.ndarray, n_rp: int, hull_type: str = "convex") -> Rep
     n_periods = C.shape[1]
     _check_k(n_rp, n_periods)
 
-    points, initial, candidates = C, [], np.ones(n_periods, dtype=bool)
-    if hull_type == "convex_null":
-        points = np.hstack([C, np.zeros((C.shape[0], 1))])
-        initial, candidates = [n_periods], np.ones(n_periods + 1, dtype=bool)
-    elif hull_type == "conic":
+    points, candidates = C, np.ones(n_periods, dtype=bool)
+    if hull_type == "conic":
         points, degenerate = gnomonic_project(C)
         candidates[degenerate] = False
         if candidates.sum() < n_rp:
             raise ValueError(
                 f"only {int(candidates.sum())} non-degenerate columns available for {n_rp} representatives"
             )
-    reps, steps = _greedy_select(points, n_rp + len(initial), initial, candidates)
-    chosen = reps[len(initial):]
+    weight_type = "subunit_conic" if hull_type == "convex_null" else "convex"
+    reps, steps = _greedy_select(points, n_rp, weight_type, candidates)
     return RepSelection(
-        rep_matrix=C[:, chosen].copy(),
-        source_indices=np.array(chosen),
+        rep_matrix=C[:, reps].copy(),
+        source_indices=np.array(reps),
         step_max_distances=steps,
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import RepSelection, greedy_hull, kmeans, kmedoids
+from .clustering import RepSelection, check_integer, greedy_hull, kmeans, kmedoids
 from .data import (
     DataError,
     build_clustering_matrix,
@@ -65,8 +65,11 @@ class ExperimentConfig:
         object.__setattr__(self, "weight_type", canonical_weight_type(self.weight_type))
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        check_integer(self.n_rp, "n_rp")
         if self.n_rp < 1:
             raise ValueError("n_rp must be >= 1")
+        for seed in self.seeds:
+            check_integer(seed, "seed")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"at least one seed is required, each >= 0: got {self.seeds}")
 

@@ -89,7 +89,8 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
       exactly; lam = max(1, max|A|) keeps both blocks on the same scale.
     - ``subunit_conic``: the convex optimum over [R, 0], the representatives
       and the null point (the ``convex_null`` hull), without the null
-      point's weight.
+      point's weight.  Against no representatives this is the null point
+      itself: rows of width 0.
 
     A point identical to a representative column gets that column's unit
     row, which is optimal in every space.  Every row's KKT conditions are
@@ -97,10 +98,12 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
     least squares.
     """
     R = np.asarray(rep_matrix, dtype=float)
-    if R.ndim != 2 or R.shape[1] == 0:
-        raise ValueError("rep_matrix must have at least one column")
+    if R.ndim != 2:
+        raise ValueError("rep_matrix must be two-dimensional")
     if weight_type == "subunit_conic":
         return nnls_weights(np.hstack([R, np.zeros((R.shape[0], 1))]), points, "convex")[:, :-1]
+    if R.shape[1] == 0:
+        raise ValueError("rep_matrix must have at least one column")
     X = np.asarray(points, dtype=float)
     same = np.all(X[:, :, None] == R[:, None, :], axis=0)  # (n_points, n_reps)
     hit = same.any(axis=1)

@@ -5,6 +5,7 @@ import pytest
 
 from repblend.clustering import gnomonic_project, greedy_hull, kmeans, kmedoids
 from repblend.data import build_clustering_matrix, load_system
+from repblend.harness import ExperimentConfig
 from repblend.weights import fit_weights
 from oracles import best_medoid_set_bruteforce, dirac_cost, greedy_hull_reference, nnls_fit
 
@@ -289,6 +290,34 @@ class TestGreedyHull:
         b = greedy_hull(C, 6, "conic")
         assert a.source_indices.tolist() == b.source_indices.tolist()
         assert a.step_max_distances == b.step_max_distances
+
+
+SELECTORS = {
+    "kmeans": lambda C, k: kmeans(C, k, seed=1),
+    "kmedoids": lambda C, k: kmedoids(C, k, seed=1),
+    "hull": lambda C, k: greedy_hull(C, k, "convex"),
+    "config": lambda C, k: ExperimentConfig("data", "hull", "convex", k, seeds=(1,)),
+}
+
+
+class TestIntegerCounts:
+    """A representative count, and an experiment's seed, is a Python or
+    numpy integer: a fraction is not rounded and a bool is not a count."""
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    @pytest.mark.parametrize("select", sorted(SELECTORS))
+    def test_non_integer_count_rejected(self, select, k):
+        with pytest.raises(ValueError, match=f"integer: got {k!r}"):
+            SELECTORS[select](random_matrix(3, 6, seed=0), k)
+
+    @pytest.mark.parametrize("select", ["kmeans", "kmedoids", "hull"])
+    def test_numpy_integer_count(self, select):
+        assert SELECTORS[select](random_matrix(3, 6, seed=0), np.int64(2)).n_rp == 2
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer: got {seed!r}"):
+            ExperimentConfig("data", "kmeans", "dirac", 2, seeds=(seed,))
 
 
 class TestDiracRowsAreTheAssignment:

@@ -24,12 +24,21 @@ another order, but each series must still reach the asset or node it names:
 the full, reduced and fixed objectives do not move, and neither do the
 selected periods and the weights.
 
+Split an asset: a producer replaced by two copies with half its unit
+capacity each, and its other fields and availability series.  Capacity,
+investment cost and ramp limits all scale with the unit capacity, so the
+full objective does not move, and neither does the reduced objective at the
+same source periods and weights.  The second availability block changes
+the clustering matrix, so the selection and the weights come from the
+original's.
+
 Representative order: the columns of R permuted.  Every weight space's
 projection errors do not move, and where R has full column rank the
 blended optimum is unique, so its weights permute with the columns.
 """
 
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -37,6 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import period_reps
 from generators import make_gep, make_p2x
 from repblend.clustering import HULL_TYPES, greedy_hull
 from repblend.data import build_clustering_matrix, load_system, require_valid
@@ -47,6 +57,8 @@ from repblend.harness import (
     iter_seed_runs,
     run_experiment,
 )
+from repblend.model import build_full_model, build_model
+from repblend.solve import solve
 from repblend.weights import WEIGHT_TYPES, fit_weights
 
 SCALE = 3.0
@@ -200,6 +212,39 @@ def test_relabel(request, tmp_path, fixture, method, weight_type):
     for name in ("objective_full", "objective_reduced", "objective_fixed"):
         assert getattr(relabeled_record, name) == pytest.approx(getattr(record, name),
                                                                 rel=1e-9, abs=0.0), name
+
+
+def split_copy(system, name: str):
+    """``system`` with the asset ``name`` replaced by two copies, each with
+    half its unit capacity and its availability series."""
+    [asset] = [a for a in system.assets if a.name == name]
+    halves = [dataclasses.replace(asset, name=f"{name}_{part}",
+                                  unit_capacity=asset.unit_capacity / 2) for part in "ab"]
+    availability = dict(system.availability)
+    if name in availability:
+        series = availability.pop(name)
+        availability.update((half.name, series) for half in halves)
+    assets = sorted([a for a in system.assets if a.name != name] + halves, key=lambda a: a.name)
+    return dataclasses.replace(system, assets=assets, availability=availability)
+
+
+@pytest.mark.parametrize("fixture", ["synthetic_gep_path", "synthetic_p2x_path"],
+                         ids=["gep", "p2x"])
+def test_split_asset(request, fixture):
+    system = load_system(request.getfixturevalue(fixture))
+    C = build_clustering_matrix(system).values
+    selection = cluster_matrix(C, "hull", "conic", N_RP, seed=1)
+    weights = fit_weights(selection.rep_matrix, C, "conic")
+
+    def objectives(system):
+        reduced = build_model(system, period_reps(system, selection.source_indices), weights)
+        return solve(build_full_model(system)).objective, solve(reduced).objective
+
+    full, reduced = objectives(system)
+    for asset in system.producers:
+        split_full, split_reduced = objectives(split_copy(system, asset.name))
+        assert split_full == pytest.approx(full, rel=1e-9, abs=0.0), asset.name
+        assert split_reduced == pytest.approx(reduced, rel=1e-9, abs=0.0), asset.name
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -234,6 +234,18 @@ class TestFitWeights:
         np.testing.assert_allclose(wm.values[1], [0.5, 0.0], atol=1e-12)
         np.testing.assert_allclose(wm.projection_errors, 0.0, atol=1e-12)
 
+    def test_subunit_fit_against_no_representatives_is_the_null_point(self):
+        # the greedy convex_null hull's first step: with no representatives
+        # the sub-unit hull is the origin, so every row is empty and every
+        # error is the column norm; the convex and conic hulls are empty
+        C = np.random.default_rng(5).uniform(-1, 1, (4, 6))
+        wm = fit_weights(np.zeros((4, 0)), C, "subunit_conic")
+        assert wm.values.shape == (6, 0)
+        np.testing.assert_array_equal(wm.projection_errors, np.linalg.norm(C, axis=0))
+        for weight_type in ("convex", "conic"):
+            with pytest.raises(ValueError, match="at least one column"):
+                fit_weights(np.zeros((4, 0)), C, weight_type)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="feature count"):
             fit_weights(np.zeros((3, 2)), np.zeros((4, 2)), "convex")

@@ -30,6 +30,7 @@ from .harness import (
     iter_seed_runs,
     load_records,
     solve_full_cached,
+    write_pareto_csv,
 )
 from .model import build_full_model, build_model
 from .solve import SolverError, SolverHandle, write_lp_file
@@ -122,9 +123,9 @@ def validate(data_path):
                f"{system.horizon.num_periods} periods x {system.horizon.hours_per_period} hours")
 
 
-def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
-    """Write reps.csv, rep_matrix.csv and assignment.csv (each period's
-    nearest representative, its dirac row)."""
+def _write_selection(selection: RepSelection, cmatrix, weights, out_dir: Path):
+    """Write reps.csv, rep_matrix.csv, assignment.csv (each period's nearest
+    representative, its dirac row) and weights.csv (period, rep, value)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     sources = selection.source_indices
     write_csv(out_dir / "reps.csv", ["rep", "source_period"],
@@ -137,6 +138,9 @@ def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
     hard = fit_weights(selection.rep_matrix, cmatrix.values, "dirac").values.argmax(axis=1)
     write_csv(out_dir / "assignment.csv", ["period", "rep"],
               ((d + 1, r + 1) for d, r in enumerate(hard.tolist())))
+    write_csv(out_dir / "weights.csv", ["period", "rep", "value"],
+              ((d + 1, r + 1, value) for d, row in enumerate(weights.values.tolist())
+               for r, value in enumerate(row)))
 
 
 @main.command()
@@ -145,28 +149,12 @@ def _write_selection(selection: RepSelection, cmatrix, out_dir: Path):
 @_out
 @_handle_errors
 def cluster(data_path, method, weight_type, n_rp, seed, out_dir):
-    """Select representative periods and write them to the output directory."""
-    cmatrix = build_clustering_matrix(require_valid(load_system(data_path)))
-    selection = cluster_matrix(cmatrix.values, method, weight_type, n_rp, seed)
-    _write_selection(selection, cmatrix, out_dir)
-    click.echo(f"selected {selection.n_rp} representatives with {method}")
-
-
-@main.command(name="fit-weights")
-@_reduction
-@_seed
-@_out
-@_handle_errors
-def fit_weights_cmd(data_path, method, weight_type, n_rp, seed, out_dir):
-    """Cluster, then fit blending weights; writes weights.csv (period, rep, value)."""
-    _, cmatrix, selection, weights = _select_and_fit(
-        data_path, method, weight_type, n_rp, seed)
-    _write_selection(selection, cmatrix, out_dir)
-    write_csv(out_dir / "weights.csv", ["period", "rep", "value"],
-              ((d + 1, r + 1, value) for d, row in enumerate(weights.values.tolist())
-               for r, value in enumerate(row)))
-    click.echo(f"fitted {weight_type} weights; mean projection error "
-               f"{weights.projection_errors.mean():.6g}")
+    """Select representative periods, fit their blending weights and write
+    both to the output directory."""
+    _, cmatrix, selection, weights = _select_and_fit(data_path, method, weight_type, n_rp, seed)
+    _write_selection(selection, cmatrix, weights, out_dir)
+    click.echo(f"selected {selection.n_rp} representatives with {method}; {weight_type} "
+               f"weights, mean projection error {weights.projection_errors.mean():.6g}")
 
 
 @main.command(name="build-lp")
@@ -233,12 +221,11 @@ def experiment(data_path, method, weight_type, n_rp, seeds, out_dir):
 @_out
 @_handle_errors
 def emit_plots(out_dir):
-    """Recompute plot CSVs (including the Pareto front) from results.csv."""
+    """Recompute pareto.csv from results.csv, which it leaves as it is."""
     results = out_dir / "results.csv"
     if not results.exists():
         raise DataError("results.csv not found", str(results))
-    records = load_records(results)
-    emit_plot_data(records, out_dir)
+    write_pareto_csv(load_records(results), out_dir / "pareto.csv")
     click.echo(f"rewrote {out_dir / 'pareto.csv'}")
 
 

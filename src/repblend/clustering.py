@@ -31,6 +31,8 @@ HULL_TYPES = ("convex", "convex_null", "conic")
 
 DEGENERATE_TOL = 1e-12
 
+MAX_ITER = 300  # cap on k-means Lloyd iterations and k-medoids sweeps
+
 
 @dataclass
 class RepSelection:
@@ -87,7 +89,7 @@ def _farthest_point_init(matrix: np.ndarray, k: int, seed: int) -> list[int]:
     return chosen
 
 
-def kmeans(matrix: np.ndarray, k: int, seed: int, max_iter: int = 300) -> RepSelection:
+def kmeans(matrix: np.ndarray, k: int, seed: int) -> RepSelection:
     """Lloyd's algorithm with greedy farthest-point initialization.
 
     Returns synthetic centroid columns (no source indices).
@@ -97,7 +99,7 @@ def kmeans(matrix: np.ndarray, k: int, seed: int, max_iter: int = 300) -> RepSel
     _check_k(k, n_periods)
     centers = C[:, _farthest_point_init(C, k, seed)].copy()
     assign = np.full(n_periods, -1)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_assign = np.argmin(squared_distances(C, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break
@@ -129,7 +131,7 @@ def _relocate_empty(C: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> n
     return centers
 
 
-def kmedoids(matrix: np.ndarray, k: int, seed: int, max_iter: int = 300) -> RepSelection:
+def kmedoids(matrix: np.ndarray, k: int, seed: int) -> RepSelection:
     """Alternating assign/update k-medoids on Euclidean distances.
 
     Medoids are actual data columns; each update sweep re-centers every
@@ -143,7 +145,7 @@ def kmedoids(matrix: np.ndarray, k: int, seed: int, max_iter: int = 300) -> RepS
     for d in range(n_periods):
         dist[d] = _column_distances(C, C[:, d])
     medoids = _farthest_point_init(C, k, seed)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         assign = np.argmin(dist[:, medoids], axis=1)
         new_medoids = list(medoids)
         for j in range(k):

@@ -18,7 +18,7 @@ import typing
 import warnings
 import zipfile
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,10 @@ class ExperimentRecord:
     from the full model's basis.  ``error`` holds the failure message of a
     seed that did not finish, with the fields it did not reach left unset;
     a failure in the once-per-config set-up, up to and including the full
-    solve, gives every seed the same error and no per-seed field.
+    solve, gives every seed the same error and no per-seed field.  The
+    greedy hull ignores the seed, so a hull config runs its first seed's
+    pass alone and every later seed's record repeats it, stage times and
+    error included, under its own ``seed``.
     """
 
     case: str
@@ -287,7 +290,9 @@ def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
     representatives, build the full model and solve it through the cache;
     a failure there is every run's error.  Each pass clusters, fits, builds
     and solves the reduced model, fixes its first-stage decisions in the
-    full model, solves that and scores the regret.
+    full model, solves that and scores the regret.  A hull config runs the
+    first seed's pass only; each later run is a copy of it with its own
+    ``seed``.
     """
     mode, t_read = "", 0.0
     try:
@@ -308,7 +313,13 @@ def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
             yield SeedRun(config, seed, mode, {"t_read": t_read}, error=exc)
         return
 
+    run = None
     for seed in config.seeds:
+        if run is not None and config.method == "hull":
+            # the greedy hull reads no seed and every later stage is
+            # deterministic, so each later seed's pass is the first one's
+            yield replace(run, seed=seed, times=dict(run.times))
+            continue
         times = {"t_read": t_read}
         run = SeedRun(config, seed, mode, times, full_solution)
         try:
@@ -392,6 +403,14 @@ def pareto_front(records: list[ExperimentRecord]) -> list[ExperimentRecord]:
     return front
 
 
+def write_pareto_csv(records: list[ExperimentRecord], path: Path | str):
+    """Write the Pareto front of ``records`` (``pareto_front``), one row of
+    case, configuration, seed, total time and regret per point."""
+    columns = ["case", "method", "weight_type", "n_rp", "seed", "total_time", "regret_pct"]
+    write_csv(path, columns,
+              ([getattr(rec, name) for name in columns] for rec in pareto_front(records)))
+
+
 def emit_plot_data(records: list[ExperimentRecord], out_dir: Path | str):
     """Write results.csv (all records) and pareto.csv (non-dominated points
     by total time versus regret) for downstream plotting."""
@@ -400,6 +419,4 @@ def emit_plot_data(records: list[ExperimentRecord], out_dir: Path | str):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(records, out_dir / "results.csv")
-    columns = ["case", "method", "weight_type", "n_rp", "seed", "total_time", "regret_pct"]
-    write_csv(out_dir / "pareto.csv", columns,
-              ([getattr(rec, name) for name in columns] for rec in pareto_front(records)))
+    write_pareto_csv(records, out_dir / "pareto.csv")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repblend import clustering
 from repblend.clustering import gnomonic_project, greedy_hull, kmeans, kmedoids
 from repblend.data import build_clustering_matrix, load_system
 from repblend.harness import ExperimentConfig
@@ -44,10 +45,12 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(C, 0, seed=0)
 
-    def test_sse_nonincreasing_across_iterations(self):
+    def test_sse_nonincreasing_across_iterations(self, monkeypatch):
         C = random_matrix(8, 40, seed=5)
-        costs = [dirac_cost(kmeans(C, 5, seed=0, max_iter=it), C, squared=True)
-                 for it in range(1, 12)]
+        costs = []
+        for it in range(1, 12):
+            monkeypatch.setattr(clustering, "MAX_ITER", it)
+            costs.append(dirac_cost(kmeans(C, 5, seed=0), C, squared=True))
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
@@ -79,10 +82,12 @@ class TestKmedoids:
         assert assignment[0] == assignment[1]
         assert dirac_cost(selection, C, squared=False) == 0.0
 
-    def test_cost_nonincreasing_across_sweeps(self):
+    def test_cost_nonincreasing_across_sweeps(self, monkeypatch):
         C = random_matrix(10, 30, seed=11)
-        costs = [dirac_cost(kmedoids(C, 4, seed=1, max_iter=it), C, squared=False)
-                 for it in range(1, 10)]
+        costs = []
+        for it in range(1, 10):
+            monkeypatch.setattr(clustering, "MAX_ITER", it)
+            costs.append(dirac_cost(kmedoids(C, 4, seed=1), C, squared=False))
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_deterministic(self):

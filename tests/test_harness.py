@@ -228,13 +228,14 @@ class TestRunExperiment:
                             lambda *args: calls.append("full") or solve_full(*args))
         monkeypatch.setattr(harness, "cluster_matrix",
                             lambda *args: calls.append("cluster") or cluster(*args))
-        for method in ("kmeans", "hull"):
+        # the hull ignores the seed, so it clusters once for all three
+        for method, clusterings in (("kmeans", 3), ("hull", 1)):
             calls.clear()
             config = ExperimentConfig(synthetic_gep_path, method, "convex", 3,
                                       seeds=(1, 2, 3), cache_dir=tmp_path / "cache")
             records = run_experiment(config)
             assert [r.error for r in records] == [""] * 3
-            assert calls == ["full", "cluster", "cluster", "cluster"]
+            assert calls == ["full"] + ["cluster"] * clusterings
 
     def test_full_build_failure_gives_every_seed_the_set_up(self, mini_gep_copy, tmp_path,
                                                             monkeypatch):
@@ -531,6 +532,34 @@ class TestSeedRuns:
             assert run.fixed_solution.objective == record.objective_fixed
             assert record_key(run.record()) == record_key(record)
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["optimal", "reduced-solve-fails"])
+    def test_hull_runs_its_one_pass_once(self, synthetic_gep_path, tmp_path, monkeypatch,
+                                         fails):
+        # the greedy hull ignores the seed and every later stage is
+        # deterministic: seeds 2 and 3 repeat seed 1's pass, error included
+        clustered, solved = [], []
+
+        def counting_solve(model, handle, basis=None):
+            solved.append("fixed" if basis is not None else "full" if not solved else "reduced")
+            if fails and solved[-1] == "reduced":
+                raise SolverNumericalError("solver failed: reduced")
+            return solve(model, handle, basis)
+
+        monkeypatch.setattr(harness, "cluster_matrix",
+                            lambda *args: clustered.append(args[-1]) or cluster_matrix(*args))
+        monkeypatch.setattr(harness, "solve", counting_solve)
+        config = ExperimentConfig(synthetic_gep_path, "hull", "conic", 3, seeds=(1, 2, 3),
+                                  cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert clustered == [1]
+        assert solved == ["full", "reduced"] + ([] if fails else ["fixed"])
+        assert [r.seed for r in records] == [1, 2, 3]
+        assert [replace(r, seed=1) for r in records] == [records[0]] * 3
+        if fails:
+            assert records[0].error == "SolverNumericalError: solver failed: reduced"
+        else:
+            assert records[0].error == "" and records[0].regret_pct is not None
+
     def test_setup_failure_is_every_runs_error(self, tmp_path):
         config = ExperimentConfig(tmp_path / "none", "kmeans", "dirac", 1, seeds=(1, 2))
         first, second = iter_seed_runs(config)
@@ -732,7 +761,7 @@ class TestCli:
 
     def test_cluster_and_weights_outputs(self, synthetic_gep_path, tmp_path):
         out = tmp_path / "out"
-        result = self.run("fit-weights", "--data", synthetic_gep_path, "--method",
+        result = self.run("cluster", "--data", synthetic_gep_path, "--method",
                           "hull", "--weights", "subunit", "--n-rp", 3, "--out", out)
         assert result.exit_code == 0, result.output
         assert (out / "weights.csv").exists()
@@ -741,6 +770,26 @@ class TestCli:
         assert header == "period,rep,value"
         for path in out.iterdir():
             assert b"\r" not in path.read_bytes(), path.name
+
+    def test_cluster_writes_the_weights_of_its_space(self, synthetic_gep_path, tmp_path):
+        # --weights leaves the kmeans selection as it is and picks the fit
+        values = build_clustering_matrix(load_system(synthetic_gep_path)).values
+        written = {}
+        for weight_type in ("dirac", "conic"):
+            out = tmp_path / weight_type
+            result = self.run("cluster", "--data", synthetic_gep_path, "--method", "kmeans",
+                              "--weights", weight_type, "--n-rp", 3, "--out", out)
+            assert result.exit_code == 0, result.output
+            written[weight_type] = {path.name: path.read_bytes() for path in out.iterdir()}
+        selection_files = ["assignment.csv", "rep_matrix.csv", "reps.csv"]
+        assert sorted(written["dirac"]) == sorted(written["conic"]) == [
+            *selection_files, "weights.csv"]
+        for name in selection_files:
+            assert written["dirac"][name] == written["conic"][name], name
+        assert written["dirac"]["weights.csv"] != written["conic"]["weights.csv"]
+        rows = np.loadtxt(tmp_path / "conic" / "weights.csv", delimiter=",", skiprows=1)
+        expected = fit_weights(kmeans(values, 3, seed=1).rep_matrix, values, "conic").values
+        np.testing.assert_array_equal(rows[:, 2].reshape(expected.shape), expected)
 
     @pytest.mark.parametrize("method", ["kmeans", "kmedoids", "hull"])
     def test_cluster_assignment_written(self, synthetic_gep_path, tmp_path, method):
@@ -863,6 +912,27 @@ class TestCli:
         for path in out.iterdir():
             assert b"\r" not in path.read_bytes(), path.name
 
+    def test_emit_plots_leaves_results_csv_as_it_is(self, mini_gep_copy, tmp_path):
+        # a hand-edited results.csv, one column dropped and one added, keeps
+        # its bytes; only pareto.csv is written again
+        out = tmp_path / "res"
+        result = self.run("experiment", "--data", mini_gep_copy, "--method", "kmeans",
+                          "--weights", "conic", "--n-rp", 1, "--seeds", "1,2", "--out", out)
+        assert result.exit_code == 0, result.output
+        results = out / "results.csv"
+        lines = [line.split(",") for line in results.read_text().splitlines()]
+        drop = lines[0].index("iterations_fixed")
+        edited = "".join(",".join(cells[:drop] + cells[drop + 1:] + [note]) + "\n"
+                         for cells, note in zip(lines, ["note", "kept", "kept too"],
+                                                strict=True)).encode()
+        results.write_bytes(edited)
+        pareto = (out / "pareto.csv").read_bytes()
+        (out / "pareto.csv").unlink()
+        result = self.run("emit-plots", "--out", out)
+        assert result.exit_code == 0, result.output
+        assert results.read_bytes() == edited
+        assert (out / "pareto.csv").read_bytes() == pareto
+
     def test_emit_plots_without_seed_column_is_a_data_error(self, tmp_path):
         emit_plot_data([TestResultsCsv().make_record()], tmp_path)
         results = tmp_path / "results.csv"
@@ -888,7 +958,8 @@ class TestCli:
     def test_experiment_exit_code_follows_the_error(self, mini_gep_copy, tmp_path,
                                                     monkeypatch, stage, error, exit_code):
         # an error in the set-up (the full solve) or in every seed's pass
-        # (the reduced solve) sets the exit code
+        # (the reduced solve; kmeans runs one pass per seed) sets the exit
+        # code
         reduced_models = []
 
         def failing_full_solve(*args):
@@ -908,8 +979,8 @@ class TestCli:
         else:
             monkeypatch.setattr(harness, "build_model", recording_build)
             monkeypatch.setattr(harness, "solve", failing_reduced_solve)
-        result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 1,
-                          "--seeds", "1,2", "--out", tmp_path / "o")
+        result = self.run("experiment", "--data", mini_gep_copy, "--method", "kmeans",
+                          "--n-rp", 1, "--seeds", "1,2", "--out", tmp_path / "o")
         assert result.exit_code == exit_code, result.output
         assert result.output.count(f"{type(error).__name__}: {error}") == 2
         assert len(reduced_models) == (2 if stage == "reduced" else 0)
@@ -979,7 +1050,7 @@ class TestCli:
         assert not (tmp_path / "lp" / "model.lp").exists()
 
     @pytest.mark.parametrize("args", [
-        ["cluster", "--n-rp", 1], ["fit-weights", "--n-rp", 1], ["build-lp", "--n-rp", 1],
+        ["cluster", "--n-rp", 1], ["build-lp", "--n-rp", 1],
         ["solve-full"], ["experiment", "--n-rp", 1, "--seeds", 1], ["emit-plots"],
     ], ids=lambda args: args[0])
     def test_out_that_is_a_file_exits_2_before_any_work(self, mini_gep_copy, tmp_path, args):
@@ -1037,7 +1108,6 @@ class TestCli:
         expected = {
             "validate": {"--data"},
             "cluster": reduction | {"--seed", "--out"},
-            "fit-weights": reduction | {"--seed", "--out"},
             "build-lp": reduction | {"--seed", "--out", "--full"},
             "solve-full": {"--data", "--out"},
             "experiment": reduction | {"--seeds", "--out"},
@@ -1046,4 +1116,4 @@ class TestCli:
         flags = {name: {opt for param in command.params for opt in param.opts}
                  for name, command in main.commands.items()}
         assert flags == expected
-        assert sum(len(f) for f in flags.values()) == 29
+        assert sum(len(f) for f in flags.values()) == 23

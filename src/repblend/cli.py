@@ -225,7 +225,10 @@ def emit_plots(out_dir):
     results = out_dir / "results.csv"
     if not results.exists():
         raise DataError("results.csv not found", str(results))
-    write_pareto_csv(load_records(results), out_dir / "pareto.csv")
+    records = load_records(results)
+    if not records:
+        raise DataError("no records to emit", str(results))
+    write_pareto_csv(records, out_dir / "pareto.csv")
     click.echo(f"rewrote {out_dir / 'pareto.csv'}")
 
 

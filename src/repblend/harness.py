@@ -18,7 +18,7 @@ import typing
 import warnings
 import zipfile
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +89,7 @@ class ExperimentRecord:
     from the full model's basis.  ``error`` holds the failure message of a
     seed that did not finish, with the fields it did not reach left unset;
     a failure in the once-per-config set-up, up to and including the full
-    solve, gives every seed the same error and no per-seed field.  The
-    greedy hull ignores the seed, so a hull config runs its first seed's
-    pass alone and every later seed's record repeats it, stage times and
-    error included, under its own ``seed``.
+    solve, gives every seed the same error and no per-seed field.
     """
 
     case: str
@@ -290,9 +287,7 @@ def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
     representatives, build the full model and solve it through the cache;
     a failure there is every run's error.  Each pass clusters, fits, builds
     and solves the reduced model, fixes its first-stage decisions in the
-    full model, solves that and scores the regret.  A hull config runs the
-    first seed's pass only; each later run is a copy of it with its own
-    ``seed``.
+    full model, solves that and scores the regret.
     """
     mode, t_read = "", 0.0
     try:
@@ -313,13 +308,7 @@ def iter_seed_runs(config: ExperimentConfig) -> Iterator[SeedRun]:
             yield SeedRun(config, seed, mode, {"t_read": t_read}, error=exc)
         return
 
-    run = None
     for seed in config.seeds:
-        if run is not None and config.method == "hull":
-            # the greedy hull reads no seed and every later stage is
-            # deterministic, so each later seed's pass is the first one's
-            yield replace(run, seed=seed, times=dict(run.times))
-            continue
         times = {"t_read": t_read}
         run = SeedRun(config, seed, mode, times, full_solution)
         try:

@@ -228,14 +228,13 @@ class TestRunExperiment:
                             lambda *args: calls.append("full") or solve_full(*args))
         monkeypatch.setattr(harness, "cluster_matrix",
                             lambda *args: calls.append("cluster") or cluster(*args))
-        # the hull ignores the seed, so it clusters once for all three
-        for method, clusterings in (("kmeans", 3), ("hull", 1)):
+        for method in ("kmeans", "hull"):
             calls.clear()
             config = ExperimentConfig(synthetic_gep_path, method, "convex", 3,
                                       seeds=(1, 2, 3), cache_dir=tmp_path / "cache")
             records = run_experiment(config)
             assert [r.error for r in records] == [""] * 3
-            assert calls == ["full"] + ["cluster"] * clusterings
+            assert calls == ["full", "cluster", "cluster", "cluster"]
 
     def test_full_build_failure_gives_every_seed_the_set_up(self, mini_gep_copy, tmp_path,
                                                             monkeypatch):
@@ -531,34 +530,6 @@ class TestSeedRuns:
             assert run.reduced_solution.objective == record.objective_reduced
             assert run.fixed_solution.objective == record.objective_fixed
             assert record_key(run.record()) == record_key(record)
-
-    @pytest.mark.parametrize("fails", [False, True], ids=["optimal", "reduced-solve-fails"])
-    def test_hull_runs_its_one_pass_once(self, synthetic_gep_path, tmp_path, monkeypatch,
-                                         fails):
-        # the greedy hull ignores the seed and every later stage is
-        # deterministic: seeds 2 and 3 repeat seed 1's pass, error included
-        clustered, solved = [], []
-
-        def counting_solve(model, handle, basis=None):
-            solved.append("fixed" if basis is not None else "full" if not solved else "reduced")
-            if fails and solved[-1] == "reduced":
-                raise SolverNumericalError("solver failed: reduced")
-            return solve(model, handle, basis)
-
-        monkeypatch.setattr(harness, "cluster_matrix",
-                            lambda *args: clustered.append(args[-1]) or cluster_matrix(*args))
-        monkeypatch.setattr(harness, "solve", counting_solve)
-        config = ExperimentConfig(synthetic_gep_path, "hull", "conic", 3, seeds=(1, 2, 3),
-                                  cache_dir=tmp_path / "cache")
-        records = run_experiment(config)
-        assert clustered == [1]
-        assert solved == ["full", "reduced"] + ([] if fails else ["fixed"])
-        assert [r.seed for r in records] == [1, 2, 3]
-        assert [replace(r, seed=1) for r in records] == [records[0]] * 3
-        if fails:
-            assert records[0].error == "SolverNumericalError: solver failed: reduced"
-        else:
-            assert records[0].error == "" and records[0].regret_pct is not None
 
     def test_setup_failure_is_every_runs_error(self, tmp_path):
         config = ExperimentConfig(tmp_path / "none", "kmeans", "dirac", 1, seeds=(1, 2))
@@ -944,6 +915,17 @@ class TestCli:
         assert result.exit_code == 2
         assert "results.csv:1: missing columns: seed" in result.output
 
+    def test_emit_plots_without_records_is_a_data_error(self, tmp_path):
+        # a header-only results.csv has no point to put on a front
+        emit_plot_data([TestResultsCsv().make_record()], tmp_path)
+        results = tmp_path / "results.csv"
+        results.write_text(results.read_text().splitlines()[0] + "\n")
+        (tmp_path / "pareto.csv").unlink()
+        result = self.run("emit-plots", "--out", tmp_path)
+        assert result.exit_code == 2
+        assert "results.csv: no records to emit" in result.output
+        assert not (tmp_path / "pareto.csv").exists()
+
     def test_experiment_data_error_exit_code(self, tmp_path):
         (tmp_path / "broken").mkdir()
         result = self.run("experiment", "--data", tmp_path / "broken",
@@ -958,8 +940,7 @@ class TestCli:
     def test_experiment_exit_code_follows_the_error(self, mini_gep_copy, tmp_path,
                                                     monkeypatch, stage, error, exit_code):
         # an error in the set-up (the full solve) or in every seed's pass
-        # (the reduced solve; kmeans runs one pass per seed) sets the exit
-        # code
+        # (the reduced solve) sets the exit code
         reduced_models = []
 
         def failing_full_solve(*args):
@@ -979,8 +960,8 @@ class TestCli:
         else:
             monkeypatch.setattr(harness, "build_model", recording_build)
             monkeypatch.setattr(harness, "solve", failing_reduced_solve)
-        result = self.run("experiment", "--data", mini_gep_copy, "--method", "kmeans",
-                          "--n-rp", 1, "--seeds", "1,2", "--out", tmp_path / "o")
+        result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 1,
+                          "--seeds", "1,2", "--out", tmp_path / "o")
         assert result.exit_code == exit_code, result.output
         assert result.output.count(f"{type(error).__name__}: {error}") == 2
         assert len(reduced_models) == (2 if stage == "reduced" else 0)

@@ -224,7 +224,7 @@ def emit_plots(out_dir):
     """Recompute pareto.csv from results.csv, which it leaves as it is."""
     results = out_dir / "results.csv"
     if not results.exists():
-        raise DataError("results.csv not found", str(results))
+        raise DataError("file not found", str(results))
     records = load_records(results)
     if not records:
         raise DataError("no records to emit", str(results))

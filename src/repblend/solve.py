@@ -122,20 +122,14 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
     HiGHS rejects (a lower bound of +inf, an infinite coefficient, a NaN
     right-hand side) and a solver breakdown (iteration limit, numerical
     failure, a start basis HiGHS rejects, such as one of another size)
-    raise SolverNumericalError.  A model without variables is optimal with
-    objective 0, and every row basic, unless one of its (constant) rows is
-    violated by more than the tolerance, which makes it infeasible.
+    raise SolverNumericalError.  A model without variables is a ValueError,
+    as in ``write_lp_file``.
     """
-    handle = handle or SolverHandle()
     n, m = model.num_vars, model.num_constraints
-    sense, rhs = model.sense, model.rhs
     if n == 0:
-        # every row reads 0 (sense) rhs
-        violated = np.where(sense == EQ, np.abs(rhs), np.where(sense == LE, -rhs, rhs))
-        if np.any(violated > handle.tolerance):
-            return Solution(status="infeasible")
-        rows_basic = basis_from_codes(np.zeros(0, np.int8), np.ones(m, np.int8))  # 1: basic
-        return Solution(status="optimal", objective=0.0, x=np.zeros(0), basis=rows_basic)
+        raise ValueError("cannot solve a model with no variables")
+    handle = handle or SolverHandle()
+    sense, rhs = model.sense, model.rhs
 
     highs = highspy._Highs()
     for option, value in (("output_flag", False), ("presolve", "on"),

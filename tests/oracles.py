@@ -1,12 +1,14 @@
-"""Independent brute-force oracles and reference algorithms used by the
-test suite.
+"""Brute-force oracles and reference algorithms used by the test suite.
 
-These deliberately avoid the library's shortcuts: projections and weight
-fits are found by enumerating active sets (faces) of the constraint
-polytope and keeping the feasible face-minimizer closest to the input
-point.  The package's ``fit_weights`` is checked against them directly: a
-fit against the identity matrix is the Euclidean projection onto the
-weight space, and ``fit_bruteforce`` gives the optimum of a general fit.
+Projections and weight fits are found by enumerating active sets (faces)
+of the constraint polytope and keeping the feasible face-minimizer closest
+to the input point.  The package's ``fit_weights`` is checked against them
+directly: a fit against the identity matrix is the Euclidean projection
+onto the weight space, and ``fit_bruteforce`` gives the optimum of a
+general fit; it is the fit's independent check.  ``nnls_fit``, the kernel
+of ``greedy_hull_reference``, is not independent of the fit: it solves the
+same shifted NNLS system as ``weights.nnls_weights``, so the reference
+greedy checks the hull's selection loop, not its distances' construction.
 The profile reader parses one CSV row at a time.
 """
 

@@ -36,14 +36,16 @@ SWEEP_SEEDS = (1, 2, 3, 4, 5)
 
 @pytest.fixture(scope="module")
 def sweep(synthetic_gep_path):
-    """3 methods x 4 weight types x {2,4,8} representatives x 5 seeds on the
-    synthetic system; shared by the regret and qualitative criteria."""
+    """3 methods x 4 weight types x {2,4,8} representatives on the synthetic
+    system, at 5 seeds for k-means and k-medoids and at seed 1 for the
+    greedy hull, which reads no seed (``test_seed_only_affects_clustering``);
+    shared by the regret and qualitative criteria."""
     started = time.perf_counter()
     records = {}
     for method, weight_type, n_rp in product(
             ("kmeans", "kmedoids", "hull"), WEIGHT_TYPES, SWEEP_RP_COUNTS):
         config = ExperimentConfig(synthetic_gep_path, method, weight_type, n_rp,
-                                  seeds=SWEEP_SEEDS)
+                                  seeds=SWEEP_SEEDS[:1] if method == "hull" else SWEEP_SEEDS)
         records[(method, weight_type, n_rp)] = run_experiment(config)
     return records, time.perf_counter() - started
 
@@ -174,11 +176,14 @@ def test_criterion_07_reduction_identity(synthetic_gep_path):
     system = load_system(synthetic_gep_path)
     D = system.horizon.num_periods
     assert (len(system.nodes), D, system.horizon.hours_per_period) == (3, 12, 6)
-    full_objective = solve(build_full_model(system)).objective
+    full = build_full_model(system)
+    full_objective = solve(full).objective
     reduced = build_model(system, period_reps(system, np.arange(D)), identity_weights(D))
     reduced_objective = solve(reduced).objective
     elapsed = time.perf_counter() - started
-    assert reduced_objective == pytest.approx(full_objective, rel=1e-6)
+    assert reduced.var_names == full.var_names
+    assert reduced.num_constraints == full.num_constraints
+    assert reduced_objective == pytest.approx(full_objective, rel=1e-9)
     assert elapsed < 5.0
     print(f"\n[PASS] criterion 7: identity-weight reduction reproduces the full "
           f"optimum ({reduced_objective:.6g} vs {full_objective:.6g}, {elapsed:.1f}s)")
@@ -200,7 +205,7 @@ def test_criterion_08_regret_sanity(mini_gep_path, sweep):
             assert record.error == "", (key, record.error)
             assert record.regret_pct >= -1e-4, (key, record.seed, record.regret_pct)
             total += 1
-    assert total == 3 * 4 * len(SWEEP_RP_COUNTS) * len(SWEEP_SEEDS)
+    assert total == (2 * len(SWEEP_SEEDS) + 1) * 4 * len(SWEEP_RP_COUNTS)
     assert elapsed < 120.0, f"sweep took {elapsed:.0f}s"
     print(f"\n[PASS] criterion 8: hand-solved fixture at 23.0, self-fix regret 0, "
           f"{total} sweep records all with regret >= -1e-4 ({elapsed:.0f}s)")
@@ -243,6 +248,7 @@ def test_criterion_10_determinism(tmp_path):
             tuple(cmatrix.row_keys),
             selection.source_indices.tobytes(),
             selection.rep_matrix.tobytes(),
+            repr(selection.step_max_distances),
             weights.values.tobytes(),
             weights.projection_errors.tobytes(),
             lp_path.read_bytes(),

@@ -653,14 +653,6 @@ class TestClusteringMatrix:
         cm = build_clustering_matrix(system)
         np.testing.assert_array_equal(cm.values[:, 0], cm.values[:, 1])
 
-    def test_deterministic_bits(self):
-        system = make_system(D=4, H=3, assets=[producer("w")],
-                             availability={"w": np.random.default_rng(0).uniform(0, 1, (4, 3))})
-        a = build_clustering_matrix(system)
-        b = build_clustering_matrix(system)
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.row_keys == b.row_keys
-
     @given(
         n_nodes=st.integers(1, 3), n_carriers=st.integers(1, 2),
         D=st.integers(1, 5), H=st.integers(1, 4),

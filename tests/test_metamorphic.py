@@ -307,9 +307,12 @@ def full_cache(tmp_path_factory):
 def test_k_equals_d(request, full_cache, fixture, method, weight_type):
     path = request.getfixturevalue(fixture)
     periods = load_system(path).horizon.num_periods
-    config = ExperimentConfig(path, method, weight_type, periods, seeds=(1,),
+    # the seed orders k-means' and k-medoids' representatives, so the
+    # reduced model's columns; the greedy hull reads no seed
+    config = ExperimentConfig(path, method, weight_type, periods,
+                              seeds=(1,) if method == "hull" else (1, 2, 3),
                               cache_dir=full_cache)
-    [record] = run_experiment(config)
-    assert record.error == ""
-    assert record.objective_reduced == pytest.approx(record.objective_full, rel=1e-9, abs=0.0)
-    assert record.regret_pct == pytest.approx(0.0, rel=0.0, abs=1e-9)
+    for record in run_experiment(config):
+        assert record.error == ""
+        assert record.objective_reduced == pytest.approx(record.objective_full, rel=1e-9, abs=0.0)
+        assert record.regret_pct == pytest.approx(0.0, rel=0.0, abs=1e-9)

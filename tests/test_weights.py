@@ -16,6 +16,7 @@ from oracles import (
     fit_bruteforce,
     least_squares_objective,
     nearest_column_bruteforce,
+    nnls_fit,
 )
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
@@ -58,30 +59,26 @@ class TestProjectSimplex:
     @given(finite_vectors)
     @settings(max_examples=200, deadline=None)
     def test_matches_bruteforce(self, v):
-        v = v[:6]
+        # the oracles enumerate faces, so they see at most 6 coordinates
+        short = v[:6]
         for weight_type in WEIGHT_TYPES:
-            got = project(v, weight_type)
-            expected = PROJECTION_ORACLES[weight_type](v)
+            got = project(short, weight_type)
+            expected = PROJECTION_ORACLES[weight_type](short)
             # near-degenerate inputs admit several candidates whose distances
             # collapse at double precision; 1e-6 covers that resolution limit
             np.testing.assert_allclose(got, expected, atol=1e-6, err_msg=weight_type)
-            # the strict check: feasible and no farther than the oracle's best
-            total = got.sum()
-            assert np.all(got >= 0)
-            if weight_type == "dirac":
-                assert np.all((got == 0.0) | (got == 1.0)) and total == 1.0
-            if weight_type == "convex":
-                assert abs(total - 1.0) < 1e-9
-            if weight_type == "subunit_conic":
-                assert total <= 1.0 + 1e-9
-            assert np.linalg.norm(got - v) <= np.linalg.norm(expected - v) + 1e-9
-
-    @given(finite_vectors)
-    @settings(max_examples=100, deadline=None)
-    def test_feasible(self, v):
-        w = project(v, "convex")
-        assert np.all(w >= 0)
-        assert abs(w.sum() - 1.0) < 1e-9
+            # the strict check: no farther than the oracle's best, and
+            # feasible, also at every length up to 8
+            assert np.linalg.norm(got - short) <= np.linalg.norm(expected - short) + 1e-9
+            for w in (got, project(v, weight_type)):
+                total = w.sum()
+                assert np.all(w >= 0)
+                if weight_type == "dirac":
+                    assert np.all((w == 0.0) | (w == 1.0)) and total == 1.0
+                if weight_type == "convex":
+                    assert abs(total - 1.0) < 1e-9
+                if weight_type == "subunit_conic":
+                    assert total <= 1.0 + 1e-9
 
 
 class TestProjectWeights:
@@ -140,21 +137,30 @@ class TestProjectWeights:
 
 class TestFitWeights:
     def test_exact_column_any_type(self):
-        R = np.array([[1.0, 0.0], [0.0, 1.0]])
-        for weight_type in WEIGHT_TYPES:
-            wm = fit_weights(R, R[:, [1]], weight_type)
-            np.testing.assert_allclose(wm.values, [[0.0, 1.0]], atol=1e-9)
-            assert wm.projection_errors[0] == pytest.approx(0.0, abs=1e-9)
+        # a point equal to a representative is that representative's unit
+        # row, exactly, at error 0
+        for R in (np.eye(2), np.random.default_rng(1).uniform(0, 1, (5, 3))):
+            for weight_type in WEIGHT_TYPES:
+                wm = fit_weights(R, R[:, [1]], weight_type)
+                np.testing.assert_array_equal(wm.values, np.eye(R.shape[1])[[1]])
+                assert wm.projection_errors[0] == 0.0, weight_type
 
     def test_analytic_optima_convex_vs_conic(self):
         R = np.array([[1.0, 0.0], [0.0, 1.0]])
         c = np.array([[1.0], [1.0]])
         convex = fit_weights(R, c, "convex")
         np.testing.assert_allclose(convex.values, [[0.5, 0.5]], atol=1e-6)
-        assert convex.projection_errors[0] == pytest.approx(np.sqrt(2) / 2, abs=1e-6)
+        assert convex.projection_errors[0] == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
         conic = fit_weights(R, c, "conic")
         np.testing.assert_allclose(conic.values, [[1.0, 1.0]], atol=1e-6)
         assert conic.projection_errors[0] == pytest.approx(0.0, abs=1e-6)
+
+    def test_single_column(self):
+        r = np.array([[0.2], [0.4]])
+        c = np.array([1.0, 1.0])
+        wm = fit_weights(r, c, "convex")
+        assert wm.projection_errors[0] == pytest.approx(np.linalg.norm(r[:, 0] - c))
+        np.testing.assert_array_equal(wm.values[0], [1.0])
 
     def test_dirac_without_assignment_picks_nearest(self):
         R = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -183,30 +189,6 @@ class TestFitWeights:
         wm = fit_weights(R, C, "convex")
         np.testing.assert_allclose(wm.rep_totals, wm.values.sum(axis=0))
         np.testing.assert_allclose(wm.values.sum(axis=1), np.ones(7), atol=1e-9)
-
-    def test_rows_feasible_per_type(self):
-        rng = np.random.default_rng(21)
-        R = rng.uniform(0, 1, (8, 4))
-        C = rng.uniform(0, 1, (8, 6))
-        dirac = fit_weights(R, C, "dirac").values
-        assert np.all(np.sum(dirac == 1.0, axis=1) == 1)
-        assert np.all(np.sum(dirac == 0.0, axis=1) == 3)
-        convex = fit_weights(R, C, "convex").values
-        assert np.all(convex >= 0) and np.allclose(convex.sum(axis=1), 1.0, atol=1e-9)
-        subunit = fit_weights(R, C, "subunit_conic").values
-        assert np.all(subunit >= 0) and np.all(subunit.sum(axis=1) <= 1.0 + 1e-9)
-        conic = fit_weights(R, C, "conic").values
-        assert np.all(conic >= 0)
-
-    def test_error_ordering_nested_spaces(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            R = rng.uniform(0, 1, (7, 3))
-            C = rng.uniform(0, 1, (7, 4))
-            errs = {wt: fit_weights(R, C, wt).projection_errors for wt in WEIGHT_TYPES}
-            assert np.all(errs["dirac"] >= errs["convex"] - 1e-9)
-            assert np.all(errs["convex"] >= errs["subunit_conic"] - 1e-9)
-            assert np.all(errs["subunit_conic"] >= errs["conic"] - 1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -263,31 +245,61 @@ def _random_instances():
     yield R, rng.uniform(0, 1.5, 10)
 
 
+FACE_OFFSETS = (0.0, 100.0, 1e4)
+
+
+def _face_instances():
+    """Generic 8x5 representatives R, a point on a face of their convex hull
+    (weights ``w_face``, one of them zero) and C, whose columns are that
+    point moved by each of ``FACE_OFFSETS`` along a unit normal to the
+    hull's affine span: at that distance from the hull, with the face point
+    still the nearest point of the hull."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        R = rng.uniform(0, 1, (8, 5))
+        w_face = rng.dirichlet(np.ones(5))
+        w_face[rng.integers(5)] = 0.0
+        w_face /= w_face.sum()
+        basis, _ = np.linalg.qr(R[:, 1:] - R[:, :1], mode="complete")
+        normal = basis[:, 4:] @ rng.normal(size=4)
+        normal /= np.linalg.norm(normal)
+        yield R, w_face, (R @ w_face)[:, None] + np.outer(normal, FACE_OFFSETS)
+
+
+def _instances():
+    """(R, c) pairs: the random instances, then every face-point column."""
+    yield from _random_instances()
+    for R, _, C in _face_instances():
+        for c in C.T:
+            yield R, c
+
+
 class TestAgainstNnls:
     """The package's NNLS fit reaches the optimum that the support-enumeration
     oracle finds, on random instances (one nearly collinear) and on points
-    far outside the hull."""
+    in, near and far outside the hull."""
 
     @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
     def test_fitting_reaches_nnls_optimum(self, weight_type):
-        for R, c in (*_random_instances(), *_far_instances()):
+        for R, c in _instances():
             fitted = fit_weights(R, c[:, None], weight_type).projection_errors[0]
             optimum = float(np.linalg.norm(R @ fit_bruteforce(R, c, weight_type) - c))
             assert fitted == pytest.approx(optimum, abs=1e-9)
 
-
-def _far_instances():
-    """Generic 8x5 representatives and a point at distance 1e4 from their
-    convex hull: a point on a face of the hull (one weight zero) plus 1e4
-    times a unit normal to the hull's affine span."""
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        R = rng.uniform(0, 1, (8, 5))
-        basis, _ = np.linalg.qr(R[:, 1:] - R[:, :1], mode="complete")
-        normal = basis[:, 4:] @ rng.normal(size=4)
-        w = rng.dirichlet(np.ones(5))
-        w[rng.integers(5)] = 0.0
-        yield R, R @ (w / w.sum()) + 1e4 * normal / np.linalg.norm(normal)
+    def test_convex_fit_of_a_face_point(self):
+        # in the hull and 100 above it, the fit is the face point at the
+        # offset's distance, with a gradient minimal and equal on the
+        # support; the oracle's self-checked NNLS finds it at every offset
+        for R, w_face, C in _face_instances():
+            fit = fit_weights(R, C, "convex")
+            for w, c, offset, dist in zip(fit.values[:2], C.T, FACE_OFFSETS,
+                                          fit.projection_errors):
+                assert dist == pytest.approx(offset, abs=1e-9)
+                np.testing.assert_allclose(w, w_face, rtol=0, atol=1e-9)
+                grad = R.T @ (R @ w - c)
+                assert grad[w > 0].max() - grad.min() <= 1e-9
+            for c in C.T:
+                np.testing.assert_allclose(nnls_fit(R, c), w_face, rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))
@@ -297,8 +309,7 @@ def test_fit_satisfies_kkt(weight_type):
     gradient on the zero set and a zero gradient on the support (after
     adding the sum constraint's multiplier where it is active), and
     complementarity."""
-    instances = list(_random_instances()) + list(_far_instances())
-    for R, c in instances:
+    for R, c in _instances():
         w = fit_weights(R, c[:, None], weight_type).values[0]
         grad = R.T @ (R @ w - c)
         tol = 1e-9 * max(1.0, float(np.abs(grad).max()))

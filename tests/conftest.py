@@ -65,6 +65,24 @@ def period_reps(system, idx):
     return extract_rep_profiles(system, selection, cm)
 
 
+def face_instances(offsets):
+    """Ten generic 8x5 representative matrices R, each with a point on a face
+    of their convex hull (weights ``w_face``, one of them zero) and C, whose
+    columns are that point moved by each of ``offsets`` along a unit normal
+    to the hull's affine span: at that distance from the hull, with the face
+    point still the nearest point of the hull."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        R = rng.uniform(0, 1, (8, 5))
+        w_face = rng.dirichlet(np.ones(5))
+        w_face[rng.integers(5)] = 0.0
+        w_face /= w_face.sum()
+        basis, _ = np.linalg.qr(R[:, 1:] - R[:, :1], mode="complete")
+        normal = basis[:, 4:] @ rng.normal(size=4)
+        normal /= np.linalg.norm(normal)
+        yield R, w_face, (R @ w_face)[:, None] + np.outer(normal, offsets)
+
+
 def value(model, solution, name: str) -> float:
     """The optimal value of ``model``'s column ``name`` in ``solution``."""
     return float(solution.x[model.var_names.index(name)])

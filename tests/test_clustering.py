@@ -8,7 +8,8 @@ from repblend.clustering import gnomonic_project, greedy_hull, kmeans, kmedoids
 from repblend.data import build_clustering_matrix, load_system
 from repblend.harness import ExperimentConfig
 from repblend.weights import fit_weights
-from oracles import best_medoid_set_bruteforce, dirac_cost, greedy_hull_reference
+from conftest import face_instances
+from oracles import best_medoid_set_bruteforce, dirac_cost, greedy_hull_reference, nnls_fit
 
 
 def random_matrix(rows, cols, seed):
@@ -111,6 +112,54 @@ class TestGnomonic:
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="mean column is zero"):
             gnomonic_project(np.zeros((3, 4)))
+
+
+class TestHullDistance:
+    """The distance of a point to the convex hull of the representatives is
+    the projection error of its convex fit."""
+
+    @staticmethod
+    def hull_fit(c, R):
+        fit = fit_weights(R, c, "convex")
+        return fit.projection_errors[0], fit.values[0]
+
+    def test_exact_column_is_zero(self):
+        R = random_matrix(5, 3, seed=1)
+        dist, w = self.hull_fit(R[:, 1], R)
+        assert dist == 0.0
+        np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
+
+    def test_midpoint_projection(self):
+        dist, w = self.hull_fit(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert dist == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-6)
+
+    @staticmethod
+    def simplex_kkt_residual(R, w, c):
+        """Largest violation of the optimality conditions of
+        min ||R w - c||^2 over the simplex: feasibility, and a gradient that
+        is minimal and equal on the support."""
+        grad = R.T @ (R @ w - c)
+        gap = grad - grad.min()
+        return max(abs(w.sum() - 1.0), -w.min(), float(np.max(gap[w > 0], initial=0.0)))
+
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    def test_weights_match_nnls_and_kkt(self, offset):
+        # offset 0: the point lies in the hull (distance 0, no column equal
+        # to it); offset 100: far outside (distance >> the unit data
+        # scale), straight above the same face point, which stays nearest
+        for R, w_true, C in face_instances((offset,)):
+            c = C[:, 0]
+            dist, w = self.hull_fit(c, R)
+            assert dist == pytest.approx(offset, abs=1e-9)
+            assert self.simplex_kkt_residual(R, w, c) <= 1e-9
+            np.testing.assert_allclose(w, nnls_fit(R, c), rtol=0, atol=1e-5)
+            np.testing.assert_allclose(w, w_true, rtol=0, atol=1e-9)
+
+    def test_nnls_oracle_far_from_hull(self):
+        # the oracle's convex weights stay exact at distance 1e4 from the hull
+        for R, w_true, C in face_instances((1e4,)):
+            np.testing.assert_allclose(nnls_fit(R, C[:, 0]), w_true, rtol=0, atol=1e-7)
 
 
 class TestGreedyHull:

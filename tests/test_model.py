@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import period_reps, value
-from repblend.clustering import greedy_hull, kmeans
+from repblend.clustering import greedy_hull, kmeans, kmedoids
 from repblend.data import (
     build_clustering_matrix,
     extract_rep_profiles,
@@ -62,6 +62,30 @@ class TestBuildModel:
         model = build_full_model(system)
         balance = [n for n in model.row_names() if n.startswith("balance_")]
         assert len(balance) == 2  # |N| * |X| * |R| * |H| = 1*1*1*2
+
+    def test_identity_reduction_is_the_full_model(self, synthetic_gep_path):
+        system = load_system(synthetic_gep_path)
+        D = system.horizon.num_periods
+        full = build_full_model(system)
+        reduced = build_model(system, period_reps(system, np.arange(D)), identity_weights(D))
+        assert full.var_names == reduced.var_names
+        assert full.num_constraints == reduced.num_constraints
+        obj_full = solve(full).objective
+        obj_reduced = solve(reduced).objective
+        assert obj_reduced == pytest.approx(obj_full, rel=1e-9)
+
+    def test_permuted_full_selection_matches_optimum(self, synthetic_gep_path):
+        # selecting all periods through the pipeline (in greedy order) must
+        # reproduce the full optimum
+        system = load_system(synthetic_gep_path)
+        cm = build_clustering_matrix(system)
+        D = system.horizon.num_periods
+        selection = kmedoids(cm.values, D, seed=3)
+        weights = fit_weights(selection.rep_matrix, cm.values, "dirac")
+        rep = extract_rep_profiles(system, selection, cm)
+        reduced = build_model(system, rep, weights)
+        assert solve(reduced).objective == pytest.approx(
+            solve(build_full_model(system)).objective, rel=1e-6)
 
     def test_p2x_has_no_investment_variables(self, synthetic_p2x_path):
         system = load_system(synthetic_p2x_path)

@@ -73,11 +73,16 @@ class TestSolve:
         with pytest.raises(SolverNumericalError, match="rejected the model"):
             solve(m)
 
-    def test_model_without_variables_refused(self):
-        # an empty model, and one whose only row is a constant
-        empty, constant = LpModel(), LpModel()
-        add_row(constant, "r", [], ">=", 1.0)
-        for m in (empty, constant):
+    def test_empty_model(self):
+        with pytest.raises(ValueError, match="cannot solve a model with no variables"):
+            solve(LpModel())
+
+    def test_constant_rows_without_variables(self):
+        # a constant row is refused whether it holds or not
+        for sense, rhs in (("==", 5.0), ("==", 0.0), ("<=", -1.0), ("<=", 1.0),
+                           (">=", 1.0), (">=", -1.0)):
+            m = LpModel()
+            add_row(m, "r", [], sense, rhs)
             with pytest.raises(ValueError, match="cannot solve a model with no variables"):
                 solve(m)
 

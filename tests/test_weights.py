@@ -10,13 +10,13 @@ from hypothesis.extra.numpy import arrays
 
 from repblend.weights import canonical_weight_type, fit_weights
 
+from conftest import face_instances
 from oracles import (
     PROJECTION_ORACLES,
     finite_difference_gradient,
     fit_bruteforce,
     least_squares_objective,
     nearest_column_bruteforce,
-    nnls_fit,
 )
 
 WEIGHT_TYPES = ("dirac", "convex", "subunit_conic", "conic")
@@ -60,25 +60,30 @@ class TestProjectSimplex:
     @settings(max_examples=200, deadline=None)
     def test_matches_bruteforce(self, v):
         # the oracles enumerate faces, so they see at most 6 coordinates
-        short = v[:6]
+        v = v[:6]
         for weight_type in WEIGHT_TYPES:
-            got = project(short, weight_type)
-            expected = PROJECTION_ORACLES[weight_type](short)
+            got = project(v, weight_type)
+            expected = PROJECTION_ORACLES[weight_type](v)
             # near-degenerate inputs admit several candidates whose distances
             # collapse at double precision; 1e-6 covers that resolution limit
             np.testing.assert_allclose(got, expected, atol=1e-6, err_msg=weight_type)
-            # the strict check: no farther than the oracle's best, and
-            # feasible, also at every length up to 8
-            assert np.linalg.norm(got - short) <= np.linalg.norm(expected - short) + 1e-9
-            for w in (got, project(v, weight_type)):
-                total = w.sum()
-                assert np.all(w >= 0)
-                if weight_type == "dirac":
-                    assert np.all((w == 0.0) | (w == 1.0)) and total == 1.0
-                if weight_type == "convex":
-                    assert abs(total - 1.0) < 1e-9
-                if weight_type == "subunit_conic":
-                    assert total <= 1.0 + 1e-9
+            # the strict check: no farther than the oracle's best
+            assert np.linalg.norm(got - v) <= np.linalg.norm(expected - v) + 1e-9
+
+    @given(finite_vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_feasible(self, v):
+        # at every length up to 8
+        for weight_type in WEIGHT_TYPES:
+            w = project(v, weight_type)
+            total = w.sum()
+            assert np.all(w >= 0)
+            if weight_type == "dirac":
+                assert np.all((w == 0.0) | (w == 1.0)) and total == 1.0
+            if weight_type == "convex":
+                assert abs(total - 1.0) < 1e-9
+            if weight_type == "subunit_conic":
+                assert total <= 1.0 + 1e-9
 
 
 class TestProjectWeights:
@@ -248,28 +253,10 @@ def _random_instances():
 FACE_OFFSETS = (0.0, 100.0, 1e4)
 
 
-def _face_instances():
-    """Generic 8x5 representatives R, a point on a face of their convex hull
-    (weights ``w_face``, one of them zero) and C, whose columns are that
-    point moved by each of ``FACE_OFFSETS`` along a unit normal to the
-    hull's affine span: at that distance from the hull, with the face point
-    still the nearest point of the hull."""
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        R = rng.uniform(0, 1, (8, 5))
-        w_face = rng.dirichlet(np.ones(5))
-        w_face[rng.integers(5)] = 0.0
-        w_face /= w_face.sum()
-        basis, _ = np.linalg.qr(R[:, 1:] - R[:, :1], mode="complete")
-        normal = basis[:, 4:] @ rng.normal(size=4)
-        normal /= np.linalg.norm(normal)
-        yield R, w_face, (R @ w_face)[:, None] + np.outer(normal, FACE_OFFSETS)
-
-
 def _instances():
     """(R, c) pairs: the random instances, then every face-point column."""
     yield from _random_instances()
-    for R, _, C in _face_instances():
+    for R, _, C in face_instances(FACE_OFFSETS):
         for c in C.T:
             yield R, c
 
@@ -285,21 +272,6 @@ class TestAgainstNnls:
             fitted = fit_weights(R, c[:, None], weight_type).projection_errors[0]
             optimum = float(np.linalg.norm(R @ fit_bruteforce(R, c, weight_type) - c))
             assert fitted == pytest.approx(optimum, abs=1e-9)
-
-    def test_convex_fit_of_a_face_point(self):
-        # in the hull and 100 above it, the fit is the face point at the
-        # offset's distance, with a gradient minimal and equal on the
-        # support; the oracle's self-checked NNLS finds it at every offset
-        for R, w_face, C in _face_instances():
-            fit = fit_weights(R, C, "convex")
-            for w, c, offset, dist in zip(fit.values[:2], C.T, FACE_OFFSETS,
-                                          fit.projection_errors):
-                assert dist == pytest.approx(offset, abs=1e-9)
-                np.testing.assert_allclose(w, w_face, rtol=0, atol=1e-9)
-                grad = R.T @ (R @ w - c)
-                assert grad[w > 0].max() - grad.min() <= 1e-9
-            for c in C.T:
-                np.testing.assert_allclose(nnls_fit(R, c), w_face, rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("weight_type", ("convex", "subunit_conic", "conic"))

@@ -320,7 +320,7 @@ def write_csv(path: Path | str, header, rows):
 def _load_config(root: Path) -> dict:
     path = root / "config.json"
     if not path.exists():
-        raise DataError("config.json not found", "config.json")
+        raise DataError("file not found", str(path))
     try:
         return json.loads(path.read_text(encoding="utf-8-sig"), parse_int=_json_int)
     except json.JSONDecodeError as exc:

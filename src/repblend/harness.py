@@ -150,12 +150,12 @@ def cluster_matrix(values: np.ndarray, method: str, weight_type: str, n_rp: int,
 
 def model_key(model: LpModel, handle: SolverHandle) -> str:
     """Content hash of everything a solve of ``model`` depends on: the
-    cost, rows (triplets, senses, right-hand sides) and bounds, plus the
-    solver tolerance; not the names, as ``x`` is stored by position."""
+    cost, bounds and rows (``starts``, ``col``, ``val``, ``lower``, ``upper``),
+    plus the solver tolerance; not the names, as ``x`` is stored by position."""
     digest = hashlib.sha256()
     digest.update(f"{model.num_vars} {model.num_constraints} {model.val.size}\n".encode())
-    for array in (model.cost, model.lb, model.ub, model.row, model.col, model.val,
-                  model.sense, model.rhs):
+    for array in (model.cost, model.lb, model.ub, model.starts, model.col, model.val,
+                  model.lower, model.upper):
         digest.update(np.ascontiguousarray(array))
     digest.update(repr(handle.tolerance).encode())
     return digest.hexdigest()[:20]
@@ -174,7 +174,7 @@ def _read_cached_solution(cache_file: Path, model: LpModel) -> Solution | None:
             if status == "optimal":
                 objective, x = float(saved["objective"]), saved["x"]
                 columns, rows = saved["columns"], saved["rows"]
-                if x.shape + columns.shape + rows.shape != model.lb.shape * 2 + model.rhs.shape:
+                if x.shape + columns.shape + rows.shape != model.lb.shape * 2 + model.lower.shape:
                     raise ValueError("solution does not fit the model")
                 basis = basis_from_codes(columns, rows)
             return Solution(status=status, objective=objective, x=x,

@@ -7,15 +7,16 @@ ramping live on all base periods and couple to the representatives through
 the blending-weight matrix.  Building with every period as its own
 representative and identity hard-assignment weights yields the full model.
 
-The model is held as arrays, not as one object per column or row.  Columns
-carry ``lb``, ``ub`` and ``cost`` arrays.  Rows are one set of COO triplets
-(``row``, ``col``, ``val``) in emission order, rows ascending and each
-row's terms in the order given, with ``sense`` and ``rhs`` arrays.  Named
-blocks (kind, asset, labelled axes, index array) describe which columns
-and rows belong together; ``build_model`` emits each variable kind and each
-constraint family as one vectorized block per asset.  Names are made from
-the blocks only on demand, for LP export and the ``solve-full`` CSV.  The
-module knows no solver: ``solve.Solution`` holds values by column position.
+The model is held as arrays in the form HiGHS's ``passModel`` takes:
+``lb``, ``ub`` and ``cost`` per column, and row ``i``'s terms
+``starts[i]:starts[i + 1]`` of ``col`` and ``val``, in emission order, and
+bounds ``lower[i]``, ``upper[i]`` (``==`` is ``[rhs, rhs]``, ``<=``
+``[-inf, rhs]``, ``>=`` ``[rhs, +inf]``).  Named blocks (kind, asset,
+labelled axes, index array) describe which columns and rows belong
+together; ``build_model`` emits each variable kind and each constraint
+family as one vectorized block per asset.  Names are made from the blocks
+only on demand, for LP export and the ``solve-full`` CSV.  The module knows
+no solver: ``solve.Solution`` holds values by column position.
 
 Variable names follow the scheme kind_asset_r{rep}_h{hour} (e.g.
 pout_g1_r2_h5); representative, hour and period indices are 1-based.
@@ -37,7 +38,7 @@ from .weights import WeightMatrix
 if TYPE_CHECKING:
     from .solve import Solution
 
-SENSES = ("==", "<=", ">=")  # ``LpModel.sense`` holds indices into this tuple
+INT32_MAX = 2**31 - 1  # HiGHS indexes columns, rows and terms with int32
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +97,10 @@ class LpModel:
         self.row_blocks: list[Block] = []
         self._num_vars = 0
         self._num_rows = 0
+        self._num_terms = 0
         self._columns = (np.zeros(0), np.zeros(0), np.zeros(0))  # lb, ub, cost
-        self._rows = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0),
-                      np.zeros(0, np.int8), np.zeros(0))  # row, col, val, sense, rhs
+        self._rows = (np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0),
+                      np.zeros(0), np.zeros(0))  # starts, col, val, lower, upper
         self._new_columns: list[tuple] = []
         self._new_rows: list[tuple] = []
         self._names: list[str] | None = None
@@ -109,6 +111,8 @@ class LpModel:
         """Append unnamed columns; ``lb`` and ``ub`` broadcast to ``shape``.
         Returns their indices, shaped ``shape``."""
         count = math.prod(shape)
+        if self._num_vars + count > INT32_MAX:
+            raise ValueError(f"a model holds at most {INT32_MAX} columns")
         index = np.arange(self._num_vars, self._num_vars + count).reshape(shape)
         self._new_columns.append(
             tuple(np.broadcast_to(np.asarray(bound, dtype=float), shape).ravel()
@@ -145,11 +149,15 @@ class LpModel:
         drops terms) broadcast to ``cols``, ``rhs`` to the row shape.
         Repeated columns within a row are summed into their first
         occurrence.  Returns the row indices, shaped like the rows."""
-        if sense not in SENSES:
-            raise ValueError(f"sense must be one of {SENSES}")
+        if sense not in ("==", "<=", ">="):
+            raise ValueError("sense must be one of ('==', '<=', '>=')")
         cols = np.asarray(cols, dtype=np.int64)
         shape, width = cols.shape[:-1], cols.shape[-1]
         count = math.prod(shape)
+        terms = count * width if keep is None else \
+            np.count_nonzero(np.broadcast_to(keep, cols.shape))
+        if self._num_rows + count > INT32_MAX or self._num_terms + terms > INT32_MAX:
+            raise ValueError(f"a model holds at most {INT32_MAX} rows and terms")
         cols = cols.reshape(count, width)
         # 0.0 + v: a merged sum starts from +0.0, so no coefficient is -0.0
         vals = np.broadcast_to(np.asarray(vals, dtype=float), shape + (width,)).reshape(
@@ -169,10 +177,13 @@ class LpModel:
             ordered = np.sort(cols, axis=1)
             if np.any(ordered[:, 1:] == ordered[:, :-1]):
                 flat = self._merge_repeats(*flat)
-        self._new_rows.append((
-            *flat, np.full(count, SENSES.index(sense), dtype=np.int8),
-            np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()))
+        ends = self._num_terms + np.cumsum(np.bincount(flat[0] - self._num_rows, minlength=count))
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()
+        self._new_rows.append((ends.astype(np.int32), flat[1].astype(np.int32), flat[2],
+                               np.full(count, -math.inf) if sense == "<=" else rhs,
+                               np.full(count, math.inf) if sense == ">=" else rhs))
         self._num_rows += count
+        self._num_terms += flat[2].size
         return index.reshape(shape)
 
     def _merge_repeats(self, row, col, val):
@@ -194,11 +205,11 @@ class LpModel:
             self._rows, self._new_rows = _joined(self._rows, self._new_rows), []
         return self._rows
 
-    row = property(lambda self: self._row_arrays()[0], doc="Row index of each term.")
+    starts = property(lambda self: self._row_arrays()[0], doc="Each row's first term; the end.")
     col = property(lambda self: self._row_arrays()[1], doc="Column index of each term.")
     val = property(lambda self: self._row_arrays()[2], doc="Coefficient of each term.")
-    sense = property(lambda self: self._row_arrays()[3], doc="Index into SENSES per row.")
-    rhs = property(lambda self: self._row_arrays()[4], doc="Right-hand side per row.")
+    lower = property(lambda self: self._row_arrays()[3], doc="Lower bound per row.")
+    upper = property(lambda self: self._row_arrays()[4], doc="Upper bound per row.")
 
     def row_names(self) -> list[str]:
         """Row names in index order, made from the blocks."""

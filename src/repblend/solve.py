@@ -2,11 +2,8 @@
 (``scipy.optimize._highspy._core``), which no other module imports, plus
 deterministic LP-file export as the escape hatch for external solvers.
 
-``solve`` hands HiGHS the ``LpModel`` as it is, as arrays in one
-``passModel`` call: the rows in model order, each with a ranged bound
-(``==`` is ``[rhs, rhs]``, ``<=`` is ``[-inf, rhs]``, ``>=`` is
-``[rhs, +inf]``), and the matrix row-wise, straight from the model's
-triplets.  A solve can start from a basis: a model that differs from a
+``solve`` passes HiGHS the ``LpModel``'s own arrays in one ``passModel``
+call.  A solve can start from a basis: a model that differs from a
 solved one only in its bounds, such as a full model with first-stage
 decisions fixed, starts from that model's optimal basis instead of from
 scratch.  Such a start is a few pivots from optimal, so it prices with
@@ -28,9 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy.optimize._highspy._core as highspy
 
-from .model import SENSES, LpModel
-
-EQ, LE, GE = range(len(SENSES))  # codes of "==", "<=", ">=" in LpModel.sense
+from .model import LpModel
 
 _DUAL_SIMPLEX = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _DEVEX = 1  # simplex_dual_edge_weight_strategy: -1 choose (default), 0 Dantzig, 1 Devex
@@ -129,7 +124,6 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
     if n == 0:
         raise ValueError("cannot solve a model with no variables")
     handle = handle or SolverHandle()
-    sense, rhs = model.sense, model.rhs
 
     highs = highspy._Highs()
     for option, value in (("output_flag", False), ("presolve", "on"),
@@ -137,13 +131,10 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
                           ("dual_feasibility_tolerance", handle.tolerance),
                           ("simplex_strategy", _DUAL_SIMPLEX)):
         highs.setOptionValue(option, value)
-    # the terms are in ascending row order (see LpModel)
     if highs.passModel(
             n, m, model.val.size, _ROWWISE, _MINIMIZE, 0.0,
-            model.cost, model.lb, model.ub,
-            np.where(sense == LE, -math.inf, rhs), np.where(sense == GE, math.inf, rhs),
-            np.searchsorted(model.row, np.arange(m + 1)).astype(np.int32),
-            model.col.astype(np.int32), model.val,
+            model.cost, model.lb, model.ub, model.lower, model.upper,
+            model.starts, model.col, model.val,
             np.zeros(n, np.int32),  # all continuous; an empty array is an error
     ) == highspy.HighsStatus.kError:
         raise SolverNumericalError("HiGHS rejected the model")
@@ -172,6 +163,7 @@ def solve(model: LpModel, handle: SolverHandle | None = None,
 # whitespace and the characters at which LP readers (HiGHS among them) end
 # or split a name
 _LP_NAME_BREAKS = re.compile(r"[\s+\-:/\[\]*^<>=\\]")
+_LP_CHUNK_ROWS = 4096  # rows that write_lp_file formats per write
 
 
 def _fmt(value: float) -> str:
@@ -185,7 +177,8 @@ def _fmt(value: float) -> str:
 def write_lp_file(model: LpModel, path: Path | str):
     """Write the model in CPLEX LP text format, byte-identical across runs
     for identical models; a name LP readers cannot parse, or a column or row
-    name that repeats, is a ValueError."""
+    name that repeats, is a ValueError.  A row with bounds ``[-inf, u]`` is
+    written ``<= u``, one with ``[l, +inf]`` ``>= l`` and any other ``= l``."""
     path = Path(path)
     if model.num_vars == 0:
         raise ValueError("cannot write a model with no variables")
@@ -212,30 +205,34 @@ def write_lp_file(model: LpModel, path: Path | str):
         # a degenerate all-zero row stays explicit so readers see the rhs
         return " ".join(terms) if terms else f"0 {names[0]}"
 
-    out = [f"\\ {model.name}", "Minimize"]
     objective = np.flatnonzero(model.cost)
-    out.append(f" obj: {row_text(terms_text(objective, model.cost[objective]))}")
-    out.append("Subject To")
-    terms = terms_text(model.col, model.val)
-    starts = np.searchsorted(model.row, np.arange(model.num_constraints + 1)).tolist()
-    sense_text = ("=", "<=", ">=")  # in SENSES order
-    for i, (name, sense, rhs) in enumerate(zip(row_names, model.sense.tolist(),
-                                                model.rhs.tolist())):
-        out.append(f" {name}: {row_text(terms[starts[i]:starts[i + 1]])} "
-                   f"{sense_text[sense]} {_fmt(rhs)}")
-    out.append("Bounds")
-    lb, ub = model.lb, model.ub
-    for i in np.flatnonzero((lb != 0.0) | (ub != math.inf)).tolist():
-        name, lo, hi = names[i], float(lb[i]), float(ub[i])
-        if lo == hi:
-            out.append(f" {name} = {_fmt(lo)}")
-        elif lo == -math.inf and hi == math.inf:
-            out.append(f" {name} free")
-        elif hi == math.inf:
-            out.append(f" {name} >= {_fmt(lo)}")
-        elif lo == -math.inf:
-            out.append(f" -inf <= {name} <= {_fmt(hi)}")
-        else:
-            out.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    out.append("End")
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"\\ {model.name}\nMinimize\n"
+                  f" obj: {row_text(terms_text(objective, model.cost[objective]))}\nSubject To\n")
+        for first in range(0, model.num_constraints, _LP_CHUNK_ROWS):
+            rows = slice(first, first + _LP_CHUNK_ROWS)  # the last chunk may be shorter
+            starts = model.starts[first:rows.stop + 1].tolist()
+            terms = terms_text(model.col[starts[0]:starts[-1]], model.val[starts[0]:starts[-1]])
+            lower, upper = model.lower[rows], model.upper[rows]
+            senses = np.where(lower == -math.inf, "<=", np.where(upper == math.inf, ">=", "="))
+            rhs = np.where(lower == -math.inf, upper, lower)
+            out.write("".join(
+                f" {name}: {row_text(terms[a - starts[0]:b - starts[0]])} {sense} {_fmt(value)}\n"
+                for name, a, b, sense, value in zip(row_names[rows], starts, starts[1:],
+                                                    senses.tolist(), rhs.tolist())))
+        bounds = ["Bounds"]
+        lb, ub = model.lb, model.ub
+        for i in np.flatnonzero((lb != 0.0) | (ub != math.inf)).tolist():
+            name, lo, hi = names[i], float(lb[i]), float(ub[i])
+            if lo == hi:
+                bounds.append(f" {name} = {_fmt(lo)}")
+            elif lo == -math.inf and hi == math.inf:
+                bounds.append(f" {name} free")
+            elif hi == math.inf:
+                bounds.append(f" {name} >= {_fmt(lo)}")
+            elif lo == -math.inf:
+                bounds.append(f" -inf <= {name} <= {_fmt(hi)}")
+            else:
+                bounds.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
+        bounds.append("End")
+        out.write("\n".join(bounds) + "\n")

@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog, nnls
 
-from repblend.model import SENSES
 from repblend.weights import fit_weights
 
 
@@ -231,11 +230,15 @@ def linprog_solution(model, tolerance: float = 1e-8):
     with the arguments the package used before it drove HiGHS directly: the
     ``==`` rows as ``A_eq``, the ``<=`` and negated ``>=`` rows as ``A_ub``
     (each group in model order, as CSR), presolve on and both feasibility
-    tolerances set.  The solve must be optimal."""
-    eq, ge = SENSES.index("=="), SENSES.index(">=")
-    sense, rhs = model.sense, model.rhs
-    row, col, val = model.row, model.col, model.val
-    sign = np.where(sense == ge, -1.0, 1.0)
+    tolerances set.  The solve must be optimal.  A row bounded only from
+    above is a ``<=`` row, one bounded only from below a ``>=`` row, and
+    any other an ``==`` row."""
+    lower, upper = model.lower, model.upper
+    le, ge = lower == -np.inf, (upper == np.inf) & (lower != -np.inf)
+    rhs = np.where(le, upper, lower)
+    row = np.repeat(np.arange(model.num_constraints), np.diff(model.starts))
+    col, val = model.col, model.val
+    sign = np.where(ge, -1.0, 1.0)
 
     def assemble(mask):
         if not mask.any():
@@ -247,8 +250,8 @@ def linprog_solution(model, tolerance: float = 1e-8):
                                shape=(int(position[-1]) + 1, model.num_vars))
         return matrix, rhs[mask] * sign[mask]
 
-    a_eq, b_eq = assemble(sense == eq)
-    a_ub, b_ub = assemble(sense != eq)
+    a_eq, b_eq = assemble(~(le | ge))
+    a_ub, b_ub = assemble(le | ge)
     result = linprog(model.cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                      bounds=np.column_stack([model.lb, model.ub]), method="highs",
                      options={"presolve": True,

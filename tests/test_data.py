@@ -64,8 +64,9 @@ class TestLoadSystem:
         assert g1.ramp is None  # blank means unlimited
 
     def test_missing_config(self, tmp_path):
-        with pytest.raises(DataError, match="config.json not found"):
+        with pytest.raises(DataError) as raised:
             load_system(tmp_path)
+        assert str(raised.value) == f"{tmp_path / 'config.json'}: file not found"
 
     def test_unknown_node_reference(self, tmp_path, mini_gep_path):
         import shutil

@@ -129,7 +129,8 @@ class TestRunExperiment:
         config = ExperimentConfig(tmp_path / "empty", "kmeans", "convex", 2, seeds=(1, 2))
         records = run_experiment(config)
         assert len(records) == 2
-        assert all("config.json not found" in r.error for r in records)
+        assert all(f"{tmp_path / 'empty' / 'config.json'}: file not found" in r.error
+                   for r in records)
         assert all(r.regret_pct is None for r in records)
 
     def test_loads_once_per_config(self, synthetic_gep_path, tmp_path, monkeypatch):
@@ -525,7 +526,8 @@ class TestSeedRuns:
         first, second = iter_seed_runs(config)
         assert isinstance(first.error, DataError) and second.error is first.error
         assert first.selection is None and first.full_solution is None
-        assert first.record().error == "DataError: config.json: config.json not found"
+        assert first.record().error == \
+            f"DataError: {tmp_path / 'none' / 'config.json'}: file not found"
 
 
 class TestResultsCsv:

@@ -1,6 +1,7 @@
 """Unit tests for LP assembly and decision fixing."""
 
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from repblend.data import (
     require_valid,
 )
 from repblend.model import (
-    SENSES,
     LpModel,
     build_full_model,
     build_model,
@@ -27,13 +27,12 @@ from repblend.weights import WeightMatrix, fit_weights
 
 
 def model_rows(model):
-    """Every row in order as (name, terms, sense, rhs), terms being the
+    """Every row in order as (name, terms, lower, upper), terms being the
     (variable index, coefficient) pairs in their stored order."""
-    starts = np.searchsorted(model.row, np.arange(model.num_constraints + 1)).tolist()
-    cols, vals = model.col.tolist(), model.val.tolist()
-    return [(name, list(zip(cols[a:b], vals[a:b])), SENSES[sense], rhs)
-            for name, a, b, sense, rhs in zip(model.row_names(), starts[:-1], starts[1:],
-                                              model.sense.tolist(), model.rhs.tolist())]
+    starts, cols, vals = model.starts.tolist(), model.col.tolist(), model.val.tolist()
+    return [(name, list(zip(cols[a:b], vals[a:b])), lower, upper)
+            for name, a, b, lower, upper in zip(model.row_names(), starts[:-1], starts[1:],
+                                                model.lower.tolist(), model.upper.tolist())]
 
 
 def row_coefficients(model):
@@ -53,6 +52,24 @@ class TestLpModel:
         m = LpModel()
         with pytest.raises(ValueError, match="unknown variable"):
             m.add_rows([3], 1.0, "==")
+
+    @pytest.mark.parametrize("what", ["columns", "terms"])
+    def test_int32_limit_refused_before_allocating(self, what):
+        # HiGHS takes int32 indices; 2**31 of anything would wrap
+        m = LpModel()
+        m.add_vars((1,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 2147483647"):
+                if what == "columns":
+                    m.add_vars((2**31,))
+                else:  # a read-only view: 2**31 terms that take no memory
+                    m.add_rows(np.broadcast_to(np.int64(0), (2**16, 2**15)), 1.0, "<=")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (m.num_vars, m.num_constraints, m.val.size) == (1, 0, 0)
 
 
 
@@ -191,8 +208,8 @@ class TestTimestepScaling:
         assert intra["pin_r_r1_h1"] == pytest.approx(-0.8 * tau)
         assert intra["pout_r_r1_h1"] == pytest.approx(tau / 0.9)
         assert intra["spill_r_r1_h1"] == 1.0 and intra["borrow_r_r1_h1"] == -1.0
-        inflow_rhs = next(rhs for name, _, _, rhs in model_rows(model) if name == "intra_r_r1_h1")
-        assert inflow_rhs == pytest.approx(0.25 * 2.0)
+        inflow = next(bounds for name, _, *bounds in model_rows(model) if name == "intra_r_r1_h1")
+        assert inflow == pytest.approx([0.25 * 2.0] * 2)
         cop = rows["def_cop"]
         assert cop["pout_g_r1_h1"] == pytest.approx(-w_op * 1.0 * 7.0)
         assert cop["spill_r_r1_h1"] == pytest.approx(-w_op * 1.0 * 5.0 / tau)
@@ -336,7 +353,7 @@ class TestFixDecisions:
         np.testing.assert_array_equal(full.lb, lb)
         np.testing.assert_array_equal(full.ub, ub)
         # rows are shared, not copied
-        assert first.val is full.val and second.row is full.row
+        assert first.val is full.val and second.starts is full.starts
 
     def test_zero_investment_is_infeasible_when_demand_exceeds_existing(self, mini_gep_path):
         system = load_system(mini_gep_path)

@@ -3,6 +3,7 @@ read-back of the emitted format through HiGHS's own LP reader."""
 
 import ast
 import hashlib
+import importlib
 import math
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from oracles import linprog_solution, pin_by_name
 from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import cluster_matrix
-from repblend.model import SENSES, LpModel, build_full_model, build_model, fix_decisions
+from repblend.model import LpModel, build_full_model, build_model, fix_decisions
 from repblend.solve import (
     SolverHandle,
     SolverNumericalError,
@@ -28,6 +29,7 @@ from repblend.solve import (
 from repblend.weights import fit_weights
 
 BASIC = int(highspy.HighsBasisStatus.kBasic)
+SOLVE_MODULE = importlib.import_module("repblend.solve")  # the package exports a solve function
 
 
 def add_var(model: LpModel, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
@@ -72,6 +74,28 @@ class TestSolve:
                 math.nan if cause == "NaN right-hand side" else 1.0)
         with pytest.raises(SolverNumericalError, match="rejected the model"):
             solve(m)
+
+    def test_highs_gets_the_model_arrays(self, mini_gep_path, monkeypatch):
+        # the model holds its rows in passModel's form: nothing is converted
+        passed = []
+        highs_class = SOLVE_MODULE.highspy._Highs
+
+        class Recording:
+            def __init__(self):
+                self._highs = highs_class()
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def passModel(self, *args):
+                passed.extend(args)
+                return self._highs.passModel(*args)
+
+        monkeypatch.setattr(SOLVE_MODULE.highspy, "_Highs", Recording)
+        model = build_full_model(load_system(mini_gep_path))
+        assert solve(model).status == "optimal"
+        own = (model.lower, model.upper, model.starts, model.col, model.val)
+        assert [id(array) for array in passed[9:14]] == [id(array) for array in own]
 
     def test_empty_model(self):
         with pytest.raises(ValueError, match="cannot solve a model with no variables"):
@@ -147,12 +171,14 @@ class TestAgainstLinprog:
         assert (x.dtype, x.shape) == (np.float64, (model.num_vars,))
         assert model.cost @ x == pytest.approx(solution.objective, rel=1e-12, abs=0.0)
         assert np.all((model.lb <= x) & (x <= model.ub))
-        activity = np.bincount(model.row, weights=model.val * x[model.col],
+        # bincount, not add.reduceat: its sums are in term order
+        row = np.repeat(np.arange(model.num_constraints), np.diff(model.starts))
+        activity = np.bincount(row, weights=model.val * x[model.col],
                                minlength=model.num_constraints)
-        rhs, sense = model.rhs, model.sense
-        excess = np.where(sense == SENSES.index("=="), np.abs(activity - rhs),
-                          np.where(sense == SENSES.index("<="), activity - rhs, rhs - activity))
-        assert np.all(excess <= SolverHandle().tolerance * np.maximum(1.0, np.abs(rhs)))
+        lower, upper = model.lower, model.upper
+        excess = np.maximum(lower - activity, activity - upper)
+        scale = np.maximum(1.0, np.minimum(np.abs(lower), np.abs(upper)))
+        assert np.all(excess <= SolverHandle().tolerance * scale)
 
 
 class TestWarmStart:
@@ -316,6 +342,11 @@ class TestWriteLpFile:
             write_lp_file(model, tmp_path / "m.lp")
             digests[label] = hashlib.sha256((tmp_path / "m.lp").read_bytes()).hexdigest()
         assert digests == self.PINNED
+
+    def test_pinned_lp_bytes_in_small_chunks(self, pinned_models, tmp_path, monkeypatch):
+        # many writes per model; mini-gep's 7 rows end in a partial chunk
+        monkeypatch.setattr(SOLVE_MODULE, "_LP_CHUNK_ROWS", 3)
+        self.test_pinned_lp_bytes(pinned_models, tmp_path)
 
     def test_highs_reads_back_pinned_models(self, pinned_models, tmp_path):
         # HiGHS's own LP reader is a parser independent of write_lp_file

@@ -262,7 +262,7 @@ def _open_csv(path: Path, required: tuple[str, ...]):
     limit) raises DataError at its line, non-UTF-8 text one without a line."""
     fname = path.name
     if not path.exists():
-        raise DataError("file not found", fname)
+        raise DataError("file not found", str(path))
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -652,9 +652,12 @@ def _load_lines(path: Path, nodes: list[str], carriers: list[str]) -> list[Line]
         if name in seen:
             raise DataError(f"duplicate line {name!r}", fname, ln)
         seen.add(name)
-        for endpoint in ("from_node", "to_node"):
-            if row[endpoint].strip() not in nodes:
-                raise DataError(f"unknown node {row[endpoint].strip()!r}", fname, ln)
+        ends = row["from_node"].strip(), row["to_node"].strip()
+        for node in ends:
+            if node not in nodes:
+                raise DataError(f"unknown node {node!r}", fname, ln)
+        if ends[0] == ends[1]:
+            raise DataError(f"line {name!r} connects node {ends[0]!r} to itself", fname, ln)
         carrier = row["carrier"].strip()
         if carrier not in carriers:
             raise DataError(f"unknown carrier {carrier!r}", fname, ln)
@@ -662,7 +665,7 @@ def _load_lines(path: Path, nodes: list[str], carriers: list[str]) -> list[Line]
         exp = _parse_float(row["export_limit"], 0.0, fname, ln, "export_limit")
         if imp < 0 or exp < 0:
             raise DataError("line limits must be >= 0", fname, ln)
-        lines.append(Line(name, row["from_node"].strip(), row["to_node"].strip(), carrier, imp, exp))
+        lines.append(Line(name, *ends, carrier, imp, exp))
     lines.sort(key=lambda l: l.name)
     return lines
 

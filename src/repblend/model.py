@@ -9,14 +9,16 @@ representative and identity hard-assignment weights yields the full model.
 
 The model is held as arrays in the form HiGHS's ``passModel`` takes:
 ``lb``, ``ub`` and ``cost`` per column, and row ``i``'s terms
-``starts[i]:starts[i + 1]`` of ``col`` and ``val``, in emission order, and
-bounds ``lower[i]``, ``upper[i]`` (``==`` is ``[rhs, rhs]``, ``<=``
-``[-inf, rhs]``, ``>=`` ``[rhs, +inf]``).  Named blocks (kind, asset,
-labelled axes, index array) describe which columns and rows belong
-together; ``build_model`` emits each variable kind and each constraint
-family as one vectorized block per asset.  Names are made from the blocks
-only on demand, for LP export and the ``solve-full`` CSV.  The module knows
-no solver: ``solve.Solution`` holds values by column position.
+``starts[i]:starts[i + 1]`` of ``col`` and ``val``, in emission order, each
+column at most once per row, and bounds ``lower[i]``, ``upper[i]`` (``==``
+is ``[rhs, rhs]``, ``<=`` ``[-inf, rhs]``, ``>=`` ``[rhs, +inf]``).  Named
+blocks (kind, asset, labelled axes, index array) describe which columns and
+rows belong together; ``build_model`` emits each variable kind and each
+constraint family as one vectorized block per asset, and a paired family
+(such as rampup/rampdn) as one ``add_rows`` call named by two blocks that
+split its pair axis.  Names are made from the blocks only on demand, for LP
+export and the ``solve-full`` CSV.  The module knows no solver:
+``solve.Solution`` holds values by column position.
 
 Variable names follow the scheme kind_asset_r{rep}_h{hour} (e.g.
 pout_g1_r2_h5); representative, hour and period indices are 1-based.
@@ -48,24 +50,21 @@ class Block:
     Entry ``i`` of ``index`` (the global column or row index, any shape) is
     named ``kind_asset`` (``kind`` alone when ``asset`` is None) followed by
     ``_{letter}{label}`` for each letter of ``axes``; labels count from
-    ``first`` (1 per axis when empty).  A tuple ``kind`` alternates along
-    one more trailing axis of ``index``, for paired rows such as
-    rampup/rampdn.
+    ``first`` (1 per axis when empty).
     """
 
-    kind: str | tuple[str, ...]
+    kind: str
     asset: str | None
     axes: str
     index: np.ndarray
     first: tuple[int, ...] = ()
 
     def names(self) -> list[str]:
-        kinds = (self.kind,) if isinstance(self.kind, str) else self.kind
-        prefixes = kinds if self.asset is None else [f"{k}_{self.asset}" for k in kinds]
+        prefix = self.kind if self.asset is None else f"{self.kind}_{self.asset}"
         first = self.first or (1,) * len(self.axes)
         grids = [[f"_{letter}{start + i}" for i in range(count)]
                  for letter, start, count in zip(self.axes, first, self.index.shape)]
-        return [p + "".join(labels) for labels in product(*grids) for p in prefixes]
+        return [prefix + "".join(labels) for labels in product(*grids)]
 
 
 def _joined(arrays: tuple, parts: list[tuple]) -> tuple:
@@ -120,7 +119,7 @@ class LpModel:
         self._num_vars += count
         return index
 
-    def name_vars(self, kind, asset: str | None, axes: str, index):
+    def name_vars(self, kind: str, asset: str | None, axes: str, index):
         """Name the columns at ``index`` (see ``Block``)."""
         self.var_blocks.append(Block(kind, asset, axes, np.asarray(index)))
         self._names = None
@@ -145,10 +144,10 @@ class LpModel:
 
     def add_rows(self, cols, vals, sense: str, rhs=0.0, keep=None) -> np.ndarray:
         """Append one row per entry of ``cols.shape[:-1]``, whose last axis
-        lists each row's terms in order; ``vals`` and ``keep`` (a mask that
+        lists each row's terms in order, each column at most once (HiGHS
+        refuses a row that repeats one); ``vals`` and ``keep`` (a mask that
         drops terms) broadcast to ``cols``, ``rhs`` to the row shape.
-        Repeated columns within a row are summed into their first
-        occurrence.  Returns the row indices, shaped like the rows."""
+        Returns the row indices, shaped like the rows."""
         if sense not in ("==", "<=", ">="):
             raise ValueError("sense must be one of ('==', '<=', '>=')")
         cols = np.asarray(cols, dtype=np.int64)
@@ -159,44 +158,30 @@ class LpModel:
         if self._num_rows + count > INT32_MAX or self._num_terms + terms > INT32_MAX:
             raise ValueError(f"a model holds at most {INT32_MAX} rows and terms")
         cols = cols.reshape(count, width)
-        # 0.0 + v: a merged sum starts from +0.0, so no coefficient is -0.0
+        # 0.0 + v: no coefficient is -0.0 (such as -factor at zero
+        # availability); a -0.0 would change the bytes that model_key hashes
+        # and miss every full_<key>.npz cached before
         vals = np.broadcast_to(np.asarray(vals, dtype=float), shape + (width,)).reshape(
             count, width) + 0.0
-        index = np.arange(self._num_rows, self._num_rows + count)
-        row = np.broadcast_to(index[:, None], cols.shape)
         if keep is None:
-            flat = (row.ravel(), cols.ravel(), vals.ravel())
+            sizes, cols, vals = np.full(count, width), cols.ravel(), vals.ravel()
         else:
             keep = np.broadcast_to(keep, shape + (width,)).reshape(count, width)
-            flat = (row[keep], cols[keep], vals[keep])
-            cols = np.where(keep, cols, -1 - np.arange(width))  # distinct, never a column
-        bad = flat[1][(flat[1] < 0) | (flat[1] >= self._num_vars)]
+            sizes, cols, vals = np.count_nonzero(keep, axis=1), cols[keep], vals[keep]
+        bad = cols[(cols < 0) | (cols >= self._num_vars)]
         if bad.size:
             raise ValueError(f"row references unknown variable index {bad[0]}")
-        if width > 1:
-            ordered = np.sort(cols, axis=1)
-            if np.any(ordered[:, 1:] == ordered[:, :-1]):
-                flat = self._merge_repeats(*flat)
-        ends = self._num_terms + np.cumsum(np.bincount(flat[0] - self._num_rows, minlength=count))
+        ends = self._num_terms + np.cumsum(sizes)
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()
-        self._new_rows.append((ends.astype(np.int32), flat[1].astype(np.int32), flat[2],
+        self._new_rows.append((ends.astype(np.int32), cols.astype(np.int32), vals,
                                np.full(count, -math.inf) if sense == "<=" else rhs,
                                np.full(count, math.inf) if sense == ">=" else rhs))
+        index = np.arange(self._num_rows, self._num_rows + count)
         self._num_rows += count
-        self._num_terms += flat[2].size
+        self._num_terms += vals.size
         return index.reshape(shape)
 
-    def _merge_repeats(self, row, col, val):
-        # ufunc.at adds in entry order, so each sum is ((0 + v1) + v2) ...
-        # exactly as summing term by term
-        _, first, group = np.unique(row * self._num_vars + col, return_index=True,
-                                    return_inverse=True)
-        total = np.zeros(first.size)
-        np.add.at(total, group, val)
-        order = np.argsort(first)
-        return row[first[order]], col[first[order]], total[order]
-
-    def name_rows(self, kind, asset: str | None, axes: str, index, first=()):
+    def name_rows(self, kind: str, asset: str | None, axes: str, index, first=()):
         """Name the rows at ``index`` (see ``Block``)."""
         self.row_blocks.append(Block(kind, asset, axes, np.asarray(index), tuple(first)))
 
@@ -290,8 +275,8 @@ def build_model(
         m.name_vars(kind, asset, axes, index)
         return index
 
-    def rows(kind, asset, axes, cols, vals, sense, rhs=0.0, keep=None, first=()):
-        m.name_rows(kind, asset, axes, m.add_rows(cols, vals, sense, rhs, keep), first)
+    def rows(kind, asset, axes, cols, vals, sense, rhs=0.0, keep=None):
+        m.name_rows(kind, asset, axes, m.add_rows(cols, vals, sense, rhs, keep))
 
     producers = system.producers
     storages = system.storages
@@ -442,36 +427,42 @@ def build_model(
         rows("maxin", s.name, "rh", *_terms(RH, [(pin[s.name], 1.0), (cap[s.name], -1.0)]), "<=")
 
     # ramping within a representative (paired inequalities for |.|, the up
-    # and down rows of each hour next to each other)
+    # and down rows of each hour next to each other: one add_rows call whose
+    # last row axis is up/down, named as two blocks)
+    updown = np.array([1.0, -1.0])
     for g in producers:
         if g.ramp is None or H == 1:
             continue
         limit = g.ramp * tau
-        now, before = pout[g.name][:, 1:], pout[g.name][:, :-1]
-        shape = (R, H - 1)
-        up = _terms(shape, [(now, 1.0), (before, -1.0), (cap[g.name], -limit)])
-        dn = _terms(shape, [(now, -1.0), (before, 1.0), (cap[g.name], -limit)])
-        rows(("rampup", "rampdn"), g.name, "rh", np.stack([up[0], dn[0]], axis=2),
-             np.stack([up[1], dn[1]], axis=2), "<=", first=(1, 2))
+        now, before = pout[g.name][:, 1:, None], pout[g.name][:, :-1, None]
+        index = m.add_rows(*_terms((R, H - 1, 2), [(now, updown), (before, -updown),
+                                                   (cap[g.name], -limit)]), "<=")
+        m.name_rows("rampup", g.name, "rh", index[..., 0], first=(1, 2))
+        m.name_rows("rampdn", g.name, "rh", index[..., 1], first=(1, 2))
 
     # ramping across consecutive base periods through the blended weights;
     # per representative the first hour of period d, then the last hour of
-    # period d - 1 (the same variable when H = 1, merged by add_rows)
+    # period d - 1; when H = 1 these are one variable, so each representative
+    # has one term, the difference of its weights in d and d - 1
     for g in producers:
         if g.ramp is None or D == 1:
             continue
         limit = g.ramp * tau
-        cols = np.stack([np.broadcast_to(pout[g.name][:, 0], (D - 1, R)),
-                         np.broadcast_to(pout[g.name][:, H - 1], (D - 1, R))],
-                        axis=-1).reshape(D - 1, 2 * R)
+        first = np.broadcast_to(pout[g.name][:, 0], (D - 1, R))
+        if H == 1:
+            cols, expr, keep = first, W[1:] - W[:-1], nonzero[1:] | nonzero[:-1]
+        else:
+            last = np.broadcast_to(pout[g.name][:, H - 1], (D - 1, R))
+            cols = np.stack([first, last], axis=-1).reshape(D - 1, 2 * R)
+            expr = np.stack([W[1:], -W[:-1]], axis=-1).reshape(D - 1, 2 * R)
+            keep = np.stack([nonzero[1:], nonzero[:-1]], axis=-1).reshape(D - 1, 2 * R)
         cols = np.append(cols, np.full((D - 1, 1), cap[g.name]), axis=1)
-        expr = np.stack([W[1:], -W[:-1]], axis=-1).reshape(D - 1, 2 * R)
-        tail = np.full((D - 1, 1), -limit)
-        keep = np.append(np.stack([nonzero[1:], nonzero[:-1]], axis=-1).reshape(D - 1, 2 * R),
-                         np.ones((D - 1, 1), bool), axis=1)
-        rows(("irampup", "irampdn"), g.name, "d", np.stack([cols, cols], axis=1),
-             np.stack([np.append(expr, tail, axis=1), np.append(-expr, tail, axis=1)], axis=1),
-             "<=", keep=keep[:, None, :], first=(2,))
+        vals = np.append(updown[:, None] * expr[:, None], np.full((D - 1, 2, 1), -limit), axis=2)
+        keep = np.append(keep, np.ones((D - 1, 1), bool), axis=1)
+        index = m.add_rows(np.broadcast_to(cols[:, None], vals.shape), vals, "<=",
+                           keep=keep[:, None])
+        m.name_rows("irampup", g.name, "d", index[:, 0], first=(2,))
+        m.name_rows("irampdn", g.name, "d", index[:, 1], first=(2,))
 
     m.cost[[cinv, cop]] = 1.0
     return m

@@ -187,6 +187,8 @@ def write_lp_file(model: LpModel, path: Path | str):
             raise ValueError(f"name {block.asset!r} cannot be written in LP format")
     names, row_names = model.var_names, model.row_names()
     for what, group in (("column", names), ("row", row_names)):
+        if None in group:  # outside every block
+            raise ValueError(f"{what} {group.index(None)} has no name")
         if len(set(group)) < len(group):  # e.g. node a_b, carrier c and node a, carrier b_c
             seen = set()
             repeat = next(name for name in group if name in seen or seen.add(name))

@@ -108,3 +108,29 @@ def synthetic_gep_path(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def synthetic_p2x_path(tmp_path_factory) -> Path:
     return make_synthetic_p2x(tmp_path_factory.mktemp("data") / "synth-p2x")
+
+
+@pytest.fixture()
+def pinned_models(tmp_path, mini_gep_path, synthetic_gep_path, synthetic_p2x_path):
+    """The models whose LP bytes ``TestWriteLpFile.PINNED`` pins, by label.
+    The one-hour gep dataset lives in a directory named ``one-hour``: the
+    model name, the LP file's first line, is made from it."""
+    from repblend.clustering import greedy_hull
+    from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
+    from repblend.model import build_full_model, build_model, fix_decisions
+    from repblend.solve import solve
+    from repblend.weights import fit_weights
+
+    gep = load_system(synthetic_gep_path)
+    cm = build_clustering_matrix(gep)
+    selection = greedy_hull(cm.values, 3, "conic")
+    weights = fit_weights(selection.rep_matrix, cm.values, "conic")
+    p2x_full = build_full_model(load_system(synthetic_p2x_path))
+    return {
+        "mini-gep full": build_full_model(load_system(mini_gep_path)),
+        "gep full": build_full_model(gep),
+        "gep hull+conic k=3": build_model(gep, extract_rep_profiles(gep, selection, cm), weights),
+        "p2x full": p2x_full,
+        "p2x self-fixed": fix_decisions(p2x_full, p2x_full, solve(p2x_full)),
+        "gep 12x1 full": build_full_model(load_system(make_gep(tmp_path / "one-hour", 12, 1))),
+    }

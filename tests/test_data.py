@@ -68,6 +68,15 @@ class TestLoadSystem:
             load_system(tmp_path)
         assert str(raised.value) == f"{tmp_path / 'config.json'}: file not found"
 
+    def test_line_from_a_node_to_itself_rejected(self, dataset_with):
+        # its flow would enter and leave the same balance row
+        root = dataset_with("lines.csv")
+        with open(root / "lines.csv", "a", encoding="utf-8") as handle:
+            handle.write("loop,n1,n1,el,10,10\n")  # after the header and three lines
+        with pytest.raises(DataError) as raised:
+            load_system(root)
+        assert str(raised.value) == "lines.csv:5: line 'loop' connects node 'n1' to itself"
+
     def test_unknown_node_reference(self, tmp_path, mini_gep_path):
         import shutil
 

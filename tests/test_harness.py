@@ -650,6 +650,12 @@ class TestCli:
         result = self.run("validate", "--data", tmp_path / "nope")
         assert result.exit_code == 2
 
+    def test_validate_missing_csv_names_its_path(self, mini_gep_copy):
+        (mini_gep_copy / "lines.csv").unlink()
+        result = self.run("validate", "--data", mini_gep_copy)
+        assert result.exit_code == 2
+        assert result.output == f"data error: {mini_gep_copy / 'lines.csv'}: file not found\n"
+
     @pytest.mark.parametrize("file,old,new,location", [
         pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el", ":2", id="short-row"),
         pytest.param("demand.csv", b"n1,el,1,1,1.0", b"n1,el,1,1,1.0,7", ":2", id="long-row"),

@@ -22,7 +22,7 @@ from repblend.model import (
     fix_decisions,
     identity_weights,
 )
-from repblend.solve import Solution, solve
+from repblend.solve import Solution, SolverNumericalError, solve
 from repblend.weights import WeightMatrix, fit_weights
 
 
@@ -42,11 +42,15 @@ def row_coefficients(model):
 
 
 class TestLpModel:
-    def test_terms_merge(self):
+    def test_repeated_column_refused(self):
+        # add_rows appends the terms as given; HiGHS refuses a row that
+        # names a column twice
         m = LpModel()
         x = int(m.add_vars(()))
         m.add_rows([x, x], [1.0, 2.0], "<=", 4.0)
-        assert model_rows(m)[0][1] == [(x, 3.0)]
+        assert model_rows(m)[0][1] == [(x, 1.0), (x, 2.0)]
+        with pytest.raises(SolverNumericalError, match="rejected the model"):
+            solve(m)
 
     def test_unknown_index_rejected(self):
         m = LpModel()
@@ -171,18 +175,32 @@ class TestBuildModel:
         assert any(n == "intracyc_battery_n2_r1" for n in row_names)
         assert "sinter_battery_n2_d1" not in model.var_names
 
-    def test_interperiod_ramp_merges_single_hour(self, tmp_path):
+    def test_interperiod_ramp_merges_single_hour(self, pinned_models, tmp_path):
+        # with one hour per period the first and the last hour of a
+        # representative are one variable: its inter-period ramp term is the
+        # difference of its weights in period d and d - 1, as HiGHS refuses
+        # a row that names a column twice
         from generators import make_gep
 
-        root = make_gep(tmp_path / "one-hour", 12, 1)
-        system = load_system(root)
-        model = build_full_model(system)
-        rows = [terms for name, terms, _, _ in model_rows(model)
-                if name.startswith("irampup_gas_n1")]
-        assert rows
-        for terms in rows:
-            indices = [idx for idx, _ in terms]
-            assert len(indices) == len(set(indices))
+        system = load_system(make_gep(tmp_path / "one-hour", 12, 1))
+        cm = build_clustering_matrix(system)
+        selection = greedy_hull(cm.values, 3, "conic")
+        weights = fit_weights(selection.rep_matrix, cm.values, "conic")
+        W = weights.values
+        assert np.any((W[1:] != 0.0) & (W[:-1] != 0.0))  # weighted in d and d - 1
+        reduced = build_model(system, extract_rep_profiles(system, selection, cm), weights)
+        coefficients = row_coefficients(reduced)
+        for d in range(1, 12):
+            up, dn = (coefficients[f"{kind}_gas_n1_d{d + 1}"] for kind in ("irampup", "irampdn"))
+            for r in range(3):
+                name = f"pout_gas_n1_r{r + 1}_h1"
+                if W[d, r] == 0.0 and W[d - 1, r] == 0.0:
+                    assert name not in up and name not in dn
+                else:
+                    assert (up[name], dn[name]) == (W[d, r] - W[d - 1, r], W[d - 1, r] - W[d, r])
+        for label, model in {**pinned_models, "gep 12x1 hull+conic k=3": reduced}.items():
+            for name, terms, _, _ in model_rows(model):
+                assert len({col for col, _ in terms}) == len(terms), (label, name)
 
 
 class TestTimestepScaling:

@@ -14,7 +14,6 @@ import scipy.optimize._highspy._core as highspy
 import repblend
 from conftest import value
 from oracles import linprog_solution, pin_by_name
-from repblend.clustering import greedy_hull
 from repblend.data import build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.harness import cluster_matrix
 from repblend.model import LpModel, build_full_model, build_model, fix_decisions
@@ -318,23 +317,8 @@ class TestWriteLpFile:
         "gep hull+conic k=3": "8f2d3b91d25161236a202cba4b9231b9f506f2cd1b198cb7d14604af007001fa",
         "p2x full": "e8bd55d9d6cc29df3b147e6d695acf464cbabf93044aeaaa1f56d80c29528012",
         "p2x self-fixed": "db0a9e4debb1bccefa33de05f0bde1c603b27524f0faea5b9a7bf1e02698d3a2",
+        "gep 12x1 full": "65e6b2b06a4e9608aeac875f8eaba7e49cf0e6fb67b1f97577668650b507a8b0",
     }
-
-    @pytest.fixture()
-    def pinned_models(self, mini_gep_path, synthetic_gep_path, synthetic_p2x_path):
-        gep = load_system(synthetic_gep_path)
-        cm = build_clustering_matrix(gep)
-        selection = greedy_hull(cm.values, 3, "conic")
-        weights = fit_weights(selection.rep_matrix, cm.values, "conic")
-        p2x_full = build_full_model(load_system(synthetic_p2x_path))
-        return {
-            "mini-gep full": build_full_model(load_system(mini_gep_path)),
-            "gep full": build_full_model(gep),
-            "gep hull+conic k=3": build_model(
-                gep, extract_rep_profiles(gep, selection, cm), weights),
-            "p2x full": p2x_full,
-            "p2x self-fixed": fix_decisions(p2x_full, p2x_full, solve(p2x_full)),
-        }
 
     def test_pinned_lp_bytes(self, pinned_models, tmp_path):
         digests = {}
@@ -382,6 +366,27 @@ class TestWriteLpFile:
         for name in rows:
             add_row(m, name, [(0, 1.0)], ">=", 1.0)
         with pytest.raises(ValueError, match=f"^{section} name '{repeat}' is not unique"):
+            write_lp_file(m, tmp_path / "m.lp")
+        assert not (tmp_path / "m.lp").exists()
+
+    @pytest.mark.parametrize("section,unnamed", [
+        ("column", [1]), ("column", [1, 2]), ("row", [0]), ("row", [0, 1])],
+        ids=["one-column", "two-columns", "one-row", "two-rows"])
+    def test_unnamed_refused(self, tmp_path, section, unnamed):
+        # a column or row outside every block has no name to write
+        m = LpModel()
+        for i in range(3):
+            if section == "column" and i in unnamed:
+                m.add_vars(())
+            else:
+                add_var(m, f"x{i}")
+            m.cost[i] = 1.0
+        for i in range(2):
+            if section == "row" and i in unnamed:
+                m.add_rows([i], 1.0, ">=", 1.0)
+            else:
+                add_row(m, f"r{i}", [(i, 1.0)], ">=", 1.0)
+        with pytest.raises(ValueError, match=f"^{section} {unnamed[0]} has no name$"):
             write_lp_file(m, tmp_path / "m.lp")
         assert not (tmp_path / "m.lp").exists()
 

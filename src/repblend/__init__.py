@@ -26,10 +26,10 @@ from .harness import (
     ExperimentConfig,
     ExperimentRecord,
     compute_regret,
-    emit_plot_data,
     load_records,
     pareto_front,
     run_experiment,
+    write_results_csv,
 )
 from .model import (
     LpModel,

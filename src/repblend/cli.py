@@ -24,13 +24,14 @@ from .data import (
 )
 from .harness import (
     METHODS,
+    PARETO_COLUMNS,
     ExperimentConfig,
     cluster_matrix,
-    emit_plot_data,
     iter_seed_runs,
     load_records,
+    pareto_front,
     solve_full_cached,
-    write_pareto_csv,
+    write_results_csv,
 )
 from .model import build_full_model, build_model
 from .solve import SolverError, SolverHandle, write_lp_file
@@ -202,10 +203,11 @@ def solve_full(data_path, out_dir):
 @_out
 @_handle_errors
 def experiment(data_path, method, weight_type, n_rp, seeds, out_dir):
-    """Run the full pipeline over all seeds and emit results/pareto CSVs."""
+    """Run the full pipeline over all seeds and write results.csv."""
     runs = list(iter_seed_runs(ExperimentConfig(data_path, method, weight_type, n_rp, seeds)))
     records = [run.record() for run in runs]
-    emit_plot_data(records, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_results_csv(records, out_dir / "results.csv")
     for record in records:
         if record.error:
             click.echo(f"seed {record.seed}: {record.error}", err=True)
@@ -218,18 +220,22 @@ def experiment(data_path, method, weight_type, n_rp, seeds, out_dir):
 
 
 @main.command(name="emit-plots")
+@click.argument("results", nargs=-1, required=True, type=click.Path(path_type=Path))
 @_out
 @_handle_errors
-def emit_plots(out_dir):
-    """Recompute pareto.csv from results.csv, which it leaves as it is."""
-    results = out_dir / "results.csv"
-    if not results.exists():
-        raise DataError("file not found", str(results))
-    records = load_records(results)
-    if not records:
-        raise DataError("no records to emit", str(results))
-    write_pareto_csv(records, out_dir / "pareto.csv")
-    click.echo(f"rewrote {out_dir / 'pareto.csv'}")
+def emit_plots(results, out_dir):
+    """Write pareto.csv across the RESULTS files, one point per
+    configuration; each file is left as it is."""
+    records = []
+    for path in results:
+        file_records = load_records(path)
+        if not file_records:
+            raise DataError("no records to emit", str(path))
+        records += file_records
+    front = pareto_front(records)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(out_dir / "pareto.csv", PARETO_COLUMNS, front)
+    click.echo(f"wrote {out_dir / 'pareto.csv'}")
 
 
 if __name__ == "__main__":

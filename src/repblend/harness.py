@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import statistics
 import time
 import typing
 import warnings
 import zipfile
+from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -51,6 +53,13 @@ HULL_FOR_WEIGHT = {
 REGRET_NOISE_FLOOR = -1e-2  # percent; anything lower flags inconsistent solves
 
 
+def _refuse_repeated_seed(seeds, where: str):
+    """ValueError naming the first seed that ``seeds`` holds more than once."""
+    repeated = [seed for seed, count in Counter(seeds).items() if count > 1]
+    if repeated:
+        raise ValueError(f"seed {repeated[0]} is repeated{where}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     data_path: Path
@@ -72,6 +81,7 @@ class ExperimentConfig:
             check_integer(seed, "seed")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError(f"at least one seed is required, each >= 0: got {self.seeds}")
+        _refuse_repeated_seed(self.seeds, f" in {self.seeds}")
 
 
 @dataclass
@@ -376,36 +386,26 @@ def load_records(path: Path | str) -> list[ExperimentRecord]:
     return records
 
 
-def pareto_front(records: list[ExperimentRecord]) -> list[ExperimentRecord]:
-    """Records not dominated in (total_time, regret_pct); failed records are
-    excluded."""
-    valid = [r for r in records if r.regret_pct is not None and not r.error]
-    front = []
-    for rec in valid:
-        dominated = any(
-            other.total_time <= rec.total_time and other.regret_pct <= rec.regret_pct
-            and (other.total_time < rec.total_time or other.regret_pct < rec.regret_pct)
-            for other in valid)
-        if not dominated:
-            front.append(rec)
-    front.sort(key=lambda r: (r.total_time, r.regret_pct))
-    return front
+PARETO_COLUMNS = ("case", "method", "weight_type", "n_rp", "seeds", "total_time", "regret_pct")
 
 
-def write_pareto_csv(records: list[ExperimentRecord], path: Path | str):
-    """Write the Pareto front of ``records`` (``pareto_front``), one row of
-    case, configuration, seed, total time and regret per point."""
-    columns = ["case", "method", "weight_type", "n_rp", "seed", "total_time", "regret_pct"]
-    write_csv(path, columns,
-              ([getattr(rec, name) for name in columns] for rec in pareto_front(records)))
-
-
-def emit_plot_data(records: list[ExperimentRecord], out_dir: Path | str):
-    """Write results.csv (all records) and pareto.csv (non-dominated points
-    by total time versus regret) for downstream plotting."""
-    if not records:
-        raise ValueError("no records to emit")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(records, out_dir / "results.csv")
-    write_pareto_csv(records, out_dir / "pareto.csv")
+def pareto_front(records: list[ExperimentRecord]) -> list[tuple]:
+    """The configurations, (case, method, weight_type, n_rp), that no other
+    dominates in (total_time, regret_pct), fastest first, each a tuple in
+    ``PARETO_COLUMNS`` order over its finished records; failed records are
+    excluded.  A seed that one configuration's records hold twice (the same
+    results file read twice, say) is a ValueError."""
+    configs = defaultdict(list)
+    for rec in records:
+        configs[(rec.case, rec.method, rec.weight_type, rec.n_rp)].append(rec)
+    points = []
+    for config, group in configs.items():
+        _refuse_repeated_seed([rec.seed for rec in group], f" in configuration {config}")
+        done = [rec for rec in group if rec.regret_pct is not None and not rec.error]
+        if done:
+            points.append((*config, len(done), statistics.median(r.total_time for r in done),
+                           statistics.fmean(r.regret_pct for r in done)))
+    # q dominates p: no slower and no worse, and not the same (time, regret)
+    return sorted((p for p in points if not any(
+        q[-2] <= p[-2] and q[-1] <= p[-1] and q[-2:] != p[-2:] for q in points)),
+        key=lambda p: p[-2:])

@@ -22,11 +22,11 @@ from repblend.clustering import kmeans
 from repblend.data import DataError, build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import build_full_model, build_model, fix_decisions
 from repblend.harness import (
+    PARETO_COLUMNS,
     ExperimentConfig,
     ExperimentRecord,
     cluster_matrix,
     compute_regret,
-    emit_plot_data,
     iter_seed_runs,
     load_records,
     model_key,
@@ -81,6 +81,11 @@ class TestExperimentConfig:
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"got \(1, -1\)"):
             ExperimentConfig(tmp_path, "kmeans", "convex", 2, seeds=(1, -1))
+
+    def test_repeated_seed_rejected(self, tmp_path):
+        # a repeated seed would count twice in its configuration's point
+        with pytest.raises(ValueError, match=r"^seed 1 is repeated in \(1, 2, 1\)$"):
+            ExperimentConfig(tmp_path, "kmeans", "convex", 2, seeds=(1, 2, 1))
 
 
 @pytest.fixture()
@@ -606,28 +611,43 @@ class TestResultsCsv:
             load_records(path)
 
     def test_one_record_one_row(self, tmp_path):
-        emit_plot_data([self.make_record()], tmp_path)
+        write_results_csv([self.make_record()], tmp_path / "results.csv")
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + data
 
-    def test_pareto_excludes_dominated(self, tmp_path):
-        fast_good = self.make_record(seed=1, t_solve=0.01, regret_pct=1.0)
-        slow_bad = self.make_record(seed=2, t_solve=5.0, regret_pct=9.0)  # dominated
-        slow_best = self.make_record(seed=3, t_solve=5.0, regret_pct=0.5)
-        emit_plot_data([fast_good, slow_bad, slow_best], tmp_path)
-        front = pareto_front([fast_good, slow_bad, slow_best])
-        assert [r.seed for r in front] == [1, 3]
-        pareto_text = (tmp_path / "pareto.csv").read_text()
-        assert ",2," not in pareto_text
+    def test_pareto_excludes_dominated(self):
+        # one point per configuration, its seeds' median total_time and mean
+        # regret: k=4 is fast and good, k=5 slow and bad (dominated), k=6
+        # slow and best; k=4's best seed alone would dominate k=6
+        fast_good = [self.make_record(seed=seed, t_solve=t_solve, regret_pct=regret)
+                     for seed, t_solve, regret in ((1, 0.01, 0.0), (2, 0.02, 2.0), (3, 0.9, 1.0))]
+        slow_bad = [self.make_record(n_rp=5, seed=seed, t_solve=5.0, regret_pct=9.0)
+                    for seed in (1, 2)]
+        slow_best = [self.make_record(n_rp=6, t_solve=5.0, regret_pct=0.5)]
+        front = pareto_front(fast_good + slow_bad + slow_best)
+        assert front == [
+            ("case", "hull", "convex", 4, 3, fast_good[1].total_time, 1.0),
+            ("case", "hull", "convex", 6, 1, slow_best[0].total_time, 0.5)]
+        assert len(front[0]) == len(PARETO_COLUMNS)
 
     def test_failed_records_excluded_from_pareto(self):
+        # a failed seed does not count in its configuration's point, and a
+        # configuration without a finished seed has none
         ok = self.make_record()
-        failed = self.make_record(seed=9, regret_pct=None, error="boom")
-        assert [r.seed for r in pareto_front([ok, failed])] == [1]
+        failed = self.make_record(seed=9, t_solve=0.0, regret_pct=None, error="boom")
+        none_finished = self.make_record(n_rp=5, t_solve=0.0, regret_pct=None, error="boom")
+        assert pareto_front([ok, failed, none_finished]) == [
+            ("case", "hull", "convex", 4, 1, ok.total_time, 7.4)]
 
-    def test_emit_requires_records(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot_data([], tmp_path)
+    def test_repeated_seed_in_a_configuration_refused(self):
+        # the same results file given twice; one seed in two configurations
+        # is two points
+        records = [self.make_record(), self.make_record(seed=2)]
+        slower_better = self.make_record(n_rp=5, t_solve=5.0, regret_pct=1.0)
+        assert len(pareto_front(records + [slower_better])) == 2
+        with pytest.raises(ValueError, match=r"^seed 1 is repeated in configuration "
+                                             r"\('case', 'hull', 'convex', 4\)$"):
+            pareto_front(records + records)
 
 
 class TestCli:
@@ -820,14 +840,16 @@ class TestCli:
         result = self.run("experiment", "--data", mini_gep_copy, "--method", "hull",
                           "--weights", "conic", "--n-rp", 1, "--seeds", "1,2", "--out", out)
         assert result.exit_code == 0, result.output
-        assert (out / "results.csv").exists() and (out / "pareto.csv").exists()
+        assert sorted(path.name for path in out.iterdir()) == ["results.csv"]
         records = load_records(out / "results.csv")
         assert len(records) == 2
-        pareto = (out / "pareto.csv").read_bytes()
-        (out / "pareto.csv").unlink()
-        result = self.run("emit-plots", "--out", out)
+        result = self.run("emit-plots", out / "results.csv", "--out", out)
         assert result.exit_code == 0, result.output
-        assert (out / "pareto.csv").read_bytes() == pareto
+        assert result.output == f"wrote {out / 'pareto.csv'}\n"
+        # both seeds make one point
+        header, row = (out / "pareto.csv").read_text().splitlines()
+        assert header == ",".join(PARETO_COLUMNS)
+        assert row.startswith("mini-gep,hull,conic,1,2,")
         # a second run reads the full solve from the one .npz cache file and
         # writes the same rows, timings aside
         result = self.run("experiment", "--data", mini_gep_copy, "--method", "hull",
@@ -876,58 +898,95 @@ class TestCli:
                                     text=True, timeout=120)
             assert result.returncode == 0, result.stderr
             assert expected in result.stdout
-        assert sorted(path.name for path in out.iterdir()) == ["pareto.csv", "results.csv"]
+        assert sorted(path.name for path in out.iterdir()) == ["results.csv"]
         for path in out.iterdir():
             assert b"\r" not in path.read_bytes(), path.name
 
     def test_emit_plots_leaves_results_csv_as_it_is(self, mini_gep_copy, tmp_path):
         # a hand-edited results.csv, one column dropped and one added, keeps
-        # its bytes; only pareto.csv is written again
+        # its bytes and gives the same pareto.csv
         out = tmp_path / "res"
         result = self.run("experiment", "--data", mini_gep_copy, "--method", "kmeans",
                           "--weights", "conic", "--n-rp", 1, "--seeds", "1,2", "--out", out)
         assert result.exit_code == 0, result.output
         results = out / "results.csv"
+        result = self.run("emit-plots", results, "--out", out)
+        assert result.exit_code == 0, result.output
+        pareto = (out / "pareto.csv").read_bytes()
         lines = [line.split(",") for line in results.read_text().splitlines()]
         drop = lines[0].index("iterations_fixed")
         edited = "".join(",".join(cells[:drop] + cells[drop + 1:] + [note]) + "\n"
                          for cells, note in zip(lines, ["note", "kept", "kept too"],
                                                 strict=True)).encode()
         results.write_bytes(edited)
-        pareto = (out / "pareto.csv").read_bytes()
         (out / "pareto.csv").unlink()
-        result = self.run("emit-plots", "--out", out)
+        result = self.run("emit-plots", results, "--out", out)
         assert result.exit_code == 0, result.output
         assert results.read_bytes() == edited
         assert (out / "pareto.csv").read_bytes() == pareto
 
+    def test_emit_plots_one_point_per_config(self, synthetic_gep_path, tmp_path):
+        # two configurations over seeds 1 and 2, from two experiment runs:
+        # each point is one configuration, its rows' median total_time and
+        # mean regret_pct
+        data = tmp_path / "gep"
+        shutil.copytree(synthetic_gep_path, data)
+        paths = []
+        for name, method in (("a", "kmeans"), ("b", "hull")):
+            result = self.run("experiment", "--data", data, "--method", method,
+                              "--weights", "conic", "--n-rp", 3, "--seeds", "1,2",
+                              "--out", tmp_path / name)
+            assert result.exit_code == 0, result.output
+            paths.append(tmp_path / name / "results.csv")
+        result = self.run("emit-plots", *paths, "--out", tmp_path / "front")
+        assert result.exit_code == 0, result.output
+        records = [record for path in paths for record in load_records(path)]
+        with open(tmp_path / "front" / "pareto.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and list(rows[0]) == list(PARETO_COLUMNS)
+        configs = [(row["method"], row["weight_type"], row["n_rp"]) for row in rows]
+        assert len(set(configs)) == len(configs)
+        for row in rows:
+            first, second = [r for r in records if r.method == row["method"]]
+            assert row["seeds"] == "2"
+            assert float(row["total_time"]) == (first.total_time + second.total_time) / 2
+            assert float(row["regret_pct"]) == (first.regret_pct + second.regret_pct) / 2
+
     def test_emit_plots_without_results_csv_is_a_data_error(self, tmp_path):
-        result = self.run("emit-plots", "--out", tmp_path)
+        # each file must exist, not only the first
+        write_results_csv([TestResultsCsv().make_record()], tmp_path / "good.csv")
+        missing = tmp_path / "results.csv"
+        result = self.run("emit-plots", tmp_path / "good.csv", missing, "--out", tmp_path)
         assert result.exit_code == 2
-        assert result.output == f"data error: {tmp_path / 'results.csv'}: file not found\n"
+        assert result.output == f"data error: {missing}: file not found\n"
         assert not (tmp_path / "pareto.csv").exists()
 
     def test_emit_plots_without_seed_column_is_a_data_error(self, tmp_path):
-        emit_plot_data([TestResultsCsv().make_record()], tmp_path)
         results = tmp_path / "results.csv"
+        write_results_csv([TestResultsCsv().make_record()], results)
         header, row = [line.split(",") for line in results.read_text().splitlines()]
         drop = header.index("seed")
         results.write_text("\n".join(",".join(cells[:drop] + cells[drop + 1:])
                                      for cells in (header, row)) + "\n")
-        result = self.run("emit-plots", "--out", tmp_path)
+        result = self.run("emit-plots", results, "--out", tmp_path)
         assert result.exit_code == 2
         assert "results.csv:1: missing columns: seed" in result.output
 
     def test_emit_plots_without_records_is_a_data_error(self, tmp_path):
         # a header-only results.csv has no point to put on a front
-        emit_plot_data([TestResultsCsv().make_record()], tmp_path)
         results = tmp_path / "results.csv"
-        results.write_text(results.read_text().splitlines()[0] + "\n")
-        (tmp_path / "pareto.csv").unlink()
-        result = self.run("emit-plots", "--out", tmp_path)
+        write_results_csv([], results)
+        result = self.run("emit-plots", results, "--out", tmp_path)
         assert result.exit_code == 2
         assert "results.csv: no records to emit" in result.output
         assert not (tmp_path / "pareto.csv").exists()
+
+    def test_repeated_seed_exits_2_before_any_work(self, mini_gep_copy, tmp_path):
+        result = self.run("experiment", "--data", mini_gep_copy, "--n-rp", 1,
+                          "--seeds", "1,1", "--out", tmp_path / "o")
+        assert result.exit_code == 2
+        assert result.output == "data error: seed 1 is repeated in (1, 1)\n"
+        assert not (tmp_path / "o").exists() and not (mini_gep_copy / ".full_cache").exists()
 
     def test_experiment_data_error_exit_code(self, tmp_path):
         (tmp_path / "broken").mkdir()
@@ -1097,7 +1156,14 @@ class TestCli:
             "experiment": reduction | {"--seeds", "--out"},
             "emit-plots": {"--out"},
         }
-        flags = {name: {opt for param in command.params for opt in param.opts}
+        flags = {name: {opt for param in command.params if param.param_type_name == "option"
+                        for opt in param.opts}
                  for name, command in main.commands.items()}
         assert flags == expected
         assert sum(len(f) for f in flags.values()) == 23
+        # emit-plots' one argument: the results.csv files it reads
+        arguments = {name: [(param.name, param.nargs) for param in command.params
+                            if param.param_type_name == "argument"]
+                     for name, command in main.commands.items()}
+        assert {name: args for name, args in arguments.items() if args} == {
+            "emit-plots": [("results", -1)]}

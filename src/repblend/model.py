@@ -67,9 +67,12 @@ class Block:
         return [prefix + "".join(labels) for labels in product(*grids)]
 
 
-def _joined(arrays: tuple, parts: list[tuple]) -> tuple:
-    """Each array with the matching array of every part appended."""
-    return tuple(np.concatenate([a] + [p[i] for p in parts]) for i, a in enumerate(arrays))
+def _joined(parts: list[tuple]) -> tuple:
+    """The parts' matching arrays joined in order; ``parts`` keeps the
+    joined arrays as its one part."""
+    if len(parts) > 1:
+        parts[:] = [tuple(np.concatenate(arrays) for arrays in zip(*parts))]
+    return parts[0]
 
 
 def _names(blocks: list[Block], count: int) -> list[str]:
@@ -84,9 +87,10 @@ class LpModel:
     order (see the module docstring).
 
     ``add_vars``/``add_rows`` append unnamed blocks that
-    ``name_vars``/``name_rows`` then name.  Appends are buffered and joined
-    into the arrays when these are next read.  ``first_stage`` is the kind
-    of block that ``fix_decisions`` pins (None: the model declares none).
+    ``name_vars``/``name_rows`` then name.  Columns and rows are each held
+    as a list of appended parts, joined into one part when next read.
+    ``first_stage`` is the kind of block that ``fix_decisions`` pins (None:
+    the model declares none).
     """
 
     def __init__(self, name: str = "model"):
@@ -97,11 +101,9 @@ class LpModel:
         self._num_vars = 0
         self._num_rows = 0
         self._num_terms = 0
-        self._columns = (np.zeros(0), np.zeros(0), np.zeros(0))  # lb, ub, cost
-        self._rows = (np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0),
-                      np.zeros(0), np.zeros(0))  # starts, col, val, lower, upper
-        self._new_columns: list[tuple] = []
-        self._new_rows: list[tuple] = []
+        self._columns = [(np.zeros(0), np.zeros(0), np.zeros(0))]  # lb, ub, cost
+        self._rows = [(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0),
+                       np.zeros(0), np.zeros(0))]  # starts, col, val, lower, upper
         self._names: list[str] | None = None
 
     # -- columns ---------------------------------------------------------
@@ -113,7 +115,7 @@ class LpModel:
         if self._num_vars + count > INT32_MAX:
             raise ValueError(f"a model holds at most {INT32_MAX} columns")
         index = np.arange(self._num_vars, self._num_vars + count).reshape(shape)
-        self._new_columns.append(
+        self._columns.append(
             tuple(np.broadcast_to(np.asarray(bound, dtype=float), shape).ravel()
                   for bound in (lb, ub)) + (np.zeros(count),))
         self._num_vars += count
@@ -124,14 +126,9 @@ class LpModel:
         self.var_blocks.append(Block(kind, asset, axes, np.asarray(index)))
         self._names = None
 
-    def _column_arrays(self) -> tuple[np.ndarray, ...]:
-        if self._new_columns:
-            self._columns, self._new_columns = _joined(self._columns, self._new_columns), []
-        return self._columns
-
-    lb = property(lambda self: self._column_arrays()[0], doc="Lower bounds.")
-    ub = property(lambda self: self._column_arrays()[1], doc="Upper bounds.")
-    cost = property(lambda self: self._column_arrays()[2], doc="Objective coefficients.")
+    lb = property(lambda self: _joined(self._columns)[0], doc="Lower bounds.")
+    ub = property(lambda self: _joined(self._columns)[1], doc="Upper bounds.")
+    cost = property(lambda self: _joined(self._columns)[2], doc="Objective coefficients.")
 
     @property
     def var_names(self) -> list[str]:
@@ -173,9 +170,9 @@ class LpModel:
             raise ValueError(f"row references unknown variable index {bad[0]}")
         ends = self._num_terms + np.cumsum(sizes)
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()
-        self._new_rows.append((ends.astype(np.int32), cols.astype(np.int32), vals,
-                               np.full(count, -math.inf) if sense == "<=" else rhs,
-                               np.full(count, math.inf) if sense == ">=" else rhs))
+        self._rows.append((ends.astype(np.int32), cols.astype(np.int32), vals,
+                           np.full(count, -math.inf) if sense == "<=" else rhs,
+                           np.full(count, math.inf) if sense == ">=" else rhs))
         index = np.arange(self._num_rows, self._num_rows + count)
         self._num_rows += count
         self._num_terms += vals.size
@@ -185,16 +182,11 @@ class LpModel:
         """Name the rows at ``index`` (see ``Block``)."""
         self.row_blocks.append(Block(kind, asset, axes, np.asarray(index), tuple(first)))
 
-    def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        if self._new_rows:
-            self._rows, self._new_rows = _joined(self._rows, self._new_rows), []
-        return self._rows
-
-    starts = property(lambda self: self._row_arrays()[0], doc="Each row's first term; the end.")
-    col = property(lambda self: self._row_arrays()[1], doc="Column index of each term.")
-    val = property(lambda self: self._row_arrays()[2], doc="Coefficient of each term.")
-    lower = property(lambda self: self._row_arrays()[3], doc="Lower bound per row.")
-    upper = property(lambda self: self._row_arrays()[4], doc="Upper bound per row.")
+    starts = property(lambda self: _joined(self._rows)[0], doc="Each row's first term; the end.")
+    col = property(lambda self: _joined(self._rows)[1], doc="Column index of each term.")
+    val = property(lambda self: _joined(self._rows)[2], doc="Coefficient of each term.")
+    lower = property(lambda self: _joined(self._rows)[3], doc="Lower bound per row.")
+    upper = property(lambda self: _joined(self._rows)[4], doc="Upper bound per row.")
 
     def row_names(self) -> list[str]:
         """Row names in index order, made from the blocks."""
@@ -214,9 +206,8 @@ class LpModel:
         clone = copy.copy(self)
         clone.var_blocks = list(self.var_blocks)
         clone.row_blocks = list(self.row_blocks)
-        clone._rows = self._row_arrays()
-        clone._columns = (lb, ub, self.cost.copy())
-        clone._new_columns, clone._new_rows = [], []
+        clone._rows = [_joined(self._rows)]
+        clone._columns = [(lb, ub, self.cost.copy())]
         return clone
 
 
@@ -226,13 +217,12 @@ def identity_weights(num_periods: int) -> WeightMatrix:
 
 
 def _terms(shape: tuple[int, ...], pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (column index, coefficient) pairs, each broadcast to ``shape``,
-    along a new last axis: the term axis of ``LpModel.add_rows``."""
-    if not pairs:
-        return np.zeros(shape + (0,), dtype=np.int64), np.zeros(shape + (0,))
-    cols = np.stack([np.broadcast_to(col, shape) for col, _ in pairs], axis=-1)
-    vals = np.stack([np.broadcast_to(np.asarray(val, dtype=float), shape)
-                     for _, val in pairs], axis=-1)
+    """(column index, coefficient) pairs, each broadcast to ``shape``, side
+    by side along a new last axis: the term axis of ``LpModel.add_rows``."""
+    cols = np.empty(shape + (len(pairs),), dtype=np.int64)
+    vals = np.empty(shape + (len(pairs),))
+    for i, (col, val) in enumerate(pairs):
+        cols[..., i], vals[..., i] = col, val
     return cols, vals
 
 
@@ -322,29 +312,18 @@ def build_model(
         (inv[a.name], -a.inv_cost * a.unit_capacity) for a in investables]), "==")
 
     # total operational cost, annualized and weighted by representative
-    # totals; terms run representative by representative
+    # totals; terms run representative by representative, within one by
+    # asset and hour, a spill before its hour's borrow
     scale = hz.operational_weight * rep_totals
-    cols, vals = [], []
-    for g in producers:
-        if g.var_cost != 0.0:
-            cols.append(pout[g.name])
-            vals.append(np.broadcast_to((-scale * g.var_cost)[:, None], RH))
+    pairs = [(pout[g.name][:, h], -scale * g.var_cost)
+             for g in producers if g.var_cost != 0.0 for h in range(H)]
     for s in seasonals:
-        if not s.has_inflows:
-            continue
-        pairs = []
-        if s.spill_cost:
-            pairs.append((spill[s.name], -scale * s.spill_cost / tau))
-        if s.borrow_cost:
-            pairs.append((borrow[s.name], -scale * s.borrow_cost / tau))
-        if pairs:
-            cols.append(np.stack([c for c, _ in pairs], axis=-1).reshape(R, -1))
-            vals.append(np.stack([np.broadcast_to(v[:, None], RH) for _, v in pairs],
-                                 axis=-1).reshape(R, -1))
+        if s.has_inflows:
+            costs = [(spill[s.name], s.spill_cost), (borrow[s.name], s.borrow_cost)]
+            pairs += [(c[:, h], -scale * cost / tau) for h in range(H) for c, cost in costs if cost]
+    cols, vals = _terms((R,), pairs)
     active = scale != 0.0
-    op_cols = np.concatenate(cols, axis=1)[active].ravel() if cols else np.zeros(0, np.int64)
-    op_vals = np.concatenate(vals, axis=1)[active].ravel() if vals else np.zeros(0)
-    rows("def_cop", None, "", np.append(cop, op_cols), np.append(1.0, op_vals), "==")
+    rows("def_cop", None, "", np.append(cop, cols[active]), np.append(1.0, vals[active]), "==")
 
     # node balance per node, carrier, representative, hour
     for node in system.nodes:
@@ -378,17 +357,17 @@ def build_model(
 
     # inter-period storage balance: chronological recovery through the
     # weights; per period the level, the previous level, then for each
-    # representative with a nonzero weight its end and start intra levels
+    # representative with a nonzero weight its end and start intra levels.
+    # Terms are laid out per representative, the two level terms with a
+    # zero coefficient past the first, and every zero term is dropped
     nonzero = W != 0.0
+    lead = np.where(np.arange(R) == 0, 1.0, 0.0)
     for s in seasonals:
         prev = np.append(sinter0[s.name], sinter[s.name][:-1])
-        ends = np.stack([np.broadcast_to(sintra[s.name][:, H - 1], (D, R)),
-                         np.broadcast_to(sintra0[s.name], (D, R))], axis=-1).reshape(D, 2 * R)
-        cols = np.concatenate([sinter[s.name][:, None], prev[:, None], ends], axis=1)
-        vals = np.concatenate([np.ones((D, 1)), -np.ones((D, 1)),
-                               np.stack([-W, W], axis=-1).reshape(D, 2 * R)], axis=1)
-        keep = np.concatenate([np.ones((D, 2), bool), np.repeat(nonzero, 2, axis=1)], axis=1)
-        rows("inter", s.name, "d", cols, vals, "==", keep=keep)
+        cols, vals = _terms((D, R), [(sinter[s.name][:, None], lead), (prev[:, None], -lead),
+                                     (sintra[s.name][:, H - 1], -W), (sintra0[s.name], W)])
+        rows("inter", s.name, "d", cols.reshape(D, -1), vals.reshape(D, -1), "==",
+             keep=vals.reshape(D, -1) != 0.0)
 
     # cyclic constraints: initial and final levels pinned to the preset value,
     # plus the tether that fixes the intra-level offset
@@ -442,25 +421,25 @@ def build_model(
 
     # ramping across consecutive base periods through the blended weights;
     # per representative the first hour of period d, then the last hour of
-    # period d - 1; when H = 1 these are one variable, so each representative
-    # has one term, the difference of its weights in d and d - 1
+    # period d - 1, each kept where a weight is nonzero; when H = 1 these
+    # are one variable, so each representative has one term, the difference
+    # of its weights in d and d - 1.  Terms are laid out per representative,
+    # the capacity term kept on the last only, so it ends the row
+    last_rep = np.arange(R) == R - 1
     for g in producers:
         if g.ramp is None or D == 1:
             continue
         limit = g.ramp * tau
-        first = np.broadcast_to(pout[g.name][:, 0], (D - 1, R))
+        first, last = pout[g.name][:, 0], pout[g.name][:, H - 1]
         if H == 1:
-            cols, expr, keep = first, W[1:] - W[:-1], nonzero[1:] | nonzero[:-1]
+            pairs, used = [(first, W[1:] - W[:-1])], [nonzero[1:] | nonzero[:-1]]
         else:
-            last = np.broadcast_to(pout[g.name][:, H - 1], (D - 1, R))
-            cols = np.stack([first, last], axis=-1).reshape(D - 1, 2 * R)
-            expr = np.stack([W[1:], -W[:-1]], axis=-1).reshape(D - 1, 2 * R)
-            keep = np.stack([nonzero[1:], nonzero[:-1]], axis=-1).reshape(D - 1, 2 * R)
-        cols = np.append(cols, np.full((D - 1, 1), cap[g.name]), axis=1)
-        vals = np.append(updown[:, None] * expr[:, None], np.full((D - 1, 2, 1), -limit), axis=2)
-        keep = np.append(keep, np.ones((D - 1, 1), bool), axis=1)
-        index = m.add_rows(np.broadcast_to(cols[:, None], vals.shape), vals, "<=",
-                           keep=keep[:, None])
+            pairs, used = [(first, W[1:]), (last, -W[:-1])], [nonzero[1:], nonzero[:-1]]
+        cols, vals = _terms((D - 1, 2, R), [(c, w[:, None] * updown[:, None]) for c, w in pairs]
+                            + [(cap[g.name], -limit)])
+        keep = np.stack(np.broadcast_arrays(*used, last_rep), axis=-1).reshape(D - 1, 1, -1)
+        index = m.add_rows(cols.reshape(D - 1, 2, -1), vals.reshape(D - 1, 2, -1), "<=",
+                           keep=keep)
         m.name_rows("irampup", g.name, "d", index[:, 0], first=(2,))
         m.name_rows("irampdn", g.name, "d", index[:, 1], first=(2,))
 

@@ -131,15 +131,15 @@ def nnls_weights(rep_matrix: np.ndarray, points: np.ndarray, weight_type: str) -
     # identity its point is not even stationary on its own support.  So
     # every row's KKT conditions are checked, with the gradient G of
     # 0.5 ||R w - x||^2 shifted by the sum constraint's multiplier for
-    # convex rows, to 1e-9 of a bound on G; a row that fails is fitted
+    # convex rows, to 1e-9 of the row's own bound on G (so a row's fit does
+    # not depend on the rows fitted with it); a row that fails is fitted
     # again by bounded-variable least squares
     G = (W @ R.T - X.T) @ R
     if weight_type == "convex":
         G -= G.min(axis=1, keepdims=True)
     violation = np.where(W > 0, np.abs(G), -G).max(axis=1)
     top = np.abs(R).max(initial=0.0)
-    tol = 1e-9 * R.shape[0] * top * (top * W.sum(axis=1).max(initial=0.0)
-                                     + np.abs(X).max(initial=0.0))
+    tol = 1e-9 * R.shape[0] * top * (top * W.sum(axis=1) + np.abs(X).max(axis=0, initial=0.0))
     for d in np.flatnonzero(violation > tol):
         fit(d, _bvls)
     return W

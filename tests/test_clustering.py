@@ -300,8 +300,9 @@ class TestDiracRowsAreTheAssignment:
 
     @pytest.mark.parametrize("cluster", [kmeans, kmedoids], ids=["kmeans", "kmedoids"])
     def test_repeated_columns(self, cluster):
-        # three distinct columns repeated: k > 3 leaves clusters empty, which
-        # sends kmeans through its empty-cluster relocation
+        # three distinct columns repeated: k > 3 leaves clusters empty, and
+        # since every point is then served exactly, kmeans keeps their
+        # centers in place rather than moving one
         C = np.repeat(random_matrix(4, 3, seed=5), [3, 2, 4], axis=1)
         for k in (2, 3, 4, 6):
             for seed in range(1, 6):

@@ -1,6 +1,7 @@
 """Unit tests for system loading, validation and the clustering matrix."""
 
 import csv
+import json
 import math
 import shutil
 
@@ -48,6 +49,26 @@ class TestHorizon:
             Horizon(0, 2)
         with pytest.raises(ValueError):
             Horizon(1, 1, timestep_hours=0.0)
+
+
+def _config(change):
+    """An edit of a config.json file: ``change`` applied to its object."""
+    def edit(path):
+        cfg = json.loads(path.read_text())
+        change(cfg)
+        path.write_text(json.dumps(cfg, indent=1))
+    return edit
+
+
+def _first_row(**cells):
+    """An edit of a CSV file that sets cells of its first data row."""
+    return lambda path: _edit_first_row(path, lambda header, row: [
+        cells.get(column, cell) for column, cell in zip(header, row)])
+
+
+def _text(text):
+    """An edit that writes ``text`` as the whole file."""
+    return lambda path: path.write_text(text)
 
 
 class TestLoadSystem:
@@ -461,6 +482,70 @@ class TestLoadSystem:
         config["peak_demand"]["n1"]["el"] = 0.0
         write_dataset(tmp_path, config, [], [], {("n1", "el"): np.full((1, 1), 0.5)}, {}, {})
         assert load_system(tmp_path).peak_demand[("n1", "el")] == 0.0
+
+    # each case plants one fault in a copy of the synthetic gep dataset (12x6;
+    # the first data rows are fossil_n1, a producer, and line l12 from n1 to
+    # n2) and names the message, file and line that load_system raises
+    @pytest.mark.parametrize("file,edit,error", [
+        ("config.json", _text('{\n "mode": "gep"\n "nodes": []\n}\n'),
+         "config.json:3: invalid JSON: Expecting ',' delimiter"),
+        ("config.json", _config(lambda cfg: cfg.pop("nodes")),
+         "config.json: missing key 'nodes'"),
+        ("config.json", _config(lambda cfg: cfg["horizon"].pop("hours_per_period")),
+         "config.json: horizon is missing 'hours_per_period'"),
+        ("config.json", _config(lambda cfg: cfg.update(mode="dispatch")),
+         "config.json: mode must be one of ('gep', 'p2x'), got 'dispatch'"),
+        ("config.json", _config(lambda cfg: cfg["carriers"].append("el")),
+         "config.json: duplicate node or carrier names"),
+        ("config.json", _config(lambda cfg: cfg["peak_demand"].update(n9={"el": 1.0})),
+         "config.json: peak_demand references unknown node 'n9'"),
+        ("config.json", _config(lambda cfg: cfg["peak_demand"].update(n1=100.0)),
+         "config.json: peak_demand['n1'] must map carrier -> MW"),
+        ("config.json", _config(lambda cfg: cfg["peak_demand"]["n1"].update(h2=1.0)),
+         "config.json: peak_demand references unknown carrier 'h2'"),
+        ("lines.csv", _text(""), "lines.csv:1: missing header row"),
+        ("inflows.csv", _first_row(asset="zz"), "inflows.csv:2: unknown asset 'zz'"),
+        ("storage_bounds.csv", _text("asset,period,min_frac,max_frac\nzz,1,0,1\n"),
+         "storage_bounds.csv:2: unknown asset 'zz'"),
+        ("storage_bounds.csv", _text("asset,period,min_frac,max_frac\nbattery_n2,1,0,1\n"),
+         "storage_bounds.csv:2: storage bounds given for non-seasonal asset 'battery_n2'"),
+        ("storage_bounds.csv", _text("asset,period,min_frac,max_frac\nreservoir_n3,13,0,1\n"),
+         "storage_bounds.csv:2: period 13 outside 1..12"),
+        ("demand.csv", _first_row(value=""), "demand.csv:2: empty value"),
+        ("assets.csv", _first_row(name=""), "assets.csv:2: empty asset name"),
+        ("assets.csv", _first_row(name="fossil_n2"), "assets.csv:3: duplicate asset 'fossil_n2'"),
+        ("assets.csv", _first_row(kind="turbine"),
+         "assets.csv:2: unknown kind 'turbine'; expected one of "
+         "('producer', 'storage_short', 'storage_seasonal', 'conversion')"),
+        ("assets.csv", _first_row(carrier_in="h2"), "assets.csv:2: unknown carrier 'h2'"),
+        ("assets.csv", _first_row(carrier_out=""), "assets.csv:2: producer needs carrier_out"),
+        ("assets.csv", _first_row(kind="conversion"),
+         "assets.csv:2: conversion needs carrier_in and carrier_out"),
+        ("assets.csv", _first_row(kind="storage_short", carrier_out=""),
+         "assets.csv:2: storage needs a carrier"),
+        ("assets.csv", _first_row(investable="maybe"),
+         "assets.csv:2: column 'investable': not a boolean: 'maybe'"),
+        ("assets.csv", _first_row(var_cost="-1"), "assets.csv:2: column 'var_cost' must be >= 0"),
+        ("assets.csv", _first_row(ramp="-0.5"), "assets.csv:2: column 'ramp' must be >= 0"),
+        ("lines.csv", _first_row(name=""), "lines.csv:2: empty line name"),
+        ("lines.csv", _first_row(name="l13"), "lines.csv:3: duplicate line 'l13'"),
+        ("lines.csv", _first_row(carrier="h2"), "lines.csv:2: unknown carrier 'h2'"),
+        ("lines.csv", _first_row(import_limit="-1"), "lines.csv:2: line limits must be >= 0"),
+    ], ids=["invalid-json", "missing-key", "missing-horizon-key", "unknown-mode",
+            "repeated-carrier", "peak-unknown-node", "peak-not-a-map", "peak-unknown-carrier",
+            "no-header-row", "inflow-unknown-asset", "bounds-unknown-asset",
+            "bounds-non-seasonal", "bounds-period-out-of-range", "empty-hourly-value",
+            "empty-asset-name", "repeated-asset", "unknown-kind", "asset-unknown-carrier",
+            "producer-without-carrier", "conversion-without-carriers",
+            "storage-without-carrier", "investable-not-boolean", "negative-asset-column",
+            "negative-ramp", "empty-line-name", "repeated-line", "line-unknown-carrier",
+            "negative-line-limit"])
+    def test_fault_at_its_file_and_line(self, tmp_path, synthetic_gep_path, file, edit, error):
+        root = shutil.copytree(synthetic_gep_path, tmp_path / "data")
+        edit(root / file)
+        with pytest.raises(DataError) as raised:
+            load_system(root)
+        assert str(raised.value) == error
 
 
 HOURLY_FILES = [("demand", "demand.csv", ("node", "carrier")),

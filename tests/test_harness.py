@@ -5,6 +5,7 @@ import collections
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from repblend.clustering import kmeans
 from repblend.data import DataError, build_clustering_matrix, extract_rep_profiles, load_system
 from repblend.model import build_full_model, build_model, fix_decisions
 from repblend.harness import (
+    METHODS,
     PARETO_COLUMNS,
     ExperimentConfig,
     ExperimentRecord,
@@ -35,7 +37,7 @@ from repblend.harness import (
     solve_full_cached,
     write_results_csv,
 )
-from repblend.solve import SolverHandle, SolverNumericalError, basis_codes, solve
+from repblend.solve import SolverHandle, SolverNumericalError, Solution, basis_codes, solve
 from repblend.weights import fit_weights
 
 import spans
@@ -93,6 +95,15 @@ def mini_gep_copy(tmp_path, mini_gep_path):
     dest = tmp_path / "mini-gep"
     shutil.copytree(mini_gep_path, dest)
     return dest
+
+
+@pytest.fixture()
+def infeasible_gep(mini_gep_copy):
+    """mini-gep with nothing to build: g1, its one producer, is not
+    investable and has no units, so its full model is infeasible."""
+    assets = mini_gep_copy / "assets.csv"
+    assets.write_text(assets.read_text().replace("producer,,el,true", "producer,,el,false"))
+    return mini_gep_copy
 
 
 class TestRunExperiment:
@@ -211,6 +222,53 @@ class TestRunExperiment:
         assert all(r.regret_pct is not None for r in records)
         assert len(calls) == 1
         assert cache_file.read_text() == ""
+
+    def test_full_solve_not_optimal_is_every_seeds_error(self, infeasible_gep, tmp_path,
+                                                        monkeypatch):
+        config = ExperimentConfig(infeasible_gep, "kmeans", "dirac", 1, seeds=(1, 2),
+                                  cache_dir=tmp_path / "cache")
+        records = run_experiment(config)
+        assert records == [ExperimentRecord("mini-gep", "gep", "kmeans", "dirac", 1, seed,
+                                            t_read=r.t_read,
+                                            error="SolverError: full solve: infeasible")
+                           for seed, r in zip((1, 2), records)]
+        assert all(r.t_read > 0 for r in records)
+        # the second run reads the infeasible status back from the cache
+        assert len(list((tmp_path / "cache").glob("full_*.npz"))) == 1
+        monkeypatch.setattr(harness, "solve", lambda *args, **kwargs: pytest.fail("solved"))
+        assert [record_key(r) for r in run_experiment(config)] == \
+            [record_key(r) for r in records]
+
+    @pytest.mark.parametrize("stage", ["reduced", "fixed"])
+    def test_seed_solve_not_optimal_is_its_error(self, mini_gep_copy, tmp_path, monkeypatch,
+                                                 stage):
+        # the fixed solve is the one that starts from a basis
+        reduced_models = []
+
+        def recording_build(*args):
+            reduced_models.append(build_model(*args))
+            return reduced_models[-1]
+
+        def infeasible_at_stage(model, handle=None, basis=None):
+            if (basis is not None if stage == "fixed"
+                    else any(model is reduced for reduced in reduced_models)):
+                return Solution(status="infeasible")
+            return solve(model, handle, basis)
+
+        monkeypatch.setattr(harness, "build_model", recording_build)
+        monkeypatch.setattr(harness, "solve", infeasible_at_stage)
+        config = ExperimentConfig(mini_gep_copy, "kmeans", "dirac", 1, seeds=(1, 2),
+                                  cache_dir=tmp_path / "cache")
+        for record in run_experiment(config):
+            assert record.error == f"SolverError: {stage} solve: infeasible"
+            assert record.proj_err_mean == 0.0
+            assert record.objective_fixed is None and record.regret_pct is None
+            if stage == "reduced":
+                assert record.objective_reduced is None and record.objective_full is None
+            else:
+                assert record.objective_reduced == pytest.approx(23.0)
+                assert record.objective_full == pytest.approx(23.0)
+        assert len(reduced_models) == 2
 
     def test_full_build_failure_kept_for_later_seeds(self, mini_gep_copy, tmp_path,
                                                      monkeypatch):
@@ -471,6 +529,12 @@ class TestRunExperiment:
         assert means["dirac"] >= means["convex"] - 1e-9
         assert means["convex"] >= means["subunit_conic"] - 1e-9
         assert means["subunit_conic"] >= means["conic"] - 1e-9
+
+
+class TestClusterMatrix:
+    def test_unknown_method_names_the_methods(self):
+        with pytest.raises(ValueError, match=re.escape(f"method must be one of {METHODS}")):
+            cluster_matrix(np.eye(3), "pca", "convex", 2, 1)
 
 
 # the harness globals the benchmark's tracer (perfbench/spans.py) wraps and
@@ -987,6 +1051,13 @@ class TestCli:
         assert result.exit_code == 2
         assert result.output == "data error: seed 1 is repeated in (1, 1)\n"
         assert not (tmp_path / "o").exists() and not (mini_gep_copy / ".full_cache").exists()
+
+    def test_experiment_exits_3_when_the_full_solve_is_infeasible(self, infeasible_gep,
+                                                                  tmp_path):
+        result = self.run("experiment", "--data", infeasible_gep, "--n-rp", 1,
+                          "--seeds", "1,2", "--out", tmp_path / "o")
+        assert result.exit_code == 3, result.output
+        assert result.output.count("SolverError: full solve: infeasible") == 2
 
     def test_experiment_data_error_exit_code(self, tmp_path):
         (tmp_path / "broken").mkdir()

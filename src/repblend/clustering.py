@@ -90,9 +90,10 @@ def _farthest_point_init(matrix: np.ndarray, k: int, seed: int) -> list[int]:
 
 
 def kmeans(matrix: np.ndarray, k: int, seed: int) -> RepSelection:
-    """Lloyd's algorithm with greedy farthest-point initialization.
-
-    Returns synthetic centroid columns (no source indices).
+    """Lloyd's algorithm with greedy farthest-point initialization, run to its
+    fixed point, where the assignment no longer changes (``MAX_ITER`` is a
+    cap).  An empty cluster keeps its center.  Returns synthetic centroid
+    columns (no source indices).
     """
     C = np.asarray(matrix, dtype=float)
     n_periods = C.shape[1]
@@ -108,27 +109,7 @@ def kmeans(matrix: np.ndarray, k: int, seed: int) -> RepSelection:
             members = np.nonzero(assign == j)[0]
             if members.size:
                 centers[:, j] = C[:, members].mean(axis=1)
-        centers = _relocate_empty(C, centers, assign)
     return RepSelection(rep_matrix=centers)
-
-
-def _relocate_empty(C: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """Move each empty cluster's center to the point worst-served by its own
-    center; keep the center in place when every point is served exactly."""
-    k = centers.shape[1]
-    taken: set[int] = set()
-    d2 = squared_distances(C, centers)
-    own = d2[np.arange(C.shape[1]), assign].copy()
-    for j in range(k):
-        if np.any(assign == j):
-            continue
-        for idx in np.argsort(-own, kind="stable"):
-            if int(idx) not in taken:
-                break
-        if own[idx] > 0.0:
-            centers[:, j] = C[:, idx]
-            taken.add(int(idx))
-    return centers
 
 
 def kmedoids(matrix: np.ndarray, k: int, seed: int) -> RepSelection:

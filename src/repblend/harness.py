@@ -12,6 +12,7 @@ solve starts from that basis: a fixed model differs only in its bounds.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import statistics
 import time
@@ -360,8 +361,9 @@ def load_records(path: Path | str) -> list[ExperimentRecord]:
 
     Each column is parsed by the type of its ``ExperimentRecord`` field; a
     blank cell, or a column missing from an older file, reads as the
-    field's default.  A missing column of a field without a default, or a
-    cell that does not parse, raises DataError at its line.
+    field's default.  A missing column of a field without a default, a
+    cell that does not parse, or a NaN or infinite number raises DataError
+    at its line.
     """
     path = Path(path)
     types = typing.get_type_hints(ExperimentRecord)
@@ -382,6 +384,9 @@ def load_records(path: Path | str) -> list[ExperimentRecord]:
             except ValueError:
                 raise DataError(f"column {f.name!r}: not {kind.__name__}: {text!r}",
                                 path.name, line) from None
+            if kind is float and not math.isfinite(kwargs[f.name]):
+                what = "not a number" if math.isnan(kwargs[f.name]) else "not finite"
+                raise DataError(f"column {f.name!r}: {what}: {text!r}", path.name, line)
         records.append(ExperimentRecord(**kwargs))
     return records
 

@@ -298,15 +298,38 @@ class TestDiracRowsAreTheAssignment:
             for seed in range(1, 6):
                 self.assert_fixed_point(cluster, C, k, seed)
 
+    # repeated columns whose mean is not bitwise the column: three 0.7s
+    # average to 0.6999999999999998, and eight 1/3s to 0.33333333333333337
+    # (one feature: eight columns at 1/3, one at 2/3, two more at 1/3)
+    INEXACT_MEANS = [
+        (np.full((1, 3), 0.7), 3, range(4)),
+        (np.array([[1 / 3] * 8 + [2 / 3] + [1 / 3] * 2]), 10, range(1, 6)),
+    ]
+
     @pytest.mark.parametrize("cluster", [kmeans, kmedoids], ids=["kmeans", "kmedoids"])
     def test_repeated_columns(self, cluster):
         # three distinct columns repeated: k > 3 leaves clusters empty, and
-        # since every point is then served exactly, kmeans keeps their
-        # centers in place rather than moving one
+        # an empty kmeans cluster keeps its center
         C = np.repeat(random_matrix(4, 3, seed=5), [3, 2, 4], axis=1)
-        for k in (2, 3, 4, 6):
-            for seed in range(1, 6):
-                self.assert_fixed_point(cluster, C, k, seed)
+        cases = [(C, (2, 3, 4, 6), range(1, 6))]
+        cases += [(C, (k,), seeds) for C, k, seeds in self.INEXACT_MEANS]
+        for C, ks, seeds in cases:
+            for k in ks:
+                for seed in seeds:
+                    self.assert_fixed_point(cluster, C, k, seed)
+
+    @pytest.mark.parametrize("cluster", [kmeans, kmedoids], ids=["kmeans", "kmedoids"])
+    def test_selection_does_not_depend_on_the_iteration_cap(self, monkeypatch, cluster):
+        # the loop stops at its fixed point, well inside every cap; a loop
+        # that cycled with period 2 would end apart at 300 and 299
+        for C, k, seeds in self.INEXACT_MEANS:
+            for seed in seeds:
+                reps = []
+                for cap in (300, 299, 50):
+                    monkeypatch.setattr(clustering, "MAX_ITER", cap)
+                    reps.append(cluster(C, k, seed).rep_matrix)
+                for rep in reps[1:]:
+                    np.testing.assert_array_equal(rep, reps[0])
 
 
 class TestPinnedSelections:

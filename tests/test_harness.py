@@ -674,6 +674,20 @@ class TestResultsCsv:
         with pytest.raises(DataError, match=rf"^results.csv:3: column '{column}': "):
             load_records(path)
 
+    @pytest.mark.parametrize("column,text,what", [("regret_pct", "nan", "not a number"),
+                                                  ("t_solve", "inf", "not finite"),
+                                                  ("objective_full", "-inf", "not finite")])
+    def test_non_finite_cell_is_a_data_error(self, tmp_path, column, text, what):
+        # float() takes these, but a NaN regret is never dominated on a front
+        path = tmp_path / "results.csv"
+        write_results_csv([self.make_record(), self.make_record(seed=2)], path)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[1][header.index(column)] = text
+        path.write_text("\n".join(",".join(cells) for cells in [header] + rows) + "\n")
+        with pytest.raises(DataError) as info:
+            load_records(path)
+        assert str(info.value) == f"results.csv:3: column '{column}': {what}: '{text}'"
+
     def test_one_record_one_row(self, tmp_path):
         write_results_csv([self.make_record()], tmp_path / "results.csv")
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
@@ -1036,6 +1050,15 @@ class TestCli:
         assert result.exit_code == 2
         assert "results.csv:1: missing columns: seed" in result.output
 
+    def test_emit_plots_with_a_nan_regret_is_a_data_error(self, tmp_path):
+        results = tmp_path / "results.csv"
+        write_results_csv([TestResultsCsv().make_record(regret_pct=float("nan"))], results)
+        result = self.run("emit-plots", results, "--out", tmp_path)
+        assert result.exit_code == 2
+        assert result.output == ("data error: results.csv:2: "
+                                 "column 'regret_pct': not a number: 'nan'\n")
+        assert not (tmp_path / "pareto.csv").exists()
+
     def test_emit_plots_without_records_is_a_data_error(self, tmp_path):
         # a header-only results.csv has no point to put on a front
         results = tmp_path / "results.csv"
@@ -1058,6 +1081,12 @@ class TestCli:
                           "--seeds", "1,2", "--out", tmp_path / "o")
         assert result.exit_code == 3, result.output
         assert result.output.count("SolverError: full solve: infeasible") == 2
+
+    def test_solve_full_exits_3_when_infeasible(self, infeasible_gep, tmp_path):
+        result = self.run("solve-full", "--data", infeasible_gep, "--out", tmp_path / "o")
+        assert result.exit_code == 3, result.output
+        assert result.output == "status: infeasible\n"
+        assert not (tmp_path / "o").exists()
 
     def test_experiment_data_error_exit_code(self, tmp_path):
         (tmp_path / "broken").mkdir()

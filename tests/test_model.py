@@ -57,6 +57,12 @@ class TestLpModel:
         with pytest.raises(ValueError, match="unknown variable"):
             m.add_rows([3], 1.0, "==")
 
+    def test_unknown_sense_rejected(self):
+        m = LpModel()
+        x = int(m.add_vars(()))
+        with pytest.raises(ValueError, match=r"^sense must be one of \('==', '<=', '>='\)$"):
+            m.add_rows([x], 1.0, "<")
+
     @pytest.mark.parametrize("what", ["columns", "terms"])
     def test_int32_limit_refused_before_allocating(self, what):
         # HiGHS takes int32 indices; 2**31 of anything would wrap
@@ -389,6 +395,11 @@ class TestFixDecisions:
         assert fix_decisions(full, full, solution).first_stage == "inv"
         assert build_full_model(replace(system, mode="p2x")).first_stage == "sinter"
         assert LpModel().first_stage is None
+
+    def test_unknown_mode_rejected(self, mini_gep_path):
+        system = replace(load_system(mini_gep_path), mode="chp")
+        with pytest.raises(ValueError, match=r"^mode must be one of \('gep', 'p2x'\)$"):
+            build_full_model(system)
 
     def test_models_of_two_formulations_rejected(self, mini_gep_path):
         system = load_system(mini_gep_path)

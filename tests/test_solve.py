@@ -18,6 +18,7 @@ from repblend.data import build_clustering_matrix, extract_rep_profiles, load_sy
 from repblend.harness import cluster_matrix
 from repblend.model import LpModel, build_full_model, build_model, fix_decisions
 from repblend.solve import (
+    Solution,
     SolverHandle,
     SolverNumericalError,
     basis_codes,
@@ -29,6 +30,18 @@ from repblend.weights import fit_weights
 
 BASIC = int(highspy.HighsBasisStatus.kBasic)
 SOLVE_MODULE = importlib.import_module("repblend.solve")  # the package exports a solve function
+HIGHS_CLASS = SOLVE_MODULE.highspy._Highs
+
+
+class WrappedHighs:
+    """A HiGHS instance whose methods a subclass may override; a test puts
+    the subclass in place of ``highspy._Highs``."""
+
+    def __init__(self):
+        self._highs = HIGHS_CLASS()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
 
 
 def add_var(model: LpModel, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
@@ -77,15 +90,8 @@ class TestSolve:
     def test_highs_gets_the_model_arrays(self, mini_gep_path, monkeypatch):
         # the model holds its rows in passModel's form: nothing is converted
         passed = []
-        highs_class = SOLVE_MODULE.highspy._Highs
 
-        class Recording:
-            def __init__(self):
-                self._highs = highs_class()
-
-            def __getattr__(self, name):
-                return getattr(self._highs, name)
-
+        class Recording(WrappedHighs):
             def passModel(self, *args):
                 passed.extend(args)
                 return self._highs.passModel(*args)
@@ -96,9 +102,31 @@ class TestSolve:
         own = (model.lower, model.upper, model.starts, model.col, model.val)
         assert [id(array) for array in passed[9:14]] == [id(array) for array in own]
 
-    def test_empty_model(self):
+    def test_solver_breakdown_raises(self, mini_gep_path, monkeypatch):
+        # a status that is neither optimal, infeasible nor unbounded is a
+        # solver failure, not a solution
+        class StoppedEarly(WrappedHighs):
+            def getModelStatus(self):
+                return highspy.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(SOLVE_MODULE.highspy, "_Highs", StoppedEarly)
+        with pytest.raises(SolverNumericalError, match="^solver failed: Iteration limit reached$"):
+            solve(build_full_model(load_system(mini_gep_path)))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Solution(status="bogus"), "status must be one of"),
+        (lambda: SolverHandle(tolerance=0), "^tolerance must be > 0$")],
+        ids=["solution-status", "handle-tolerance"])
+    def test_bad_value_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_empty_model(self, tmp_path):
         with pytest.raises(ValueError, match="cannot solve a model with no variables"):
             solve(LpModel())
+        with pytest.raises(ValueError, match="^cannot write a model with no variables$"):
+            write_lp_file(LpModel(), tmp_path / "m.lp")
+        assert not (tmp_path / "m.lp").exists()
 
     def test_constant_rows_without_variables(self):
         # a constant row is refused whether it holds or not

@@ -240,6 +240,8 @@ class TestFitWeights:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="feature count"):
             fit_weights(np.zeros((3, 2)), np.zeros((4, 2)), "convex")
+        with pytest.raises(ValueError, match="^rep_matrix must be two-dimensional$"):
+            fit_weights(np.zeros(4), np.zeros((4, 2)), "convex")
 
 
 def _random_instances():
